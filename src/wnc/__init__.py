@@ -21,14 +21,13 @@ from .processes import (Additive, AntitheticPairing, BoundReport,
                         MarkovKernel, SpectralData, additive_cdf_bounds,
                         comonotonic_cdf, frechet_bounds, markov_cdf_bounds,
                         mgf_matrix, perron_frobenius, transient_bounds)
-from .delay import (ArrivalSpec, DelayQuery, LundbergSolution, backlog_tail,
+from .delay import (ArrivalSpec, LundbergSolution, backlog_tail,
                     chebyshev_transient, delay_constrained_capacity,
                     delay_tail_additive, delay_tail_comonotonic,
                     delay_tail_markov, lundberg_root, stability_margin)
 from .interference import (BivariateTrace, HopChain, e2e_delay_bound,
                            feedback_delay_additive, feedback_delay_markov,
-                           minplus_convolve, multihop_service_bound,
-                           single_hop_leftover)
+                           minplus_convolve, single_hop_leftover)
 from .ordering import (OrderVerdict, SampleSet, adjustment_ordering, cx_order,
                        delay_ordering_check, icx_order, st_order)
 from .simulate import (SimConfig, TailEstimate, empirical_delay_tail,

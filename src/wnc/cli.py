@@ -12,6 +12,7 @@ quantities.  Exit codes: 0 success, 1 validation error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -33,7 +34,7 @@ from .fading import (ChannelSpec, FrequencySelective, Lognormal, Nakagami,
                      Rayleigh, Rice, Weibull, capacity_marginal,
                      certify_light_tail)
 from .interference import (HopChain, e2e_delay_bound, feedback_delay_additive,
-                           feedback_delay_markov, multihop_service_bound)
+                           feedback_delay_markov)
 from .ordering import SampleSet, adjustment_ordering, cx_order
 from .processes import (Additive, AntitheticPairing, Comonotonic,
                         MarkovAdditive, MarkovKernel, additive_cdf_bounds,
@@ -407,8 +408,7 @@ def _run_interference(scenario, query, arrival, config, meta):
     shared = query.get("shared_channel", False)
     if isinstance(process, Additive) and n_hops >= 1:
         chain = HopChain((process,) * n_hops, k, shared)
-        svc = multihop_service_bound(chain, arrival)
-        meta["multihop_multiplier"] = svc.multiplier
+        meta["multihop_multiplier"] = chain.multiplier
         for d in d_values:
             rep = e2e_delay_bound(chain, arrival, float(d))
             row = {"d_slots": float(d), "e2e_upper": rep.value,
@@ -512,10 +512,10 @@ def _rows_to_csv(rows) -> str:
             if key not in headers:
                 headers.append(key)
     buf = io.StringIO()
-    buf.write(",".join(["query_index"] + headers) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["query_index"] + headers)
     for idx, row in rows:
-        cells = [str(idx)] + [_fmt(row.get(h)) for h in headers]
-        buf.write(",".join(cells) + "\n")
+        writer.writerow([str(idx)] + [_fmt(row.get(h)) for h in headers])
     return buf.getvalue()
 
 

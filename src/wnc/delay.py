@@ -30,17 +30,17 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .distributions import DiscreteDistribution
+from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, Comonotonic, MarkovAdditive,
-                        MarkovKernel, kernel_cgf, kernel_spectral,
+                        MarkovKernel, _cgf_of, kernel_cgf, kernel_spectral,
                         marginal_of, process_mean_rate)
 
 _ROOT_TOL = 1e-9
 _BRACKET_CAP = 2.0 ** 40
 
 __all__ = [
-    "ArrivalSpec", "DelayQuery", "LundbergSolution", "RuinBounds",
+    "ArrivalSpec", "LundbergSolution", "RuinBounds",
     "stability_margin", "lundberg_root", "delay_tail_additive",
     "delay_tail_markov", "delay_tail_markov_detail", "delay_tail_comonotonic",
     "backlog_tail", "delay_constrained_capacity", "chebyshev_transient",
@@ -57,19 +57,6 @@ class ArrivalSpec:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValidationError(f"lambda must be positive, got {self.lam!r}")
-
-
-@dataclass(frozen=True)
-class DelayQuery:
-    """A delay target d with horizon (slots or inf) and initial state."""
-
-    d: float
-    horizon: float = math.inf
-    initial_state: object = "stationary"
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValidationError("d must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,7 @@ def cramer_prefactors(increment_law: DiscreteDistribution, theta: float):
         raise ValidationError("increment law has no positive part")
     # suffix structures over all atoms
     tail_geq = np.cumsum(m[::-1])[::-1]                  # P(Y >= y_k)
-    expwt = np.exp(np.minimum(theta * y, 700.0)) * m
+    expwt = np.exp(np.minimum(theta * y, _EXP_OVERFLOW)) * m
     mexp = np.cumsum(expwt[::-1])[::-1]                  # M(y_k)
     pos = np.nonzero(y > 0)[0]
     ratios_up = tail_geq[pos] * np.exp(theta * y[pos]) / mexp[pos]
@@ -188,10 +175,15 @@ class RuinBounds:
         return min(1.0, self.c_minus * e), min(1.0, self.c_plus * e)
 
 
+def _additive_prefactors(marginal, drain: float, theta: float):
+    """(C_-, C_+) of the walk with increments drain - C at tilt theta."""
+    law = marginal.discretize().affine(shift=drain, scale=-1.0)
+    return cramer_prefactors(law, theta)
+
+
 def additive_ruin(marginal, drain: float) -> RuinBounds:
     """Ruin data for the walk with increments drain - C, C ~ marginal."""
-    law = marginal.discretize().affine(shift=drain, scale=-1.0)
-    if law.support_max <= 0:
+    if marginal.discretize().support_min >= drain:
         return RuinBounds(None, 0.0, 0.0, degenerate=True, unstable=False)
     if marginal.mean() - drain <= 0:
         return RuinBounds(None, 1.0, 1.0, degenerate=False, unstable=True)
@@ -200,7 +192,7 @@ def additive_ruin(marginal, drain: float) -> RuinBounds:
         return th * drain + marginal.cgf(-th)
 
     sol = _positive_root(kappa, "additive increment")
-    c_minus, c_plus = cramer_prefactors(law, sol.theta_star)
+    c_minus, c_plus = _additive_prefactors(marginal, drain, sol.theta_star)
     return RuinBounds(sol.theta_star, c_minus, c_plus, False, False)
 
 
@@ -252,10 +244,7 @@ def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
     post-crossing state.  The maximum of the same ratios tightens the
     upper bound.
     """
-    floor = min(law.support_min
-                for i, row in enumerate(kernel.increments)
-                for j, law in enumerate(row) if kernel.transition[i, j] > 0)
-    if floor >= drain:
+    if _kernel_floor(kernel) >= drain:
         return MarkovRuin(None, None, None, 0.0, 0.0, False,
                           degenerate=True, unstable=False)
     if kernel.mean_rate() - drain <= 0:
@@ -266,10 +255,21 @@ def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
         return th * drain + kernel_cgf(kernel, -th)
 
     sol = _positive_root(kappa, "markov increment")
-    theta = sol.theta_star
-    spec_data = kernel_spectral(kernel, -theta)
-    h = spec_data.right_vector
-    pi = kernel.stationary
+    h, c_minus, c_plus = _markov_prefactors(kernel, drain, sol.theta_star)
+    return MarkovRuin(sol.theta_star, h, kernel.stationary, c_minus, c_plus,
+                      True, degenerate=False, unstable=False)
+
+
+def _kernel_floor(kernel: MarkovKernel) -> float:
+    """Smallest increment any allowed transition can produce."""
+    return min(law.support_min
+               for i, row in enumerate(kernel.increments)
+               for j, law in enumerate(row) if kernel.transition[i, j] > 0)
+
+
+def _markov_prefactors(kernel: MarkovKernel, drain: float, theta: float):
+    """(h, C_-, C_+) at tilt -theta: eigenvector and corrected prefactors."""
+    h = kernel_spectral(kernel, -theta).right_vector
     n = len(kernel.states)
     ratios = []
     seen = set()
@@ -286,10 +286,7 @@ def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
                 continue                 # this transition never crosses upward
             lo_ij, up_ij = cramer_prefactors(law, theta)
             ratios.append((lo_ij / h[j], up_ij / h[j]))
-    c_minus = min(r[0] for r in ratios)
-    c_plus = max(r[1] for r in ratios)
-    return MarkovRuin(theta, h, pi, c_minus, c_plus, True,
-                      degenerate=False, unstable=False)
+    return h, min(r[0] for r in ratios), max(r[1] for r in ratios)
 
 
 @dataclass(frozen=True)
@@ -409,11 +406,11 @@ class DelayConstrainedCapacity:
     optimistic   : largest rate whose *lower* delay bound meets epsilon
                    (beyond it the true delay provably violates epsilon)
     one_shot_window : the fixed-theta inversion (-log(eps/C-)/(theta d),
-                   -log(eps/C+)/(theta d)) evaluated at the conservative
-                   rate, for comparison only: theta and C-+ themselves
-                   depend on lambda, which makes the one-shot inversion
-                   circular; the outer bisection is the fixed-point-correct
-                   answer
+                   -log(eps/C+)/(theta d)) with theta and C-+ taken at the
+                   conservative rate, for comparison only: theta and C-+
+                   themselves depend on lambda, which makes the one-shot
+                   inversion circular; the effective-capacity root is the
+                   fixed-point-correct answer
     """
 
     conservative: float
@@ -422,33 +419,26 @@ class DelayConstrainedCapacity:
     feasible: bool
 
 
-def _upper_delay_value(process, arrival, d) -> float:
-    try:
-        if isinstance(process, MarkovAdditive):
-            return delay_tail_markov(process, arrival, d)[1].value
-        return delay_tail_additive(process, arrival, d)[1].value
-    except NumericFailure:
-        return 1.0      # margin too small to certify: treat as infeasible
+# a DCC constraint that still fails at E[C] * 2^-46 is declared infeasible
+_DCC_RATE_FLOOR = 2.0 ** -46
 
 
-def _lower_delay_value(process, arrival, d) -> float:
-    try:
-        if isinstance(process, MarkovAdditive):
-            return delay_tail_markov(process, arrival, d)[0].value
-        return delay_tail_additive(process, arrival, d)[0].value
-    except NumericFailure:
-        return 1.0
-
-
-def delay_constrained_capacity(process, d: float, epsilon: float,
-                               grid_n: int = 64, bisect_iters: int = 48
+def delay_constrained_capacity(process, d: float, epsilon: float
                                ) -> DelayConstrainedCapacity:
     """Largest supportable arrival rate under a delay constraint.
 
-    theta and the prefactors depend on lambda, so the inversion runs an
-    outer search on lambda over (0, E[C]) for both the conservative and the
-    optimistic ends; the one-shot fixed-theta inversion values are attached
-    for reference.
+    The search runs over the tilt theta rather than the rate.  At the
+    effective capacity lambda = alpha(theta) = -kappa_C(-theta)/theta the
+    Lundberg root is theta itself, so the delay bound at that rate is
+    C(alpha(theta), theta) exp(kappa_C(-theta) d), and each end of the
+    window is the single root in theta of
+
+        log C(alpha(theta), theta) + kappa_C(-theta) d = log epsilon,
+
+    with C = C_+ for the conservative end and C = C_- for the optimistic
+    end (times h(J0) for a Markov channel started in a fixed state).
+    Rates at or below ess inf C never build a queue and are always
+    feasible; a constant channel is feasible up to its mean.
     """
     if d <= 0:
         raise ValidationError("d must be positive")
@@ -460,60 +450,67 @@ def delay_constrained_capacity(process, d: float, epsilon: float,
             return DelayConstrainedCapacity(0.0, 0.0, (0.0, 0.0), False)
         return DelayConstrainedCapacity(lam, lam, (lam, lam), True)
 
+    kappa = _cgf_of(process)
     mean = process_mean_rate(process)
-
-    def largest_feasible(bound_value):
-        lams = np.linspace(mean / grid_n, mean * (1.0 - 1e-9), grid_n)
-        feas = -1
-        for i, lam in enumerate(lams):
-            # stop at the first infeasible point: the bound grows with the
-            # load in practice, and truncating early stays conservative
-            if bound_value(process, ArrivalSpec(lam), d) <= epsilon:
-                feas = i
-            else:
-                break
-        if feas < 0:
-            # sweep below the first grid point before declaring infeasible
-            lo, hi = 0.0, lams[0]
-            probe = lams[0]
-            for _ in range(40):
-                probe /= 2.0
-                if bound_value(process, ArrivalSpec(probe), d) <= epsilon:
-                    lo = probe
-                    break
-            if lo == 0.0:
-                return 0.0, False
-        else:
-            lo = lams[feas]
-            hi = lams[feas + 1] if feas + 1 < grid_n else mean * (1.0 - 1e-12)
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            if bound_value(process, ArrivalSpec(mid), d) <= epsilon:
-                lo = mid
-            else:
-                hi = mid
-        return lo, True
-
-    conservative, ok_c = largest_feasible(_upper_delay_value)
-    optimistic, ok_o = largest_feasible(_lower_delay_value)
-    if not ok_c:
-        return DelayConstrainedCapacity(0.0, optimistic, (0.0, 0.0), False)
-
     if isinstance(process, MarkovAdditive):
-        ruin = markov_ruin(process.kernel, conservative)
-        theta = ruin.theta_star
-        if ruin.improved:
-            cm, cp = ruin.c_minus, ruin.c_plus
-        elif ruin.h is not None:
-            cm, cp = 1.0 / float(np.max(ruin.h)), 1.0 / float(np.min(ruin.h))
-        else:
-            cm = cp = 1.0
+        kernel = process.kernel
+        floor = _kernel_floor(kernel)
+        init = process.initial
+        start = (None if isinstance(init, str) and init == "stationary"
+                 else kernel.state_index(init))
+
+        def prefactors(drain, th):
+            h, c_minus, c_plus = _markov_prefactors(kernel, drain, th)
+            return c_minus, c_plus, 1.0 if start is None else float(h[start])
     else:
-        ruin = additive_ruin(marginal_of(process), conservative)
-        cm, cp, theta = ruin.c_minus, ruin.c_plus, ruin.theta_star
-    if theta is None or ruin.degenerate:
+        marginal = marginal_of(process)
+        floor = marginal.discretize().support_min
+
+        def prefactors(drain, th):
+            return (*_additive_prefactors(marginal, drain, th), 1.0)
+
+    if floor >= mean:
+        # constant channel: the capacity never falls below the drain
+        return DelayConstrainedCapacity(mean, mean, (mean, mean), True)
+
+    def rate(th):
+        return -kappa(-th) / th
+
+    log_eps = math.log(epsilon)
+
+    def largest_rate(side):
+        """(theta, rate, (C_-, C_+)) at the root for C_- (side 0) or C_+
+        (side 1); theta is None when only rates at the floor qualify, and
+        None is returned when no rate meets epsilon."""
+        def excess(th):
+            k = kappa(-th)
+            c_minus, c_plus, weight = prefactors(-k / th, th)
+            c = (c_minus, c_plus)[side] * weight
+            return (math.log(c) if c > 0 else -math.inf) + k * d - log_eps
+
+        # bracket with theta doubling (rate falling) or halving (rate rising)
+        lo = hi = 1.0
+        while excess(hi) > 0:
+            lo, hi = hi, 2.0 * hi
+            if rate(hi) <= max(floor, _DCC_RATE_FLOOR * mean):
+                return (None, floor, None) if floor > 0 else None
+        while excess(lo) <= 0:
+            lo, hi = 0.5 * lo, lo
+        th = float(brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16,
+                          maxiter=300))
+        lam = rate(th)
+        return th, lam, prefactors(lam, th)[:2]
+
+    upper = largest_rate(1)
+    lower = largest_rate(0)
+    optimistic = 0.0 if lower is None else lower[1]
+    if upper is None:
+        return DelayConstrainedCapacity(0.0, optimistic, (0.0, 0.0), False)
+    theta, conservative, pref = upper
+    if theta is None:
         one_shot = (conservative, conservative)
     else:
+        cm, cp = pref
         one_shot = (-math.log(epsilon / cm) / (theta * d) if cm > 0 else 0.0,
                     -math.log(epsilon / cp) / (theta * d))
     return DelayConstrainedCapacity(conservative, optimistic, one_shot, True)

@@ -29,10 +29,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
-from .distributions import DEFAULT_GRID_N, DiscreteDistribution
+from .distributions import _EXP_OVERFLOW, DEFAULT_GRID_N, DiscreteDistribution
 from .errors import HeavyTailError, NumericFailure, ValidationError
 
-_EXP_OVERFLOW = 700.0
 _GAIN_CLIP_Q = 1e-12          # gain domain clipped at the 1 - 1e-12 quantile
 _RATE_CAP = 64.0              # largest certified exponential rate (per bit)
 _PREFACTOR_CAP = math.e       # default prefactor budget for rate search

@@ -6,8 +6,9 @@ causality), so the delay obeys the Lundberg bound with the doubled-arrival
 increment law 2*lambda - C.  Multi-hop chains with K-hop interference
 reduce to S(t) - (2K-1) A(t) per hop with K = min(K, N); a shared channel
 collapses to a single traversal.  The end-to-end bound sums factorised
-per-segment Chernoff terms over all time segmentations (dynamic
-programming) and closes the outer sum with a certified geometric tail.
+per-segment Chernoff terms over all time segmentations; for additive hops
+that sum has the closed form e^{-theta lambda d} prod_i 1/(1 - w_i), which
+is minimised over theta by one bounded scalar search.
 """
 
 from __future__ import annotations
@@ -17,19 +18,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
-from .delay import ArrivalSpec, additive_ruin, markov_ruin
+from .delay import _BRACKET_CAP, ArrivalSpec, additive_ruin, markov_ruin
 from .errors import UnstableSystemError, ValidationError
-from .processes import (Additive, BoundReport, MarkovAdditive, marginal_of,
-                        process_mean_rate, theta_grid)
+from .processes import Additive, BoundReport, MarkovAdditive, marginal_of
 
-_EXP_OVERFLOW = 700.0
+_THETA_FLOOR = 2.0 ** -60
 
 __all__ = [
     "HopChain", "BivariateTrace", "minplus_convolve", "single_hop_leftover",
-    "feedback_delay_additive", "feedback_delay_markov",
-    "multihop_service_bound", "MultiHopService", "e2e_delay_bound",
-    "additive_union_delay_bound",
+    "feedback_delay_additive", "feedback_delay_markov", "e2e_delay_bound",
 ]
 
 
@@ -198,38 +197,6 @@ def feedback_delay_markov(process: MarkovAdditive, arrival: ArrivalSpec,
 
 
 # ---------------------------------------------------------------------------
-# multi-hop reduction
-
-
-@dataclass(frozen=True)
-class MultiHopService:
-    """Effective single-flow service after the interference reduction.
-
-    shared_channel chains collapse to one traversal of the common process
-    with the arrival scaled by 2K-1; heterogeneous chains keep one reduced
-    process description per hop for downstream convolution.
-    """
-
-    shared: bool
-    multiplier: int
-    processes: tuple
-    arrival_rate: float
-
-    @property
-    def effective_arrival(self) -> ArrivalSpec:
-        return ArrivalSpec(self.multiplier * self.arrival_rate)
-
-
-def multihop_service_bound(chain: HopChain, arrival: ArrivalSpec
-                           ) -> MultiHopService:
-    """Reduce the chain to per-hop service lower bounds S_i - (2K-1) A."""
-    mult = chain.multiplier
-    if chain.shared_channel:
-        return MultiHopService(True, mult, (chain.hops[0],), arrival.lam)
-    return MultiHopService(False, mult, tuple(chain.hops), arrival.lam)
-
-
-# ---------------------------------------------------------------------------
 # end-to-end segmentation bound
 
 
@@ -240,42 +207,8 @@ def _hop_cgf_neg(hop, theta: float) -> float:
     return marginal_of(hop).cgf(-theta)
 
 
-def additive_union_delay_bound(process: Additive, arrival: ArrivalSpec,
-                               d: float, theta: float, multiplier: int = 1,
-                               t_max: int = 100_000,
-                               eps_tail: float = 1e-12) -> BoundReport:
-    """Single-hop union bound over the interference-reduced service.
-
-    sum_t exp(t (kappa(-theta) + theta m lambda) + theta lambda (t - d)),
-    the direct Chernoff sum for service S - m A with m = 2K - 1.
-    Independent reference implementation for the N = 1 segmentation bound.
-    """
-    if theta <= 0:
-        raise ValidationError("theta must be positive")
-    k = _hop_cgf_neg(process, theta)
-    lam = arrival.lam
-    log_ratio = k + theta * multiplier * lam + theta * lam
-    if log_ratio >= 0:
-        return BoundReport("delay_upper", 1.0, theta, 1.0, math.inf,
-                           "bound diverges at this theta")
-    ratio = math.exp(log_ratio)
-    total = 0.0
-    term = math.exp(-theta * lam * d)
-    t = 0
-    quiet = 0
-    while t < t_max and quiet < 50:
-        total += term
-        term *= ratio
-        if term < eps_tail * max(total, 1e-300):
-            quiet += 1
-        t += 1
-    total += term * 1.0 / (1.0 - ratio) if ratio < 1.0 else 0.0
-    return BoundReport("delay_upper", min(1.0, total), theta, 1.0, math.inf, "")
-
-
 def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
-                    theta: Optional[float] = None, t_max: int = 65_536,
-                    eps_tail: float = 1e-12) -> BoundReport:
+                    theta: Optional[float] = None) -> BoundReport:
     """End-to-end delay bound for heterogeneous additive hops.
 
     P(D >= d) <= sum_t sum_{segmentations u} prod_i E[exp(-theta S_i*(seg_i))]
@@ -283,105 +216,62 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
 
     with S_i* = S_i - (2K-1) A.  For additive hops the per-segment factor is
     exp(len * (kappa_i(-theta) + theta (2K-1) lambda)), so the inner sum is
-    the complete homogeneous polynomial h_t(w_1..w_N), computed by dynamic
-    programming.  The outer sum is truncated once 50 consecutive terms fall
-    below eps_tail relative mass with a sub-unit term ratio, and closed with
-    a geometric tail at the last observed ratio (term ratios decrease toward
-    max_i w_i e^{theta lambda}, so the closure is conservative).  Divergence
-    is reported as a verdict, not an exception, so callers can scan theta.
-    ``theta=None`` scans a log-spaced grid and returns the tightest verdict.
+    the complete homogeneous polynomial h_t in the weights
+    w_i = exp(kappa_i(-theta) + theta (2K-1) lambda + theta lambda), and the
+    outer sum has the closed form sum_t h_t(w) = prod_i 1/(1 - w_i).  The
+    bound is min(1, e^{-theta lambda d} prod_i 1/(1 - w_i)); it diverges
+    exactly when max_i w_i >= 1, which is reported as a verdict, not an
+    exception.  ``theta=None`` minimises the bound over theta: its log is
+    convex, so one bounded scalar search on (0, theta_max) finds the
+    optimum, theta_max being the root of max_i log w_i = 0.
     """
     if d < 0:
         raise ValidationError("d must be nonnegative")
-    hops = chain.hops
     lam = arrival.lam
-    mult = chain.multiplier
+    drain = (chain.multiplier + 1) * lam
+
+    def log_w(th):
+        return np.array([_hop_cgf_neg(h, th) for h in chain.hops]) + th * drain
+
+    def log_bound(th):
+        lw = log_w(th)
+        if not np.all(lw < 0.0):
+            return math.inf
+        return -th * lam * d - float(np.sum(np.log(-np.expm1(lw))))
 
     if theta is None:
-        # scan up to the divergence root of kappa(-th) + th (m+1) lambda
-        def slot_log_ratio(th):
-            return max(_hop_cgf_neg(h, th) for h in hops) + th * (mult + 1) * lam
-
-        if slot_log_ratio(1e-4) >= 0:
+        theta_max = _divergence_root(lambda th: float(np.max(log_w(th))))
+        if theta_max is None:
             return BoundReport("delay_upper", 1.0, None, 1.0, math.inf,
-                               "bound diverges at this theta")
-        hi = 1e-3
-        while slot_log_ratio(hi) < 0 and hi < 1e4:
-            hi *= 2.0
-        grid = np.geomspace(1e-3, hi, 96)
-        best = None
-        best_idx = None
-        for i, th in enumerate(grid):
-            rep = e2e_delay_bound(chain, arrival, d, float(th), t_max, eps_tail)
-            if "diverges" in rep.notes:
-                continue
-            if best is None or rep.value < best.value:
-                best, best_idx = rep, i
-        if best is None:
-            return BoundReport("delay_upper", 1.0, None, 1.0, math.inf,
-                               "bound diverges at every theta scanned")
-        # golden-section polish around the grid winner
-        from scipy.optimize import minimize_scalar
-        lo_th = grid[max(best_idx - 1, 0)]
-        hi_th = grid[min(best_idx + 1, grid.size - 1)]
-
-        def value_at(th):
-            rep = e2e_delay_bound(chain, arrival, d, float(th), t_max, eps_tail)
-            return rep.value if "diverges" not in rep.notes else 1.0
-
-        res = minimize_scalar(value_at, bounds=(lo_th, hi_th), method="bounded",
-                              options={"xatol": 1e-10})
-        polished = e2e_delay_bound(chain, arrival, d, float(res.x), t_max,
-                                   eps_tail)
-        if "diverges" not in polished.notes and polished.value < best.value:
-            return polished
-        return best
-
-    if theta <= 0:
+                               "bound diverges at every theta")
+        res = minimize_scalar(log_bound, bounds=(0.0, theta_max),
+                              method="bounded",
+                              options={"xatol": 1e-12 * theta_max})
+        theta = float(res.x)
+    elif theta <= 0:
         raise ValidationError("theta must be positive")
-    log_w = np.array([_hop_cgf_neg(h, theta) + theta * mult * lam for h in hops])
-    if np.any(~np.isfinite(log_w)):
+    log_value = log_bound(theta)
+    if log_value == math.inf:
         return BoundReport("delay_upper", 1.0, theta, 1.0, math.inf,
                            "bound diverges at this theta")
-    z = theta * lam
-    if float(np.max(log_w)) + z >= 0.0:
-        # per-slot ratio >= 1: the outer sum cannot converge
-        return BoundReport("delay_upper", 1.0, theta, 1.0, math.inf,
-                           "bound diverges at this theta")
-    # homogeneity: h_t(w) e^{zt} = h_t(w e^z); scaled weights all < 1
-    from scipy.signal import lfilter
-    ws = np.exp(log_w + z)
-    ts = np.arange(t_max, dtype=float)
-    with np.errstate(under="ignore"):
-        coeffs = ws[0] ** ts
-        for k in range(1, len(hops)):
-            coeffs = lfilter([1.0], [1.0, -ws[k]], coeffs)
-        terms = coeffs * math.exp(-theta * lam * d)
-    # truncate after 50 consecutive negligible terms with sub-unit ratio
-    total = 0.0
-    quiet = 0
-    stop = t_max
-    last_ratio = float(ws.max())
-    for t in range(t_max):
-        term = float(terms[t])
-        total += term
-        ratio = term / float(terms[t - 1]) if t > 0 and terms[t - 1] > 0 else 1.0
-        if t > 0:
-            last_ratio = ratio
-        if term <= eps_tail * max(total, 1e-300) and ratio < 1.0:
-            quiet += 1
-            if quiet >= 50:
-                stop = t + 1
-                break
-        else:
-            quiet = 0
-        if term == 0.0:
-            stop = t + 1
-            break
-    if stop == t_max and quiet < 50 and last_ratio >= 1.0:
-        return BoundReport("delay_upper", 1.0, theta, 1.0, math.inf,
-                           "bound diverges at this theta")
-    if 0.0 < last_ratio < 1.0 and terms[stop - 1] > 0:
-        # term ratios decrease toward max(ws): geometric closure is conservative
-        total += float(terms[stop - 1]) * last_ratio / (1.0 - last_ratio)
-    return BoundReport("delay_upper", min(1.0, total), theta, 1.0, math.inf, "")
+    return BoundReport("delay_upper", math.exp(min(log_value, 0.0)), theta,
+                       1.0, math.inf, "")
+
+
+def _divergence_root(g) -> Optional[float]:
+    """Positive root of the convex g = max_i log w_i, with g(0) = 0.
+
+    None when g >= 0 at every probe down to theta = 2^-60 (the bound
+    diverges at every theta); the bracket cap when g < 0 up to it (every
+    hop's capacity stays above the drain).
+    """
+    lo = hi = 1.0
+    while g(hi) < 0.0:
+        if hi >= _BRACKET_CAP:
+            return hi
+        lo, hi = hi, 2.0 * hi
+    while not g(lo) < 0.0:
+        lo *= 0.5
+        if lo < _THETA_FLOOR:
+            return None
+    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))

@@ -24,10 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, ValidationError
-
-_EXP_OVERFLOW = 700.0
 
 __all__ = [
     "Comonotonic", "Additive", "MarkovAdditive", "AntitheticPairing",

@@ -59,3 +59,36 @@ def lundberg_theta_oracle(support, mass, lam, tol=1e-13):
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def additive_union_delay_bound(process, arrival, d, theta, multiplier=1,
+                               t_max=100_000, eps_tail=1e-12):
+    """Single-hop union bound over the interference-reduced service.
+
+    sum_t exp(t (kappa(-theta) + theta m lambda) + theta lambda (t - d)),
+    the direct Chernoff sum for service S - m A with m = 2K - 1, summed term
+    by term until 50 consecutive terms are negligible and closed with the
+    geometric remainder.  Independent reference for the N = 1 end-to-end
+    bound; returns the value capped at 1.
+    """
+    import math
+
+    lam = arrival.lam
+    log_ratio = (process.marginal.cgf(-theta) + theta * multiplier * lam
+                 + theta * lam)
+    if log_ratio >= 0:
+        return 1.0
+    ratio = math.exp(log_ratio)
+    total = 0.0
+    term = math.exp(-theta * lam * d)
+    t = 0
+    quiet = 0
+    while t < t_max and quiet < 50:
+        total += term
+        term *= ratio
+        if term < eps_tail * max(total, 1e-300):
+            quiet += 1
+        t += 1
+    if ratio < 1.0:
+        total += term / (1.0 - ratio)
+    return min(1.0, total)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import yaml
@@ -148,3 +149,22 @@ def test_markov_scenario_round_trip(tmp_path):
     out = tmp_path / "mk.csv"
     assert main(["delay", "--scenario", path, "--out", str(out)]) == 0
     assert main(["bounds", "--scenario", path, "--out", str(out)]) == 0
+
+
+def test_csv_rows_as_wide_as_header(tmp_path):
+    # validate's additive_cdf parameters (t=8,x=4) and order's relations
+    # (cx(S_N, S_perp)) contain commas and must come out quoted
+    doc = dict(BASE)
+    doc["queries"] = [{"kind": "validate", "d_slots": [2], "t_slots": 8,
+                       "x_grid_bits": [4.0]},
+                      {"kind": "order", "probe_t_slots": 8}]
+    path = write_scenario(tmp_path, doc)
+    for command, needle in (("validate", "t=8,x=4"),
+                            ("order", "cx(S_N, S_perp)")):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--scenario", path, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+        assert any(needle in row for row in rows)

@@ -12,6 +12,7 @@ from wnc import (Additive, ArrivalSpec, Comonotonic,
                  stability_margin)
 from wnc.delay import cramer_prefactors, delay_tail_markov_detail
 from wnc.distributions import DiscreteDistribution
+from wnc.processes import process_mean_rate
 from wnc.simulate import SimConfig, empirical_delay_tails
 
 from conftest import lundberg_theta_oracle
@@ -238,6 +239,43 @@ def test_dcc_conservative_verified_by_simulation(two_point):
     assert est.point <= eps + 3 * max(est.stderr, se_floor)
     # the fixed-theta one-shot window is reported alongside
     assert res.one_shot_window[0] <= res.one_shot_window[1] + 1e-12
+
+
+def _delay_pair(process, lam, d):
+    if isinstance(process, MarkovAdditive):
+        lo, up = delay_tail_markov(process, ArrivalSpec(lam), d)
+    else:
+        lo, up = delay_tail_additive(process, ArrivalSpec(lam), d)
+    return lo.value, up.value
+
+
+def test_dcc_ends_are_the_largest_rates_meeting_epsilon(rayleigh_marginal):
+    # each end meets eps at the returned rate and misses it 1e-6 higher
+    full = MarkovKernel(
+        ("a", "b"), np.array([[0.7, 0.3], [0.4, 0.6]]),
+        ((DiscreteDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5])),
+          DiscreteDistribution.point_mass(0.5)),
+         (DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.3, 0.7])),
+          DiscreteDistribution.point_mass(1.0))))
+    for proc, d, eps in ((Additive(rayleigh_marginal), 10.0, 1e-3),
+                         (MarkovAdditive(full), 10.0, 0.01)):
+        res = delay_constrained_capacity(proc, d, eps)
+        assert res.feasible
+        assert res.conservative <= res.optimistic < process_mean_rate(proc)
+        for side, lam in ((1, res.conservative), (0, res.optimistic)):
+            assert _delay_pair(proc, lam, d)[side] <= eps * (1.0 + 1e-9)
+            assert _delay_pair(proc, lam + 1e-6, d)[side] > eps
+
+
+def test_dcc_gilbert_elliott_infeasible(ge_kernel):
+    proc = MarkovAdditive(ge_kernel)
+    res = delay_constrained_capacity(proc, 10.0, 0.01)
+    assert not res.feasible
+    assert res.conservative == res.optimistic == 0.0
+    # both bounds miss eps at every rate, down to the smallest ones
+    for k in (1, 8, 20, 36):
+        lo, up = _delay_pair(proc, process_mean_rate(proc) * 2.0 ** -k, 10.0)
+        assert lo > 0.01 and up > 0.01
 
 
 def test_dcc_validation():

@@ -8,10 +8,11 @@ from wnc import (Additive, ArrivalSpec, BivariateTrace, HopChain,
                  ValidationError, delay_tail_additive, delay_tail_markov,
                  e2e_delay_bound, feedback_delay_additive,
                  feedback_delay_markov, lundberg_root, minplus_convolve,
-                 multihop_service_bound, single_hop_leftover)
+                 single_hop_leftover)
 from wnc.distributions import DiscreteDistribution
-from wnc.interference import additive_union_delay_bound
 from wnc.simulate import sample_capacity_trace
+
+from conftest import additive_union_delay_bound
 
 
 def brute_minplus(f, g):
@@ -153,16 +154,13 @@ def test_feedback_markov_single_state_reduces(two_point):
 
 def test_multihop_reduction(two_point):
     proc = Additive(two_point)
-    arrival = ArrivalSpec(0.1)
     shared = HopChain((proc,) * 3, 1, True)
-    svc = multihop_service_bound(shared, arrival)
-    assert svc.multiplier == 1 and svc.shared
-    assert svc.effective_arrival.lam == pytest.approx(0.1)
+    assert shared.multiplier == 1 and shared.shared_channel
+    assert shared.hops[0] is proc
     capped = HopChain((proc, proc), 5, False)
     assert capped.effective_k == 2
-    assert multihop_service_bound(capped, arrival).multiplier == 3
-    hetero = multihop_service_bound(capped, arrival)
-    assert len(hetero.processes) == 2
+    assert capped.multiplier == 3
+    assert len(capped.hops) == 2
 
 
 def test_shared_channel_bound_invariant_in_hop_count(two_point):
@@ -170,10 +168,8 @@ def test_shared_channel_bound_invariant_in_hop_count(two_point):
     reports = []
     for n in (1, 2, 5):
         chain = HopChain((Additive(two_point),) * n, 1, True)
-        svc = multihop_service_bound(chain, arrival)
-        rep = feedback_delay_additive(svc.processes[0],
-                                      ArrivalSpec(svc.arrival_rate), 10.0,
-                                      multiplier=float(svc.multiplier + 1))
+        rep = feedback_delay_additive(chain.hops[0], arrival, 10.0,
+                                      multiplier=float(chain.multiplier + 1))
         reports.append(rep)
     assert reports[0] == reports[1] == reports[2]
 
@@ -186,10 +182,11 @@ def test_e2e_single_hop_equals_direct_union(two_point):
         rep = e2e_delay_bound(chain, arrival, 20.0, th)
         direct = additive_union_delay_bound(proc, arrival, 20.0, th,
                                             multiplier=1)
-        assert rep.value == pytest.approx(direct.value, abs=1e-12)
+        assert rep.value == pytest.approx(direct, abs=1e-12)
 
 
-def test_e2e_identical_hops_generating_function_oracle(two_point):
+def test_e2e_identical_hops_generating_function_oracle(two_point,
+                                                       rayleigh_marginal):
     proc = Additive(two_point)
     arrival = ArrivalSpec(0.2)
     for n_hops, th, d in ((2, 0.9, 30.0), (3, 0.8, 40.0)):
@@ -198,16 +195,49 @@ def test_e2e_identical_hops_generating_function_oracle(two_point):
         w = math.exp(two_point.cgf(-th) + 2.0 * th * arrival.lam)
         oracle = math.exp(-th * arrival.lam * d) / (1.0 - w) ** n_hops
         assert rep.value == pytest.approx(min(1.0, oracle), rel=1e-9)
+    # heterogeneous hops and K = 2 against the segmentation sum itself:
+    # sum_t sum_{a+b=t} e^{a k_1 + b k_2} e^{theta lambda (t - d)}
+    three_point = DiscreteDistribution(np.array([0.0, 1.0, 3.0]),
+                                       np.array([0.3, 0.4, 0.3]))
+    arrival = ArrivalSpec(0.1)
+    for laws, k, th, d in (((two_point, three_point), 1, 1.2, 30.0),
+                           ((two_point, three_point), 2, 1.2, 40.0),
+                           ((three_point, rayleigh_marginal), 2, 2.0, 20.0),
+                           ((two_point, rayleigh_marginal), 1, 2.0, 20.0)):
+        chain = HopChain(tuple(Additive(law) for law in laws), k, False)
+        rep = e2e_delay_bound(chain, arrival, d, th)
+        k1, k2 = (law.cgf(-th) + th * chain.multiplier * arrival.lam
+                  for law in laws)
+        total, t = 0.0, 0
+        while True:
+            term = sum(math.exp(a * k1 + (t - a) * k2
+                                + th * arrival.lam * (t - d))
+                       for a in range(t + 1))
+            total += term
+            if t > 0 and term < 1e-17 * total:
+                break
+            t += 1
+        assert total < 1.0
+        assert rep.value == pytest.approx(total, rel=1e-9)
 
 
 def test_e2e_divergence_verdicts(two_point):
     proc = Additive(two_point)
     chain = HopChain((proc, proc), 1, False)
-    rep = e2e_delay_bound(chain, ArrivalSpec(0.2), 30.0, 1e-5)
-    assert rep.value == 1.0
-    assert "diverges" in rep.notes
+    arrival = ArrivalSpec(0.2)
+    # w(theta) = (1 + e^{-2 theta}) e^{0.4 theta} / 2 is below 1 exactly on
+    # (0, 1.65...): the verdict flips there, and nowhere else
+    for th, diverges in ((1e-5, False), (1.6, False), (1.7, True), (3.0, True)):
+        w = 0.5 * (1.0 + math.exp(-2.0 * th)) * math.exp(0.4 * th)
+        assert (w >= 1.0) == diverges
+        rep = e2e_delay_bound(chain, arrival, 30.0, th)
+        assert ("diverges" in rep.notes) == diverges
+        if diverges or th < 1.0:
+            assert rep.value == 1.0
     unstable = e2e_delay_bound(chain, ArrivalSpec(0.6), 30.0, 0.5)
     assert "diverges" in unstable.notes
+    everywhere = e2e_delay_bound(chain, ArrivalSpec(0.6), 30.0)
+    assert "diverges" in everywhere.notes and everywhere.value == 1.0
 
 
 def test_e2e_grid_optimization_beats_fixed_theta(two_point):
