@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -149,15 +150,32 @@ def load_scenario(path: str) -> dict:
         raise ValidationError(f"scenario is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a mapping")
-    import jsonschema
-    try:
-        jsonschema.validate(doc, _SCHEMA)
-        for q in doc.get("queries", []):
-            jsonschema.validate(q, _QUERY_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    doc_validator, query_validator = _validators()
+    _check_schema(doc_validator, doc)
+    for q in doc.get("queries", []):
+        _check_schema(query_validator, q)
+    return doc
+
+
+def _check_schema(validator, instance):
+    """Raise the error jsonschema.validate would pick, as a ValidationError."""
+    from jsonschema.exceptions import best_match
+    exc = best_match(validator.iter_errors(instance))
+    if exc is not None:
         path_str = ".".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ValidationError(f"scenario field {path_str}: {exc.message}") from exc
-    return doc
+
+
+@functools.cache
+def _validators():
+    """Scenario and query validators, each schema checked once per process."""
+    from jsonschema.validators import validator_for
+    out = []
+    for schema in (_SCHEMA, _QUERY_SCHEMA):
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        out.append(cls(schema))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

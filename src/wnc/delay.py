@@ -33,8 +33,8 @@ from scipy.optimize import brentq
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, Comonotonic, MarkovAdditive,
-                        MarkovKernel, _cgf_of, kernel_cgf, kernel_spectral,
-                        marginal_of, process_mean_rate)
+                        MarkovKernel, _cgf_of, _start_index, kernel_cgf,
+                        kernel_spectral, marginal_of, process_mean_rate)
 
 _ROOT_TOL = 1e-9
 _BRACKET_CAP = 2.0 ** 40
@@ -255,7 +255,8 @@ def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
         return th * drain + kernel_cgf(kernel, -th)
 
     sol = _positive_root(kappa, "markov increment")
-    h, c_minus, c_plus = _markov_prefactors(kernel, drain, sol.theta_star)
+    h = kernel_spectral(kernel, -sol.theta_star).right_vector
+    c_minus, c_plus = _markov_prefactors(kernel, drain, sol.theta_star, h)
     return MarkovRuin(sol.theta_star, h, kernel.stationary, c_minus, c_plus,
                       True, degenerate=False, unstable=False)
 
@@ -267,9 +268,9 @@ def _kernel_floor(kernel: MarkovKernel) -> float:
                for j, law in enumerate(row) if kernel.transition[i, j] > 0)
 
 
-def _markov_prefactors(kernel: MarkovKernel, drain: float, theta: float):
-    """(h, C_-, C_+) at tilt -theta: eigenvector and corrected prefactors."""
-    h = kernel_spectral(kernel, -theta).right_vector
+def _markov_prefactors(kernel: MarkovKernel, drain: float, theta: float,
+                       h: np.ndarray):
+    """(C_-, C_+): overshoot-corrected prefactors, h the eigenvector at -theta."""
     n = len(kernel.states)
     ratios = []
     seen = set()
@@ -286,7 +287,7 @@ def _markov_prefactors(kernel: MarkovKernel, drain: float, theta: float):
                 continue                 # this transition never crosses upward
             lo_ij, up_ij = cramer_prefactors(law, theta)
             ratios.append((lo_ij / h[j], up_ij / h[j]))
-    return h, min(r[0] for r in ratios), max(r[1] for r in ratios)
+    return min(r[0] for r in ratios), max(r[1] for r in ratios)
 
 
 @dataclass(frozen=True)
@@ -329,18 +330,13 @@ def delay_tail_markov_detail(process: MarkovAdditive, arrival: ArrivalSpec,
                 report("delay_upper", up, 1.0, notes))
         return MarkovDelayBounds(*pair, *pair, per_state={}, theta_star=None)
 
-    h, pi = ruin.h, ruin.pi
+    h = ruin.h
     e = math.exp(-ruin.theta_star * level)
-    init = process.initial if initial_state is None else initial_state
-    stationary = isinstance(init, str) and init == "stationary"
     hmin, hmax = float(np.min(h)), float(np.max(h))
-
-    def weight(i_or_pi):
-        # h(J0) for a fixed start; pi.h = 1 for the stationary mixture
-        return 1.0 if i_or_pi is None else float(h[i_or_pi])
-
-    idx = None if stationary else kernel.state_index(init)
-    w = weight(idx)
+    start = _start_index(kernel, process.initial if initial_state is None
+                         else initial_state)
+    # h(J0) for a fixed start; pi.h = 1 for the stationary mixture
+    w = 1.0 if start is None else float(h[start])
     basic_note = "eigenvector prefactor (exact only for skip-free kernels)"
     basic_lower = report("delay_lower", w / hmax * e, w / hmax, basic_note)
     basic_upper = report("delay_upper", w / hmin * e, w / hmin, basic_note)
@@ -455,19 +451,21 @@ def delay_constrained_capacity(process, d: float, epsilon: float
     if isinstance(process, MarkovAdditive):
         kernel = process.kernel
         floor = _kernel_floor(kernel)
-        init = process.initial
-        start = (None if isinstance(init, str) and init == "stationary"
-                 else kernel.state_index(init))
+        start = _start_index(kernel, process.initial)
 
-        def prefactors(drain, th):
-            h, c_minus, c_plus = _markov_prefactors(kernel, drain, th)
-            return c_minus, c_plus, 1.0 if start is None else float(h[start])
+        def tilt(th):
+            # kappa_C(-th), C-+ and the start weight h(J0): one eigen-solve
+            spec = kernel_spectral(kernel, -th)
+            k, h = spec.log_eigenvalue, spec.right_vector
+            c_minus, c_plus = _markov_prefactors(kernel, -k / th, th, h)
+            return k, c_minus, c_plus, 1.0 if start is None else float(h[start])
     else:
         marginal = marginal_of(process)
         floor = marginal.discretize().support_min
 
-        def prefactors(drain, th):
-            return (*_additive_prefactors(marginal, drain, th), 1.0)
+        def tilt(th):
+            k = kappa(-th)
+            return (k, *_additive_prefactors(marginal, -k / th, th), 1.0)
 
     if floor >= mean:
         # constant channel: the capacity never falls below the drain
@@ -483,8 +481,7 @@ def delay_constrained_capacity(process, d: float, epsilon: float
         (side 1); theta is None when only rates at the floor qualify, and
         None is returned when no rate meets epsilon."""
         def excess(th):
-            k = kappa(-th)
-            c_minus, c_plus, weight = prefactors(-k / th, th)
+            k, c_minus, c_plus, weight = tilt(th)
             c = (c_minus, c_plus)[side] * weight
             return (math.log(c) if c > 0 else -math.inf) + k * d - log_eps
 
@@ -498,8 +495,8 @@ def delay_constrained_capacity(process, d: float, epsilon: float
             lo, hi = 0.5 * lo, lo
         th = float(brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16,
                           maxiter=300))
-        lam = rate(th)
-        return th, lam, prefactors(lam, th)[:2]
+        k, c_minus, c_plus, _ = tilt(th)
+        return th, -k / th, (c_minus, c_plus)
 
     upper = largest_rate(1)
     lower = largest_rate(0)

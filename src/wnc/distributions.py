@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
 
@@ -67,6 +66,14 @@ class DiscreteDistribution:
         return c
 
     @cached_property
+    def _pos_support(self) -> np.ndarray:
+        return self.support[self.mass > 0]
+
+    @cached_property
+    def _pos_mass(self) -> np.ndarray:
+        return self.mass[self.mass > 0]
+
+    @cached_property
     def _suffix(self) -> np.ndarray:
         # _suffix[i] = P(X >= support[i]); suffix sums avoid 1-CDF cancellation
         return np.cumsum(self.mass[::-1])[::-1]
@@ -113,8 +120,9 @@ class DiscreteDistribution:
             raise ValidationError("theta must be finite")
         if theta == 0.0:
             return 0.0
-        pos = self.mass > 0
-        return float(logsumexp(theta * self.support[pos], b=self.mass[pos]))
+        a = theta * self._pos_support
+        top = a.max()
+        return float(top + np.log(self._pos_mass @ np.exp(a - top)))
 
     def mgf(self, theta: float) -> float:
         k = self.cgf(theta)

@@ -35,12 +35,14 @@ from .errors import HeavyTailError, NumericFailure, ValidationError
 _GAIN_CLIP_Q = 1e-12          # gain domain clipped at the 1 - 1e-12 quantile
 _RATE_CAP = 64.0              # largest certified exponential rate (per bit)
 _PREFACTOR_CAP = math.e       # default prefactor budget for rate search
+_COVER_TOL = 2.5e-10          # log slack of a certified cover over the sup
+_COVER_CHUNK = 2048           # cells refined per tail evaluation
 
 __all__ = [
     "ChannelSpec", "Rayleigh", "Rice", "Nakagami", "Weibull", "Lognormal",
     "FrequencySelective", "FadingMarginal", "TailCertificate",
     "capacity_marginal", "capacity_cdf", "capacity_tail", "capacity_quantile",
-    "cgf", "certify_light_tail", "exponential_tail_prefactor",
+    "cgf", "certify_light_tail",
     "tail_minplus_convolution", "rayleigh_capacity_cdf",
 ]
 
@@ -438,16 +440,41 @@ class TailCertificate:
         return self.prefactor_a * np.exp(-self.rate_b * np.asarray(x, dtype=float))
 
 
-def exponential_tail_prefactor(tail_values: np.ndarray, grid: np.ndarray,
-                               rate_b: float) -> float:
-    """Smallest prefactor a with tail <= a*exp(-b x) at every grid point."""
-    pos = tail_values > 0
-    if not np.any(pos):
-        return 1e-300
-    log_a = np.max(np.log(tail_values[pos]) + rate_b * grid[pos])
-    if log_a > _EXP_OVERFLOW:
-        return math.inf
-    return float(math.exp(log_a) * (1.0 + 1e-12))
+def _tail_cover(tail_fn, grid, tails, rate_b: float, log_cap: float):
+    """(log a, b_cap): tail(x) <= a e^{-b x} on the whole range at b = rate_b.
+
+    On a cell [x_k, x_{k+1}] the nonincreasing tail is at most tail(x_k)
+    and e^{b x} at most e^{b x_{k+1}}, so log tail(x_k) + b x_{k+1} covers
+    the cell; the right end point covers itself.  Cells whose cover exceeds
+    the best sampled value of log tail(x) + b x by more than _COVER_TOL are
+    halved until none does, so log a exceeds the supremum over the range
+    by at most _COVER_TOL.  The final cells cover the range at every rate;
+    b_cap is the largest rate at which all of them stay within log_cap.
+    Cells are refined depth first, _COVER_CHUNK at a time, to bound memory.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log(tails)
+    best = float(np.max(logs + rate_b * grid))
+    log_a = float(logs[-1] + rate_b * grid[-1])
+    b_cap = float((log_cap - logs[-1]) / grid[-1])
+    stack = [(grid[:-1], grid[1:], logs[:-1])]
+    while stack:
+        left, right, logs = stack.pop()
+        env = logs + rate_b * right
+        loose = env > best + _COVER_TOL
+        log_a = max(log_a, float(np.max(env[~loose], initial=-math.inf)))
+        b_cap = min(b_cap, float(np.min((log_cap - logs[~loose]) / right[~loose],
+                                        initial=math.inf)))
+        left, right, logs = left[loose], right[loose], logs[loose]
+        for i in range(0, left.size, _COVER_CHUNK):
+            lo, hi = left[i:i + _COVER_CHUNK], right[i:i + _COVER_CHUNK]
+            mid = 0.5 * (lo + hi)
+            with np.errstate(divide="ignore"):
+                log_mid = np.log(np.asarray(tail_fn(mid), dtype=float))
+            best = max(best, float(np.max(log_mid + rate_b * mid)))
+            stack.append((np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+                          np.concatenate((logs[i:i + _COVER_CHUNK], log_mid))))
+    return log_a, b_cap
 
 
 def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
@@ -455,13 +482,17 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
                        prefactor_cap: float = _PREFACTOR_CAP) -> TailCertificate:
     """Search an exponential tail cover with the largest defensible rate.
 
-    For each candidate rate b the prefactor is a(b) = max tail(x)*exp(b x)
+    For each candidate rate b the grid prefactor is max tail(x)*exp(b x)
     over the grid.  A rate is accepted when the maximising point is not the
-    right edge of the grid (no pure extrapolation) and a(b) stays within
-    ``prefactor_cap``; laws whose support is exhausted inside the range
-    accept every rate up to the cap.  The largest accepted b is located by
-    doubling plus bisection.  With ``rate`` given, the search is skipped
-    and the certificate is fitted at that rate.
+    right edge of the grid (no pure extrapolation) and that prefactor stays
+    within ``prefactor_cap``; laws whose support is exhausted inside the
+    range accept every rate up to the cap.  The largest accepted b is
+    located by doubling plus bisection.  With ``rate`` given, the search is
+    skipped and the certificate is fitted at that rate.
+
+    The certified prefactor covers the tail on all of [x_lo, x_hi], not
+    only at the grid points (see ``_tail_cover``).  A searched rate is
+    lowered, where needed, so that this prefactor stays within the cap.
 
     Raises HeavyTailError when no b > 1e-8 is accepted.
     """
@@ -475,8 +506,15 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     if np.any(~np.isfinite(tails)):
         raise NumericFailure("tail evaluation returned non-finite values")
 
-    def make(b):
-        a = exponential_tail_prefactor(tails, grid, b)
+    def make(b, log_cap=math.inf):
+        if not np.any(tails > 0):
+            a = 1e-300
+        else:
+            log_a, b_cap = _tail_cover(marginal.tail, grid, tails, b, log_cap)
+            if log_a > log_cap:
+                b, log_a = b_cap, log_cap
+            a = (math.inf if log_a > _EXP_OVERFLOW
+                 else float(math.exp(log_a) * (1.0 + 1e-12)))
         violation = float(np.max(tails - a * np.exp(-b * grid)))
         return TailCertificate(a, b, (x_lo, x_hi), violation)
 
@@ -488,6 +526,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     # every rate is defensible only for genuinely bounded support, not for
     # tails that merely underflow to zero inside the fit range
     bounded = marginal.support_max <= x_hi
+    log_cap = math.inf if bounded else math.log(prefactor_cap)
 
     def accepted(b):
         pos = tails > 0
@@ -509,7 +548,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     while accepted(hi):
         lo = hi
         if hi >= _RATE_CAP:
-            return make(_RATE_CAP)
+            return make(_RATE_CAP, log_cap)
         hi = min(hi * 2.0, _RATE_CAP)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -517,7 +556,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
             lo = mid
         else:
             hi = mid
-    return make(lo)
+    return make(lo, log_cap)
 
 
 def tail_minplus_convolution(tails, x: float, splits: int = 512) -> float:

@@ -22,7 +22,8 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .delay import _BRACKET_CAP, ArrivalSpec, additive_ruin, markov_ruin
 from .errors import UnstableSystemError, ValidationError
-from .processes import Additive, BoundReport, MarkovAdditive, marginal_of
+from .processes import (Additive, BoundReport, MarkovAdditive, _start_index,
+                        marginal_of)
 
 _THETA_FLOOR = 2.0 ** -60
 
@@ -180,11 +181,9 @@ def feedback_delay_markov(process: MarkovAdditive, arrival: ArrivalSpec,
         return BoundReport("delay_upper", 0.0 if d > 0 else 1.0, None, 1.0,
                            math.inf, "degenerate: queue never builds")
     h = ruin.h
-    init = process.initial if initial_state is None else initial_state
-    if isinstance(init, str) and init == "stationary":
-        numer = 1.0                       # pi . h = 1
-    else:
-        numer = float(h[kernel.state_index(init)])
+    start = _start_index(kernel, process.initial if initial_state is None
+                         else initial_state)
+    numer = 1.0 if start is None else float(h[start])      # pi . h = 1
     if improved and ruin.improved:
         pref = ruin.c_plus * numer
         notes = "improved prefactor"

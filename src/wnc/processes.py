@@ -160,6 +160,10 @@ class MarkovKernel:
                             by_destination=self.by_destination)
 
 
+class _OutsideDomain(NumericFailure):
+    """theta lies outside the usable domain of the tilted kernel."""
+
+
 def mgf_matrix(kernel: MarkovKernel, theta: float) -> np.ndarray:
     """Tilted kernel F[theta] with entries p_ij * E[exp(theta Y) | i->j].
 
@@ -173,7 +177,7 @@ def mgf_matrix(kernel: MarkovKernel, theta: float) -> np.ndarray:
         for j in range(n):
             m = kernel.increments[i][j].mgf(theta)
             if not np.isfinite(m):
-                raise NumericFailure(
+                raise _OutsideDomain(
                     f"mgf overflow at transition ({kernel.states[i]!r}, "
                     f"{kernel.states[j]!r}) for theta={theta!r}")
             out[i, j] = kernel.transition[i, j] * m
@@ -194,19 +198,52 @@ class SpectralData:
     left_vector: np.ndarray
 
 
+def _dominant_pair(m: np.ndarray):
+    """Perron root of a nonnegative matrix and a nonnegative eigenvector.
+
+    The 2x2 case [[a, b], [c, d]] uses the closed form, written so that no
+    step cancels: with g = sqrt(bc) and s = hypot(a - d, 2g), the root is
+    (a + d + s)/2, and the smaller of lam - a, lam - d is g^2 over the
+    larger.  Larger matrices take the eigenvalue of largest real part from
+    ``np.linalg.eig`` and the modulus of its eigenvector, then n power
+    steps h <- M h / lam: eig is accurate only relative to the largest
+    entry of h, and the steps restore the entries that are tiny relative
+    to it (they add nonnegative terms, so nothing cancels).
+    """
+    n = m.shape[0]
+    if n == 2:
+        (a, b), (c, d) = m.tolist()
+        g = math.sqrt(b) * math.sqrt(c)
+        s = math.hypot(a - d, 2.0 * g)
+        big = 0.5 * (abs(a - d) + s)
+        small = 2.0 * g * (g / (abs(a - d) + s)) if big > 0 else 0.0
+        lam_a, lam_d = (small, big) if a >= d else (big, small)
+        # (b, lam - a) and (lam - d, c) both solve (M - lam) h = 0
+        return 0.5 * (a + d + s), np.array([b, lam_a] if b > 0 else [lam_d, c])
+    w, vecs = np.linalg.eig(m)
+    k = int(np.argmax(w.real))
+    lam = float(w[k].real)
+    h = np.abs(vecs[:, k])
+    if lam > 0:
+        for _ in range(n):
+            h = m @ h / lam
+    return lam, h
+
+
 def perron_frobenius(matrix: np.ndarray, theta: float = math.nan,
                      stationary: Optional[np.ndarray] = None,
-                     tol: float = 1e-12, max_iter: int = 10_000,
                      check_irreducible: bool = True) -> SpectralData:
     """Dominant eigenvalue and eigenvectors of a nonnegative irreducible matrix.
 
-    Power iteration on the matrix (right vector) and its transpose (left
-    vector) to relative tolerance ``tol``.  h is normalised by pi . h = 1
-    (pi defaults to the sum-normalised left vector) and v by v . h = 1.
-    The residual ||M h - lam h|| must stay below 1e-9 relative, else a
-    NumericFailure is raised.  ``check_irreducible=False`` skips the
-    zero-pattern check (used for tilted kernels whose small entries have
-    underflowed but are positive in exact arithmetic).
+    One dense eigen-solve of the matrix (right vector) and one of its
+    transpose (left vector); the Perron root is the eigenvalue of largest
+    real part, so a periodic spectrum (eigenvalues +-rho) needs no special
+    care.  h is normalised by pi . h = 1 (pi defaults to the sum-normalised
+    left vector) and v by v . h = 1.  The residual ||M h - lam h|| must
+    stay below 1e-9 relative, else a NumericFailure is raised.
+    ``check_irreducible=False`` skips the zero-pattern check (used for
+    tilted kernels whose small entries have underflowed but are positive
+    in exact arithmetic).
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
@@ -218,26 +255,10 @@ def perron_frobenius(matrix: np.ndarray, theta: float = math.nan,
         reach = np.linalg.matrix_power((m > 0).astype(float) + np.eye(n), n)
         if np.any(reach <= 0):
             raise ValidationError("matrix must be irreducible")
-
-    def dominant(a):
-        x = np.full(n, 1.0 / n)
-        lam = 0.0
-        for it in range(max_iter):
-            y = a @ x
-            lam_new = float(np.max(y))
-            if lam_new <= 0:
-                raise NumericFailure("power iteration collapsed to zero")
-            y /= lam_new
-            if (abs(lam_new - lam) <= tol * lam_new
-                    and np.max(np.abs(y - x)) <= tol):
-                return lam_new, y
-            x, lam = y, lam_new
-        raise NumericFailure(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(last eigenvalue {lam!r})")
-
-    lam, h = dominant(m)
-    _, v = dominant(m.T)
+    lam, h = _dominant_pair(m)
+    if not lam > 0:
+        raise NumericFailure(f"Perron root {lam!r} is not positive")
+    _, v = _dominant_pair(m.T)
     pi = np.asarray(stationary, float) if stationary is not None else v / v.sum()
     h = h / float(pi @ h)
     v = v / float(v @ h)
@@ -248,30 +269,43 @@ def perron_frobenius(matrix: np.ndarray, theta: float = math.nan,
                         right_vector=h, left_vector=v)
 
 
-def kernel_cgf(kernel: MarkovKernel, theta: float) -> float:
-    """kappa(theta) = log of the Perron-Frobenius eigenvalue of F[theta].
-
-    Overflowing tilts report +inf (outside the effective domain).
-    """
-    if theta == 0.0:
-        return 0.0
-    try:
-        m = mgf_matrix(kernel, theta)
-    except NumericFailure:
-        return math.inf
-    if len(kernel.states) == 1:
-        return math.log(m[0, 0])
-    return perron_frobenius(m, theta=theta, stationary=kernel.stationary,
-                            check_irreducible=False).log_eigenvalue
-
-
 def kernel_spectral(kernel: MarkovKernel, theta: float) -> SpectralData:
+    """Perron-Frobenius data of F[theta]: kappa(theta) and h from one solve.
+
+    Raises NumericFailure where theta lies outside the usable domain: an
+    mgf overflows, or F[theta] has underflowed to a nilpotent matrix (no
+    cycle of positive entries left, so no positive Perron root).
+    """
     m = mgf_matrix(kernel, theta)
-    if len(kernel.states) == 1:
+    n = len(kernel.states)
+    if not np.any(np.linalg.matrix_power((m > 0).astype(float), n)):
+        raise _OutsideDomain(
+            f"tilted kernel underflows to a nilpotent matrix at theta={theta!r}")
+    if n == 1:
         return SpectralData(theta=theta, log_eigenvalue=math.log(m[0, 0]),
                             right_vector=np.ones(1), left_vector=np.ones(1))
     return perron_frobenius(m, theta=theta, stationary=kernel.stationary,
                             check_irreducible=False)
+
+
+def _kappa_and_h(kernel: MarkovKernel, theta: float):
+    """(kappa(theta), h) from one eigen-solve; (inf, None) outside the domain."""
+    try:
+        spec = kernel_spectral(kernel, theta)
+    except _OutsideDomain:
+        return math.inf, None
+    return spec.log_eigenvalue, spec.right_vector
+
+
+def kernel_cgf(kernel: MarkovKernel, theta: float) -> float:
+    """kappa(theta) = log of the Perron-Frobenius eigenvalue of F[theta].
+
+    Tilts outside the usable domain (mgf overflow, or a tilted kernel that
+    has underflowed to a nilpotent matrix) report +inf.
+    """
+    if theta == 0.0:
+        return 0.0
+    return _kappa_and_h(kernel, theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -508,82 +542,82 @@ def _cgf_of(process):
     raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
 
 
-def _markov_prefactor(process: MarkovAdditive, theta: float, initial_state=None):
-    """h(J0)/min_j h(J_j) at tilt theta; stationary initial mixes to 1/min h."""
-    spec_data = kernel_spectral(process.kernel, theta)
-    h = spec_data.right_vector
-    init = process.initial if initial_state is None else initial_state
+def _start_index(kernel: MarkovKernel, init) -> Optional[int]:
+    """Index of a fixed initial state, or None for the stationary start."""
     if isinstance(init, str) and init == "stationary":
-        numer = 1.0        # pi . h = 1 by normalisation
-    else:
-        numer = float(h[process.kernel.state_index(init)])
-    return numer / float(np.min(h)), spec_data
+        return None
+    return kernel.state_index(init)
 
 
-def additive_cdf_bounds(process: Additive, t: int, x: float,
-                        thetas: Optional[np.ndarray] = None):
+def _tilt_terms(process, initial_state=None):
+    """theta -> (kappa(theta), prefactor), one eigen-solve per theta.
+
+    The prefactor is h(J0)/min_j h(J_j) for a Markov-additive process
+    (1/min h from the stationary start, since pi . h = 1) and 1 otherwise.
+    """
+    if not isinstance(process, MarkovAdditive):
+        kappa = _cgf_of(process)
+        return lambda th: (kappa(th), 1.0)
+    kernel = process.kernel
+    start = _start_index(kernel, process.initial if initial_state is None
+                         else initial_state)
+
+    def terms(th):
+        k, h = _kappa_and_h(kernel, th)
+        if h is None:
+            return k, 1.0
+        numer = 1.0 if start is None else float(h[start])
+        return k, numer / float(np.min(h))
+    return terms
+
+
+def additive_cdf_bounds(process: Additive, t: int, x: float):
     """Chernoff sandwich for the additive cumulative capacity.
 
     Returns (lower, upper) BoundReports with the optimising theta recorded.
     """
-    return _chernoff_cdf_bounds(process, t, x, thetas, prefactored=False)
+    return _chernoff_cdf_bounds(process, t, x)
 
 
 def markov_cdf_bounds(process: MarkovAdditive, t: int, x: float,
-                      thetas: Optional[np.ndarray] = None,
-                      initial_state=None, self_check: bool = True):
-    """Markov-additive sandwich with the h(J0)/min_j h(J_j) prefactor.
-
-    The matrix-power identity F_t[theta] = F[theta]^t is verified on a
-    fixed probe set each call (path enumeration against matrix power).
-    """
-    if self_check:
-        _matrix_power_self_check(process.kernel)
-    return _chernoff_cdf_bounds(process, t, x, thetas, prefactored=True,
-                                initial_state=initial_state)
+                      initial_state=None):
+    """Markov-additive sandwich with the h(J0)/min_j h(J_j) prefactor."""
+    return _chernoff_cdf_bounds(process, t, x, initial_state)
 
 
-def _chernoff_cdf_bounds(process, t, x, thetas, prefactored, initial_state=None):
+def _chernoff_cdf_bounds(process, t, x, initial_state=None):
     if t < 1:
         raise ValidationError("t must be >= 1")
     if x < 0:
         raise ValidationError("x must be nonnegative")
     kappa = _cgf_of(process)
-
-    def log_pref(theta):
-        if not prefactored:
-            return 0.0, None
-        pf, _ = _markov_prefactor(process, theta, initial_state)
-        return math.log(pf), pf
+    terms = _tilt_terms(process, initial_state)
 
     # upper: min over th > 0 of pf(-th) * e^{t k(-th) + th x}
     def upper_exponent(th):
-        k = kappa(-th)
+        k, pf = terms(-th)
         if not np.isfinite(k):
             return math.inf
-        lp, _ = log_pref(-th)
-        return t * k + th * x + lp
+        return t * k + th * x + math.log(pf)
 
     # lower: max over th > 0 of 1 - pf(th) e^{t k(th) - th x}
     def lower_exponent(th):
-        k = kappa(th)
+        k, pf = terms(th)
         if not np.isfinite(k):
             return math.inf
-        lp, _ = log_pref(th)
-        return t * k - th * x + lp
+        return t * k - th * x + math.log(pf)
 
     grid_up = theta_grid(lambda th: kappa(-th))
     th_up, e_up = _optimize_exponent(upper_exponent, grid_up)
     grid_lo = theta_grid(kappa)
     th_lo, e_lo = _optimize_exponent(lower_exponent, grid_lo)
 
-    pf_up = math.exp(log_pref(-th_up)[0])
-    pf_lo = math.exp(log_pref(th_lo)[0])
     upper = BoundReport("cdf_upper", min(1.0, math.exp(min(e_up, _EXP_OVERFLOW))),
-                        theta_star=th_up, prefactor=pf_up, horizon=float(t))
+                        theta_star=th_up, prefactor=terms(-th_up)[1],
+                        horizon=float(t))
     lower_val = min(1.0, max(0.0, -math.expm1(min(e_lo, _EXP_OVERFLOW))))
     lower = BoundReport("cdf_lower", lower_val, theta_star=th_lo,
-                        prefactor=pf_lo, horizon=float(t))
+                        prefactor=terms(th_lo)[1], horizon=float(t))
     return lower, upper
 
 
@@ -591,57 +625,18 @@ def chernoff_tail_upper(process, t: int, x: float,
                         initial_state=None) -> BoundReport:
     """Upper bound on P(S(t) >= x): min over th>0 of pf e^{t k(th) - th x}."""
     kappa = _cgf_of(process)
-    prefactored = isinstance(process, MarkovAdditive)
+    terms = _tilt_terms(process, initial_state)
 
     def exponent(th):
-        k = kappa(th)
+        k, pf = terms(th)
         if not np.isfinite(k):
             return math.inf
-        lp = (math.log(_markov_prefactor(process, th, initial_state)[0])
-              if prefactored else 0.0)
-        return t * k - th * x + lp
+        return t * k - th * x + math.log(pf)
 
     grid = theta_grid(kappa)
     th, e = _optimize_exponent(exponent, grid)
-    pf = (_markov_prefactor(process, th, initial_state)[0] if prefactored else 1.0)
     return BoundReport("tail_upper", min(1.0, math.exp(min(e, _EXP_OVERFLOW))),
-                       theta_star=th, prefactor=pf, horizon=float(t))
-
-
-def _enumerate_tilted(kernel: MarkovKernel, t: int, theta: float) -> np.ndarray:
-    """F_t[theta] by explicit path enumeration (independent oracle)."""
-    n = len(kernel.states)
-    tilts = np.array([[kernel.transition[i, j] * kernel.increments[i][j].mgf(theta)
-                       for j in range(n)] for i in range(n)])
-    out = np.zeros((n, n))
-    stack = [(i, i, 1.0, 0) for i in range(n)]
-    while stack:
-        start, here, weight, depth = stack.pop()
-        if depth == t:
-            out[start, here] += weight
-            continue
-        for j in range(n):
-            w = weight * tilts[here, j]
-            if w != 0.0:
-                stack.append((start, j, w, depth + 1))
-    return out
-
-
-def _matrix_power_self_check(kernel: MarkovKernel):
-    """F_t[theta] = F[theta]^t on a fixed probe set (paths vs matrix power)."""
-    n = len(kernel.states)
-    rng = np.random.default_rng(20_1711)
-    for _ in range(3):
-        t = int(rng.integers(2, 5))
-        theta = float(rng.uniform(-0.8, 0.8))
-        if n ** t > 100_000:
-            continue
-        direct = _enumerate_tilted(kernel, t, theta)
-        powered = np.linalg.matrix_power(mgf_matrix(kernel, theta), t)
-        scale = max(np.max(np.abs(powered)), 1.0)
-        if np.max(np.abs(direct - powered)) > 1e-8 * scale:
-            raise NumericFailure(
-                "matrix-power identity violated: F_t[theta] != F[theta]^t")
+                       theta_star=th, prefactor=terms(th)[1], horizon=float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +670,6 @@ def transient_bounds(process, t: int, y_l: float, y_u: float) -> TransientBounds
     if y_l <= 0 or y_u <= 0:
         raise ValidationError("exceedance exponents must be positive")
     kappa = _cgf_of(process)
-    prefactored = isinstance(process, MarkovAdditive)
 
     # upper threshold: maximise c*(-th) over th > 0, i.e. minimise -c*
     def obj_upper(th):
@@ -697,8 +691,9 @@ def transient_bounds(process, t: int, y_l: float, y_u: float) -> TransientBounds
     grid_lo = theta_grid(kappa)
     th_l, c_lo = _optimize_exponent(obj_lower, grid_lo)
 
-    pf_u = _markov_prefactor(process, -th_u)[0] if prefactored else 1.0
-    pf_l = _markov_prefactor(process, th_l)[0] if prefactored else 1.0
+    terms = _tilt_terms(process)
+    pf_u = terms(-th_u)[1]
+    pf_l = terms(th_l)[1]
     return TransientBounds(
         c_lower=c_lo, c_upper=c_up,
         prob_lower=max(0.0, 1.0 - pf_l * math.exp(-y_l)),

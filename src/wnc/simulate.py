@@ -131,7 +131,10 @@ class _MarkovSampler:
     def __init__(self, process: MarkovAdditive, rng, n, initial_state=None):
         self.kernel = process.kernel
         self.rng = rng
-        self.cum_rows = np.cumsum(self.kernel.transition, axis=1)
+        cum_rows = np.cumsum(self.kernel.transition, axis=1)
+        # one threshold column per destination; next state = #{j: u > cum[i, j]}
+        self._thresholds = [np.ascontiguousarray(cum_rows[:, j])
+                            for j in range(cum_rows.shape[1])]
         init = process.initial if initial_state is None else initial_state
         if isinstance(init, str) and init == "stationary":
             pi = self.kernel.stationary
@@ -150,7 +153,9 @@ class _MarkovSampler:
 
     def step(self) -> np.ndarray:
         u = self.rng.random(self.states.size)
-        nxt = (u[:, None] > self.cum_rows[self.states]).sum(axis=1)
+        nxt = np.zeros(self.states.size, dtype=np.intp)
+        for column in self._thresholds:
+            nxt += u > column.take(self.states)
         if self._point_caps is not None:
             caps = self._point_caps[nxt]
         elif self.kernel.by_destination:

@@ -27,6 +27,16 @@ def ge_kernel():
 
 
 @pytest.fixture(scope="session")
+def full_kernel():
+    """Per-transition increment laws (no destination compaction)."""
+    laws = ((DiscreteDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5])),
+             DiscreteDistribution.point_mass(0.5)),
+            (DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.3, 0.7])),
+             DiscreteDistribution.point_mass(1.0)))
+    return MarkovKernel(("a", "b"), np.array([[0.7, 0.3], [0.4, 0.6]]), laws)
+
+
+@pytest.fixture(scope="session")
 def unit_spec():
     return ChannelSpec(1.0, 1.0)
 
@@ -92,3 +102,53 @@ def additive_union_delay_bound(process, arrival, d, theta, multiplier=1,
     if ratio < 1.0:
         total += term / (1.0 - ratio)
     return min(1.0, total)
+
+
+def enumerate_tilted(kernel, t, theta):
+    """F_t[theta] by explicit path enumeration, independent of mgf_matrix."""
+    n = len(kernel.states)
+    tilts = np.array([[kernel.transition[i, j] * kernel.increments[i][j].mgf(theta)
+                       for j in range(n)] for i in range(n)])
+    out = np.zeros((n, n))
+    stack = [(i, i, 1.0, 0) for i in range(n)]
+    while stack:
+        start, here, weight, depth = stack.pop()
+        if depth == t:
+            out[start, here] += weight
+            continue
+        for j in range(n):
+            w = weight * tilts[here, j]
+            if w != 0.0:
+                stack.append((start, j, w, depth + 1))
+    return out
+
+
+def assert_matrix_power_identity(kernel, probes):
+    """F_t[theta] = F[theta]^t for every (t, theta): paths vs matrix power."""
+    from wnc import mgf_matrix
+
+    for t, theta in probes:
+        direct = enumerate_tilted(kernel, t, theta)
+        powered = np.linalg.matrix_power(mgf_matrix(kernel, theta), t)
+        scale = max(float(np.max(np.abs(powered))), 1.0)
+        assert float(np.max(np.abs(direct - powered))) < 1e-8 * scale
+
+
+def markov_sum_cdf(kernel, t, x):
+    """Exact P(S(t) <= x) from the stationary start, J_0 ~ pi.
+
+    Enumerates the (state, partial sum) pairs reached by every path of t
+    transitions; paths that meet in a pair are merged.
+    """
+    law = {(i, 0.0): p for i, p in enumerate(kernel.stationary)}
+    n = len(kernel.states)
+    for _ in range(t):
+        nxt = {}
+        for (i, s), w in law.items():
+            for j in range(n):
+                inc = kernel.increments[i][j]
+                for y, m in zip(inc.support, inc.mass):
+                    key = (j, s + float(y))
+                    nxt[key] = nxt.get(key, 0.0) + w * kernel.transition[i, j] * m
+        law = nxt
+    return sum(w for (_, s), w in law.items() if s <= x + 1e-12)

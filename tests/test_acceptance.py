@@ -25,11 +25,11 @@ from wnc.delay import delay_tail_markov_detail
 from wnc.distributions import DiscreteDistribution
 from wnc.ordering import (SampleSet, adjustment_coefficient, cx_order,
                           stop_loss_curve)
-from wnc.processes import _enumerate_tilted, kernel_spectral
+from wnc.processes import kernel_spectral
 from wnc.simulate import (SimConfig, cumulative_capacity_samples,
                           empirical_delay_tails, feedback_queue, tandem_queue)
 
-from conftest import additive_union_delay_bound
+from conftest import additive_union_delay_bound, assert_matrix_power_identity
 
 SPEC = ChannelSpec(1.0, 1.0)
 TWO_POINT = DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
@@ -130,12 +130,7 @@ def test_c05_markov_delay_sandwich_and_spectra():
             (m[0, 0] - m[1, 1]) ** 2 + 4.0 * m[0, 1] * m[1, 0]))
         sd = kernel_spectral(GE, th)
         assert abs(math.exp(sd.log_eigenvalue) - lam_closed) < 1e-10
-        f1 = mgf_matrix(GE, th)
-        for t in range(1, 11):
-            direct = _enumerate_tilted(GE, t, th)
-            powered = np.linalg.matrix_power(f1, t)
-            scale = max(float(np.max(np.abs(powered))), 1.0)
-            assert float(np.max(np.abs(direct - powered))) < 1e-8 * scale
+        assert_matrix_power_identity(GE, [(t, th) for t in range(1, 11)])
     d_grid = [5.0, 10.0, 20.0]
     horizons = {0.5: 400, 1.0: 700}
     pi = GE.stationary

@@ -168,3 +168,36 @@ def test_csv_rows_as_wide_as_header(tmp_path):
         assert rows
         assert all(len(row) == len(header) for row in rows)
         assert any(needle in row for row in rows)
+
+
+def test_invalid_scenario_message_matches_jsonschema_validate(tmp_path):
+    # the cached validators must pick the same error as jsonschema.validate
+    import copy
+
+    import jsonschema
+    import pytest
+
+    from wnc.cli import _QUERY_SCHEMA, _SCHEMA, load_scenario
+    from wnc.errors import ValidationError
+
+    bad_lambda = copy.deepcopy(BASE)
+    bad_lambda["arrival"]["lambda_bits_per_slot"] = -1
+    missing = copy.deepcopy(BASE)
+    del missing["sim"]
+    bad_query = dict(BASE, queries=[{"kind": "delay"},
+                                    {"kind": "nonsense", "epsilon": 2}])
+    for doc in (bad_lambda, missing, dict(BASE, extra=1), bad_query):
+        try:
+            jsonschema.validate(doc, _SCHEMA)
+            for q in doc.get("queries", []):
+                jsonschema.validate(q, _QUERY_SCHEMA)
+        except jsonschema.ValidationError as exc:
+            path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
+            want = f"scenario field {path}: {exc.message}"
+        with pytest.raises(ValidationError) as err:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert str(err.value) == want
+    with pytest.raises(ValidationError, match="^scenario field arrival"
+                       r"\.lambda_bits_per_slot: -1 is less than or equal "
+                       "to the minimum of 0$"):
+        load_scenario(write_scenario(tmp_path, bad_lambda))

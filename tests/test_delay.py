@@ -153,17 +153,11 @@ def test_delay_markov_quick_sandwich(ge_kernel):
             assert lo.value - 3 * est.stderr <= est.point <= up.value + 3 * est.stderr
 
 
-def test_full_transition_kernel_sandwich():
+def test_full_transition_kernel_sandwich(full_kernel):
     # per-transition increment laws (no destination compaction): the basic
     # eigenvector prefactors are the primary pair and must sandwich MC
-    p = np.array([[0.7, 0.3], [0.4, 0.6]])
-    laws = ((DiscreteDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5])),
-             DiscreteDistribution.point_mass(0.5)),
-            (DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.3, 0.7])),
-             DiscreteDistribution.point_mass(1.0)))
-    kernel = MarkovKernel(("a", "b"), p, laws)
-    assert not kernel.by_destination
-    proc = MarkovAdditive(kernel)
+    assert not full_kernel.by_destination
+    proc = MarkovAdditive(full_kernel)
     arrival = ArrivalSpec(0.8)
     assert stability_margin(proc, arrival) > 0
     detail = delay_tail_markov_detail(proc, arrival, 6.0)
@@ -249,16 +243,11 @@ def _delay_pair(process, lam, d):
     return lo.value, up.value
 
 
-def test_dcc_ends_are_the_largest_rates_meeting_epsilon(rayleigh_marginal):
+def test_dcc_ends_are_the_largest_rates_meeting_epsilon(rayleigh_marginal,
+                                                        full_kernel):
     # each end meets eps at the returned rate and misses it 1e-6 higher
-    full = MarkovKernel(
-        ("a", "b"), np.array([[0.7, 0.3], [0.4, 0.6]]),
-        ((DiscreteDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5])),
-          DiscreteDistribution.point_mass(0.5)),
-         (DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.3, 0.7])),
-          DiscreteDistribution.point_mass(1.0))))
     for proc, d, eps in ((Additive(rayleigh_marginal), 10.0, 1e-3),
-                         (MarkovAdditive(full), 10.0, 0.01)):
+                         (MarkovAdditive(full_kernel), 10.0, 0.01)):
         res = delay_constrained_capacity(proc, d, eps)
         assert res.feasible
         assert res.conservative <= res.optimistic < process_mean_rate(proc)
@@ -301,3 +290,42 @@ def test_chebyshev_transient_forms(two_point):
     assert como.variance_ci99[0] <= two_point.var() <= como.variance_ci99[1]
     with pytest.raises(ValidationError):
         chebyshev_transient(proc, 10, 0.0)
+
+
+@pytest.mark.parametrize("p_gb,p_bg", [(1e-3, 2e-3), (1e-4, 2e-4)])
+def test_slowly_mixing_gilbert_elliott_delay(p_gb, p_bg):
+    # capacities (2, 0) at lambda = 1: the walk lambda - C steps -1 into G
+    # and +1 into B, so it is upward skip-free and optional stopping of
+    # h(J_t) exp(theta* W_t) gives P(sup W >= L) = exp(-theta* L) / h(B)
+    # from the stationary start (pi . h = 1)
+    p = np.array([[1.0 - p_gb, p_gb], [p_bg, 1.0 - p_bg]])
+    kernel = MarkovKernel.from_destination_laws(("G", "B"), p, [2.0, 0.0])
+    lam, d = 1.0, 10.0
+
+    def tilted(th):            # F[-th]: the mgf of C at -th, per destination
+        return p * np.array([math.exp(-2.0 * th), 1.0])
+
+    def log_rho(th):           # closed 2x2 spectral radius
+        (a, b), (c, e) = tilted(th)
+        return math.log(0.5 * (a + e + math.sqrt((a - e) ** 2 + 4.0 * b * c)))
+
+    lo, hi = 1e-9, 1.0
+    while hi * lam + log_rho(hi) <= 0:
+        hi *= 2.0
+    while lam * lo + log_rho(lo) >= 0:
+        lo /= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * lam + log_rho(mid) < 0 else (lo, mid)
+    theta = 0.5 * (lo + hi)
+    (a, b), (c, e) = tilted(theta)
+    rho = math.exp(log_rho(theta))
+    h = np.array([b / (rho - a), 1.0])        # F h = rho h, h(B) = 1
+    pi = np.array([p_bg, p_gb]) / (p_gb + p_bg)
+    exact = math.exp(-theta * lam * d) * float(pi @ h)   # / h(B) after pi.h = 1
+
+    lower, upper = delay_tail_markov(MarkovAdditive(kernel), ArrivalSpec(lam), d)
+    assert upper.theta_star == pytest.approx(theta, abs=1e-9)
+    # the upper bound is exact here (C+ = 1/h(B)): allow rounding only
+    assert lower.value <= exact * (1.0 + 1e-9)
+    assert exact <= upper.value * (1.0 + 1e-9)

@@ -49,6 +49,21 @@ def test_cgf_closed_forms(two_point):
     assert pm.mgf(300.0) == math.inf
 
 
+def test_cgf_matches_reference_sum(uniform_law):
+    # reference: max-shifted sum in math.fsum, over the positive-mass atoms
+    def reference(law, th):
+        pts = [(th * x, m) for x, m in zip(law.support, law.mass) if m > 0]
+        top = max(a for a, _ in pts)
+        return top + math.log(math.fsum(m * math.exp(a - top) for a, m in pts))
+
+    gappy = DiscreteDistribution(np.array([-1.0, 0.5, 3.0, 7.0]),
+                                 np.array([0.25, 0.0, 0.75, 0.0]))
+    for law in (gappy, uniform_law):
+        for th in (-600.0, -3.0, -1e-3, 2e-7, 0.9, 400.0):
+            want = reference(law, th)
+            assert law.cgf(th) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 def test_affine_flips_support(two_point):
     flipped = two_point.affine(shift=0.5, scale=-1.0)
     np.testing.assert_allclose(flipped.support, [-1.5, 0.5])

@@ -201,3 +201,18 @@ def test_minplus_two_exponentials_product_bound(params):
         closed = ((a1 * b1 * w) ** (1.0 / (b1 * w))
                   * (a2 * b2 * w) ** (1.0 / (b2 * w)) * math.exp(-x / w))
         assert res <= closed * (1.0 + 1e-9) + 1e-12
+
+
+def test_certificate_covers_between_grid_points():
+    # the cover must hold on all of [x_lo, x_hi], not only on its grid
+    fine = np.linspace(0.0, 8.0, 200_001)
+    cases = [(SPEC, Rayleigh(), {}),
+             (SPEC, Rayleigh(), {"rate": math.e * math.log(2.0)}),
+             (SPEC, Rayleigh(), {"rate": 0.5}),
+             (SPEC, Nakagami(2.0), {}),
+             (None, DiscreteDistribution.point_mass(2.0), {})]
+    for spec, model, kw in cases:
+        cert = certify_light_tail(spec, model, 0.0, 8.0, 256, **kw)
+        tail = np.asarray(capacity_tail(spec, model, fine)
+                          if spec is not None else model.tail(fine))
+        assert np.all(tail <= cert.bound(fine))

@@ -9,9 +9,11 @@ from wnc import (Additive, AntitheticPairing, Comonotonic,
                  comonotonic_cdf, frechet_bounds, markov_cdf_bounds,
                  mgf_matrix, perron_frobenius, transient_bounds)
 from wnc.distributions import DiscreteDistribution
-from wnc.processes import (BoundReport, _enumerate_tilted, chernoff_tail_upper,
-                           kernel_cgf, kernel_spectral)
+from wnc.processes import (BoundReport, chernoff_tail_upper, kernel_cgf,
+                           kernel_spectral)
 from wnc.simulate import cumulative_capacity_samples
+
+from conftest import assert_matrix_power_identity, markov_sum_cdf
 
 
 def test_bound_report_validation():
@@ -186,13 +188,8 @@ def test_matrix_power_identity_2_and_3_state(ge_kernel):
          DiscreteDistribution.point_mass(2.0),
          DiscreteDistribution(np.array([0.5, 1.5]), np.array([0.5, 0.5]))])
     for kernel in (ge_kernel, three):
-        for theta in (0.4, -0.6):
-            f1 = mgf_matrix(kernel, theta)
-            for t in range(1, 11):
-                direct = _enumerate_tilted(kernel, t, theta)
-                powered = np.linalg.matrix_power(f1, t)
-                scale = max(float(np.max(np.abs(powered))), 1.0)
-                assert np.max(np.abs(direct - powered)) < 1e-8 * scale
+        assert_matrix_power_identity(
+            kernel, [(t, theta) for theta in (0.4, -0.6) for t in range(1, 11)])
 
 
 def test_kernel_cgf_convex(ge_kernel):
@@ -236,8 +233,13 @@ def test_markov_bounds_sandwich_simulated(ge_kernel):
 
 
 def test_markov_self_check_runs(ge_kernel):
-    # the matrix-power probe must not reject a consistent kernel
-    markov_cdf_bounds(MarkovAdditive(ge_kernel), 5, 6.0, self_check=True)
+    # the matrix-power probe on the bounded kernel: F_t[theta] = F[theta]^t
+    rng = np.random.default_rng(20_1711)
+    assert_matrix_power_identity(
+        ge_kernel, [(int(rng.integers(2, 5)), float(rng.uniform(-0.8, 0.8)))
+                    for _ in range(3)])
+    lo, up = markov_cdf_bounds(MarkovAdditive(ge_kernel), 5, 6.0)
+    assert 0.0 <= lo.value <= up.value <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +295,46 @@ def test_antithetic_pair_sum_law(two_point, uniform_law):
     u_pair = AntitheticPairing(uniform_law).pair_sum_law
     assert u_pair.mean() == pytest.approx(2 * uniform_law.mean(), abs=1e-9)
     assert u_pair.var() < 1e-6      # antithetic uniforms sum to ~1
+
+
+def test_perron_frobenius_near_periodic():
+    # eigenvalues +-rho of equal modulus: a dense solve needs no spectral gap
+    for eps in (0.0, 1e-13, 1e-8):
+        m = np.array([[eps, 2.0], [0.5, eps]])
+        sd = perron_frobenius(m)
+        lam = eps + 1.0
+        assert math.exp(sd.log_eigenvalue) == pytest.approx(lam, rel=1e-14)
+        np.testing.assert_allclose(m @ sd.right_vector, lam * sd.right_vector,
+                                   rtol=1e-14)
+        np.testing.assert_allclose(sd.left_vector @ m, lam * sd.left_vector,
+                                   rtol=1e-14)
+        assert np.all(sd.right_vector > 0) and np.all(sd.left_vector > 0)
+        assert float(sd.left_vector @ sd.right_vector) == pytest.approx(1.0)
+    # period 3: eigenvalues rho * (cube roots of unity)
+    cyc = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 1.0], [1.0 / 3.0, 1e-12, 0.0]])
+    sd = perron_frobenius(cyc)
+    assert abs(sd.log_eigenvalue) < 1e-11
+    h = sd.right_vector
+    assert np.max(np.abs(cyc @ h - math.exp(sd.log_eigenvalue) * h)) < 1e-12
+
+
+def test_kernel_cgf_reports_nilpotent_underflow_as_outside_domain(full_kernel):
+    # F[-theta] -> [[0, 0], [0.12, 0]] once exp underflows: rho = 0 exactly
+    assert kernel_cgf(full_kernel, -1000.0) < 0
+    assert kernel_cgf(full_kernel, -1600.0) == math.inf
+    with pytest.raises(NumericFailure):
+        kernel_spectral(full_kernel, -1600.0)
+    # the eigenvector keeps entries far below eps relative to its largest
+    for th in (40.0, 200.0, -200.0):
+        sd = kernel_spectral(full_kernel, th)
+        m = mgf_matrix(full_kernel, th)
+        lam = math.exp(sd.log_eigenvalue)
+        np.testing.assert_allclose(m @ sd.right_vector, lam * sd.right_vector,
+                                   rtol=1e-12)
+
+
+@pytest.mark.parametrize("t,x", [(10, 8.0), (10, 12.0), (10, 16.0), (4, 5.0)])
+def test_full_transition_kernel_cdf_sandwich(full_kernel, t, x):
+    lo, up = markov_cdf_bounds(MarkovAdditive(full_kernel), t, x)
+    exact = markov_sum_cdf(full_kernel, t, x)
+    assert lo.value <= exact <= up.value
