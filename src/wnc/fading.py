@@ -16,7 +16,8 @@ r(x) = sqrt((2**(x/W) - 1) / gamma).  The named gain laws are:
 
 plus FrequencySelective, the independent sum of per-subchannel capacities.
 All five named laws give light-tailed capacity; `certify_light_tail`
-produces an explicit (a, b) pair with tail(x) <= a*exp(-b*x) on a grid.
+produces an explicit (a, b) pair with tail(x) <= a*exp(-b*x) on all of
+the fit range [x_lo, x_hi].
 """
 
 from __future__ import annotations
@@ -286,8 +287,11 @@ class FadingMarginal:
         the 1e-15 and 1 - 1e-12 gain quantiles, so node density follows the
         mass even when the pdf is singular at the origin (Weibull k < 1) or
         the law is extremely skewed (lognormal).  kappa(0) = 0 exactly.
-        Returns +inf when the integrand is still growing at the clip point
-        (no exponential moment) or kappa exceeds the exp overflow guard.
+        The nodes, C(r) and log f_H(r) at the nodes, and the divergence
+        probe are built once per marginal, on the first call; each call
+        then costs one exp and one dot over the nodes.  Returns +inf when
+        the integrand is still growing at the clip point (no exponential
+        moment) or kappa exceeds the exp overflow guard.
         """
         if not np.isfinite(theta):
             raise ValidationError("theta must be finite")
@@ -309,11 +313,9 @@ class FadingMarginal:
         keep = np.concatenate(([True], np.diff(r) > 0))
         return r[keep]
 
-    def _log_integrand(self, r, theta):
-        with np.errstate(divide="ignore"):
-            return theta * self._capacity_of_gain(r) + self._gain.logpdf(r)
-
-    def _expectation_nodes(self):
+    @cached_property
+    def _nodes(self):
+        """Gauss-Legendre nodes r and weights w, 64 per slice."""
         nodes, weights = leggauss(64)
         edges = self._slices
         a, b = edges[:-1], edges[1:]
@@ -322,18 +324,33 @@ class FadingMarginal:
         w = half[:, None] * weights[None, :]
         return r.ravel(), w.ravel()
 
-    def _cgf_quadrature(self, theta):
+    def _capacity_and_logpdf(self, r):
+        with np.errstate(divide="ignore"):
+            return self._capacity_of_gain(r), self._gain.logpdf(r)
+
+    @cached_property
+    def _node_terms(self):
+        """C(r) and log f_H(r) at the quadrature nodes (theta-free)."""
+        return self._capacity_and_logpdf(self._nodes[0])
+
+    @cached_property
+    def _probe_terms(self):
+        """C(r) and log f_H(r) at r_hi - 1e-6 r_hi and at the clip r_hi."""
         r_hi = float(self._slices[-1])
+        eps = 1e-6 * r_hi
+        return self._capacity_and_logpdf(np.array([r_hi - eps, r_hi]))
+
+    def _cgf_quadrature(self, theta):
         if theta > 0:
             # integrand rising at the clip point means the true integral diverges
-            eps = 1e-6 * r_hi
-            probe = self._log_integrand(np.array([r_hi - eps, r_hi]), theta)
+            cap, logpdf = self._probe_terms
+            probe = theta * cap + logpdf
             if probe[1] > probe[0]:
                 return math.inf
-        r, w = self._expectation_nodes()
-        logs = self._log_integrand(r, theta)
+        cap, logpdf = self._node_terms
+        logs = theta * cap + logpdf
         m = float(np.max(logs))
-        total = float(w @ np.exp(logs - m))
+        total = float(self._nodes[1] @ np.exp(logs - m))
         kappa = m + math.log(total)
         return kappa if kappa < _EXP_OVERFLOW else math.inf
 
@@ -348,8 +365,8 @@ class FadingMarginal:
         return self._moment(2) - self._moment(1) ** 2
 
     def _moment(self, k):
-        r, w = self._expectation_nodes()
-        vals = self._capacity_of_gain(r) ** k * self._gain.pdf(r)
+        r, w = self._nodes
+        vals = self._node_terms[0] ** k * self._gain.pdf(r)
         return float(w @ vals)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -429,7 +446,11 @@ def cgf(spec: ChannelSpec, model, theta: float) -> float:
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """Certified exponential tail cover tail(x) <= a * exp(-b x) on a grid."""
+    """Certified exponential tail cover tail(x) <= a * exp(-b x) on fit_range.
+
+    The cover holds on all of [x_lo, x_hi], not only at grid points;
+    max_violation is the largest tail(x) - bound(x) over the fit grid.
+    """
 
     prefactor_a: float
     rate_b: float

@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, ValidationError
@@ -399,6 +400,40 @@ def comonotonic_cdf(process: Comonotonic, t: int, x: float) -> float:
     return float(process.marginal.cdf(x / t))
 
 
+def _grid_allocation(fvals, grid, sign):
+    """Exact DP for the best split of grid[-1] over t marginals on the grid.
+
+    fvals[k] is F_k on the budget grid.  Maximises sign * sum_k F_k(u_k)
+    over allocations with sum u_k = grid[-1]; ties go to the smallest
+    share of the earlier marginal.  Returns the t grid shares.
+    """
+    # right to left: w[j] = best over marginals k.. with budget j.  Row j of
+    # the window view reads w[j], w[j - 1], ..., w[0] and then the fill, so
+    # cand[j, i] = fvals[k][i] + w[j - i]; shares i > j get the fill, which
+    # never wins.  The view keeps one n x n temporary per step.
+    n = grid.size
+    fill = np.full(n - 1, -sign * np.inf)
+    best = np.argmax if sign > 0 else np.argmin
+    rows = np.arange(n)
+    w = fvals[-1]
+    choice = []
+    for k in range(len(fvals) - 2, -1, -1):
+        table = sliding_window_view(np.concatenate((w[::-1], fill)), n)[::-1]
+        cand = fvals[k] + table
+        pick = best(cand, axis=1)
+        w = cand[rows, pick]
+        choice.append(pick)
+    choice.reverse()
+    alloc = []
+    j = n - 1
+    for pick in choice:
+        idx = pick[j]
+        alloc.append(grid[idx])
+        j -= idx
+    alloc.append(grid[j])
+    return alloc
+
+
 def frechet_bounds(marginals, x: float, budget_cells: int = 256,
                    polish_passes: int = 2):
     """Universal envelope on F_{sum}(x) from the marginals alone.
@@ -432,32 +467,6 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
     def alloc_value(alloc):
         return sum(float(m.cdf(u)) for m, u in zip(ms, alloc))
 
-    def dp(sign):
-        # grid DP right-to-left: W[k][j] = best over marginals k.. with budget j
-        grid = np.linspace(0.0, x, budget_cells + 1)
-        fvals = [np.asarray(m.cdf(grid), dtype=float) for m in ms]
-        w = fvals[-1].copy()
-        choice = []
-        for k in range(t - 2, -1, -1):
-            new_w = np.empty_like(w)
-            pick = np.empty(budget_cells + 1, dtype=int)
-            for j in range(budget_cells + 1):
-                cand = fvals[k][: j + 1] + w[j::-1]
-                idx = int(np.argmax(sign * cand))
-                new_w[j] = cand[idx]
-                pick[j] = idx
-            w = new_w
-            choice.append(pick)
-        choice.reverse()
-        alloc = []
-        j = budget_cells
-        for k in range(t - 1):
-            idx = choice[k][j]
-            alloc.append(grid[idx])
-            j -= idx
-        alloc.append(grid[j])
-        return alloc
-
     def polish(alloc, sign):
         from scipy.optimize import minimize_scalar
         alloc = list(alloc)
@@ -482,8 +491,10 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
                         alloc[i], alloc[j] = cand, budget - cand
         return alloc
 
-    sup_alloc = polish(dp(+1.0), +1.0)
-    inf_alloc = polish(dp(-1.0), -1.0)
+    grid = np.linspace(0.0, x, budget_cells + 1)
+    fvals = [np.asarray(m.cdf(grid), dtype=float) for m in ms]
+    sup_alloc = polish(_grid_allocation(fvals, grid, +1.0), +1.0)
+    inf_alloc = polish(_grid_allocation(fvals, grid, -1.0), -1.0)
     lower = max(0.0, alloc_value(sup_alloc) - (t - 1))
     upper = min(1.0, alloc_value(inf_alloc))
     return lower, upper

@@ -152,3 +152,89 @@ def markov_sum_cdf(kernel, t, x):
                     nxt[key] = nxt.get(key, 0.0) + w * kernel.transition[i, j] * m
         law = nxt
     return sum(w for (_, s), w in law.items() if s <= x + 1e-12)
+
+
+def fading_cgf_reference(marginal, theta):
+    """Fading cgf with the nodes and log-density rebuilt on every call.
+
+    The quadrature of FadingMarginal.cgf written out without any cache:
+    Gauss-Legendre nodes over the gain slices, a fresh frozen gain law, and
+    the divergence probe at the clip point, evaluated per call.
+    """
+    import math
+
+    from wnc.distributions import _EXP_OVERFLOW
+
+    if theta == 0.0:
+        return 0.0
+    if marginal.is_composite:
+        parts = [fading_cgf_reference(p, theta) for p in marginal._parts]
+        return math.inf if any(math.isinf(v) for v in parts) else float(sum(parts))
+    gain = marginal.model.gain()
+
+    def log_integrand(r):
+        with np.errstate(divide="ignore"):
+            return theta * marginal._capacity_of_gain(r) + gain.logpdf(r)
+
+    r_hi = float(marginal._slices[-1])
+    if theta > 0:
+        eps = 1e-6 * r_hi
+        probe = log_integrand(np.array([r_hi - eps, r_hi]))
+        if probe[1] > probe[0]:
+            return math.inf
+    r, w = _reference_nodes(marginal)
+    logs = log_integrand(r)
+    m = float(np.max(logs))
+    kappa = m + math.log(float(w @ np.exp(logs - m)))
+    return kappa if kappa < _EXP_OVERFLOW else math.inf
+
+
+def fading_moment_reference(marginal, k):
+    """E[C^k] of a single-channel marginal by the uncached quadrature."""
+    r, w = _reference_nodes(marginal)
+    vals = marginal._capacity_of_gain(r) ** k * marginal.model.gain().pdf(r)
+    return float(w @ vals)
+
+
+def _reference_nodes(marginal):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(64)
+    edges = marginal._slices
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    r = a[:, None] + half[:, None] * (nodes[None, :] + 1.0)
+    w = half[:, None] * weights[None, :]
+    return r.ravel(), w.ravel()
+
+
+def frechet_allocation_loop(fvals, grid, sign):
+    """Grid DP of the Frechet allocation search, one budget cell at a time.
+
+    Reference for processes._grid_allocation: for every budget j it scans
+    the shares i <= j of marginal k and keeps the first best of
+    fvals[k][i] + w[j - i].
+    """
+    budget_cells = grid.size - 1
+    t = len(fvals)
+    w = fvals[-1].copy()
+    choice = []
+    for k in range(t - 2, -1, -1):
+        new_w = np.empty_like(w)
+        pick = np.empty(budget_cells + 1, dtype=int)
+        for j in range(budget_cells + 1):
+            cand = fvals[k][: j + 1] + w[j::-1]
+            idx = int(np.argmax(sign * cand))
+            new_w[j] = cand[idx]
+            pick[j] = idx
+        w = new_w
+        choice.append(pick)
+    choice.reverse()
+    alloc = []
+    j = budget_cells
+    for k in range(t - 1):
+        idx = choice[k][j]
+        alloc.append(grid[idx])
+        j -= idx
+    alloc.append(grid[j])
+    return alloc

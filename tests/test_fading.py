@@ -12,6 +12,8 @@ from wnc import (ChannelSpec, FrequencySelective, HeavyTailError, Lognormal,
 from wnc.distributions import DiscreteDistribution
 from wnc.fading import rayleigh_capacity_cdf
 
+from conftest import fading_cgf_reference, fading_moment_reference
+
 SPEC = ChannelSpec(1.0, 1.0)
 
 ALL_MODELS = [
@@ -115,6 +117,51 @@ def test_cgf_convex_in_theta(model):
     ks = np.array([m.cgf(t) for t in ths])
     assert np.all(np.isfinite(ks))
     assert np.min(np.diff(ks, 2)) >= -1e-7
+
+
+# at theta = 40 every law's integrand still rises at the clip point, so the
+# divergence probe answers +inf (kappa itself stays below the overflow guard)
+DIVERGENT_THETA = 40.0
+TWO_PART = FrequencySelective(((SPEC, Rayleigh()),
+                               (ChannelSpec(2.0, 3.0), Nakagami(1.5))))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS + [TWO_PART],
+                         ids=lambda m: type(m).__name__)
+def test_cgf_and_moments_match_uncached_quadrature(model):
+    m = capacity_marginal(SPEC, model)
+    for theta in (-1.5, -0.3, 0.4, 2.0, DIVERGENT_THETA, -0.3, 0.4):
+        assert m.cgf(theta) == fading_cgf_reference(m, theta)
+    assert math.isinf(m.cgf(DIVERGENT_THETA))
+    parts = m._parts if m.is_composite else [m]
+    assert m.mean() == float(sum(fading_moment_reference(p, 1) for p in parts))
+    assert m.var() == float(sum(fading_moment_reference(p, 2)
+                                - fading_moment_reference(p, 1) ** 2
+                                for p in parts))
+
+
+@pytest.mark.parametrize("model", [Rayleigh(), TWO_PART],
+                         ids=lambda m: type(m).__name__)
+def test_cgf_quadrature_is_built_once_per_part(model, monkeypatch):
+    import wnc.fading
+
+    m = capacity_marginal(SPEC, model)
+    parts = m._parts if m.is_composite else [m]
+    calls = {"leggauss": 0, "logpdf": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(wnc.fading, "leggauss", counted("leggauss", wnc.fading.leggauss))
+    for p in parts:
+        monkeypatch.setattr(p._gain, "logpdf", counted("logpdf", p._gain.logpdf))
+    for i in range(100):
+        m.cgf(0.7 if i % 2 else -0.7)
+    # one node set per part; one logpdf for its nodes, one for the probe
+    assert calls == {"leggauss": len(parts), "logpdf": 2 * len(parts)}
 
 
 @pytest.mark.parametrize("model,samples", [

@@ -9,11 +9,12 @@ from wnc import (Additive, AntitheticPairing, Comonotonic,
                  comonotonic_cdf, frechet_bounds, markov_cdf_bounds,
                  mgf_matrix, perron_frobenius, transient_bounds)
 from wnc.distributions import DiscreteDistribution
-from wnc.processes import (BoundReport, chernoff_tail_upper, kernel_cgf,
-                           kernel_spectral)
+from wnc.processes import (BoundReport, _grid_allocation, chernoff_tail_upper,
+                           kernel_cgf, kernel_spectral)
 from wnc.simulate import cumulative_capacity_samples
 
-from conftest import assert_matrix_power_identity, markov_sum_cdf
+from conftest import (assert_matrix_power_identity, frechet_allocation_loop,
+                      markov_sum_cdf)
 
 
 def test_bound_report_validation():
@@ -91,6 +92,22 @@ def test_frechet_contains_compatible_processes(uniform_law):
             # both intervals contain the true additive CDF
             assert add_lo.value <= up + 1e-9
             assert lo - 1e-9 <= add_up.value
+
+
+@pytest.mark.parametrize("law_name", ["two_point", "rayleigh", "three_atom"])
+@pytest.mark.parametrize("t", [2, 3, 8])
+def test_frechet_grid_allocation_matches_cell_loop(law_name, t, two_point,
+                                                   rayleigh_marginal):
+    laws = {"two_point": two_point, "rayleigh": rayleigh_marginal,
+            "three_atom": DiscreteDistribution(np.array([0.0, 1.0, 2.5]),
+                                               np.array([0.2, 0.5, 0.3]))}
+    law = laws[law_name]
+    for x in (0.4 * t, 0.9 * t):
+        grid = np.linspace(0.0, x, 257)
+        fvals = [np.asarray(law.cdf(grid), dtype=float)] * t
+        for sign in (+1.0, -1.0):
+            assert (_grid_allocation(fvals, grid, sign)
+                    == frechet_allocation_loop(fvals, grid, sign))
 
 
 # ---------------------------------------------------------------------------
