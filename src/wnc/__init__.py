@@ -9,6 +9,7 @@ queueing oracle that validates every bound.
 __version__ = "0.1.0"
 
 from .distributions import DiscreteDistribution
+from .solve import SolveInfo
 from .errors import (HeavyTailError, NumericFailure, UnstableSystemError,
                      ValidationError, WncError)
 from .fading import (ChannelSpec, FadingMarginal, FrequencySelective,

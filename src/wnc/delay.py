@@ -24,12 +24,12 @@ kernels and is reported separately).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import solve
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, Comonotonic, MarkovAdditive,
@@ -37,7 +37,6 @@ from .processes import (Additive, BoundReport, Comonotonic, MarkovAdditive,
                         kernel_spectral, marginal_of, process_mean_rate)
 
 _ROOT_TOL = 1e-9
-_BRACKET_CAP = 2.0 ** 40
 
 __all__ = [
     "ArrivalSpec", "LundbergSolution", "RuinBounds",
@@ -64,6 +63,7 @@ class LundbergSolution:
     theta_star: float
     kappa_residual: float
     stable: bool
+    diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
 
 def stability_margin(process, arrival: ArrivalSpec) -> float:
@@ -75,27 +75,19 @@ def stability_margin(process, arrival: ArrivalSpec) -> float:
 # Lundberg roots
 
 
-def _positive_root(kappa, label: str) -> LundbergSolution:
+def _lundberg_solution(kappa, label: str) -> LundbergSolution:
     """Unique positive root of a convex kappa with kappa(0)=0, kappa'(0)<0."""
-    hi = 1.0
-    while kappa(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise NumericFailure(f"no positive Lundberg root found for {label}")
-    # kappa < 0 on (0, root): take the largest clearly-negative sweep point,
-    # staying above the evaluation noise floor of the cgf machinery
-    lo = None
-    for cand in np.geomspace(hi * 1e-9, hi * (1.0 - 1e-6), 96):
-        if kappa(cand) < -1e-10:
-            lo = cand
-    if lo is None:
+    theta, info = solve.positive_root(kappa)
+    if theta is None:
         raise NumericFailure(
             f"cannot bracket the Lundberg root for {label}: margin too small")
-    theta = float(brentq(kappa, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))
-    resid = float(kappa(theta))
-    if abs(resid) > _ROOT_TOL:
-        raise NumericFailure(f"Lundberg residual {resid:.3e} exceeds tolerance")
-    return LundbergSolution(theta_star=theta, kappa_residual=resid, stable=True)
+    if theta == math.inf:
+        raise NumericFailure(f"no positive Lundberg root found for {label}")
+    if abs(info.residual) > _ROOT_TOL:
+        raise NumericFailure(
+            f"Lundberg residual {info.residual:.3e} exceeds tolerance")
+    return LundbergSolution(theta_star=theta, kappa_residual=info.residual,
+                            stable=True, diagnostics=info)
 
 
 def lundberg_root(process: Additive, arrival: ArrivalSpec,
@@ -116,7 +108,7 @@ def lundberg_root(process: Additive, arrival: ArrivalSpec,
     def kappa(th):
         return th * drain + marginal.cgf(-th)
 
-    return _positive_root(kappa, "additive increment")
+    return _lundberg_solution(kappa, "additive increment")
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +156,7 @@ class RuinBounds:
     c_plus: float
     degenerate: bool            # drain never exceeded: ruin probability 0
     unstable: bool              # nonpositive margin: ruin probability 1
+    diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
     def tail(self, level: float):
         """(lower, upper) on P(sup walk >= level)."""
@@ -191,9 +184,10 @@ def additive_ruin(marginal, drain: float) -> RuinBounds:
     def kappa(th):
         return th * drain + marginal.cgf(-th)
 
-    sol = _positive_root(kappa, "additive increment")
+    sol = _lundberg_solution(kappa, "additive increment")
     c_minus, c_plus = _additive_prefactors(marginal, drain, sol.theta_star)
-    return RuinBounds(sol.theta_star, c_minus, c_plus, False, False)
+    return RuinBounds(sol.theta_star, c_minus, c_plus, False, False,
+                      diagnostics=sol.diagnostics)
 
 
 def delay_tail_additive(process: Additive, arrival: ArrivalSpec, d: float):
@@ -207,9 +201,9 @@ def delay_tail_additive(process: Additive, arrival: ArrivalSpec, d: float):
     notes = ("unstable: vacuous bound" if ruin.unstable
              else "degenerate: queue never builds" if ruin.degenerate else "")
     lower = BoundReport("delay_lower", lo, ruin.theta_star, ruin.c_minus,
-                        math.inf, notes)
+                        math.inf, notes, ruin.diagnostics)
     upper = BoundReport("delay_upper", up, ruin.theta_star, ruin.c_plus,
-                        math.inf, notes)
+                        math.inf, notes, ruin.diagnostics)
     return lower, upper
 
 
@@ -229,6 +223,7 @@ class MarkovRuin:
     improved: bool
     degenerate: bool
     unstable: bool
+    diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
 
 def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
@@ -254,11 +249,12 @@ def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
     def kappa(th):
         return th * drain + kernel_cgf(kernel, -th)
 
-    sol = _positive_root(kappa, "markov increment")
+    sol = _lundberg_solution(kappa, "markov increment")
     h = kernel_spectral(kernel, -sol.theta_star).right_vector
     c_minus, c_plus = _markov_prefactors(kernel, drain, sol.theta_star, h)
     return MarkovRuin(sol.theta_star, h, kernel.stationary, c_minus, c_plus,
-                      True, degenerate=False, unstable=False)
+                      True, degenerate=False, unstable=False,
+                      diagnostics=sol.diagnostics)
 
 
 def _kernel_floor(kernel: MarkovKernel) -> float:
@@ -321,7 +317,7 @@ def delay_tail_markov_detail(process: MarkovAdditive, arrival: ArrivalSpec,
 
     def report(kind, value, pref, notes=""):
         return BoundReport(kind, min(1.0, max(0.0, value)), ruin.theta_star,
-                           pref, math.inf, notes)
+                           pref, math.inf, notes, ruin.diagnostics)
 
     if ruin.unstable or ruin.degenerate:
         lo, up = (1.0, 1.0) if ruin.unstable else ((1.0, 1.0) if d == 0 else (0.0, 0.0))
@@ -493,8 +489,7 @@ def delay_constrained_capacity(process, d: float, epsilon: float
                 return (None, floor, None) if floor > 0 else None
         while excess(lo) <= 0:
             lo, hi = 0.5 * lo, lo
-        th = float(brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16,
-                          maxiter=300))
+        th, _ = solve.root(excess, lo, hi)
         k, c_minus, c_plus, _ = tilt(th)
         return th, -k / th, (c_minus, c_plus)
 

@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import stats
 
+from . import solve
 from .distributions import _EXP_OVERFLOW, DEFAULT_GRID_N, DiscreteDistribution
 from .errors import HeavyTailError, NumericFailure, ValidationError
 
@@ -46,6 +46,16 @@ __all__ = [
     "cgf", "certify_light_tail",
     "tail_minplus_convolution", "rayleigh_capacity_cdf",
 ]
+
+
+def _stats():
+    """The statistics namespace behind the gain laws' ``gain()``.
+
+    Imported on the first ``gain()`` call, so that Markov and discrete
+    channels never load it.
+    """
+    from scipy import stats
+    return stats
 
 
 def _require_positive(name, value):
@@ -73,7 +83,7 @@ class Rayleigh:
         _require_positive("sigma", self.sigma)
 
     def gain(self):
-        return stats.rayleigh(scale=self.sigma)
+        return _stats().rayleigh(scale=self.sigma)
 
     def sample_gain(self, rng, size):
         return rng.rayleigh(self.sigma, size)
@@ -91,7 +101,7 @@ class Rice:
 
     def gain(self):
         # P(H > r) = Q1(s/sigma0, r/sigma0), the Marcum Q tail
-        return stats.rice(self.s / self.sigma0, scale=self.sigma0)
+        return _stats().rice(self.s / self.sigma0, scale=self.sigma0)
 
     def sample_gain(self, rng, size):
         return np.hypot(rng.normal(self.s, self.sigma0, size),
@@ -109,7 +119,7 @@ class Nakagami:
         _require_positive("omega", self.omega)
 
     def gain(self):
-        return stats.nakagami(self.m, scale=math.sqrt(self.omega))
+        return _stats().nakagami(self.m, scale=math.sqrt(self.omega))
 
     def sample_gain(self, rng, size):
         return np.sqrt(rng.gamma(self.m, self.omega / self.m, size))
@@ -126,7 +136,7 @@ class Weibull:
 
     def gain(self):
         # exp(-(r/l)^k) = exp(-c r^k) with l = c^(-1/k)
-        return stats.weibull_min(self.k, scale=self.c ** (-1.0 / self.k))
+        return _stats().weibull_min(self.k, scale=self.c ** (-1.0 / self.k))
 
     def sample_gain(self, rng, size):
         return (rng.exponential(1.0, size) / self.c) ** (1.0 / self.k)
@@ -143,7 +153,7 @@ class Lognormal:
         _require_positive("sigma", self.sigma)
 
     def gain(self):
-        return stats.lognorm(self.sigma, scale=math.exp(self.mu))
+        return _stats().lognorm(self.sigma, scale=math.exp(self.mu))
 
     def sample_gain(self, rng, size):
         return rng.lognormal(self.mu, self.sigma, size)
@@ -592,7 +602,6 @@ def tail_minplus_convolution(tails, x: float, splits: int = 512) -> float:
         raise ValidationError("need at least one tail function")
     if x < 0:
         raise ValidationError("x must be nonnegative")
-    from scipy.optimize import minimize_scalar
 
     def pairwise(f, g, z):
         if z == 0.0:
@@ -602,9 +611,8 @@ def tail_minplus_convolution(tails, x: float, splits: int = 512) -> float:
         j = int(np.argmin(vals))
         lo = ys[max(j - 1, 0)]
         hi = ys[min(j + 1, splits - 1)]
-        res = minimize_scalar(lambda y: f(y) + g(z - y), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-12})
-        return min(float(vals[j]), float(res.fun))
+        _, val, _ = solve.minimize(lambda y: f(y) + g(z - y), lo, hi, 1e-12)
+        return min(float(vals[j]), val)
 
     funcs = list(tails)
     if len(funcs) == 1:

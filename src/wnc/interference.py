@@ -18,14 +18,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .delay import _BRACKET_CAP, ArrivalSpec, additive_ruin, markov_ruin
+from . import solve
+from .delay import ArrivalSpec, additive_ruin, markov_ruin
 from .errors import UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, MarkovAdditive, _start_index,
                         marginal_of)
 
-_THETA_FLOOR = 2.0 ** -60
+# the end-to-end theta search runs below this cap when every hop's
+# capacity stays above the drain (the bound then decays in theta forever)
+_THETA_CAP = 2.0 ** 40
 
 __all__ = [
     "HopChain", "BivariateTrace", "minplus_convolve", "single_hop_leftover",
@@ -160,7 +162,8 @@ def feedback_delay_additive(process: Additive, arrival: ArrivalSpec, d: float,
     pref = ruin.c_plus if improved else 1.0
     value = min(1.0, pref * math.exp(-ruin.theta_star * arrival.lam * d))
     return BoundReport("delay_upper", value, ruin.theta_star, pref, math.inf,
-                       "improved prefactor" if improved else "")
+                       "improved prefactor" if improved else "",
+                       ruin.diagnostics)
 
 
 def feedback_delay_markov(process: MarkovAdditive, arrival: ArrivalSpec,
@@ -192,18 +195,11 @@ def feedback_delay_markov(process: MarkovAdditive, arrival: ArrivalSpec,
         notes = ""
     value = min(1.0, pref * math.exp(-ruin.theta_star * arrival.lam * d))
     return BoundReport("delay_upper", value, ruin.theta_star, pref, math.inf,
-                       notes)
+                       notes, ruin.diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end segmentation bound
-
-
-def _hop_cgf_neg(hop, theta: float) -> float:
-    """kappa_i(-theta) for an additive hop."""
-    if not isinstance(hop, Additive):
-        raise ValidationError("the end-to-end bound requires additive hops")
-    return marginal_of(hop).cgf(-theta)
 
 
 def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
@@ -226,11 +222,14 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
     """
     if d < 0:
         raise ValidationError("d must be nonnegative")
+    if not all(isinstance(h, Additive) for h in chain.hops):
+        raise ValidationError("the end-to-end bound requires additive hops")
+    marginals = [h.marginal for h in chain.hops]
     lam = arrival.lam
     drain = (chain.multiplier + 1) * lam
 
     def log_w(th):
-        return np.array([_hop_cgf_neg(h, th) for h in chain.hops]) + th * drain
+        return np.array([m.cgf(-th) for m in marginals]) + th * drain
 
     def log_bound(th):
         lw = log_w(th)
@@ -238,39 +237,26 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
             return math.inf
         return -th * lam * d - float(np.sum(np.log(-np.expm1(lw))))
 
+    info = None
     if theta is None:
-        theta_max = _divergence_root(lambda th: float(np.max(log_w(th))))
+        # log w_i(theta) is convex with slope drain - E[C_i] at 0: no theta
+        # converges when some hop's mean capacity does not exceed the drain
+        if min(m.mean() for m in marginals) > drain:
+            theta_max, info = solve.positive_root(
+                lambda th: float(np.max(log_w(th))), cap=_THETA_CAP)
+        else:
+            theta_max = None
         if theta_max is None:
             return BoundReport("delay_upper", 1.0, None, 1.0, math.inf,
-                               "bound diverges at every theta")
-        res = minimize_scalar(log_bound, bounds=(0.0, theta_max),
-                              method="bounded",
-                              options={"xatol": 1e-12 * theta_max})
-        theta = float(res.x)
+                               "bound diverges at every theta", info)
+        theta_max = min(theta_max, _THETA_CAP)
+        theta, _, info = solve.minimize(log_bound, 0.0, theta_max,
+                                        1e-12 * theta_max)
     elif theta <= 0:
         raise ValidationError("theta must be positive")
     log_value = log_bound(theta)
     if log_value == math.inf:
         return BoundReport("delay_upper", 1.0, theta, 1.0, math.inf,
-                           "bound diverges at this theta")
+                           "bound diverges at this theta", info)
     return BoundReport("delay_upper", math.exp(min(log_value, 0.0)), theta,
-                       1.0, math.inf, "")
-
-
-def _divergence_root(g) -> Optional[float]:
-    """Positive root of the convex g = max_i log w_i, with g(0) = 0.
-
-    None when g >= 0 at every probe down to theta = 2^-60 (the bound
-    diverges at every theta); the bracket cap when g < 0 up to it (every
-    hop's capacity stays above the drain).
-    """
-    lo = hi = 1.0
-    while g(hi) < 0.0:
-        if hi >= _BRACKET_CAP:
-            return hi
-        lo, hi = hi, 2.0 * hi
-    while not g(lo) < 0.0:
-        lo *= 0.5
-        if lo < _THETA_FLOOR:
-            return None
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300))
+                       1.0, math.inf, "", info)

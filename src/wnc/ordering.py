@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .delay import ArrivalSpec, lundberg_root, markov_ruin, _positive_root
+from .delay import ArrivalSpec, lundberg_root, markov_ruin
 from .errors import ValidationError
 from .processes import (Additive, AntitheticPairing, Comonotonic,
-                        MarkovAdditive, marginal_of)
+                        MarkovAdditive)
 from .simulate import SimConfig, cumulative_capacity_samples, empirical_delay_tails
 
 __all__ = [
@@ -175,27 +175,16 @@ def adjustment_coefficient(process, arrival: ArrivalSpec) -> Optional[float]:
     Comonotonic: the normalised limit kappa(theta) = theta (lambda - ess inf C)
     has no positive root unless the channel never queues; returns None.
     """
-    lam = arrival.lam
-    if isinstance(process, Additive):
+    if isinstance(process, (Additive, AntitheticPairing)):
+        # the antithetic block of two slots drains 2 lambda per step
+        block, m = ((process.marginal, 1.0) if isinstance(process, Additive)
+                    else (process.pair_sum_law, 2.0))
         try:
-            return lundberg_root(process, arrival).theta_star
+            return lundberg_root(Additive(block), arrival, m).theta_star
         except Exception:
             return None
     if isinstance(process, MarkovAdditive):
-        ruin = markov_ruin(process.kernel, lam)
-        return ruin.theta_star
-    if isinstance(process, AntitheticPairing):
-        block = process.pair_sum_law
-        if block.support_min >= 2.0 * lam or block.mean() <= 2.0 * lam:
-            return None
-
-        def kappa(th):
-            return th * 2.0 * lam + block.cgf(-th)
-
-        try:
-            return _positive_root(kappa, "antithetic block").theta_star
-        except Exception:
-            return None
+        return markov_ruin(process.kernel, arrival.lam).theta_star
     if isinstance(process, Comonotonic):
         return None
     raise ValidationError(f"unknown process type {type(process).__name__}")

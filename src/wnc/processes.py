@@ -18,13 +18,14 @@ h(J0)/min_j h(J_j) for Markov-additive processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import solve
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, ValidationError
 
@@ -33,7 +34,7 @@ __all__ = [
     "CapacityProcess", "MarkovKernel", "SpectralData", "BoundReport",
     "comonotonic_cdf", "frechet_bounds", "additive_cdf_bounds",
     "markov_cdf_bounds", "transient_bounds", "mgf_matrix", "perron_frobenius",
-    "kernel_cgf", "marginal_of", "process_mean_rate", "theta_grid",
+    "kernel_cgf", "marginal_of", "process_mean_rate",
 ]
 
 
@@ -46,7 +47,9 @@ class BoundReport:
     """A computed bound value with its provenance.
 
     kind is one of cdf_lower / cdf_upper / tail_upper / delay_upper /
-    delay_lower; value is always clipped to [0, 1].
+    delay_lower; value is always clipped to [0, 1].  diagnostics holds the
+    SolveInfo of the search that found theta_star (None where no search
+    ran); equality ignores it.
     """
 
     kind: str
@@ -55,6 +58,7 @@ class BoundReport:
     prefactor: float
     horizon: float
     notes: str = ""
+    diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("cdf_lower", "cdf_upper", "tail_upper",
@@ -442,8 +446,9 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
     upper = [ inf_{sum u_i = x} sum_i F_i(u_i) ]_1
 
     The allocation search runs exact dynamic programming on a shared budget
-    grid (u_i >= 0, sum exactly x) followed by pairwise continuous polish
-    passes.  Every candidate evaluated is feasible, so the grid optimum
+    grid (u_i >= 0, sum exactly x) followed by pairwise polish passes,
+    exact for two lattice marginals and a bounded scalar search otherwise.
+    Every candidate evaluated is feasible, so the grid optimum
     under-estimates the sup and over-estimates the inf: both directions are
     safe (the returned interval always contains the true Frechet interval's
     intersection with [0,1]... the returned lower never exceeds the true
@@ -467,8 +472,31 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
     def alloc_value(alloc):
         return sum(float(m.cdf(u)) for m, u in zip(ms, alloc))
 
+    def best_split(i, j, budget, sign):
+        """Best u in [0, budget] for F_i(u) + F_j(budget - u), and its value.
+
+        Two lattice laws give a piecewise-constant sum with breakpoints
+        {0, budget}, the atoms of i and budget minus the atoms of j: the
+        sup is attained at a breakpoint and each open piece takes its
+        value at its midpoint, so evaluating both sets is exact.  Other
+        marginals use the bounded minimiser.
+        """
+        mi, mj = ms[i], ms[j]
+        if isinstance(mi, DiscreteDistribution) and isinstance(mj, DiscreteDistribution):
+            pts = np.concatenate(([0.0, budget], mi.support, budget - mj.support))
+            pts = np.unique(pts[(pts >= 0.0) & (pts <= budget)])
+            us = np.concatenate((pts, 0.5 * (pts[:-1] + pts[1:])))
+            vals = mi.cdf(us) + mj.cdf(budget - us)
+            k = int(np.argmax(sign * vals))
+            return float(us[k]), float(vals[k])
+
+        def obj(u):
+            return -sign * (float(mi.cdf(u)) + float(mj.cdf(budget - u)))
+
+        u, val, _ = solve.minimize(obj, 0.0, budget, 1e-10 * max(x, 1.0))
+        return u, -sign * val
+
     def polish(alloc, sign):
-        from scipy.optimize import minimize_scalar
         alloc = list(alloc)
         for _ in range(polish_passes):
             for i in range(t):
@@ -476,17 +504,9 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
                     budget = alloc[i] + alloc[j]
                     if budget <= 0:
                         continue
-
-                    def obj(u, i=i, j=j, budget=budget):
-                        return -sign * (float(ms[i].cdf(u))
-                                        + float(ms[j].cdf(budget - u)))
-
-                    res = minimize_scalar(obj, bounds=(0.0, budget),
-                                          method="bounded",
-                                          options={"xatol": 1e-10 * max(x, 1.0)})
-                    cand = float(res.x)
-                    old = -sign * obj(alloc[i])
-                    new = -sign * obj(cand)
+                    cand, new = best_split(i, j, budget, sign)
+                    old = (float(ms[i].cdf(alloc[i]))
+                           + float(ms[j].cdf(budget - alloc[i])))
                     if sign * new > sign * old:
                         alloc[i], alloc[j] = cand, budget - cand
         return alloc
@@ -504,45 +524,20 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
 # Chernoff machinery
 
 
-def theta_grid(kappa_fn, n: int = 200, theta_seed: float = 1.0,
-               theta_floor: float = 1e-4, theta_cap: float = 65536.0) -> np.ndarray:
-    """Log-spaced grid over (theta_floor, theta_max) of the finite kappa domain.
+# any theta gives a valid Chernoff bound; the search runs on this range
+_THETA_FLOOR = 1e-4
+_THETA_CAP = 65536.0
 
-    theta_max is located by doubling until kappa turns infinite (or the cap
-    is reached).
+
+def _minimize_exponent(exponent_fn):
+    """(theta, value, SolveInfo): minimum of a Chernoff exponent over theta.
+
+    The exponents t kappa(-+theta) +- theta x are convex; a Markov
+    prefactor log(h(J0)/min h) need not be, nor need the transient
+    thresholds, but any theta the search returns still gives a valid
+    bound.
     """
-    hi = theta_seed
-    if not np.isfinite(kappa_fn(hi)):
-        while hi > theta_floor and not np.isfinite(kappa_fn(hi)):
-            hi /= 2.0
-        if hi <= theta_floor:
-            raise NumericFailure("no exponential moment on the theta grid")
-    else:
-        while hi < theta_cap and np.isfinite(kappa_fn(hi * 2.0)):
-            hi *= 2.0
-    return np.geomspace(theta_floor, hi, n)
-
-
-def _refine_scalar(fn, lo, hi):
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12 * max(hi, 1.0)})
-    return float(res.x), float(res.fun)
-
-
-def _optimize_exponent(exponent_fn, grid):
-    """Minimise a smooth exponent over a positive grid + local refinement."""
-    vals = np.array([exponent_fn(th) for th in grid])
-    finite = np.isfinite(vals)
-    if not np.any(finite):
-        raise NumericFailure("no exponential moment on the theta grid")
-    j = int(np.argmin(np.where(finite, vals, np.inf)))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    th, val = _refine_scalar(exponent_fn, lo, hi)
-    if vals[j] < val:
-        return float(grid[j]), float(vals[j])
-    return th, val
+    return solve.minimize_convex(exponent_fn, _THETA_FLOOR, _THETA_CAP)
 
 
 def _cgf_of(process):
@@ -601,7 +596,6 @@ def _chernoff_cdf_bounds(process, t, x, initial_state=None):
         raise ValidationError("t must be >= 1")
     if x < 0:
         raise ValidationError("x must be nonnegative")
-    kappa = _cgf_of(process)
     terms = _tilt_terms(process, initial_state)
 
     # upper: min over th > 0 of pf(-th) * e^{t k(-th) + th x}
@@ -618,24 +612,22 @@ def _chernoff_cdf_bounds(process, t, x, initial_state=None):
             return math.inf
         return t * k - th * x + math.log(pf)
 
-    grid_up = theta_grid(lambda th: kappa(-th))
-    th_up, e_up = _optimize_exponent(upper_exponent, grid_up)
-    grid_lo = theta_grid(kappa)
-    th_lo, e_lo = _optimize_exponent(lower_exponent, grid_lo)
+    th_up, e_up, info_up = _minimize_exponent(upper_exponent)
+    th_lo, e_lo, info_lo = _minimize_exponent(lower_exponent)
 
     upper = BoundReport("cdf_upper", min(1.0, math.exp(min(e_up, _EXP_OVERFLOW))),
                         theta_star=th_up, prefactor=terms(-th_up)[1],
-                        horizon=float(t))
+                        horizon=float(t), diagnostics=info_up)
     lower_val = min(1.0, max(0.0, -math.expm1(min(e_lo, _EXP_OVERFLOW))))
     lower = BoundReport("cdf_lower", lower_val, theta_star=th_lo,
-                        prefactor=terms(th_lo)[1], horizon=float(t))
+                        prefactor=terms(th_lo)[1], horizon=float(t),
+                        diagnostics=info_lo)
     return lower, upper
 
 
 def chernoff_tail_upper(process, t: int, x: float,
                         initial_state=None) -> BoundReport:
     """Upper bound on P(S(t) >= x): min over th>0 of pf e^{t k(th) - th x}."""
-    kappa = _cgf_of(process)
     terms = _tilt_terms(process, initial_state)
 
     def exponent(th):
@@ -644,10 +636,10 @@ def chernoff_tail_upper(process, t: int, x: float,
             return math.inf
         return t * k - th * x + math.log(pf)
 
-    grid = theta_grid(kappa)
-    th, e = _optimize_exponent(exponent, grid)
+    th, e, info = _minimize_exponent(exponent)
     return BoundReport("tail_upper", min(1.0, math.exp(min(e, _EXP_OVERFLOW))),
-                       theta_star=th, prefactor=terms(th)[1], horizon=float(t))
+                       theta_star=th, prefactor=terms(th)[1], horizon=float(t),
+                       diagnostics=info)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +681,7 @@ def transient_bounds(process, t: int, y_l: float, y_u: float) -> TransientBounds
             return math.inf
         return (t * k + y_u) / (th * t)
 
-    grid = theta_grid(lambda th: kappa(-th))
-    th_u, neg_c = _optimize_exponent(obj_upper, grid)
+    th_u, neg_c, _ = _minimize_exponent(obj_upper)
     c_up = -neg_c
 
     def obj_lower(th):
@@ -699,8 +690,7 @@ def transient_bounds(process, t: int, y_l: float, y_u: float) -> TransientBounds
             return math.inf
         return (t * k + y_l) / (th * t)
 
-    grid_lo = theta_grid(kappa)
-    th_l, c_lo = _optimize_exponent(obj_lower, grid_lo)
+    th_l, c_lo, _ = _minimize_exponent(obj_lower)
 
     terms = _tilt_terms(process)
     pf_u = terms(-th_u)[1]

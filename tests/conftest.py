@@ -238,3 +238,88 @@ def frechet_allocation_loop(fvals, grid, sign):
         j -= idx
     alloc.append(grid[j])
     return alloc
+
+
+def theta_grid(kappa_fn, n=200, theta_seed=1.0, theta_floor=1e-4,
+               theta_cap=65536.0):
+    """Log-spaced grid over (theta_floor, theta_max) of the finite kappa domain.
+
+    theta_max is located by doubling until kappa turns infinite (or the cap
+    is reached).  With ``grid_exponent_min``, the 200-point Chernoff search
+    that the library's bracketed search replaced; kept as its reference.
+    """
+    from wnc import NumericFailure
+
+    hi = theta_seed
+    if not np.isfinite(kappa_fn(hi)):
+        while hi > theta_floor and not np.isfinite(kappa_fn(hi)):
+            hi /= 2.0
+        if hi <= theta_floor:
+            raise NumericFailure("no exponential moment on the theta grid")
+    else:
+        while hi < theta_cap and np.isfinite(kappa_fn(hi * 2.0)):
+            hi *= 2.0
+    return np.geomspace(theta_floor, hi, n)
+
+
+def grid_exponent_min(exponent_fn, grid):
+    """(theta, value): grid minimum of an exponent, polished by
+    ``minimize_scalar`` between the neighbouring grid points."""
+    from scipy.optimize import minimize_scalar
+
+    vals = np.array([exponent_fn(th) for th in grid])
+    finite = np.isfinite(vals)
+    assert np.any(finite)
+    j = int(np.argmin(np.where(finite, vals, np.inf)))
+    lo = grid[max(j - 1, 0)]
+    hi = grid[min(j + 1, len(grid) - 1)]
+    res = minimize_scalar(exponent_fn, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12 * max(hi, 1.0)})
+    if vals[j] < float(res.fun):
+        return float(grid[j]), float(vals[j])
+    return float(res.x), float(res.fun)
+
+
+def frechet_polish_reference(marginals, x, budget_cells=256, polish_passes=2):
+    """Frechet envelope with the continuous ``minimize_scalar`` polish.
+
+    The grid DP of the library followed by pairwise bounded scalar
+    searches on every pair, as before the exact lattice polish.
+    """
+    from scipy.optimize import minimize_scalar
+
+    from wnc.processes import _grid_allocation
+
+    ms = list(marginals)
+    t = len(ms)
+
+    def polish(alloc, sign):
+        alloc = list(alloc)
+        for _ in range(polish_passes):
+            for i in range(t):
+                for j in range(i + 1, t):
+                    budget = alloc[i] + alloc[j]
+                    if budget <= 0:
+                        continue
+
+                    def obj(u, i=i, j=j, budget=budget):
+                        return -sign * (float(ms[i].cdf(u))
+                                        + float(ms[j].cdf(budget - u)))
+
+                    res = minimize_scalar(obj, bounds=(0.0, budget),
+                                          method="bounded",
+                                          options={"xatol": 1e-10 * max(x, 1.0)})
+                    cand = float(res.x)
+                    if obj(cand) < obj(alloc[i]):
+                        alloc[i], alloc[j] = cand, budget - cand
+        return alloc
+
+    grid = np.linspace(0.0, x, budget_cells + 1)
+    fvals = [np.asarray(m.cdf(grid), dtype=float) for m in ms]
+    sup_alloc = polish(_grid_allocation(fvals, grid, +1.0), +1.0)
+    inf_alloc = polish(_grid_allocation(fvals, grid, -1.0), -1.0)
+
+    def value(alloc):
+        return sum(float(m.cdf(u)) for m, u in zip(ms, alloc))
+
+    return max(0.0, value(sup_alloc) - (t - 1)), min(1.0, value(inf_alloc))

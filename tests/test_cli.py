@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 
@@ -201,3 +205,69 @@ def test_invalid_scenario_message_matches_jsonschema_validate(tmp_path):
                        r"\.lambda_bits_per_slot: -1 is less than or equal "
                        "to the minimum of 0$"):
         load_scenario(write_scenario(tmp_path, bad_lambda))
+
+
+_SCIPY_PROBE = r"""
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import wnc
+assert scipy_modules() == [], scipy_modules()
+from wnc.cli import main
+for i, arg in enumerate(sys.argv[1:]):
+    cmd, path = arg.split("=", 1)
+    assert main([cmd, "--scenario", path, "--out", f"{path}.{cmd}.{i}.csv"]) == 0
+print(" ".join(scipy_modules()))
+"""
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _scipy_after(runs):
+    """scipy modules loaded after ``import wnc`` and the given CLI runs,
+    each "command=scenario path", in a fresh interpreter."""
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE] + runs, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_markov_and_discrete_scenarios_load_no_scipy(tmp_path):
+    """import wnc, then bounds/delay/dcc/interference on both shipped
+    scenarios (Monte Carlo off): not one scipy module is loaded."""
+    runs = []
+    for name in ("gilbert_elliott", "default"):
+        doc = yaml.safe_load((REPO / "scenarios" / f"{name}.yaml").read_text())
+        for q in doc["queries"]:
+            q.pop("validate_mc", None)
+        path = write_scenario(tmp_path, doc, f"{name}.yaml")
+        runs += [f"{cmd}={path}" for cmd in ("bounds", "delay", "dcc",
+                                              "interference")]
+    assert _scipy_after(runs) == []
+
+
+def test_fading_gain_law_loads_scipy_stats_on_first_use(tmp_path):
+    doc = {
+        "channel": {"bandwidth_hz": 1.0, "snr_linear": 1.0,
+                    "fading": {"kind": "rayleigh"}},
+        "process": {"kind": "additive"},
+        "arrival": {"lambda_bits_per_slot": 0.4},
+        "sim": {"seed": 1, "runs": 10, "horizon_slots": 10},
+        "queries": [{"kind": "capacity", "x_grid_bits": [0.0, 1.0]}],
+    }
+    # scipy.stats itself imports scipy.optimize; that wnc's own code never
+    # does is checked on the source below
+    assert "scipy.stats" in _scipy_after([f"capacity={write_scenario(tmp_path, doc)}"])
+
+
+def test_scipy_appears_in_the_source_only_as_the_lazy_stats_import():
+    src = REPO / "src" / "wnc"
+    hits = [(p.name, line.strip()) for p in sorted(src.rglob("*.py"))
+            for line in p.read_text().splitlines() if "scipy" in line]
+    assert hits == [("fading.py", "from scipy import stats")]

@@ -329,3 +329,31 @@ def test_slowly_mixing_gilbert_elliott_delay(p_gb, p_bg):
     # the upper bound is exact here (C+ = 1/h(B)): allow rounding only
     assert lower.value <= exact * (1.0 + 1e-9)
     assert exact <= upper.value * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("margin, rel", [(1e-5, 1e-5), (1e-6, 1e-3)])
+def test_lundberg_root_at_small_stability_margins(two_point, margin, rel):
+    # min kappa is about -margin^2/2 (-5e-11, -5e-13): valid inputs that a
+    # fixed -1e-10 noise floor on kappa used to reject as "margin too small"
+    lam = 1.0 - margin
+    sol = lundberg_root(Additive(two_point), ArrivalSpec(lam))
+    assert abs(sol.kappa_residual) < 1e-9
+    oracle = lundberg_theta_oracle(two_point.support, two_point.mass, lam)
+    assert sol.theta_star == pytest.approx(oracle, rel=rel)
+    lo, up = delay_tail_additive(Additive(two_point), ArrivalSpec(lam), 10.0)
+    assert 0.0 < lo.value <= up.value <= 1.0
+
+
+def test_delay_tail_additive_cgf_call_count(two_point, monkeypatch):
+    calls = []
+    cgf = DiscreteDistribution.cgf
+
+    def counted(self, theta):
+        calls.append(theta)
+        return cgf(self, theta)
+
+    monkeypatch.setattr(DiscreteDistribution, "cgf", counted)
+    lo, up = delay_tail_additive(Additive(two_point), ArrivalSpec(0.4), 5.0)
+    assert len(calls) <= 40
+    assert up.diagnostics.evaluations == len(calls)
+    assert lo.diagnostics is up.diagnostics

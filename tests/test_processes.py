@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from wnc import (Additive, AntitheticPairing, Comonotonic,
+from wnc import (Additive, AntitheticPairing, ChannelSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
                  ValidationError, additive_cdf_bounds, capacity_marginal,
                  comonotonic_cdf, frechet_bounds, markov_cdf_bounds,
                  mgf_matrix, perron_frobenius, transient_bounds)
 from wnc.distributions import DiscreteDistribution
-from wnc.processes import (BoundReport, _grid_allocation, chernoff_tail_upper,
-                           kernel_cgf, kernel_spectral)
+from wnc.processes import (BoundReport, _cgf_of, _grid_allocation,
+                           _tilt_terms, chernoff_tail_upper, kernel_cgf,
+                           kernel_spectral)
 from wnc.simulate import cumulative_capacity_samples
 
 from conftest import (assert_matrix_power_identity, frechet_allocation_loop,
-                      markov_sum_cdf)
+                      frechet_polish_reference, grid_exponent_min,
+                      markov_sum_cdf, theta_grid)
 
 
 def test_bound_report_validation():
@@ -70,9 +72,10 @@ def test_frechet_single_marginal_degenerate(uniform_law):
 def test_frechet_two_uniforms_against_bruteforce(uniform_law):
     x = 1.0
     lo, up = frechet_bounds([uniform_law, uniform_law], x)
-    # oracle: 1e4-point allocation scan (safe directions: grid-max <= sup,
-    # grid-min >= inf)
-    us = np.linspace(0.0, x, 10_000)
+    # oracle: 1e4-point allocation scan plus the atoms, where the sup of a
+    # lattice law is attained (safe directions: grid-max <= sup, grid-min
+    # >= inf)
+    us = np.union1d(np.linspace(0.0, x, 10_000), uniform_law.support)
     sums = uniform_law.cdf(us) + uniform_law.cdf(x - us)
     assert lo <= max(0.0, float(np.max(sums)) - 1.0) + 1e-9
     assert up >= min(1.0, float(np.min(sums))) - 1e-9
@@ -355,3 +358,109 @@ def test_full_transition_kernel_cdf_sandwich(full_kernel, t, x):
     lo, up = markov_cdf_bounds(MarkovAdditive(full_kernel), t, x)
     exact = markov_sum_cdf(full_kernel, t, x)
     assert lo.value <= exact <= up.value
+
+
+# ---------------------------------------------------------------------------
+# the bracketed searches against the grid searches they replaced
+
+
+def _ge(p, q):
+    return MarkovAdditive(MarkovKernel.from_destination_laws(
+        ("G", "B"), np.array([[1.0 - p, p], [q, 1.0 - q]]), [2.0, 0.0]))
+
+
+def _grid_cdf_bounds(process, t, x):
+    """(lower, upper) Chernoff values from the 200-point grid search."""
+    terms = _tilt_terms(process)
+    kappa = _cgf_of(process)
+
+    def exponent(sign):
+        def fn(th):
+            k, pf = terms(-sign * th)
+            return math.inf if not np.isfinite(k) else t * k + sign * th * x + math.log(pf)
+        return fn
+
+    _, e_up = grid_exponent_min(exponent(+1), theta_grid(lambda th: kappa(-th)))
+    _, e_lo = grid_exponent_min(exponent(-1), theta_grid(kappa))
+    return (min(1.0, max(0.0, -math.expm1(min(e_lo, 709.0)))),
+            min(1.0, math.exp(min(e_up, 709.0))))
+
+
+def _chernoff_cases():
+    two_point = DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+    rayleigh = capacity_marginal(ChannelSpec(1.0, 1.0), Rayleigh())
+    laws = ((DiscreteDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5])),
+             DiscreteDistribution.point_mass(0.5)),
+            (DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.3, 0.7])),
+             DiscreteDistribution.point_mass(1.0)))
+    full = MarkovAdditive(MarkovKernel(("a", "b"), np.array([[0.7, 0.3], [0.4, 0.6]]),
+                                       laws))
+    # shipped and benchmark (t, x): default/two_point t = 8, x in [2, 14];
+    # rayleigh t = 8, x in [2, 10]; Gilbert-Elliott t = 10, x in [6, 18]
+    cases = [("two_point", Additive(two_point), 8, x) for x in (2, 4, 8, 12, 14)]
+    cases += [("rayleigh", Additive(rayleigh), 8, x) for x in (2, 6, 10)]
+    cases += [("gilbert_elliott", _ge(0.1, 0.2), 10, x) for x in (6, 8, 13, 18)]
+    cases += [("ge_slow_1e-3", _ge(1e-3, 2e-3), 2000, x) for x in (533, 1600, 3733)]
+    cases += [("full_kernel", full, 10, x) for x in (8, 12, 16)]
+    cases.append(("full_kernel", full, 4, 5))
+    return [pytest.param(p, t, x, id=f"{name}-t{t}-x{x}") for name, p, t, x in cases]
+
+
+@pytest.mark.parametrize("process, t, x", _chernoff_cases())
+def test_chernoff_search_never_worse_than_grid(process, t, x):
+    bound_fn = (markov_cdf_bounds if isinstance(process, MarkovAdditive)
+                else additive_cdf_bounds)
+    lo, up = bound_fn(process, t, float(x))
+    grid_lo, grid_up = _grid_cdf_bounds(process, t, float(x))
+    # 1e-12 relative, plus the rounding of the exponent t kappa (kappa, the
+    # log of an eigenvalue or of a sum, carries a few eps absolute): at
+    # t = 2000 the slow chain's exponent scatters by ~5e-13 between
+    # neighbouring thetas, so the grid can land on a lower rounding error
+    noise = 4.0 * t * np.finfo(float).eps
+    assert up.value <= grid_up * (1.0 + 1e-12) * math.exp(noise)
+    assert lo.value >= grid_lo * (1.0 - 1e-12) - (1.0 - grid_lo) * noise
+    for rep in (lo, up):
+        assert rep.diagnostics is not None and rep.diagnostics.evaluations < 80
+
+
+@pytest.mark.parametrize("process", [
+    pytest.param(Additive(DiscreteDistribution(np.array([0.0, 2.0]),
+                                               np.array([0.5, 0.5]))), id="two_point"),
+    pytest.param(Additive(capacity_marginal(ChannelSpec(1.0, 1.0), Rayleigh())),
+                 id="rayleigh"),
+    pytest.param(_ge(0.1, 0.2), id="gilbert_elliott"),
+])
+@pytest.mark.parametrize("t", [10, 50])
+def test_transient_search_never_worse_than_grid(process, t):
+    kappa = _cgf_of(process)
+    for y_l, y_u in ((1.0, 1.0), (3.0, 5.0)):
+        tb = transient_bounds(process, t, y_l, y_u)
+
+        def c_star(sign, y):
+            def fn(th):
+                k = kappa(sign * th)
+                return math.inf if not np.isfinite(k) else (t * k + y) / (th * t)
+            return fn
+
+        _, neg_c_up = grid_exponent_min(c_star(-1, y_u),
+                                        theta_grid(lambda th: kappa(-th)))
+        _, c_lo = grid_exponent_min(c_star(+1, y_l), theta_grid(kappa))
+        assert tb.c_upper >= -neg_c_up - 1e-12 * abs(neg_c_up)
+        assert tb.c_lower <= c_lo + 1e-12 * abs(c_lo)
+
+
+@pytest.mark.parametrize("t", [2, 3, 8])
+def test_frechet_never_looser_than_continuous_polish(rayleigh_marginal, t):
+    two_point = DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+    three_atom = DiscreteDistribution(np.array([0.0, 1.0, 3.0]),
+                                      np.array([0.2, 0.5, 0.3]))
+    for law in (two_point, three_atom, rayleigh_marginal):
+        for x in (0.5, 1.0, 2.5, 4.0, 7.0):
+            lo, up = frechet_bounds([law] * t, x)
+            ref_lo, ref_up = frechet_polish_reference([law] * t, x)
+            assert lo >= ref_lo and up <= ref_up
+    # mixed lattice and continuous marginals take the scalar search
+    mixed = [two_point, rayleigh_marginal, three_atom][: max(t, 2)]
+    lo, up = frechet_bounds(mixed, 2.0)
+    ref_lo, ref_up = frechet_polish_reference(mixed, 2.0)
+    assert lo >= ref_lo and up <= ref_up
