@@ -25,10 +25,6 @@ from .errors import UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, MarkovAdditive, _start_index,
                         marginal_of)
 
-# the end-to-end theta search runs below this cap when every hop's
-# capacity stays above the drain (the bound then decays in theta forever)
-_THETA_CAP = 2.0 ** 40
-
 __all__ = [
     "HopChain", "BivariateTrace", "minplus_convolve", "single_hop_leftover",
     "feedback_delay_additive", "feedback_delay_markov", "e2e_delay_bound",
@@ -243,13 +239,15 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
         # converges when some hop's mean capacity does not exceed the drain
         if min(m.mean() for m in marginals) > drain:
             theta_max, info = solve.positive_root(
-                lambda th: float(np.max(log_w(th))), cap=_THETA_CAP)
+                lambda th: float(np.max(log_w(th))))
         else:
             theta_max = None
         if theta_max is None:
             return BoundReport("delay_upper", 1.0, None, 1.0, math.inf,
                                "bound diverges at every theta", info)
-        theta_max = min(theta_max, _THETA_CAP)
+        # every hop's capacity above the drain: the bound decays in theta
+        # forever, and the search runs below the root cap
+        theta_max = min(theta_max, solve.ROOT_CAP)
         theta, _, info = solve.minimize(log_bound, 0.0, theta_max,
                                         1e-12 * theta_max)
     elif theta <= 0:

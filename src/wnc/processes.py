@@ -524,22 +524,6 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
 # Chernoff machinery
 
 
-# any theta gives a valid Chernoff bound; the search runs on this range
-_THETA_FLOOR = 1e-4
-_THETA_CAP = 65536.0
-
-
-def _minimize_exponent(exponent_fn):
-    """(theta, value, SolveInfo): minimum of a Chernoff exponent over theta.
-
-    The exponents t kappa(-+theta) +- theta x are convex; a Markov
-    prefactor log(h(J0)/min h) need not be, nor need the transient
-    thresholds, but any theta the search returns still gives a valid
-    bound.
-    """
-    return solve.minimize_convex(exponent_fn, _THETA_FLOOR, _THETA_CAP)
-
-
 def _cgf_of(process):
     if isinstance(process, Additive):
         return process.marginal.cgf
@@ -612,8 +596,8 @@ def _chernoff_cdf_bounds(process, t, x, initial_state=None):
             return math.inf
         return t * k - th * x + math.log(pf)
 
-    th_up, e_up, info_up = _minimize_exponent(upper_exponent)
-    th_lo, e_lo, info_lo = _minimize_exponent(lower_exponent)
+    th_up, e_up, info_up = solve.minimize_convex(upper_exponent)
+    th_lo, e_lo, info_lo = solve.minimize_convex(lower_exponent)
 
     upper = BoundReport("cdf_upper", min(1.0, math.exp(min(e_up, _EXP_OVERFLOW))),
                         theta_star=th_up, prefactor=terms(-th_up)[1],
@@ -636,7 +620,7 @@ def chernoff_tail_upper(process, t: int, x: float,
             return math.inf
         return t * k - th * x + math.log(pf)
 
-    th, e, info = _minimize_exponent(exponent)
+    th, e, info = solve.minimize_convex(exponent)
     return BoundReport("tail_upper", min(1.0, math.exp(min(e, _EXP_OVERFLOW))),
                        theta_star=th, prefactor=terms(th)[1], horizon=float(t),
                        diagnostics=info)
@@ -681,7 +665,7 @@ def transient_bounds(process, t: int, y_l: float, y_u: float) -> TransientBounds
             return math.inf
         return (t * k + y_u) / (th * t)
 
-    th_u, neg_c, _ = _minimize_exponent(obj_upper)
+    th_u, neg_c, _ = solve.minimize_convex(obj_upper)
     c_up = -neg_c
 
     def obj_lower(th):
@@ -690,7 +674,7 @@ def transient_bounds(process, t: int, y_l: float, y_u: float) -> TransientBounds
             return math.inf
         return (t * k + y_l) / (th * t)
 
-    th_l, c_lo, _ = _minimize_exponent(obj_lower)
+    th_l, c_lo, _ = solve.minimize_convex(obj_lower)
 
     terms = _tilt_terms(process)
     pf_u = terms(-th_u)[1]

@@ -13,8 +13,9 @@ two searches they share, each returning its point with a ``SolveInfo``:
 
 and two drivers for the convex problems of the tilt:
 
-    positive_root      positive root of a convex g with g(0) = 0
-    minimize_convex    minimum of a convex function on [floor, cap],
+    positive_root      positive root of a convex g with g(0) = 0,
+                       searched up to theta = ROOT_CAP
+    minimize_convex    minimum of a convex function on [1e-4, 65536],
                        bracketed by doubling or halving first
 
 The iterates of ``root`` and ``minimize`` follow the textbook algorithms
@@ -30,7 +31,11 @@ from typing import Callable
 
 from .errors import NumericFailure
 
-__all__ = ["SolveInfo", "root", "minimize", "positive_root", "minimize_convex"]
+__all__ = ["SolveInfo", "ROOT_CAP", "root", "minimize", "positive_root",
+           "minimize_convex"]
+
+# positive_root reports math.inf when g < 0 at every theta up to this cap
+ROOT_CAP = 2.0 ** 40
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -40,6 +45,7 @@ _ROOT_MAXITER = 300
 _MIN_MAXITER = 500
 _POSITIVE_XATOL = 2.0 ** -60  # resolution of the search for g < 0 near 0
 _CONVEX_XRTOL = 1e-12
+_CONVEX_FLOOR, _CONVEX_CAP = 1e-4, 65536.0  # the range of minimize_convex
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def minimize(f: Callable[[float], float], lo: float, hi: float,
     return x, fx, SolveInfo((float(lo), float(hi)), fc.calls, b - a, at_edge)
 
 
-def positive_root(g: Callable[[float], float], cap: float = 2.0 ** 40):
+def positive_root(g: Callable[[float], float]):
     """Positive root of a convex g with g(0) = 0: (root, SolveInfo).
 
     g < 0 exactly on (0, root).  The upper bracket is the first of
@@ -216,7 +222,7 @@ def positive_root(g: Callable[[float], float], cap: float = 2.0 ** 40):
     -2^-50, which is above the rounding noise of a cgf near theta = 0.
     root is None when no such point exists (g'(0) >= 0, or a margin too
     small to resolve), and math.inf when g < 0 at every theta up to
-    ``cap``.
+    ROOT_CAP.
     """
     gc = _Counted(g)
     lo, hi = None, 1.0
@@ -224,7 +230,7 @@ def positive_root(g: Callable[[float], float], cap: float = 2.0 ** 40):
         ghi = gc(hi)
         if not ghi < 0.0:
             break
-        if hi >= cap:
+        if hi >= ROOT_CAP:
             return math.inf, SolveInfo((hi, hi), gc.calls, ghi, True)
         lo, hi = hi, 2.0 * hi
     if ghi == 0.0:
@@ -238,18 +244,21 @@ def positive_root(g: Callable[[float], float], cap: float = 2.0 ** 40):
     return x, SolveInfo((lo, hi), gc.calls, info.residual, info.at_edge)
 
 
-def minimize_convex(f: Callable[[float], float], floor: float, cap: float):
-    """Minimum of a convex f on [floor, cap]: (x, f(x), SolveInfo).
+def minimize_convex(f: Callable[[float], float]):
+    """Minimum of a convex f on [1e-4, 65536]: (x, f(x), SolveInfo).
 
     f may be +inf past the end of its domain.  From theta = 1 (halved until
     f is finite) the search doubles while f falls, else halves while f
-    falls, so by convexity [x/2, 2x], clipped to [floor, cap], brackets
-    the minimiser.  When the best point so far is floor or cap, one probe
-    a relative sqrt(eps) inside confirms it; otherwise Brent's minimiser
-    runs on the bracket to 1e-12 relative to its upper end.  The best
-    point evaluated is returned, so any function, convex or not, gets a
-    value no worse than at the points the bracketing visited.
+    falls, so by convexity [x/2, 2x], clipped to the range, brackets the
+    minimiser.  When the best point so far is an end of the range, one
+    probe a relative sqrt(eps) inside confirms it; otherwise Brent's
+    minimiser runs on the bracket to 1e-12 relative to its upper end.  The
+    best point evaluated is returned, so any function, convex or not, gets
+    a value no worse than at the points the bracketing visited: for the
+    Chernoff exponents, whose Markov prefactor and transient thresholds
+    need not be convex, every theta still gives a valid bound.
     """
+    floor, cap = _CONVEX_FLOOR, _CONVEX_CAP
     seen = {}
 
     def fm(x):

@@ -72,26 +72,27 @@ def test_positive_root_cases():
     # g'(0) >= 0: no negative value, no root
     assert solve.positive_root(two_point(1.2))[0] is None
     # negative up to the cap
-    theta, info = solve.positive_root(lambda th: -th, cap=2.0 ** 10)
+    theta, info = solve.positive_root(lambda th: -th)
     assert theta == math.inf and info.at_edge
+    assert info.bracket == (solve.ROOT_CAP, solve.ROOT_CAP)
 
 
 def test_minimize_convex_brackets_interior_and_edge_optima():
-    x, fx, info = solve.minimize_convex(lambda t: (t - 300.0) ** 2, 1e-4, 65536.0)
+    x, fx, info = solve.minimize_convex(lambda t: (t - 300.0) ** 2)
     assert x == pytest.approx(300.0, rel=1e-7) and not info.at_edge
     assert info.bracket == (128.0, 512.0)
     # increasing: the floor itself, confirmed by one inner probe
-    x, fx, info = solve.minimize_convex(lambda t: t, 1e-4, 65536.0)
+    x, fx, info = solve.minimize_convex(lambda t: t)
     assert (x, fx) == (1e-4, 1e-4) and info.at_edge
     # decreasing: the cap
-    x, fx, info = solve.minimize_convex(lambda t: -t, 1e-4, 65536.0)
+    x, fx, info = solve.minimize_convex(lambda t: -t)
     assert x == 65536.0 and info.at_edge
     # +inf past the domain end, seed outside it
     f = (lambda t: (t - 0.01) ** 2 if t < 0.05 else math.inf)
-    x, _, _ = solve.minimize_convex(f, 1e-4, 65536.0)
+    x, _, _ = solve.minimize_convex(f)
     assert x == pytest.approx(0.01, rel=1e-6)
     with pytest.raises(NumericFailure):
-        solve.minimize_convex(lambda t: math.inf, 1e-4, 65536.0)
+        solve.minimize_convex(lambda t: math.inf)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
