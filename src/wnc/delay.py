@@ -42,7 +42,7 @@ __all__ = [
     "ArrivalSpec", "LundbergSolution", "RuinBounds",
     "stability_margin", "lundberg_root", "delay_tail_additive",
     "delay_tail_markov", "delay_tail_markov_detail", "delay_tail_comonotonic",
-    "backlog_tail", "delay_constrained_capacity", "chebyshev_transient",
+    "backlog_tail", "delay_constrained_capacity",
     "cramer_prefactors", "additive_ruin", "markov_ruin",
 ]
 
@@ -506,40 +506,3 @@ def delay_constrained_capacity(process, d: float, epsilon: float
         one_shot = (-math.log(epsilon / cm) / (theta * d) if cm > 0 else 0.0,
                     -math.log(epsilon / cp) / (theta * d))
     return DelayConstrainedCapacity(conservative, optimistic, one_shot, True)
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev concentration for the transient capacity
-
-
-@dataclass(frozen=True)
-class ChebyshevReport:
-    bound: float
-    variance: float
-    variance_ci99: tuple
-    method: str
-
-
-def chebyshev_transient(process, t: int, x: float, runs: int = 100_000,
-                        seed: int = 0) -> ChebyshevReport:
-    """P(|avg(t) - mean| >= x) <= Var[avg(t)] / x^2.
-
-    Additive channels use Var[C]/t analytically; comonotonic and Markov
-    channels estimate Var[avg(t)] from simulated traces and attach the
-    estimate's own 99% confidence interval.
-    """
-    if x <= 0:
-        raise ValidationError("x must be positive")
-    if t < 1:
-        raise ValidationError("t must be >= 1")
-    if isinstance(process, Additive):
-        v = marginal_of(process).var() / t
-        return ChebyshevReport(min(1.0, v / x ** 2), v, (v, v), "analytic")
-    from .simulate import transient_mean_samples
-    means = transient_mean_samples(process, t, runs, seed)
-    v = float(np.var(means, ddof=1))
-    centered = means - means.mean()
-    m4 = float(np.mean(centered ** 4))
-    se = math.sqrt(max(m4 - v * v, 0.0) / means.size)
-    ci = (max(v - 2.576 * se, 0.0), v + 2.576 * se)
-    return ChebyshevReport(min(1.0, v / x ** 2), v, ci, "simulated")

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: input problems exit 1, numeric
 failures exit 2, instability/divergence verdicts exit 3 under --strict.
 """
 
+__all__ = ["WncError", "ValidationError", "NumericFailure", "HeavyTailError",
+           "UnstableSystemError"]
+
 
 class WncError(Exception):
     """Base class for all toolkit errors."""

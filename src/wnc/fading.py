@@ -29,7 +29,6 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import solve
 from .distributions import _EXP_OVERFLOW, DEFAULT_GRID_N, DiscreteDistribution
 from .errors import HeavyTailError, NumericFailure, ValidationError
 
@@ -43,8 +42,7 @@ __all__ = [
     "ChannelSpec", "Rayleigh", "Rice", "Nakagami", "Weibull", "Lognormal",
     "FrequencySelective", "FadingMarginal", "TailCertificate",
     "capacity_marginal", "capacity_cdf", "capacity_tail", "capacity_quantile",
-    "cgf", "certify_light_tail",
-    "tail_minplus_convolution", "rayleigh_capacity_cdf",
+    "cgf", "certify_light_tail", "rayleigh_capacity_cdf",
 ]
 
 
@@ -588,40 +586,3 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
         else:
             hi = mid
     return make(lo, log_cap)
-
-
-def tail_minplus_convolution(tails, x: float, splits: int = 512) -> float:
-    """Min-plus convolution of tail functions, capped at 1.
-
-    (f (x) g)(x) = inf over y in [0, x] of f(y) + g(x - y), evaluated
-    left-to-right over the list.  The infimum is located on a uniform
-    split grid and polished with a bounded scalar minimisation, so the
-    result is a valid upper bound for the tail of the underlying sum.
-    """
-    if len(tails) == 0:
-        raise ValidationError("need at least one tail function")
-    if x < 0:
-        raise ValidationError("x must be nonnegative")
-
-    def pairwise(f, g, z):
-        if z == 0.0:
-            return min(1.0, f(0.0) + g(0.0))
-        ys = np.linspace(0.0, z, splits)
-        vals = np.array([f(y) + g(z - y) for y in ys])
-        j = int(np.argmin(vals))
-        lo = ys[max(j - 1, 0)]
-        hi = ys[min(j + 1, splits - 1)]
-        _, val, _ = solve.minimize(lambda y: f(y) + g(z - y), lo, hi, 1e-12)
-        return min(float(vals[j]), val)
-
-    funcs = list(tails)
-    if len(funcs) == 1:
-        return min(1.0, float(funcs[0](x)))
-    acc = funcs[0]
-    for g in funcs[1:-1]:
-        prev = acc
-
-        def acc(y, prev=prev, g=g):
-            return pairwise(prev, g, y)
-
-    return min(1.0, pairwise(acc, funcs[-1], x))

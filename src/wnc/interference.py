@@ -26,8 +26,8 @@ from .processes import (Additive, BoundReport, MarkovAdditive, _start_index,
                         marginal_of)
 
 __all__ = [
-    "HopChain", "BivariateTrace", "minplus_convolve", "single_hop_leftover",
-    "feedback_delay_additive", "feedback_delay_markov", "e2e_delay_bound",
+    "HopChain", "feedback_delay_additive", "feedback_delay_markov",
+    "e2e_delay_bound",
 ]
 
 
@@ -54,79 +54,6 @@ class HopChain:
     def multiplier(self) -> int:
         """Worst-case interference charge 2K - 1 (K output, K-1 input)."""
         return 2 * self.effective_k - 1
-
-
-class BivariateTrace:
-    """Cumulative amounts over windows: values[s, t] for 0 <= s <= t <= H.
-
-    The diagonal is identically zero.  Entries below the diagonal are
-    unused and held at +inf so that min-plus reductions ignore them.
-    """
-
-    def __init__(self, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError("values must be a square matrix")
-        if not np.allclose(np.diag(v), 0.0, atol=1e-12):
-            raise ValidationError("diagonal values(t, t) must be 0")
-        self.horizon = v.shape[0] - 1
-        m = v.copy()
-        m[np.tril_indices_from(m, k=-1)] = math.inf
-        m.flags.writeable = False
-        self.values = m
-
-    def __getitem__(self, st):
-        s, t = st
-        return self.values[s, t]
-
-    @staticmethod
-    def from_increments(increments) -> "BivariateTrace":
-        """Additive trace V[s, t] = sum of increments s+1 .. t."""
-        inc = np.asarray(increments, dtype=float)
-        cs = np.concatenate(([0.0], np.cumsum(inc)))
-        return BivariateTrace(cs[None, :] - cs[:, None])
-
-    @staticmethod
-    def constant_rate(rate: float, horizon: int) -> "BivariateTrace":
-        return BivariateTrace.from_increments(np.full(horizon, rate))
-
-
-def minplus_convolve(f: BivariateTrace, g: BivariateTrace) -> BivariateTrace:
-    """(f (x) g)(s, t) = min over u in [s, t] of f(s, u) + g(u, t).
-
-    Exact dynamic evaluation on the integer grid; monotone in both
-    arguments, and f (x) g <= g whenever f(t, t) = 0 with f >= 0.
-    """
-    if f.horizon != g.horizon:
-        raise ValidationError("traces must share a horizon")
-    n = f.horizon + 1
-    out = np.empty((n, n))
-    for s in range(n):
-        # rows u >= s of g plus the f(s, u) column vector
-        cand = f.values[s, s:, None] + g.values[s:, :]
-        out[s, :] = np.min(cand, axis=0)
-    out[np.tril_indices(n, k=-1)] = 0.0
-    np.fill_diagonal(out, 0.0)
-    return BivariateTrace(out)
-
-
-def single_hop_leftover(service: BivariateTrace, arrivals) -> BivariateTrace:
-    """Leftover service (S(s,t) - (A(t) - A(s)))^+ under blind scheduling.
-
-    ``arrivals`` is the cumulative arrival path A(0..H), nondecreasing with
-    A(0) = 0.  Clipping at zero only raises the lower bound where it was
-    vacuous (service cannot be negative).
-    """
-    a = np.asarray(arrivals, dtype=float)
-    if a.ndim != 1 or a.size != service.horizon + 1:
-        raise ValidationError("arrival path length must match the horizon")
-    if a[0] != 0.0 or np.any(np.diff(a) < -1e-12):
-        raise ValidationError("arrivals must be nondecreasing with A(0) = 0")
-    window = a[None, :] - a[:, None]
-    vals = service.values - window
-    finite = np.isfinite(service.values)
-    out = np.where(finite, np.maximum(vals, 0.0), 0.0)
-    return BivariateTrace(np.triu(out))
 
 
 # ---------------------------------------------------------------------------

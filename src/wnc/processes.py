@@ -33,7 +33,7 @@ __all__ = [
     "Comonotonic", "Additive", "MarkovAdditive", "AntitheticPairing",
     "CapacityProcess", "MarkovKernel", "SpectralData", "BoundReport",
     "comonotonic_cdf", "frechet_bounds", "additive_cdf_bounds",
-    "markov_cdf_bounds", "transient_bounds", "mgf_matrix", "perron_frobenius",
+    "markov_cdf_bounds", "mgf_matrix", "perron_frobenius",
     "kernel_cgf", "marginal_of", "process_mean_rate",
 ]
 
@@ -46,10 +46,10 @@ __all__ = [
 class BoundReport:
     """A computed bound value with its provenance.
 
-    kind is one of cdf_lower / cdf_upper / tail_upper / delay_upper /
-    delay_lower; value is always clipped to [0, 1].  diagnostics holds the
-    SolveInfo of the search that found theta_star (None where no search
-    ran); equality ignores it.
+    kind is one of cdf_lower / cdf_upper / delay_upper / delay_lower;
+    value is always clipped to [0, 1].  diagnostics holds the SolveInfo of
+    the search that found theta_star (None where no search ran); equality
+    ignores it.
     """
 
     kind: str
@@ -61,8 +61,8 @@ class BoundReport:
     diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("cdf_lower", "cdf_upper", "tail_upper",
-                             "delay_upper", "delay_lower"):
+        if self.kind not in ("cdf_lower", "cdf_upper", "delay_upper",
+                             "delay_lower"):
             raise ValidationError(f"unknown bound kind {self.kind!r}")
         if not (0.0 <= self.value <= 1.0):
             raise ValidationError(f"bound value must be in [0,1], got {self.value!r}")
@@ -156,13 +156,6 @@ class MarkovKernel:
         pi = self.stationary
         means = np.array([[law.mean() for law in row] for row in self.increments])
         return float(pi @ (self.transition * means).sum(axis=1))
-
-    def shifted(self, delta: float) -> "MarkovKernel":
-        """Kernel with every increment shifted by delta (law of Y + delta)."""
-        rows = tuple(tuple(law.affine(shift=delta) for law in row)
-                     for row in self.increments)
-        return MarkovKernel(self.states, self.transition, rows,
-                            by_destination=self.by_destination)
 
 
 class _OutsideDomain(NumericFailure):
@@ -440,19 +433,23 @@ def _grid_allocation(fvals, grid, sign):
 
 def frechet_bounds(marginals, x: float, budget_cells: int = 256,
                    polish_passes: int = 2):
-    """Universal envelope on F_{sum}(x) from the marginals alone.
+    """Frechet envelope on F_{sum}(x) from the marginals alone.
 
     lower = [ sup_{sum u_i = x} sum_i F_i(u_i) - (t-1) ]^+
     upper = [ inf_{sum u_i = x} sum_i F_i(u_i) ]_1
 
+    This is the library's one bound for arbitrary dependence between the
+    slots.  In tail form, 1 - lower = min(1, inf_{sum u_i = x} sum_i
+    P(C_i > u_i)), the min-plus convolution of the marginal tails, bounds
+    P(S > x) under every copula.
+
     The allocation search runs exact dynamic programming on a shared budget
     grid (u_i >= 0, sum exactly x) followed by pairwise polish passes,
     exact for two lattice marginals and a bounded scalar search otherwise.
-    Every candidate evaluated is feasible, so the grid optimum
-    under-estimates the sup and over-estimates the inf: both directions are
-    safe (the returned interval always contains the true Frechet interval's
-    intersection with [0,1]... the returned lower never exceeds the true
-    lower bound and the returned upper never falls below the true upper).
+    Every candidate evaluated is feasible, so the search under-estimates
+    the sup and over-estimates the inf: the returned lower never exceeds
+    the exact lower bound and the returned upper never falls below the
+    exact upper bound.
     """
     ms = list(marginals)
     t = len(ms)
@@ -607,80 +604,3 @@ def _chernoff_cdf_bounds(process, t, x, initial_state=None):
                         prefactor=terms(th_lo)[1], horizon=float(t),
                         diagnostics=info_lo)
     return lower, upper
-
-
-def chernoff_tail_upper(process, t: int, x: float,
-                        initial_state=None) -> BoundReport:
-    """Upper bound on P(S(t) >= x): min over th>0 of pf e^{t k(th) - th x}."""
-    terms = _tilt_terms(process, initial_state)
-
-    def exponent(th):
-        k, pf = terms(th)
-        if not np.isfinite(k):
-            return math.inf
-        return t * k - th * x + math.log(pf)
-
-    th, e, info = solve.minimize_convex(exponent)
-    return BoundReport("tail_upper", min(1.0, math.exp(min(e, _EXP_OVERFLOW))),
-                       theta_star=th, prefactor=terms(th)[1], horizon=float(t),
-                       diagnostics=info)
-
-
-# ---------------------------------------------------------------------------
-# transient capacity
-
-
-@dataclass(frozen=True)
-class TransientBounds:
-    """Certified thresholds for the time-average capacity S(t)/t.
-
-    P(avg <= c_upper) <= prob_upper  and  P(avg <= c_lower) >= prob_lower.
-    """
-
-    c_lower: float
-    c_upper: float
-    prob_lower: float
-    prob_upper: float
-    theta_lower: float
-    theta_upper: float
-
-
-def transient_bounds(process, t: int, y_l: float, y_u: float) -> TransientBounds:
-    """Chernoff thresholds c* = (t kappa(theta) + y*) / (theta t).
-
-    The upper side scans theta < 0 (maximising c*), the lower side theta > 0
-    (minimising c*).  For Markov-additive processes the probability bounds
-    carry the prefactor h(J0)/min_j h(J_j) evaluated at the optimising tilt.
-    """
-    if t < 1:
-        raise ValidationError("t must be >= 1")
-    if y_l <= 0 or y_u <= 0:
-        raise ValidationError("exceedance exponents must be positive")
-    kappa = _cgf_of(process)
-
-    # upper threshold: maximise c*(-th) over th > 0, i.e. minimise -c*
-    def obj_upper(th):
-        k = kappa(-th)
-        if not np.isfinite(k):
-            return math.inf
-        return (t * k + y_u) / (th * t)
-
-    th_u, neg_c, _ = solve.minimize_convex(obj_upper)
-    c_up = -neg_c
-
-    def obj_lower(th):
-        k = kappa(th)
-        if not np.isfinite(k):
-            return math.inf
-        return (t * k + y_l) / (th * t)
-
-    th_l, c_lo, _ = solve.minimize_convex(obj_lower)
-
-    terms = _tilt_terms(process)
-    pf_u = terms(-th_u)[1]
-    pf_l = terms(th_l)[1]
-    return TransientBounds(
-        c_lower=c_lo, c_upper=c_up,
-        prob_lower=max(0.0, 1.0 - pf_l * math.exp(-y_l)),
-        prob_upper=min(1.0, pf_u * math.exp(-y_u)),
-        theta_lower=th_l, theta_upper=-th_u)

@@ -16,7 +16,6 @@ estimates within one standard error).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -32,9 +31,8 @@ _BATCH = 1 << 18
 
 __all__ = [
     "SimConfig", "TailEstimate", "substream", "sample_capacity_trace",
-    "lindley_queue", "empirical_delay_tail", "empirical_delay_tails",
-    "feedback_queue", "tandem_queue", "cumulative_capacity_samples",
-    "transient_mean_samples", "dump_traces",
+    "lindley_queue", "empirical_delay_tails", "feedback_queue",
+    "tandem_queue", "cumulative_capacity_samples",
 ]
 
 
@@ -266,13 +264,6 @@ def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
     return [TailEstimate.from_count(int(c), config.runs) for c in counts]
 
 
-def empirical_delay_tail(process, arrival, d: float, config: SimConfig,
-                         initial_state=None, strict: bool = False) -> TailEstimate:
-    """Stationary delay tail estimate at a single target d."""
-    return empirical_delay_tails(process, arrival, [d], config,
-                                 initial_state, strict)[0]
-
-
 # ---------------------------------------------------------------------------
 # cumulative-capacity sampling
 
@@ -294,11 +285,6 @@ def cumulative_capacity_samples(process, t: int, runs: int, seed: int,
         start = batch * _BATCH
         out[start:start + size] = s
     return out
-
-
-def transient_mean_samples(process, t: int, runs: int, seed: int) -> np.ndarray:
-    """Samples of the time average S(t) / t."""
-    return cumulative_capacity_samples(process, t, runs, seed) / t
 
 
 # ---------------------------------------------------------------------------
@@ -388,32 +374,3 @@ def tandem_queue(chain, arrival, config: SimConfig, d_values):
             total_out += flow_in
         counts += (levels[:, None] > total_out[None, :] + 1e-9).sum(axis=1)
     return [TailEstimate.from_count(int(c), config.runs) for c in counts]
-
-
-# ---------------------------------------------------------------------------
-# trace inspection
-
-
-def dump_traces(process, arrival, config: SimConfig, path, max_runs: int = 16):
-    """Columnar dump (run, slot, state, capacity, backlog) for inspection."""
-    runs = min(config.runs, max_runs)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "slot", "state", "capacity", "backlog"])
-        for r in range(runs):
-            rng = substream(config.seed, 5, r)
-            if isinstance(process, MarkovAdditive):
-                sampler = _MarkovSampler(process, rng, 1)
-                states, caps = [], []
-                for _ in range(config.horizon):
-                    c = sampler.step()
-                    states.append(process.kernel.states[int(sampler.states[0])])
-                    caps.append(float(c[0]))
-                trace = np.array(caps)
-            else:
-                trace = sample_capacity_trace(process, config.horizon, rng)
-                states = ["-"] * config.horizon
-            backlog, _ = lindley_queue(arrival.lam, trace)
-            for t in range(config.horizon):
-                writer.writerow([r, t + 1, states[t],
-                                 f"{trace[t]:.17g}", f"{backlog[t + 1]:.17g}"])

@@ -255,8 +255,8 @@ def minimize_convex(f: Callable[[float], float]):
     minimiser runs on the bracket to 1e-12 relative to its upper end.  The
     best point evaluated is returned, so any function, convex or not, gets
     a value no worse than at the points the bracketing visited: for the
-    Chernoff exponents, whose Markov prefactor and transient thresholds
-    need not be convex, every theta still gives a valid bound.
+    Chernoff exponents, whose Markov prefactor need not be convex, every
+    theta still gives a valid bound.
     """
     floor, cap = _CONVEX_FLOOR, _CONVEX_CAP
     seen = {}

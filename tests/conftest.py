@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,20 @@ def unit_spec():
 @pytest.fixture(scope="session")
 def rayleigh_marginal(unit_spec):
     return capacity_marginal(unit_spec, Rayleigh())
+
+
+def exponential_tail_law(a, b):
+    """Marginal with tail P(C > x) = min(1, a e^{-b x}) for x >= 0.
+
+    The shape of a light-tail certificate.  Only ``cdf`` is defined, which
+    is all ``frechet_bounds`` reads, so 1 - lower states the min-plus
+    convolution of such tails.
+    """
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        tail = np.minimum(1.0, a * np.exp(-b * np.maximum(x, 0.0)))
+        return np.where(x < 0.0, 0.0, 1.0 - tail)
+    return SimpleNamespace(cdf=cdf)
 
 
 def lundberg_theta_oracle(support, mass, lam, tol=1e-13):

@@ -6,10 +6,9 @@ import pytest
 from wnc import (Additive, ArrivalSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
                  UnstableSystemError, ValidationError, backlog_tail,
-                 capacity_marginal, chebyshev_transient,
-                 delay_constrained_capacity, delay_tail_additive,
-                 delay_tail_comonotonic, delay_tail_markov, lundberg_root,
-                 stability_margin)
+                 capacity_marginal, delay_constrained_capacity,
+                 delay_tail_additive, delay_tail_comonotonic,
+                 delay_tail_markov, lundberg_root, stability_margin)
 from wnc.delay import cramer_prefactors, delay_tail_markov_detail
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import process_mean_rate
@@ -274,22 +273,6 @@ def test_dcc_validation():
     with pytest.raises(ValidationError):
         delay_constrained_capacity(Additive(DiscreteDistribution.point_mass(1.0)),
                                    0.0, 0.5)
-
-
-def test_chebyshev_transient_forms(two_point):
-    pm = Additive(DiscreteDistribution.point_mass(2.0))
-    assert chebyshev_transient(pm, 10, 0.5).bound == 0.0
-    proc = Additive(two_point)
-    b1 = chebyshev_transient(proc, 10, 0.5)
-    b2 = chebyshev_transient(proc, 20, 0.5)
-    assert b1.bound == pytest.approx(2 * b2.bound, abs=1e-12)
-    assert b1.bound == pytest.approx(two_point.var() / 10 / 0.25, abs=1e-12)
-    como = chebyshev_transient(Comonotonic(two_point), 17, 0.5, runs=100_000)
-    # comonotonic averages do not concentrate: Var[avg] = Var[C] for all t
-    assert como.variance == pytest.approx(two_point.var(), rel=0.05)
-    assert como.variance_ci99[0] <= two_point.var() <= como.variance_ci99[1]
-    with pytest.raises(ValidationError):
-        chebyshev_transient(proc, 10, 0.0)
 
 
 @pytest.mark.parametrize("p_gb,p_bg", [(1e-3, 2e-3), (1e-4, 2e-4)])

@@ -7,12 +7,12 @@ from scipy import stats
 from wnc import (ChannelSpec, FrequencySelective, HeavyTailError, Lognormal,
                  Nakagami, Rayleigh, Rice, ValidationError, Weibull,
                  capacity_cdf, capacity_marginal, capacity_quantile,
-                 capacity_tail, certify_light_tail, cgf,
-                 tail_minplus_convolution)
+                 capacity_tail, certify_light_tail, cgf, frechet_bounds)
 from wnc.distributions import DiscreteDistribution
 from wnc.fading import rayleigh_capacity_cdf
 
-from conftest import fading_cgf_reference, fading_moment_reference
+from conftest import (exponential_tail_law, fading_cgf_reference,
+                      fading_moment_reference)
 
 SPEC = ChannelSpec(1.0, 1.0)
 
@@ -223,16 +223,28 @@ def test_certificate_heavy_tail_detected():
         certify_light_tail(None, flat, 0.1, 900.0, 64)
 
 
+def minplus_tail(laws, x):
+    """inf over sum u_i = x of sum P(C_i > u_i), capped at 1: the tail
+    form of the Frechet lower bound."""
+    return 1.0 - frechet_bounds(laws, x)[0]
+
+
 def test_minplus_tail_identity_and_range():
-    f = lambda x: min(1.0, 1.2 * math.exp(-0.8 * x))
-    assert tail_minplus_convolution([f], 2.0) == f(2.0)
+    f = exponential_tail_law(1.2, 0.8)
+    assert frechet_bounds([f], 2.0) == (float(f.cdf(2.0)), float(f.cdf(2.0)))
     xs = np.linspace(0.0, 6.0, 13)
-    g = lambda x: math.exp(-1.5 * x)
-    vals = [tail_minplus_convolution([f, g], x) for x in xs]
+    g = exponential_tail_law(1.0, 1.5)
+    vals = [minplus_tail([f, g], x) for x in xs]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValidationError):
-        tail_minplus_convolution([], 1.0)
+        frechet_bounds([], 1.0)
+    # a lattice law: the best splits sit on atoms (u = 2 at x = 4, u = 1 at
+    # x = 3), and the lattice polish makes the bound exact there
+    law = DiscreteDistribution(np.array([0.0, 1.0, 2.0]),
+                               np.array([0.2, 0.5, 0.3]))
+    assert frechet_bounds([law, law], 4.0) == (1.0, 1.0)
+    assert frechet_bounds([law, law], 3.0)[0] == 0.7
 
 
 @pytest.mark.parametrize("params", [
@@ -240,11 +252,11 @@ def test_minplus_tail_identity_and_range():
 ])
 def test_minplus_two_exponentials_product_bound(params):
     a1, b1, a2, b2 = params
-    f = lambda x: a1 * math.exp(-b1 * x)
-    g = lambda x: a2 * math.exp(-b2 * x)
+    f = exponential_tail_law(a1, b1)
+    g = exponential_tail_law(a2, b2)
     w = 1.0 / b1 + 1.0 / b2
     for x in (0.5, 1.0, 3.0, 8.0):
-        res = tail_minplus_convolution([f, g], x)
+        res = minplus_tail([f, g], x)
         closed = ((a1 * b1 * w) ** (1.0 / (b1 * w))
                   * (a2 * b2 * w) ** (1.0 / (b2 * w)) * math.exp(-x / w))
         assert res <= closed * (1.0 + 1e-9) + 1e-12

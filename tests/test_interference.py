@@ -3,110 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from wnc import (Additive, ArrivalSpec, BivariateTrace, HopChain,
-                 MarkovAdditive, MarkovKernel, UnstableSystemError,
-                 ValidationError, delay_tail_additive, delay_tail_markov,
-                 e2e_delay_bound, feedback_delay_additive,
-                 feedback_delay_markov, lundberg_root, minplus_convolve,
-                 single_hop_leftover)
+from wnc import (Additive, ArrivalSpec, HopChain, MarkovAdditive,
+                 MarkovKernel, UnstableSystemError, delay_tail_additive,
+                 delay_tail_markov, e2e_delay_bound, feedback_delay_additive,
+                 feedback_delay_markov, lundberg_root)
 from wnc.distributions import DiscreteDistribution
-from wnc.simulate import sample_capacity_trace
 
 from conftest import additive_union_delay_bound
-
-
-def brute_minplus(f, g):
-    n = f.horizon + 1
-    out = np.zeros((n, n))
-    for s in range(n):
-        for t in range(s, n):
-            out[s, t] = min(f.values[s, u] + g.values[u, t]
-                            for u in range(s, t + 1))
-    return out
-
-
-def test_bivariate_trace_invariants():
-    with pytest.raises(ValidationError):
-        BivariateTrace(np.array([[0.0, 1.0], [0.0, 1.0]]))  # nonzero diagonal
-    tr = BivariateTrace.from_increments([1.0, 2.0, 3.0])
-    assert tr[0, 3] == 6.0
-    assert tr[1, 2] == 2.0
-    assert tr[2, 2] == 0.0
-
-
-def test_minplus_constant_rate_identity():
-    c = BivariateTrace.constant_rate(1.5, 10)
-    out = minplus_convolve(c, c)
-    mask = np.isfinite(out.values)
-    np.testing.assert_allclose(out.values[mask], c.values[mask], atol=1e-12)
-
-
-def test_minplus_zero_diagonal_majorant():
-    rng = np.random.default_rng(7)
-    f = BivariateTrace.from_increments(rng.uniform(0, 2, 10))
-    g = BivariateTrace.from_increments(rng.uniform(0, 2, 10))
-    out = minplus_convolve(f, g)
-    # g(t,t) = 0 and g >= 0 imply f (x) g <= f
-    mask = np.isfinite(out.values)
-    assert np.all(out.values[mask] <= f.values[mask] + 1e-12)
-
-
-def test_minplus_associative_against_bruteforce():
-    rng = np.random.default_rng(11)
-    f = BivariateTrace.from_increments(rng.uniform(0, 2, 12))
-    g = BivariateTrace.from_increments(rng.uniform(0, 2, 12))
-    h = BivariateTrace.from_increments(rng.uniform(0, 2, 12))
-    left = minplus_convolve(minplus_convolve(f, g), h)
-    right = minplus_convolve(f, minplus_convolve(g, h))
-    mask = np.isfinite(left.values)
-    np.testing.assert_allclose(left.values[mask], right.values[mask], atol=0)
-    np.testing.assert_allclose(minplus_convolve(f, g).values[mask],
-                               brute_minplus(f, g)[mask], atol=0)
-
-
-def test_minplus_monotone():
-    rng = np.random.default_rng(13)
-    inc = rng.uniform(0, 2, 10)
-    f = BivariateTrace.from_increments(inc)
-    f2 = BivariateTrace.from_increments(inc + 0.5)
-    g = BivariateTrace.from_increments(rng.uniform(0, 2, 10))
-    a = minplus_convolve(f, g)
-    b = minplus_convolve(f2, g)
-    mask = np.isfinite(a.values)
-    assert np.all(a.values[mask] <= b.values[mask] + 1e-12)
-    with pytest.raises(ValidationError):
-        minplus_convolve(f, BivariateTrace.constant_rate(1.0, 5))
-
-
-def test_single_hop_leftover_cases():
-    s = BivariateTrace.constant_rate(2.0, 8)
-    none = single_hop_leftover(s, np.zeros(9))
-    mask = np.isfinite(s.values)
-    np.testing.assert_allclose(none.values[mask], s.values[mask], atol=0)
-    # arrivals equal to the full service leave nothing
-    a_full = np.array([s.values[0, t] for t in range(9)])
-    drained = single_hop_leftover(s, a_full)
-    assert np.all(drained.values[mask] == 0.0)
-    # rate 2 minus rate 0.5 leaves rate 1.5
-    half = single_hop_leftover(s, 0.5 * np.arange(9.0))
-    expected = BivariateTrace.constant_rate(1.5, 8)
-    np.testing.assert_allclose(half.values[mask], expected.values[mask],
-                               atol=1e-12)
-    with pytest.raises(ValidationError):
-        single_hop_leftover(s, np.array([0.0, 1.0, 0.5] + [2.0] * 6))
-
-
-def test_subadditivity_of_reduced_additive_service(two_point):
-    # S(t) - lambda t built from an additive trace is subadditive (equality)
-    trace = sample_capacity_trace(Additive(two_point), 30,
-                                  np.random.default_rng(3))
-    lam = 0.4
-    tr = BivariateTrace.from_increments(trace - lam)
-    v = tr.values
-    for s in range(0, 31, 5):
-        for u in range(s, 31, 5):
-            for t in range(u, 31, 5):
-                assert v[s, t] <= v[s, u] + v[u, t] + 1e-12
 
 
 def test_feedback_additive_substitution_identity(two_point):

@@ -7,11 +7,10 @@ from wnc import (Additive, AntitheticPairing, ChannelSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
                  ValidationError, additive_cdf_bounds, capacity_marginal,
                  comonotonic_cdf, frechet_bounds, markov_cdf_bounds,
-                 mgf_matrix, perron_frobenius, transient_bounds)
+                 mgf_matrix, perron_frobenius)
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import (BoundReport, _cgf_of, _grid_allocation,
-                           _tilt_terms, chernoff_tail_upper, kernel_cgf,
-                           kernel_spectral)
+                           _tilt_terms, kernel_cgf, kernel_spectral)
 from wnc.simulate import cumulative_capacity_samples
 
 from conftest import (assert_matrix_power_identity, frechet_allocation_loop,
@@ -243,13 +242,13 @@ def test_markov_bounds_sandwich_simulated(ge_kernel):
             p = float(np.mean(samples <= x))
             se = math.sqrt(max(p * (1 - p), 1e-9) / samples.size)
             assert lo.value - 3 * se <= p <= up.value + 3 * se
-    # tail upper bound vs MC
+    # tail upper bound 1 - lower vs MC
     samples = cumulative_capacity_samples(proc, t, 100_000, seed=12)
     for x in (70.0, 80.0):
-        rep = chernoff_tail_upper(proc, t, x)
+        lo, _ = markov_cdf_bounds(proc, t, x)
         p = float(np.mean(samples >= x))
         se = math.sqrt(max(p * (1 - p), 1e-9) / samples.size)
-        assert p <= rep.value + 3 * se
+        assert p <= 1.0 - lo.value + 3 * se
 
 
 def test_markov_self_check_runs(ge_kernel):
@@ -260,53 +259,6 @@ def test_markov_self_check_runs(ge_kernel):
                     for _ in range(3)])
     lo, up = markov_cdf_bounds(MarkovAdditive(ge_kernel), 5, 6.0)
     assert 0.0 <= lo.value <= up.value <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# transient capacity
-
-
-def test_transient_degenerate_point_mass():
-    pm = DiscreteDistribution.point_mass(2.0)
-    res = transient_bounds(Additive(pm), 10, 3.0, 3.0)
-    # the average is exactly 2: thresholds bracket it from both sides
-    assert res.c_upper <= 2.0 + 1e-9
-    assert res.c_lower >= 2.0 - 1e-9
-    assert res.prob_upper == pytest.approx(math.exp(-3.0), abs=1e-12)
-
-
-def test_transient_additive_equals_single_state_markov(two_point):
-    kernel = MarkovKernel.from_destination_laws(("s",), np.array([[1.0]]),
-                                                [two_point])
-    ra = transient_bounds(Additive(two_point), 20, 2.0, 3.0)
-    rm = transient_bounds(MarkovAdditive(kernel), 20, 2.0, 3.0)
-    assert ra.c_upper == pytest.approx(rm.c_upper, abs=1e-9)
-    assert ra.c_lower == pytest.approx(rm.c_lower, abs=1e-9)
-    assert ra.prob_upper == pytest.approx(rm.prob_upper, abs=1e-12)
-
-
-def test_transient_threshold_against_simulation(two_point):
-    res = transient_bounds(Additive(two_point), 20, 3.0, 3.0)
-    assert res.prob_upper == pytest.approx(math.exp(-3.0), abs=1e-12)
-    samples = cumulative_capacity_samples(Additive(two_point), 20, 1_000_000,
-                                          seed=21) / 20.0
-    est = float(np.mean(samples <= res.c_upper))
-    se = math.sqrt(res.prob_upper * (1 - res.prob_upper) / samples.size)
-    assert est <= res.prob_upper + 3 * max(se, math.sqrt(est * (1 - est)
-                                                         / samples.size))
-    est_lo = float(np.mean(samples <= res.c_lower))
-    assert est_lo >= res.prob_lower - 3e-3
-
-
-def test_transient_markov_prefactored_against_simulation(ge_kernel):
-    proc = MarkovAdditive(ge_kernel)
-    res = transient_bounds(proc, 20, 3.0, 3.0)
-    assert res.prob_upper >= math.exp(-3.0)   # prefactor h(J0)/min h >= 1
-    samples = cumulative_capacity_samples(proc, 20, 300_000, seed=33) / 20.0
-    est = float(np.mean(samples <= res.c_upper))
-    se = math.sqrt(max(res.prob_upper * (1 - res.prob_upper), 1e-9)
-                   / samples.size)
-    assert est <= res.prob_upper + 3 * se
 
 
 def test_antithetic_pair_sum_law(two_point, uniform_law):
@@ -421,32 +373,6 @@ def test_chernoff_search_never_worse_than_grid(process, t, x):
     assert lo.value >= grid_lo * (1.0 - 1e-12) - (1.0 - grid_lo) * noise
     for rep in (lo, up):
         assert rep.diagnostics is not None and rep.diagnostics.evaluations < 80
-
-
-@pytest.mark.parametrize("process", [
-    pytest.param(Additive(DiscreteDistribution(np.array([0.0, 2.0]),
-                                               np.array([0.5, 0.5]))), id="two_point"),
-    pytest.param(Additive(capacity_marginal(ChannelSpec(1.0, 1.0), Rayleigh())),
-                 id="rayleigh"),
-    pytest.param(_ge(0.1, 0.2), id="gilbert_elliott"),
-])
-@pytest.mark.parametrize("t", [10, 50])
-def test_transient_search_never_worse_than_grid(process, t):
-    kappa = _cgf_of(process)
-    for y_l, y_u in ((1.0, 1.0), (3.0, 5.0)):
-        tb = transient_bounds(process, t, y_l, y_u)
-
-        def c_star(sign, y):
-            def fn(th):
-                k = kappa(sign * th)
-                return math.inf if not np.isfinite(k) else (t * k + y) / (th * t)
-            return fn
-
-        _, neg_c_up = grid_exponent_min(c_star(-1, y_u),
-                                        theta_grid(lambda th: kappa(-th)))
-        _, c_lo = grid_exponent_min(c_star(+1, y_l), theta_grid(kappa))
-        assert tb.c_upper >= -neg_c_up - 1e-12 * abs(neg_c_up)
-        assert tb.c_lower <= c_lo + 1e-12 * abs(c_lo)
 
 
 @pytest.mark.parametrize("t", [2, 3, 8])

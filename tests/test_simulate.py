@@ -8,7 +8,6 @@ from wnc import (Additive, AntitheticPairing, ArrivalSpec, Comonotonic,
                  HopChain, MarkovAdditive, MarkovKernel, ValidationError)
 from wnc.distributions import DiscreteDistribution
 from wnc.simulate import (SimConfig, cumulative_capacity_samples,
-                          dump_traces, empirical_delay_tail,
                           empirical_delay_tails, feedback_queue,
                           lindley_queue, sample_capacity_trace, substream,
                           tandem_queue)
@@ -75,12 +74,11 @@ def test_lindley_against_dual_formulation(two_point):
 def test_empirical_delay_tail_basics(two_point):
     pm = Additive(DiscreteDistribution.point_mass(2.0))
     cfg = SimConfig(seed=5, runs=2_000, horizon=100)
-    est = empirical_delay_tail(pm, ArrivalSpec(1.0), 3.0, cfg)
+    est, est0 = empirical_delay_tails(pm, ArrivalSpec(1.0), [3.0, 0.0], cfg)
     assert est.point == 0.0 and est.stderr == 0.0
-    est0 = empirical_delay_tail(pm, ArrivalSpec(1.0), 0.0, cfg)
     assert est0.point == 1.0     # P(D >= 0) = 1 by convention
     proc = Additive(two_point)
-    est2 = empirical_delay_tail(proc, ArrivalSpec(0.5), 2.0, cfg)
+    est2, = empirical_delay_tails(proc, ArrivalSpec(0.5), [2.0], cfg)
     assert 0.0 <= est2.point <= 1.0
     assert est2.stderr == pytest.approx(
         math.sqrt(est2.point * (1 - est2.point) / cfg.runs), abs=1e-12)
@@ -167,13 +165,3 @@ def test_tandem_deterministic_hops_zero_delay():
     cfg = SimConfig(seed=14, runs=2_000, horizon=100)
     ests = tandem_queue(chain, ArrivalSpec(0.5), cfg, [1, 3])
     assert all(e.point == 0.0 for e in ests)
-
-
-def test_dump_traces_schema(tmp_path, ge_kernel):
-    cfg = SimConfig(seed=15, runs=3, horizon=10)
-    path = tmp_path / "traces.csv"
-    dump_traces(MarkovAdditive(ge_kernel), ArrivalSpec(1.0), cfg, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "run,slot,state,capacity,backlog"
-    assert len(lines) == 1 + 3 * 10
-    assert lines[1].split(",")[2] in ("G", "B")
