@@ -14,20 +14,17 @@ from .errors import (HeavyTailError, NumericFailure, UnstableSystemError,
                      ValidationError, WncError)
 from .fading import (ChannelSpec, FadingMarginal, FrequencySelective,
                      Lognormal, Nakagami, Rayleigh, Rice, TailCertificate,
-                     Weibull, capacity_cdf, capacity_marginal,
-                     capacity_quantile, capacity_tail, certify_light_tail,
-                     cgf)
+                     Weibull, capacity_marginal, capacity_quantile,
+                     certify_light_tail, cgf)
 from .processes import (Additive, AntitheticPairing, BoundReport,
                         CapacityProcess, Comonotonic, MarkovAdditive,
-                        MarkovKernel, SpectralData, additive_cdf_bounds,
-                        comonotonic_cdf, frechet_bounds, markov_cdf_bounds,
-                        mgf_matrix, perron_frobenius)
+                        MarkovKernel, SpectralData, cdf_bounds,
+                        comonotonic_cdf, frechet_bounds, mgf_matrix,
+                        perron_frobenius)
 from .delay import (ArrivalSpec, LundbergSolution, backlog_tail,
-                    delay_constrained_capacity, delay_tail_additive,
-                    delay_tail_comonotonic, delay_tail_markov, lundberg_root,
-                    stability_margin)
-from .interference import (HopChain, e2e_delay_bound, feedback_delay_additive,
-                           feedback_delay_markov)
+                    delay_constrained_capacity, delay_tail,
+                    delay_tail_comonotonic, lundberg_root, stability_margin)
+from .interference import HopChain, e2e_delay_bound, feedback_delay
 from .ordering import (OrderVerdict, SampleSet, adjustment_ordering, cx_order,
                        delay_ordering_check, icx_order, st_order)
 from .simulate import (SimConfig, TailEstimate, feedback_queue, lindley_queue,

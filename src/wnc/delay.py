@@ -18,14 +18,16 @@ exactly.  Markov-additive channels replace kappa by the log Perron-
 Frobenius eigenvalue of the tilted kernel, carry the eigenvector weight
 h(J_i) for the initial state, and apply per-transition overshoot-corrected
 Cramer prefactors (the bare eigenvector pair is exact only for skip-free
-kernels and is reported separately).
+kernels and is reported separately).  Every bound here takes either
+process through one path: an Additive process is the one-state Markov-
+additive case, with kappa the marginal's cgf and h = (1,).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,17 +35,16 @@ from . import solve
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, Comonotonic, MarkovAdditive,
-                        MarkovKernel, _cgf_of, _start_index, kernel_cgf,
-                        kernel_spectral, marginal_of, process_mean_rate)
+                        _spectral, _start_index, _start_weight,
+                        process_mean_rate)
 
 _ROOT_TOL = 1e-9
 
 __all__ = [
-    "ArrivalSpec", "LundbergSolution", "RuinBounds",
-    "stability_margin", "lundberg_root", "delay_tail_additive",
-    "delay_tail_markov", "delay_tail_markov_detail", "delay_tail_comonotonic",
-    "backlog_tail", "delay_constrained_capacity",
-    "cramer_prefactors", "additive_ruin", "markov_ruin",
+    "ArrivalSpec", "LundbergSolution", "Ruin", "stability_margin",
+    "lundberg_root", "ruin", "delay_tail", "delay_tail_markov_detail",
+    "delay_tail_comonotonic", "backlog_tail", "delay_constrained_capacity",
+    "cramer_prefactors",
 ]
 
 
@@ -62,7 +63,6 @@ class ArrivalSpec:
 class LundbergSolution:
     theta_star: float
     kappa_residual: float
-    stable: bool
     diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
 
@@ -75,40 +75,65 @@ def stability_margin(process, arrival: ArrivalSpec) -> float:
 # Lundberg roots
 
 
-def _lundberg_solution(kappa, label: str) -> LundbergSolution:
-    """Unique positive root of a convex kappa with kappa(0)=0, kappa'(0)<0."""
-    theta, info = solve.positive_root(kappa)
-    if theta is None:
-        raise NumericFailure(
-            f"cannot bracket the Lundberg root for {label}: margin too small")
-    if theta == math.inf:
-        raise NumericFailure(f"no positive Lundberg root found for {label}")
-    if abs(info.residual) > _ROOT_TOL:
-        raise NumericFailure(
-            f"Lundberg residual {info.residual:.3e} exceeds tolerance")
-    return LundbergSolution(theta_star=theta, kappa_residual=info.residual,
-                            stable=True, diagnostics=info)
+def _entry_laws(process):
+    """(j, law) for each increment law a slot can carry into state j.
+
+    An Additive process is the one-state case: the single law of its
+    discretised marginal.  A Markov-additive process lists each allowed
+    transition's law once (once per destination in the compact mode).
+    """
+    if isinstance(process, Additive):
+        return [(0, process.marginal.discretize())]
+    if not isinstance(process, MarkovAdditive):
+        raise ValidationError(
+            "ruin bounds need an Additive or MarkovAdditive process")
+    kernel = process.kernel
+    n = len(kernel.states)
+    laws, seen = [], set()
+    for i in range(n):
+        for j in range(n):
+            key = j if kernel.by_destination else (i, j)
+            if kernel.transition[i, j] > 0 and key not in seen:
+                seen.add(key)
+                laws.append((j, kernel.increments[i][j]))
+    return laws
 
 
-def lundberg_root(process: Additive, arrival: ArrivalSpec,
+def _floor(process) -> float:
+    """Smallest increment any slot can produce (ess inf C)."""
+    return min(law.support_min for _, law in _entry_laws(process))
+
+
+def lundberg_root(process, arrival: ArrivalSpec,
                   offset_multiplier: float = 1.0) -> LundbergSolution:
-    """Positive root of kappa(theta) = log E[exp(theta (m*lambda - C))].
+    """Positive root of kappa(theta) = theta m lambda + kappa_C(-theta).
 
+    kappa_C is the marginal's cgf for an Additive process and the log
+    Perron-Frobenius eigenvalue of F[-theta] for a Markov-additive one.
     offset_multiplier m = 2 reproduces the feedback (self-interference)
     increment law.  Requires a positive stability margin at rate m*lambda.
     """
-    marginal = marginal_of(process)
     drain = offset_multiplier * arrival.lam
-    if marginal.mean() - drain <= 0:
+    if process_mean_rate(process) - drain <= 0:
         raise UnstableSystemError("no positive root: system unstable")
-    if marginal.support_min >= drain:
+    if _floor(process) >= drain:
         # capacity never falls below the drain: the queue never builds
         raise NumericFailure("no positive root: capacity never below drain rate")
 
     def kappa(th):
-        return th * drain + marginal.cgf(-th)
+        return th * drain + _spectral(process, -th)[0]
 
-    return _lundberg_solution(kappa, "additive increment")
+    theta, info = solve.positive_root(kappa)
+    if theta is None:
+        raise NumericFailure(
+            "cannot bracket the Lundberg root: margin too small")
+    if theta == math.inf:
+        raise NumericFailure("no positive Lundberg root found")
+    if abs(info.residual) > _ROOT_TOL:
+        raise NumericFailure(
+            f"Lundberg residual {info.residual:.3e} exceeds tolerance")
+    return LundbergSolution(theta_star=theta, kappa_residual=info.residual,
+                            diagnostics=info)
 
 
 # ---------------------------------------------------------------------------
@@ -148,86 +173,42 @@ def cramer_prefactors(increment_law: DiscreteDistribution, theta: float):
 
 
 @dataclass(frozen=True)
-class RuinBounds:
-    """theta* and Cramer prefactors for one ruin problem, or its degeneracy."""
+class Ruin:
+    """Ruin data of the walk with increments drain - C, or its degeneracy.
+
+    theta_star is the Lundberg root, h the right eigenvector at tilt
+    -theta_star ((1,) for an Additive process) and c_minus/c_plus the
+    overshoot-corrected Cramer prefactors.
+    """
 
     theta_star: Optional[float]
+    h: Optional[Sequence[float]]
     c_minus: float
     c_plus: float
     degenerate: bool            # drain never exceeded: ruin probability 0
     unstable: bool              # nonpositive margin: ruin probability 1
     diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
-    def tail(self, level: float):
-        """(lower, upper) on P(sup walk >= level)."""
-        if self.unstable:
-            return 1.0, 1.0
-        if self.degenerate:
-            return (1.0, 1.0) if level <= 0 else (0.0, 0.0)
-        e = math.exp(-self.theta_star * level)
-        return min(1.0, self.c_minus * e), min(1.0, self.c_plus * e)
+
+def _prefactors(process, drain: float, theta: float, h):
+    """(C_-, C_+) at tilt theta, h the eigenvector at -theta.
+
+    inf and sup over the laws B_j a slot can carry into state j of
+    (1/h_j) P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B(dy), Y ~ drain - B_j.
+    With one state (h = (1,)) this is the plain Cramer pair.
+    """
+    ratios = []
+    for j, law in _entry_laws(process):
+        walk = law.affine(shift=drain, scale=-1.0)
+        if walk.support_max <= 0:
+            continue                 # this law never crosses upward
+        lo, up = cramer_prefactors(walk, theta)
+        ratios.append((lo / h[j], up / h[j]))
+    return min(r[0] for r in ratios), max(r[1] for r in ratios)
 
 
-def _additive_prefactors(marginal, drain: float, theta: float):
-    """(C_-, C_+) of the walk with increments drain - C at tilt theta."""
-    law = marginal.discretize().affine(shift=drain, scale=-1.0)
-    return cramer_prefactors(law, theta)
-
-
-def additive_ruin(marginal, drain: float) -> RuinBounds:
-    """Ruin data for the walk with increments drain - C, C ~ marginal."""
-    if marginal.discretize().support_min >= drain:
-        return RuinBounds(None, 0.0, 0.0, degenerate=True, unstable=False)
-    if marginal.mean() - drain <= 0:
-        return RuinBounds(None, 1.0, 1.0, degenerate=False, unstable=True)
-
-    def kappa(th):
-        return th * drain + marginal.cgf(-th)
-
-    sol = _lundberg_solution(kappa, "additive increment")
-    c_minus, c_plus = _additive_prefactors(marginal, drain, sol.theta_star)
-    return RuinBounds(sol.theta_star, c_minus, c_plus, False, False,
-                      diagnostics=sol.diagnostics)
-
-
-def delay_tail_additive(process: Additive, arrival: ArrivalSpec, d: float):
-    """(lower, upper) BoundReports on the stationary P(D >= d)."""
-    if not isinstance(process, Additive):
-        raise ValidationError("delay_tail_additive needs an Additive process")
-    if d < 0:
-        raise ValidationError("d must be nonnegative")
-    ruin = additive_ruin(marginal_of(process), arrival.lam)
-    lo, up = ruin.tail(arrival.lam * d)
-    notes = ("unstable: vacuous bound" if ruin.unstable
-             else "degenerate: queue never builds" if ruin.degenerate else "")
-    lower = BoundReport("delay_lower", lo, ruin.theta_star, ruin.c_minus,
-                        math.inf, notes, ruin.diagnostics)
-    upper = BoundReport("delay_upper", up, ruin.theta_star, ruin.c_plus,
-                        math.inf, notes, ruin.diagnostics)
-    return lower, upper
-
-
-# ---------------------------------------------------------------------------
-# Markov-additive delay
-
-
-@dataclass(frozen=True)
-class MarkovRuin:
-    """Spectral ruin data for a Markov-additive channel at a given drain."""
-
-    theta_star: Optional[float]
-    h: Optional[np.ndarray]              # right eigenvector at tilt -theta*
-    pi: Optional[np.ndarray]
-    c_minus: float                       # overshoot-corrected prefactors
-    c_plus: float
-    improved: bool
-    degenerate: bool
-    unstable: bool
-    diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
-
-
-def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
-    """Spectral root plus overshoot-corrected Cramer prefactors.
+def ruin(process, drain: float) -> Ruin:
+    """Lundberg root plus overshoot-corrected Cramer prefactors.
 
     The correction is essential for the lower bound: the bare eigenvector
     pair h_i/max_j h_j is exact only for skip-free kernels (zero overshoot
@@ -237,53 +218,19 @@ def markov_ruin(kernel: MarkovKernel, drain: float) -> MarkovRuin:
     (1/h_j) * P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B_ij(dy),
     where B_ij is the walk-increment law drain - H_ij and h_j weights the
     post-crossing state.  The maximum of the same ratios tightens the
-    upper bound.
+    upper bound.  An Additive process is the one-state case.
     """
-    if _kernel_floor(kernel) >= drain:
-        return MarkovRuin(None, None, None, 0.0, 0.0, False,
-                          degenerate=True, unstable=False)
-    if kernel.mean_rate() - drain <= 0:
-        return MarkovRuin(None, None, None, 1.0, 1.0, False,
-                          degenerate=False, unstable=True)
-
-    def kappa(th):
-        return th * drain + kernel_cgf(kernel, -th)
-
-    sol = _lundberg_solution(kappa, "markov increment")
-    h = kernel_spectral(kernel, -sol.theta_star).right_vector
-    c_minus, c_plus = _markov_prefactors(kernel, drain, sol.theta_star, h)
-    return MarkovRuin(sol.theta_star, h, kernel.stationary, c_minus, c_plus,
-                      True, degenerate=False, unstable=False,
-                      diagnostics=sol.diagnostics)
-
-
-def _kernel_floor(kernel: MarkovKernel) -> float:
-    """Smallest increment any allowed transition can produce."""
-    return min(law.support_min
-               for i, row in enumerate(kernel.increments)
-               for j, law in enumerate(row) if kernel.transition[i, j] > 0)
-
-
-def _markov_prefactors(kernel: MarkovKernel, drain: float, theta: float,
-                       h: np.ndarray):
-    """(C_-, C_+): overshoot-corrected prefactors, h the eigenvector at -theta."""
-    n = len(kernel.states)
-    ratios = []
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            if kernel.transition[i, j] <= 0:
-                continue
-            key = j if kernel.by_destination else (i, j)
-            if key in seen:
-                continue
-            seen.add(key)
-            law = kernel.increments[i][j].affine(shift=drain, scale=-1.0)
-            if law.support_max <= 0:
-                continue                 # this transition never crosses upward
-            lo_ij, up_ij = cramer_prefactors(law, theta)
-            ratios.append((lo_ij / h[j], up_ij / h[j]))
-    return min(r[0] for r in ratios), max(r[1] for r in ratios)
+    if _floor(process) >= drain:
+        return Ruin(None, None, 0.0, 0.0, degenerate=True, unstable=False)
+    if process_mean_rate(process) - drain <= 0:
+        return Ruin(None, None, 1.0, 1.0, degenerate=False, unstable=True)
+    sol = lundberg_root(process, ArrivalSpec(drain))
+    # the one-state h = (1,) needs no further cgf evaluation
+    h = ((1.0,) if isinstance(process, Additive)
+         else _spectral(process, -sol.theta_star)[1])
+    c_minus, c_plus = _prefactors(process, drain, sol.theta_star, h)
+    return Ruin(sol.theta_star, h, c_minus, c_plus, degenerate=False,
+                unstable=False, diagnostics=sol.diagnostics)
 
 
 @dataclass(frozen=True)
@@ -295,63 +242,64 @@ class MarkovDelayBounds:
     per_state: dict
     theta_star: Optional[float]
 
-    def __iter__(self):
-        return iter((self.lower, self.upper))
 
-
-def delay_tail_markov_detail(process: MarkovAdditive, arrival: ArrivalSpec,
-                             d: float, initial_state=None) -> MarkovDelayBounds:
-    """State-conditional and stationary delay bounds for a Markov channel.
+def delay_tail_markov_detail(process, arrival: ArrivalSpec, d: float,
+                             initial_state=None) -> MarkovDelayBounds:
+    """State-conditional and stationary delay bounds.
 
     The primary pair uses the overshoot-corrected Cramer prefactors
-    C_-+ h_i e^{-theta lambda d} (with |E| = 1 these coincide bit-for-bit
-    with the additive prefactors).  The bare eigenvector pair h_i/max_j h_j
+    C_-+ h_i e^{-theta lambda d}.  The bare eigenvector pair h_i/max_j h_j
     and h_i/min_j h_j is attached as basic_lower/basic_upper; its lower
-    side is exact only for skip-free kernels.
+    side is exact only for skip-free kernels.  per_state holds the primary
+    pair for each start state of a Markov channel.  An Additive process is
+    the one-state case (h = (1,), no per-state pairs).  A degenerate or
+    unstable walk reports prefactor 1.
     """
     if d < 0:
         raise ValidationError("d must be nonnegative")
-    kernel = process.kernel
-    ruin = markov_ruin(kernel, arrival.lam)
+    r = ruin(process, arrival.lam)
     level = arrival.lam * d
 
     def report(kind, value, pref, notes=""):
-        return BoundReport(kind, min(1.0, max(0.0, value)), ruin.theta_star,
-                           pref, math.inf, notes, ruin.diagnostics)
+        return BoundReport(kind, min(1.0, max(0.0, value)), r.theta_star,
+                           pref, math.inf, notes, r.diagnostics)
 
-    if ruin.unstable or ruin.degenerate:
-        lo, up = (1.0, 1.0) if ruin.unstable else ((1.0, 1.0) if d == 0 else (0.0, 0.0))
-        notes = "unstable: vacuous bound" if ruin.unstable else "degenerate: queue never builds"
-        pair = (report("delay_lower", lo, 1.0, notes),
-                report("delay_upper", up, 1.0, notes))
+    if r.unstable or r.degenerate:
+        v = 1.0 if r.unstable or d == 0 else 0.0
+        notes = ("unstable: vacuous bound" if r.unstable
+                 else "degenerate: queue never builds")
+        pair = (report("delay_lower", v, 1.0, notes),
+                report("delay_upper", v, 1.0, notes))
         return MarkovDelayBounds(*pair, *pair, per_state={}, theta_star=None)
 
-    h = ruin.h
-    e = math.exp(-ruin.theta_star * level)
-    hmin, hmax = float(np.min(h)), float(np.max(h))
-    start = _start_index(kernel, process.initial if initial_state is None
-                         else initial_state)
-    # h(J0) for a fixed start; pi.h = 1 for the stationary mixture
-    w = 1.0 if start is None else float(h[start])
+    h = r.h
+    e = math.exp(-r.theta_star * level)
+    hmin, hmax = float(min(h)), float(max(h))
+    w = _start_weight(h, _start_index(process, initial_state))
     basic_note = "eigenvector prefactor (exact only for skip-free kernels)"
     basic_lower = report("delay_lower", w / hmax * e, w / hmax, basic_note)
     basic_upper = report("delay_upper", w / hmin * e, w / hmin, basic_note)
-    lower = report("delay_lower", ruin.c_minus * w * e, ruin.c_minus * w,
+    lower = report("delay_lower", r.c_minus * w * e, r.c_minus * w,
                    "improved prefactor")
-    upper = report("delay_upper", ruin.c_plus * w * e, ruin.c_plus * w,
+    upper = report("delay_upper", r.c_plus * w * e, r.c_plus * w,
                    "improved prefactor")
     per_state = {}
-    for i, s in enumerate(kernel.states):
+    states = process.kernel.states if isinstance(process, MarkovAdditive) else ()
+    for i, s in enumerate(states):
         hi = float(h[i])
-        pair = (report("delay_lower", ruin.c_minus * hi * e, ruin.c_minus * hi),
-                report("delay_upper", ruin.c_plus * hi * e, ruin.c_plus * hi))
+        pair = (report("delay_lower", r.c_minus * hi * e, r.c_minus * hi),
+                report("delay_upper", r.c_plus * hi * e, r.c_plus * hi))
         per_state[s] = pair
     return MarkovDelayBounds(lower, upper, basic_lower, basic_upper,
-                             per_state=per_state, theta_star=ruin.theta_star)
+                             per_state=per_state, theta_star=r.theta_star)
 
 
-def delay_tail_markov(process: MarkovAdditive, arrival: ArrivalSpec, d: float,
-                      initial_state=None):
+def delay_tail(process, arrival: ArrivalSpec, d: float, initial_state=None):
+    """(lower, upper) BoundReports on the stationary P(D >= d).
+
+    C_-+ h(J0) e^{-theta* lambda d}; h(J0) = 1 from the stationary start
+    and for an Additive process.
+    """
     detail = delay_tail_markov_detail(process, arrival, d, initial_state)
     return detail.lower, detail.upper
 
@@ -384,9 +332,7 @@ def backlog_tail(process, arrival: ArrivalSpec, x: float,
     d = x / arrival.lam
     if isinstance(process, Comonotonic):
         return delay_tail_comonotonic(process, arrival, d, horizon_t)
-    if isinstance(process, MarkovAdditive):
-        return delay_tail_markov(process, arrival, d, initial_state)
-    return delay_tail_additive(process, arrival, d)
+    return delay_tail(process, arrival, d, initial_state)
 
 
 @dataclass(frozen=True)
@@ -442,33 +388,24 @@ def delay_constrained_capacity(process, d: float, epsilon: float
             return DelayConstrainedCapacity(0.0, 0.0, (0.0, 0.0), False)
         return DelayConstrainedCapacity(lam, lam, (lam, lam), True)
 
-    kappa = _cgf_of(process)
     mean = process_mean_rate(process)
-    if isinstance(process, MarkovAdditive):
-        kernel = process.kernel
-        floor = _kernel_floor(kernel)
-        start = _start_index(kernel, process.initial)
+    floor = _floor(process)
+    start = _start_index(process)
 
-        def tilt(th):
-            # kappa_C(-th), C-+ and the start weight h(J0): one eigen-solve
-            spec = kernel_spectral(kernel, -th)
-            k, h = spec.log_eigenvalue, spec.right_vector
-            c_minus, c_plus = _markov_prefactors(kernel, -k / th, th, h)
-            return k, c_minus, c_plus, 1.0 if start is None else float(h[start])
-    else:
-        marginal = marginal_of(process)
-        floor = marginal.discretize().support_min
-
-        def tilt(th):
-            k = kappa(-th)
-            return (k, *_additive_prefactors(marginal, -k / th, th), 1.0)
+    def tilt(th):
+        # kappa_C(-th), C-+ and the start weight h(J0): one solve
+        k, h = _spectral(process, -th)
+        if h is None:
+            raise NumericFailure(f"tilt {-th!r} lies outside the kernel's domain")
+        return (k, *_prefactors(process, -k / th, th, h),
+                _start_weight(h, start))
 
     if floor >= mean:
         # constant channel: the capacity never falls below the drain
         return DelayConstrainedCapacity(mean, mean, (mean, mean), True)
 
     def rate(th):
-        return -kappa(-th) / th
+        return -_spectral(process, -th)[0] / th
 
     log_eps = math.log(epsilon)
 

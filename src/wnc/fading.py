@@ -34,15 +34,15 @@ from .errors import HeavyTailError, NumericFailure, ValidationError
 
 _GAIN_CLIP_Q = 1e-12          # gain domain clipped at the 1 - 1e-12 quantile
 _RATE_CAP = 64.0              # largest certified exponential rate (per bit)
-_PREFACTOR_CAP = math.e       # default prefactor budget for rate search
+_PREFACTOR_CAP = math.e       # prefactor budget for the rate search
 _COVER_TOL = 2.5e-10          # log slack of a certified cover over the sup
 _COVER_CHUNK = 2048           # cells refined per tail evaluation
 
 __all__ = [
     "ChannelSpec", "Rayleigh", "Rice", "Nakagami", "Weibull", "Lognormal",
     "FrequencySelective", "FadingMarginal", "TailCertificate",
-    "capacity_marginal", "capacity_cdf", "capacity_tail", "capacity_quantile",
-    "cgf", "certify_light_tail", "rayleigh_capacity_cdf",
+    "capacity_marginal", "capacity_quantile", "cgf", "certify_light_tail",
+    "rayleigh_capacity_cdf",
 ]
 
 
@@ -428,20 +428,6 @@ def rayleigh_capacity_cdf(spec: ChannelSpec, model: Rayleigh, x):
 # -- module-level operations ---------------------------------------------
 
 
-def capacity_cdf(spec: ChannelSpec, model, x):
-    """F_C(x) for x >= 0; frequency-selective models use numeric convolution."""
-    if np.any(np.asarray(x, dtype=float) < 0):
-        raise ValidationError("capacity argument must be nonnegative")
-    return _as_marginal(spec, model).cdf(x)
-
-
-def capacity_tail(spec: ChannelSpec, model, x):
-    """1 - F_C(x), evaluated through the gain survival function."""
-    if np.any(np.asarray(x, dtype=float) < 0):
-        raise ValidationError("capacity argument must be nonnegative")
-    return _as_marginal(spec, model).tail(x)
-
-
 def capacity_quantile(spec: ChannelSpec, model, p: float) -> float:
     """inf{x : F_C(x) >= p} for p in (0,1)."""
     return _as_marginal(spec, model).quantile(p)
@@ -507,14 +493,14 @@ def _tail_cover(tail_fn, grid, tails, rate_b: float, log_cap: float):
 
 
 def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
-                       grid_n: int = 256, rate: float | None = None,
-                       prefactor_cap: float = _PREFACTOR_CAP) -> TailCertificate:
+                       grid_n: int = 256, rate: float | None = None
+                       ) -> TailCertificate:
     """Search an exponential tail cover with the largest defensible rate.
 
     For each candidate rate b the grid prefactor is max tail(x)*exp(b x)
     over the grid.  A rate is accepted when the maximising point is not the
     right edge of the grid (no pure extrapolation) and that prefactor stays
-    within ``prefactor_cap``; laws whose support is exhausted inside the
+    within ``_PREFACTOR_CAP``; laws whose support is exhausted inside the
     range accept every rate up to the cap.  The largest accepted b is
     located by doubling plus bisection.  With ``rate`` given, the search is
     skipped and the certificate is fitted at that rate.
@@ -555,7 +541,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     # every rate is defensible only for genuinely bounded support, not for
     # tails that merely underflow to zero inside the fit range
     bounded = marginal.support_max <= x_hi
-    log_cap = math.inf if bounded else math.log(prefactor_cap)
+    log_cap = math.inf if bounded else math.log(_PREFACTOR_CAP)
 
     def accepted(b):
         pos = tails > 0
@@ -564,7 +550,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
         scores = np.log(tails[pos]) + b * grid[pos]
         peak = int(np.argmax(scores))
         interior = peak < pos.sum() - 1 or bounded
-        within = bounded or scores[peak] <= math.log(prefactor_cap)
+        within = bounded or scores[peak] <= math.log(_PREFACTOR_CAP)
         return interior and within
 
     b_min = 1e-8

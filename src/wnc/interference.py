@@ -20,15 +20,12 @@ from typing import Optional
 import numpy as np
 
 from . import solve
-from .delay import ArrivalSpec, additive_ruin, markov_ruin
+from .delay import ArrivalSpec, ruin
 from .errors import UnstableSystemError, ValidationError
-from .processes import (Additive, BoundReport, MarkovAdditive, _start_index,
-                        marginal_of)
+from .processes import (Additive, BoundReport, _start_index, _start_weight,
+                        process_mean_rate)
 
-__all__ = [
-    "HopChain", "feedback_delay_additive", "feedback_delay_markov",
-    "e2e_delay_bound",
-]
+__all__ = ["HopChain", "feedback_delay", "e2e_delay_bound"]
 
 
 @dataclass(frozen=True)
@@ -60,65 +57,35 @@ class HopChain:
 # feedback delay bounds
 
 
-def feedback_delay_additive(process: Additive, arrival: ArrivalSpec, d: float,
-                            multiplier: float = 2.0,
-                            improved: bool = False) -> BoundReport:
+def feedback_delay(process, arrival: ArrivalSpec, d: float,
+                   initial_state=None, multiplier: float = 2.0,
+                   improved: bool = False) -> BoundReport:
     """Delay bound for the feedback channel: Lundberg root at drain m*lambda.
 
-    The default prefactor is 1 (the plain Lundberg inequality); with
-    ``improved=True`` the Cramer prefactor C_+ of the m*lambda - C law is
-    applied.  ``multiplier=1`` reproduces the non-feedback upper bound
-    bit-for-bit.
+    The default prefactor is the plain Lundberg one, h(J0)/min_j h(J_j):
+    1 for an Additive process, and h(J0) = 1 from the stationary start
+    since pi . h = 1.  With ``improved=True`` the Cramer prefactor
+    C_+ h(J0) of the m*lambda - C walk is applied.  ``multiplier=1``
+    reproduces the non-feedback upper bound bit-for-bit.
     """
     if d < 0:
         raise ValidationError("d must be nonnegative")
-    marginal = marginal_of(process)
     drain = multiplier * arrival.lam
-    if marginal.mean() - drain <= 0:
+    if process_mean_rate(process) - drain <= 0:
         raise UnstableSystemError(
             f"feedback-unstable: {multiplier:g}*lambda exceeds the mean capacity")
-    ruin = additive_ruin(marginal, drain)
-    _, up = ruin.tail(arrival.lam * d)
-    if ruin.degenerate:
-        return BoundReport("delay_upper", up, None, 1.0, math.inf,
-                           "degenerate: queue never builds")
-    pref = ruin.c_plus if improved else 1.0
-    value = min(1.0, pref * math.exp(-ruin.theta_star * arrival.lam * d))
-    return BoundReport("delay_upper", value, ruin.theta_star, pref, math.inf,
-                       "improved prefactor" if improved else "",
-                       ruin.diagnostics)
-
-
-def feedback_delay_markov(process: MarkovAdditive, arrival: ArrivalSpec,
-                          d: float, initial_state=None,
-                          multiplier: float = 2.0,
-                          improved: bool = False) -> BoundReport:
-    """Markov feedback bound: root of kappa(-theta) = 0 for the C - m*lambda
-    kernel, prefactor h(J_i)/min_j h(J_j), stationary mixture by pi."""
-    if d < 0:
-        raise ValidationError("d must be nonnegative")
-    kernel = process.kernel
-    drain = multiplier * arrival.lam
-    if kernel.mean_rate() - drain <= 0:
-        raise UnstableSystemError(
-            f"feedback-unstable: {multiplier:g}*lambda exceeds the mean capacity")
-    ruin = markov_ruin(kernel, drain)
-    if ruin.degenerate:
+    r = ruin(process, drain)
+    if r.degenerate:
         return BoundReport("delay_upper", 0.0 if d > 0 else 1.0, None, 1.0,
                            math.inf, "degenerate: queue never builds")
-    h = ruin.h
-    start = _start_index(kernel, process.initial if initial_state is None
-                         else initial_state)
-    numer = 1.0 if start is None else float(h[start])      # pi . h = 1
-    if improved and ruin.improved:
-        pref = ruin.c_plus * numer
-        notes = "improved prefactor"
+    w = _start_weight(r.h, _start_index(process, initial_state))
+    if improved:
+        pref, notes = r.c_plus * w, "improved prefactor"
     else:
-        pref = numer / float(np.min(h))
-        notes = ""
-    value = min(1.0, pref * math.exp(-ruin.theta_star * arrival.lam * d))
-    return BoundReport("delay_upper", value, ruin.theta_star, pref, math.inf,
-                       notes, ruin.diagnostics)
+        pref, notes = w / float(min(r.h)), ""
+    value = min(1.0, pref * math.exp(-r.theta_star * arrival.lam * d))
+    return BoundReport("delay_upper", value, r.theta_star, pref, math.inf,
+                       notes, r.diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .delay import ArrivalSpec, lundberg_root, markov_ruin
-from .errors import ValidationError
-from .processes import (Additive, AntitheticPairing, Comonotonic,
-                        MarkovAdditive)
+from .delay import ArrivalSpec, lundberg_root
+from .errors import NumericFailure, UnstableSystemError, ValidationError
+from .processes import Additive, AntitheticPairing, Comonotonic
 from .simulate import SimConfig, cumulative_capacity_samples, empirical_delay_tails
 
 __all__ = [
@@ -175,19 +174,16 @@ def adjustment_coefficient(process, arrival: ArrivalSpec) -> Optional[float]:
     Comonotonic: the normalised limit kappa(theta) = theta (lambda - ess inf C)
     has no positive root unless the channel never queues; returns None.
     """
-    if isinstance(process, (Additive, AntitheticPairing)):
-        # the antithetic block of two slots drains 2 lambda per step
-        block, m = ((process.marginal, 1.0) if isinstance(process, Additive)
-                    else (process.pair_sum_law, 2.0))
-        try:
-            return lundberg_root(Additive(block), arrival, m).theta_star
-        except Exception:
-            return None
-    if isinstance(process, MarkovAdditive):
-        return markov_ruin(process.kernel, arrival.lam).theta_star
     if isinstance(process, Comonotonic):
         return None
-    raise ValidationError(f"unknown process type {type(process).__name__}")
+    m = 1.0
+    if isinstance(process, AntitheticPairing):
+        # the antithetic block of two slots drains 2 lambda per step
+        process, m = Additive(process.pair_sum_law), 2.0
+    try:
+        return lundberg_root(process, arrival, m).theta_star
+    except (UnstableSystemError, NumericFailure):
+        return None
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from .errors import NumericFailure, ValidationError
 __all__ = [
     "Comonotonic", "Additive", "MarkovAdditive", "AntitheticPairing",
     "CapacityProcess", "MarkovKernel", "SpectralData", "BoundReport",
-    "comonotonic_cdf", "frechet_bounds", "additive_cdf_bounds",
-    "markov_cdf_bounds", "mgf_matrix", "perron_frobenius",
+    "comonotonic_cdf", "frechet_bounds", "cdf_bounds", "mgf_matrix",
+    "perron_frobenius",
     "kernel_cgf", "marginal_of", "process_mean_rate",
 ]
 
@@ -431,8 +431,12 @@ def _grid_allocation(fvals, grid, sign):
     return alloc
 
 
-def frechet_bounds(marginals, x: float, budget_cells: int = 256,
-                   polish_passes: int = 2):
+# budget grid cells of the allocation DP, and pairwise polish passes after it
+_FRECHET_BUDGET_CELLS = 256
+_FRECHET_POLISH_PASSES = 2
+
+
+def frechet_bounds(marginals, x: float):
     """Frechet envelope on F_{sum}(x) from the marginals alone.
 
     lower = [ sup_{sum u_i = x} sum_i F_i(u_i) - (t-1) ]^+
@@ -495,7 +499,7 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
 
     def polish(alloc, sign):
         alloc = list(alloc)
-        for _ in range(polish_passes):
+        for _ in range(_FRECHET_POLISH_PASSES):
             for i in range(t):
                 for j in range(i + 1, t):
                     budget = alloc[i] + alloc[j]
@@ -508,7 +512,7 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
                         alloc[i], alloc[j] = cand, budget - cand
         return alloc
 
-    grid = np.linspace(0.0, x, budget_cells + 1)
+    grid = np.linspace(0.0, x, _FRECHET_BUDGET_CELLS + 1)
     fvals = [np.asarray(m.cdf(grid), dtype=float) for m in ms]
     sup_alloc = polish(_grid_allocation(fvals, grid, +1.0), +1.0)
     inf_alloc = polish(_grid_allocation(fvals, grid, -1.0), -1.0)
@@ -518,61 +522,62 @@ def frechet_bounds(marginals, x: float, budget_cells: int = 256,
 
 
 # ---------------------------------------------------------------------------
-# Chernoff machinery
+# Chernoff machinery: an Additive process is the one-state Markov-additive one
 
 
-def _cgf_of(process):
+def _spectral(process, theta: float):
+    """(kappa(theta), h) from one solve; (inf, None) outside the domain.
+
+    An Additive process is the one-state case: kappa is the marginal's cgf
+    and h = (1,).  A Markov-additive process takes both from one
+    Perron-Frobenius solve of F[theta].
+    """
     if isinstance(process, Additive):
-        return process.marginal.cgf
+        return process.marginal.cgf(theta), (1.0,)
     if isinstance(process, MarkovAdditive):
-        return lambda th: kernel_cgf(process.kernel, th)
+        return _kappa_and_h(process.kernel, theta)
     raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
 
 
-def _start_index(kernel: MarkovKernel, init) -> Optional[int]:
-    """Index of a fixed initial state, or None for the stationary start."""
+def _start_index(process, initial_state=None) -> Optional[int]:
+    """Index of a fixed initial state, or None for the stationary start.
+
+    None for an Additive process; a Markov-additive one starts in
+    ``initial_state``, or in its own ``initial`` when that is None.
+    """
+    if not isinstance(process, MarkovAdditive):
+        return None
+    init = process.initial if initial_state is None else initial_state
     if isinstance(init, str) and init == "stationary":
         return None
-    return kernel.state_index(init)
+    return process.kernel.state_index(init)
+
+
+def _start_weight(h, start: Optional[int]) -> float:
+    """h(J0) for a fixed start; 1 from the stationary start, as pi . h = 1."""
+    return 1.0 if start is None else float(h[start])
 
 
 def _tilt_terms(process, initial_state=None):
-    """theta -> (kappa(theta), prefactor), one eigen-solve per theta.
-
-    The prefactor is h(J0)/min_j h(J_j) for a Markov-additive process
-    (1/min h from the stationary start, since pi . h = 1) and 1 otherwise.
-    """
-    if not isinstance(process, MarkovAdditive):
-        kappa = _cgf_of(process)
-        return lambda th: (kappa(th), 1.0)
-    kernel = process.kernel
-    start = _start_index(kernel, process.initial if initial_state is None
-                         else initial_state)
+    """theta -> (kappa(theta), prefactor h(J0)/min_j h(J_j)), one solve each."""
+    start = _start_index(process, initial_state)
 
     def terms(th):
-        k, h = _kappa_and_h(kernel, th)
+        k, h = _spectral(process, th)
         if h is None:
             return k, 1.0
-        numer = 1.0 if start is None else float(h[start])
-        return k, numer / float(np.min(h))
+        return k, _start_weight(h, start) / float(min(h))
     return terms
 
 
-def additive_cdf_bounds(process: Additive, t: int, x: float):
-    """Chernoff sandwich for the additive cumulative capacity.
+def cdf_bounds(process, t: int, x: float, initial_state=None):
+    """Chernoff sandwich on F_S(t)(x) for an Additive or Markov-additive process.
 
-    Returns (lower, upper) BoundReports with the optimising theta recorded.
+    1 - pf(th) e^{t k(th) - th x} <= F_S(t)(x) <= pf(-th) e^{t k(-th) + th x},
+    each side optimised over th > 0, with the prefactor pf = h(J0)/min_j h(J_j)
+    (1 for an Additive process).  Returns (lower, upper) BoundReports with
+    the optimising theta recorded.
     """
-    return _chernoff_cdf_bounds(process, t, x)
-
-
-def markov_cdf_bounds(process: MarkovAdditive, t: int, x: float,
-                      initial_state=None):
-    """Markov-additive sandwich with the h(J0)/min_j h(J_j) prefactor."""
-    return _chernoff_cdf_bounds(process, t, x, initial_state)
-
-
-def _chernoff_cdf_bounds(process, t, x, initial_state=None):
     if t < 1:
         raise ValidationError("t must be >= 1")
     if x < 0:

@@ -10,17 +10,14 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from wnc import (Additive, AntitheticPairing, ArrivalSpec, ChannelSpec,
                  Comonotonic, HopChain, Lognormal, MarkovAdditive,
                  MarkovKernel, Nakagami, Rayleigh, Rice, Weibull,
-                 capacity_marginal, certify_light_tail, comonotonic_cdf,
-                 delay_tail_additive, delay_tail_comonotonic,
-                 delay_tail_markov, e2e_delay_bound, feedback_delay_additive,
-                 feedback_delay_markov, frechet_bounds, lundberg_root,
-                 mgf_matrix)
+                 capacity_marginal, certify_light_tail, delay_tail,
+                 delay_tail_comonotonic, e2e_delay_bound, feedback_delay,
+                 frechet_bounds, lundberg_root, mgf_matrix)
 from wnc.delay import delay_tail_markov_detail
 from wnc.distributions import DiscreteDistribution
 from wnc.ordering import (SampleSet, adjustment_coefficient, cx_order,
@@ -102,7 +99,7 @@ def test_c04_additive_delay_sandwich():
     horizons = {0.3: 500, 0.5: 700, 0.7: 1000}
     for lam, horizon in horizons.items():
         arrival = ArrivalSpec(lam)
-        bounds = [delay_tail_additive(proc, arrival, d) for d in d_grid]
+        bounds = [delay_tail(proc, arrival, d) for d in d_grid]
         # doubling-horizon convergence gate for the lower-bound comparison
         gate = [empirical_delay_tails(proc, arrival, [d_grid[-1]],
                                       SimConfig(4040, 100_000, h, 0))[0]
@@ -255,9 +252,9 @@ def test_c09_feedback_bounds():
     d_grid = [1, 2, 5, 10, 20]
     ests = feedback_queue(proc, arrival, SimConfig(909, 300_000, 800, 0), d_grid)
     for d, est in zip(d_grid, ests):
-        rep = feedback_delay_additive(proc, arrival, float(d))
+        rep = feedback_delay(proc, arrival, float(d))
         assert est.point <= rep.value + slack3(est, rep.value)
-        impr = feedback_delay_additive(proc, arrival, float(d), improved=True)
+        impr = feedback_delay(proc, arrival, float(d), improved=True)
         assert est.point <= impr.value + slack3(est, impr.value)
     # Markov feedback (Gilbert-Elliott at lambda = 0.4; 2*lambda < 4/3)
     mproc = MarkovAdditive(GE)
@@ -265,26 +262,26 @@ def test_c09_feedback_bounds():
     mests = feedback_queue(mproc, marr, SimConfig(910, 300_000, 800, 0),
                            [5, 10, 20])
     for d, est in zip((5, 10, 20), mests):
-        rep = feedback_delay_markov(mproc, marr, float(d))
+        rep = feedback_delay(mproc, marr, float(d))
         assert est.point <= rep.value + slack3(est, rep.value)
-        impr = feedback_delay_markov(mproc, marr, float(d), improved=True)
+        impr = feedback_delay(mproc, marr, float(d), improved=True)
         assert est.point <= impr.value + slack3(est, impr.value)
     # multiplier-1 feedback coincides bit-for-bit with the plain bound
-    plain = delay_tail_additive(proc, ArrivalSpec(0.5), 10.0)[1]
-    fb1 = feedback_delay_additive(proc, ArrivalSpec(0.5), 10.0,
-                                  multiplier=1.0, improved=True)
+    plain = delay_tail(proc, ArrivalSpec(0.5), 10.0)[1]
+    fb1 = feedback_delay(proc, ArrivalSpec(0.5), 10.0,
+                         multiplier=1.0, improved=True)
     assert (fb1.value, fb1.theta_star, fb1.prefactor) == \
         (plain.value, plain.theta_star, plain.prefactor)
-    mplain = delay_tail_markov(mproc, ArrivalSpec(1.0), 10.0)[1]
-    mfb1 = feedback_delay_markov(mproc, ArrivalSpec(1.0), 10.0,
-                                 multiplier=1.0, improved=True)
+    mplain = delay_tail(mproc, ArrivalSpec(1.0), 10.0)[1]
+    mfb1 = feedback_delay(mproc, ArrivalSpec(1.0), 10.0,
+                          multiplier=1.0, improved=True)
     assert (mfb1.value, mfb1.theta_star, mfb1.prefactor) == \
         (mplain.value, mplain.theta_star, mplain.prefactor)
     # shared-channel multi-hop bound invariant in N for fixed K
     reports = []
     for n in (1, 2, 4, 7):
         chain = HopChain((proc,) * n, 1, True)
-        reports.append(feedback_delay_additive(
+        reports.append(feedback_delay(
             chain.hops[0], arrival, 10.0,
             multiplier=float(chain.multiplier + 1)))
     assert all(r == reports[0] for r in reports[1:])

@@ -6,9 +6,8 @@ import pytest
 from wnc import (Additive, ArrivalSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
                  UnstableSystemError, ValidationError, backlog_tail,
-                 capacity_marginal, delay_constrained_capacity,
-                 delay_tail_additive, delay_tail_comonotonic,
-                 delay_tail_markov, lundberg_root, stability_margin)
+                 capacity_marginal, delay_constrained_capacity, delay_tail,
+                 delay_tail_comonotonic, lundberg_root, stability_margin)
 from wnc.delay import cramer_prefactors, delay_tail_markov_detail
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import process_mean_rate
@@ -40,7 +39,6 @@ def test_lundberg_root_cubic_oracle(two_point):
     theta_oracle = 2.0 * math.log(0.5 * (lo + hi))
     assert sol.theta_star == pytest.approx(theta_oracle, abs=1e-8)
     assert abs(sol.kappa_residual) < 1e-9
-    assert sol.stable
 
 
 def test_lundberg_offset_multiplier_substitution(two_point):
@@ -85,14 +83,14 @@ def test_cramer_prefactors_two_point(two_point):
 
 def test_delay_tail_deterministic_channel():
     proc = Additive(DiscreteDistribution.point_mass(2.0))
-    lo, up = delay_tail_additive(proc, ArrivalSpec(1.5), 3.0)
+    lo, up = delay_tail(proc, ArrivalSpec(1.5), 3.0)
     assert lo.value == up.value == 0.0
-    lo0, up0 = delay_tail_additive(proc, ArrivalSpec(1.5), 0.0)
+    lo0, up0 = delay_tail(proc, ArrivalSpec(1.5), 0.0)
     assert lo0.value == up0.value == 1.0
 
 
 def test_delay_tail_unstable_is_vacuous(two_point):
-    lo, up = delay_tail_additive(Additive(two_point), ArrivalSpec(1.0), 5.0)
+    lo, up = delay_tail(Additive(two_point), ArrivalSpec(1.0), 5.0)
     assert lo.value == up.value == 1.0
     assert "unstable" in up.notes
 
@@ -101,7 +99,7 @@ def test_delay_upper_log_linear_in_d(two_point):
     proc = Additive(two_point)
     arrival = ArrivalSpec(0.5)
     ds = np.arange(1.0, 11.0)
-    ups = np.array([delay_tail_additive(proc, arrival, d)[1].value for d in ds])
+    ups = np.array([delay_tail(proc, arrival, d)[1].value for d in ds])
     theta = lundberg_root(proc, arrival).theta_star
     logs = np.log(ups)
     slope, intercept = np.polyfit(ds, logs, 1)
@@ -116,10 +114,18 @@ def test_delay_markov_single_state_equals_additive(two_point):
                                                 [two_point])
     arrival = ArrivalSpec(0.5)
     for d in (1.0, 5.0, 10.0):
-        alo, aup = delay_tail_additive(Additive(two_point), arrival, d)
-        mlo, mup = delay_tail_markov(MarkovAdditive(kernel), arrival, d)
+        alo, aup = delay_tail(Additive(two_point), arrival, d)
+        mlo, mup = delay_tail(MarkovAdditive(kernel), arrival, d)
         assert mlo.value == pytest.approx(alo.value, abs=1e-12)
         assert mup.value == pytest.approx(aup.value, abs=1e-12)
+    for d, eps in ((10.0, 1e-2), (20.0, 1e-4)):
+        add = delay_constrained_capacity(Additive(two_point), d, eps)
+        mk = delay_constrained_capacity(MarkovAdditive(kernel), d, eps)
+        assert mk.feasible and add.feasible
+        for m, a in zip((mk.conservative, mk.optimistic, *mk.one_shot_window),
+                        (add.conservative, add.optimistic,
+                         *add.one_shot_window)):
+            assert m == pytest.approx(a, rel=1e-12, abs=0.0)
 
 
 def test_delay_markov_structure(ge_kernel):
@@ -148,7 +154,7 @@ def test_delay_markov_quick_sandwich(ge_kernel):
         ests = empirical_delay_tails(proc, arrival, [5.0, 20.0], cfg,
                                      initial_state=init)
         for d, est in zip((5.0, 20.0), ests):
-            lo, up = delay_tail_markov(proc, arrival, d, initial_state=init)
+            lo, up = delay_tail(proc, arrival, d, initial_state=init)
             assert lo.value - 3 * est.stderr <= est.point <= up.value + 3 * est.stderr
 
 
@@ -167,7 +173,7 @@ def test_full_transition_kernel_sandwich(full_kernel):
     cfg = SimConfig(seed=47, runs=150_000, horizon=500)
     ests = empirical_delay_tails(proc, arrival, [2.0, 6.0], cfg)
     for d, est in zip((2.0, 6.0), ests):
-        lo, up = delay_tail_markov(proc, arrival, d)
+        lo, up = delay_tail(proc, arrival, d)
         assert lo.value - 3 * est.stderr <= est.point <= up.value + 3 * est.stderr
 
 
@@ -190,16 +196,16 @@ def test_backlog_delegates_bit_for_bit(two_point, ge_kernel):
     arrival = ArrivalSpec(0.5)
     proc = Additive(two_point)
     blo, bup = backlog_tail(proc, arrival, 5.0)
-    dlo, dup = delay_tail_additive(proc, arrival, 10.0)
+    dlo, dup = delay_tail(proc, arrival, 10.0)
     assert (blo.value, bup.value) == (dlo.value, dup.value)
     # doubling lambda halves the effective delay target
     arrival2 = ArrivalSpec(1.0)
     b2 = backlog_tail(proc, arrival2, 5.0)
-    d2 = delay_tail_additive(proc, arrival2, 5.0)
+    d2 = delay_tail(proc, arrival2, 5.0)
     assert b2[1].value == d2[1].value
     mproc = MarkovAdditive(ge_kernel)
     mb = backlog_tail(mproc, ArrivalSpec(1.0), 10.0)
-    md = delay_tail_markov(mproc, ArrivalSpec(1.0), 10.0)
+    md = delay_tail(mproc, ArrivalSpec(1.0), 10.0)
     assert mb[1].value == md[1].value
     como = Comonotonic(two_point)
     assert backlog_tail(como, arrival, 2.5) == \
@@ -235,10 +241,7 @@ def test_dcc_conservative_verified_by_simulation(two_point):
 
 
 def _delay_pair(process, lam, d):
-    if isinstance(process, MarkovAdditive):
-        lo, up = delay_tail_markov(process, ArrivalSpec(lam), d)
-    else:
-        lo, up = delay_tail_additive(process, ArrivalSpec(lam), d)
+    lo, up = delay_tail(process, ArrivalSpec(lam), d)
     return lo.value, up.value
 
 
@@ -307,7 +310,7 @@ def test_slowly_mixing_gilbert_elliott_delay(p_gb, p_bg):
     pi = np.array([p_bg, p_gb]) / (p_gb + p_bg)
     exact = math.exp(-theta * lam * d) * float(pi @ h)   # / h(B) after pi.h = 1
 
-    lower, upper = delay_tail_markov(MarkovAdditive(kernel), ArrivalSpec(lam), d)
+    lower, upper = delay_tail(MarkovAdditive(kernel), ArrivalSpec(lam), d)
     assert upper.theta_star == pytest.approx(theta, abs=1e-9)
     # the upper bound is exact here (C+ = 1/h(B)): allow rounding only
     assert lower.value <= exact * (1.0 + 1e-9)
@@ -323,7 +326,7 @@ def test_lundberg_root_at_small_stability_margins(two_point, margin, rel):
     assert abs(sol.kappa_residual) < 1e-9
     oracle = lundberg_theta_oracle(two_point.support, two_point.mass, lam)
     assert sol.theta_star == pytest.approx(oracle, rel=rel)
-    lo, up = delay_tail_additive(Additive(two_point), ArrivalSpec(lam), 10.0)
+    lo, up = delay_tail(Additive(two_point), ArrivalSpec(lam), 10.0)
     assert 0.0 < lo.value <= up.value <= 1.0
 
 
@@ -336,7 +339,7 @@ def test_delay_tail_additive_cgf_call_count(two_point, monkeypatch):
         return cgf(self, theta)
 
     monkeypatch.setattr(DiscreteDistribution, "cgf", counted)
-    lo, up = delay_tail_additive(Additive(two_point), ArrivalSpec(0.4), 5.0)
+    lo, up = delay_tail(Additive(two_point), ArrivalSpec(0.4), 5.0)
     assert len(calls) <= 40
     assert up.diagnostics.evaluations == len(calls)
     assert lo.diagnostics is up.diagnostics

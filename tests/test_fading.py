@@ -6,8 +6,8 @@ from scipy import stats
 
 from wnc import (ChannelSpec, FrequencySelective, HeavyTailError, Lognormal,
                  Nakagami, Rayleigh, Rice, ValidationError, Weibull,
-                 capacity_cdf, capacity_marginal, capacity_quantile,
-                 capacity_tail, certify_light_tail, cgf, frechet_bounds)
+                 capacity_marginal, capacity_quantile, certify_light_tail,
+                 cgf, frechet_bounds)
 from wnc.distributions import DiscreteDistribution
 from wnc.fading import rayleigh_capacity_cdf
 
@@ -34,14 +34,13 @@ def test_channel_spec_validation():
 
 
 def test_rayleigh_closed_form_values():
-    assert capacity_cdf(SPEC, Rayleigh(), 0.0) == 0.0
-    assert capacity_cdf(SPEC, Rayleigh(), 1.0) == pytest.approx(
-        1.0 - math.exp(-1.0), abs=1e-12)
-    assert capacity_tail(SPEC, Rayleigh(), 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert capacity_tail(SPEC, Rayleigh(), 1.0) == pytest.approx(
-        math.exp(-1.0), rel=1e-10)
+    m = capacity_marginal(SPEC, Rayleigh())
+    assert m.cdf(0.0) == 0.0
+    assert m.cdf(1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert m.tail(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert m.tail(1.0) == pytest.approx(math.exp(-1.0), rel=1e-10)
     with pytest.raises(ValidationError):
-        capacity_cdf(SPEC, Rayleigh(), -0.5)
+        m.cdf(-0.5)
 
 
 def test_rayleigh_closed_vs_generic_transform():
@@ -62,7 +61,7 @@ def test_rayleigh_cdf_against_gain_monte_carlo():
     for x in (0.5, 1.0, 2.0):
         est = float(np.mean(caps <= x))
         se = math.sqrt(est * (1 - est) / caps.size)
-        assert abs(capacity_cdf(SPEC, Rayleigh(), x) - est) <= 3 * se
+        assert abs(capacity_marginal(SPEC, Rayleigh()).cdf(x) - est) <= 3 * se
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
@@ -180,8 +179,9 @@ def test_sampling_matches_cdf_ks(model, samples):
 def test_frequency_selective_single_subchannel_is_identity():
     fs = FrequencySelective(((SPEC, Rayleigh()),))
     xs = np.linspace(0.0, 6.0, 50)
-    np.testing.assert_allclose(capacity_cdf(SPEC, fs, xs),
-                               capacity_cdf(SPEC, Rayleigh(), xs), atol=1e-12)
+    np.testing.assert_allclose(capacity_marginal(SPEC, fs).cdf(xs),
+                               capacity_marginal(SPEC, Rayleigh()).cdf(xs),
+                               atol=1e-12)
 
 
 def test_frequency_selective_sum_against_monte_carlo():
@@ -272,6 +272,6 @@ def test_certificate_covers_between_grid_points():
              (None, DiscreteDistribution.point_mass(2.0), {})]
     for spec, model, kw in cases:
         cert = certify_light_tail(spec, model, 0.0, 8.0, 256, **kw)
-        tail = np.asarray(capacity_tail(spec, model, fine)
+        tail = np.asarray(capacity_marginal(spec, model).tail(fine)
                           if spec is not None else model.tail(fine))
         assert np.all(tail <= cert.bound(fine))

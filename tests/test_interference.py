@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from wnc import (Additive, ArrivalSpec, HopChain, MarkovAdditive,
-                 MarkovKernel, UnstableSystemError, delay_tail_additive,
-                 delay_tail_markov, e2e_delay_bound, feedback_delay_additive,
-                 feedback_delay_markov, lundberg_root)
+                 MarkovKernel, UnstableSystemError, delay_tail,
+                 e2e_delay_bound, feedback_delay, lundberg_root)
 from wnc.distributions import DiscreteDistribution
 
 from conftest import additive_union_delay_bound
@@ -14,7 +13,7 @@ from conftest import additive_union_delay_bound
 
 def test_feedback_additive_substitution_identity(two_point):
     proc = Additive(two_point)
-    rep = feedback_delay_additive(proc, ArrivalSpec(0.25), 10.0)
+    rep = feedback_delay(proc, ArrivalSpec(0.25), 10.0)
     base = lundberg_root(proc, ArrivalSpec(0.5)).theta_star
     assert rep.theta_star == pytest.approx(base, abs=1e-12)
     assert rep.value == pytest.approx(math.exp(-base * 0.25 * 10.0), abs=1e-12)
@@ -23,24 +22,24 @@ def test_feedback_additive_substitution_identity(two_point):
 
 def test_feedback_additive_stability_and_degenerate(two_point):
     with pytest.raises(UnstableSystemError):
-        feedback_delay_additive(Additive(two_point), ArrivalSpec(0.6), 5.0)
+        feedback_delay(Additive(two_point), ArrivalSpec(0.6), 5.0)
     pm = Additive(DiscreteDistribution.point_mass(2.0))
-    rep = feedback_delay_additive(pm, ArrivalSpec(0.9), 5.0)
+    rep = feedback_delay(pm, ArrivalSpec(0.9), 5.0)
     assert rep.value == 0.0
 
 
 def test_feedback_multiplier_one_matches_plain_bound(two_point, ge_kernel):
     arrival = ArrivalSpec(0.5)
-    plain = delay_tail_additive(Additive(two_point), arrival, 10.0)[1]
-    fb = feedback_delay_additive(Additive(two_point), arrival, 10.0,
-                                 multiplier=1.0, improved=True)
+    plain = delay_tail(Additive(two_point), arrival, 10.0)[1]
+    fb = feedback_delay(Additive(two_point), arrival, 10.0,
+                        multiplier=1.0, improved=True)
     assert fb.value == plain.value
     assert fb.theta_star == plain.theta_star
     assert fb.prefactor == plain.prefactor
     marr = ArrivalSpec(1.0)
-    mplain = delay_tail_markov(MarkovAdditive(ge_kernel), marr, 10.0)[1]
-    mfb = feedback_delay_markov(MarkovAdditive(ge_kernel), marr, 10.0,
-                                multiplier=1.0, improved=True)
+    mplain = delay_tail(MarkovAdditive(ge_kernel), marr, 10.0)[1]
+    mfb = feedback_delay(MarkovAdditive(ge_kernel), marr, 10.0,
+                         multiplier=1.0, improved=True)
     assert mfb.value == mplain.value
 
 
@@ -48,11 +47,11 @@ def test_feedback_markov_single_state_reduces(two_point):
     kernel = MarkovKernel.from_destination_laws(("s",), np.array([[1.0]]),
                                                 [two_point])
     arrival = ArrivalSpec(0.25)
-    add = feedback_delay_additive(Additive(two_point), arrival, 10.0)
-    mk = feedback_delay_markov(MarkovAdditive(kernel), arrival, 10.0)
+    add = feedback_delay(Additive(two_point), arrival, 10.0)
+    mk = feedback_delay(MarkovAdditive(kernel), arrival, 10.0)
     assert mk.value == pytest.approx(add.value, abs=1e-12)
     with pytest.raises(UnstableSystemError):
-        feedback_delay_markov(MarkovAdditive(kernel), ArrivalSpec(0.6), 5.0)
+        feedback_delay(MarkovAdditive(kernel), ArrivalSpec(0.6), 5.0)
 
 
 def test_multihop_reduction(two_point):
@@ -71,8 +70,8 @@ def test_shared_channel_bound_invariant_in_hop_count(two_point):
     reports = []
     for n in (1, 2, 5):
         chain = HopChain((Additive(two_point),) * n, 1, True)
-        rep = feedback_delay_additive(chain.hops[0], arrival, 10.0,
-                                      multiplier=float(chain.multiplier + 1))
+        rep = feedback_delay(chain.hops[0], arrival, 10.0,
+                             multiplier=float(chain.multiplier + 1))
         reports.append(rep)
     assert reports[0] == reports[1] == reports[2]
 

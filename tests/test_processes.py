@@ -5,12 +5,12 @@ import pytest
 
 from wnc import (Additive, AntitheticPairing, ChannelSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
-                 ValidationError, additive_cdf_bounds, capacity_marginal,
-                 comonotonic_cdf, frechet_bounds, markov_cdf_bounds,
-                 mgf_matrix, perron_frobenius)
+                 ValidationError, capacity_marginal, cdf_bounds,
+                 comonotonic_cdf, frechet_bounds, mgf_matrix,
+                 perron_frobenius)
 from wnc.distributions import DiscreteDistribution
-from wnc.processes import (BoundReport, _cgf_of, _grid_allocation,
-                           _tilt_terms, kernel_cgf, kernel_spectral)
+from wnc.processes import (BoundReport, _grid_allocation, _tilt_terms,
+                           kernel_cgf, kernel_spectral)
 from wnc.simulate import cumulative_capacity_samples
 
 from conftest import (assert_matrix_power_identity, frechet_allocation_loop,
@@ -90,7 +90,7 @@ def test_frechet_contains_compatible_processes(uniform_law):
             lo, up = frechet_bounds([uniform_law] * t, x)
             como = uniform_law.cdf(x / t)
             assert lo - 1e-9 <= como <= up + 1e-9
-            add_lo, add_up = additive_cdf_bounds(proc_add, t, x)
+            add_lo, add_up = cdf_bounds(proc_add, t, x)
             # both intervals contain the true additive CDF
             assert add_lo.value <= up + 1e-9
             assert lo - 1e-9 <= add_up.value
@@ -119,7 +119,7 @@ def test_frechet_grid_allocation_matches_cell_loop(law_name, t, two_point,
 def test_additive_bounds_brute_force_theta(two_point):
     proc = Additive(two_point)
     t, x = 10, 4.0
-    lo, up = additive_cdf_bounds(proc, t, x)
+    lo, up = cdf_bounds(proc, t, x)
     # oracle: dense theta scan of the lower-tail exponent
     ths = np.linspace(1e-6, 30.0, 100_000)
     kneg = np.log(0.5 + 0.5 * np.exp(-2.0 * ths))
@@ -134,13 +134,13 @@ def test_additive_bounds_brute_force_theta(two_point):
 
 def test_additive_bounds_vacuous_and_certain(two_point):
     proc = Additive(two_point)
-    lo, up = additive_cdf_bounds(proc, 5, 10.5)   # x above t * max support
+    lo, up = cdf_bounds(proc, 5, 10.5)   # x above t * max support
     assert lo.value >= 1.0 - 1e-6
     assert up.value == 1.0
     # exactly at the support edge the bound saturates at the boundary atom
-    lo_edge, _ = additive_cdf_bounds(proc, 5, 10.0)
+    lo_edge, _ = cdf_bounds(proc, 5, 10.0)
     assert lo_edge.value == pytest.approx(1.0 - 0.5 ** 5, abs=1e-9)
-    lo2, up2 = additive_cdf_bounds(proc, 5, 5.0)  # x at the mean: both vacuous
+    lo2, up2 = cdf_bounds(proc, 5, 5.0)  # x at the mean: both vacuous
     assert lo2.value == 0.0
     assert up2.value == 1.0
 
@@ -150,7 +150,7 @@ def test_additive_sandwich_on_simulated_cdf(two_point):
     t = 12
     samples = cumulative_capacity_samples(proc, t, 200_000, seed=3)
     for x in (6.0, 9.0, 12.0, 15.0, 18.0):
-        lo, up = additive_cdf_bounds(proc, t, x)
+        lo, up = cdf_bounds(proc, t, x)
         p = float(np.mean(samples <= x))
         se = math.sqrt(max(p * (1 - p), 1e-9) / samples.size)
         assert lo.value - 3 * se <= p <= up.value + 3 * se
@@ -224,8 +224,8 @@ def test_markov_bounds_single_state_reduce_to_additive(two_point):
     mproc = MarkovAdditive(kernel)
     aproc = Additive(two_point)
     for t, x in ((5, 4.0), (10, 14.0)):
-        alo, aup = additive_cdf_bounds(aproc, t, x)
-        mlo, mup = markov_cdf_bounds(mproc, t, x)
+        alo, aup = cdf_bounds(aproc, t, x)
+        mlo, mup = cdf_bounds(mproc, t, x)
         assert mlo.value == pytest.approx(alo.value, abs=1e-12)
         assert mup.value == pytest.approx(aup.value, abs=1e-12)
         assert mlo.prefactor == pytest.approx(1.0, abs=1e-12)
@@ -238,14 +238,14 @@ def test_markov_bounds_sandwich_simulated(ge_kernel):
         samples = cumulative_capacity_samples(proc, t, 100_000, seed=11,
                                               initial_state=init)
         for x in (50.0, 60.0, 70.0, 80.0):
-            lo, up = markov_cdf_bounds(proc, t, x, initial_state=init)
+            lo, up = cdf_bounds(proc, t, x, initial_state=init)
             p = float(np.mean(samples <= x))
             se = math.sqrt(max(p * (1 - p), 1e-9) / samples.size)
             assert lo.value - 3 * se <= p <= up.value + 3 * se
     # tail upper bound 1 - lower vs MC
     samples = cumulative_capacity_samples(proc, t, 100_000, seed=12)
     for x in (70.0, 80.0):
-        lo, _ = markov_cdf_bounds(proc, t, x)
+        lo, _ = cdf_bounds(proc, t, x)
         p = float(np.mean(samples >= x))
         se = math.sqrt(max(p * (1 - p), 1e-9) / samples.size)
         assert p <= 1.0 - lo.value + 3 * se
@@ -257,7 +257,7 @@ def test_markov_self_check_runs(ge_kernel):
     assert_matrix_power_identity(
         ge_kernel, [(int(rng.integers(2, 5)), float(rng.uniform(-0.8, 0.8)))
                     for _ in range(3)])
-    lo, up = markov_cdf_bounds(MarkovAdditive(ge_kernel), 5, 6.0)
+    lo, up = cdf_bounds(MarkovAdditive(ge_kernel), 5, 6.0)
     assert 0.0 <= lo.value <= up.value <= 1.0
 
 
@@ -307,7 +307,7 @@ def test_kernel_cgf_reports_nilpotent_underflow_as_outside_domain(full_kernel):
 
 @pytest.mark.parametrize("t,x", [(10, 8.0), (10, 12.0), (10, 16.0), (4, 5.0)])
 def test_full_transition_kernel_cdf_sandwich(full_kernel, t, x):
-    lo, up = markov_cdf_bounds(MarkovAdditive(full_kernel), t, x)
+    lo, up = cdf_bounds(MarkovAdditive(full_kernel), t, x)
     exact = markov_sum_cdf(full_kernel, t, x)
     assert lo.value <= exact <= up.value
 
@@ -324,7 +324,9 @@ def _ge(p, q):
 def _grid_cdf_bounds(process, t, x):
     """(lower, upper) Chernoff values from the 200-point grid search."""
     terms = _tilt_terms(process)
-    kappa = _cgf_of(process)
+
+    def kappa(th):
+        return terms(th)[0]
 
     def exponent(sign):
         def fn(th):
@@ -360,9 +362,7 @@ def _chernoff_cases():
 
 @pytest.mark.parametrize("process, t, x", _chernoff_cases())
 def test_chernoff_search_never_worse_than_grid(process, t, x):
-    bound_fn = (markov_cdf_bounds if isinstance(process, MarkovAdditive)
-                else additive_cdf_bounds)
-    lo, up = bound_fn(process, t, float(x))
+    lo, up = cdf_bounds(process, t, float(x))
     grid_lo, grid_up = _grid_cdf_bounds(process, t, float(x))
     # 1e-12 relative, plus the rounding of the exponent t kappa (kappa, the
     # log of an eigenvalue or of a sum, carries a few eps absolute): at

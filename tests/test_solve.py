@@ -5,9 +5,8 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from wnc import (Additive, ArrivalSpec, HopChain, MarkovAdditive,
-                 NumericFailure, additive_cdf_bounds, delay_tail_additive,
-                 delay_tail_markov, e2e_delay_bound, feedback_delay_additive,
-                 markov_cdf_bounds, solve)
+                 NumericFailure, cdf_bounds, delay_tail, e2e_delay_bound,
+                 feedback_delay, solve)
 from wnc.cli import build_process, load_scenario
 
 ROOT_FUNCS = [
@@ -110,17 +109,17 @@ def test_diagnostics_populated_and_interior_on_shipped_scenarios(two_point):
     proc = _shipped("default")
     arrival = ArrivalSpec(0.4)
     for x in (4.0, 8.0, 12.0):
-        reports += additive_cdf_bounds(proc, 8, x)
+        reports += cdf_bounds(proc, 8, x)
     for d in (1.0, 5.0, 20.0):
-        reports += delay_tail_additive(proc, arrival, d)
-        reports.append(feedback_delay_additive(proc, arrival, d))
+        reports += delay_tail(proc, arrival, d)
+        reports.append(feedback_delay(proc, arrival, d))
         reports.append(e2e_delay_bound(HopChain((proc, proc)), arrival, d))
     ge = _shipped("gilbert_elliott")
     assert isinstance(ge, MarkovAdditive)
     for x in (8.0, 13.0, 18.0):
-        reports += markov_cdf_bounds(ge, 10, x)
+        reports += cdf_bounds(ge, 10, x)
     for d in (5.0, 10.0, 20.0):
-        reports += delay_tail_markov(ge, ArrivalSpec(1.0), d)
+        reports += delay_tail(ge, ArrivalSpec(1.0), d)
     interior = [r for r in reports if 0.0 < r.value < 1.0]
     assert len(interior) >= 15
     for r in reports:
@@ -129,7 +128,7 @@ def test_diagnostics_populated_and_interior_on_shipped_scenarios(two_point):
     for r in interior:
         assert not r.diagnostics.at_edge, r
     # equality ignores the diagnostics
-    lo, up = delay_tail_additive(Additive(two_point), arrival, 5.0)
+    lo, up = delay_tail(Additive(two_point), arrival, 5.0)
     assert up == type(up)(*[getattr(up, f) for f in
                             ("kind", "value", "theta_star", "prefactor",
                              "horizon", "notes")])
