@@ -270,19 +270,12 @@ def _run_capacity(scenario, query, arrival, config, meta):
     for th in query.get("theta_grid_per_bit", []):
         rows.append({"theta_per_bit": float(th), "cgf": marginal.cgf(float(th))})
     if "certify_x_hi_bits" in query:
-        cert = certify_light_tail_from_marginal(scenario, query)
+        cert = certify_light_tail(None, marginal, 0.0,
+                                  query["certify_x_hi_bits"])
         rows.append({"certificate_a": cert.prefactor_a,
                      "certificate_b": cert.rate_b,
                      "certificate_violation": cert.max_violation})
     return rows
-
-
-def certify_light_tail_from_marginal(scenario, query):
-    channel = scenario["channel"]
-    spec = ChannelSpec(channel.get("bandwidth_hz", 1.0),
-                       channel.get("snr_linear", 1.0))
-    model = _build_fading(channel["fading"])
-    return certify_light_tail(spec, model, 0.0, query["certify_x_hi_bits"])
 
 
 def _run_bounds(scenario, query, arrival, config, meta):

@@ -105,7 +105,11 @@ class DiscreteDistribution:
         """Generalised inverse inf{x : F(x) >= p} for p in (0, 1)."""
         if not 0.0 < p < 1.0:
             raise ValidationError(f"quantile level must be in (0,1), got {p!r}")
-        return float(self.support[np.searchsorted(self._cum, p, side="left")])
+        return float(self._inverse_cdf(p))
+
+    def _inverse_cdf(self, u):
+        """Vectorised generalised inverse F^{-1}(u) for u in [0, 1)."""
+        return self.support[np.searchsorted(self._cum, u, side="left")]
 
     def mean(self) -> float:
         return float(self.support @ self.mass)
@@ -184,8 +188,7 @@ class DiscreteDistribution:
         return DiscreteDistribution(centers[keep], mass[keep])
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        u = rng.random(size)
-        return self.support[np.searchsorted(self._cum, u, side="left")]
+        return self._inverse_cdf(rng.random(size))
 
     def discretize(self, n: int = DEFAULT_GRID_N) -> "DiscreteDistribution":
         """Already discrete; returns itself (protocol compatibility)."""

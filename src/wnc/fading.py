@@ -284,9 +284,13 @@ class FadingMarginal:
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise ValidationError(f"quantile level must be in (0,1), got {p!r}")
+        return float(self._inverse_cdf(p))
+
+    def _inverse_cdf(self, u):
+        """Vectorised F^{-1}(u) for u in [0, 1); composite laws invert their grid."""
         if self.is_composite:
-            return self._grid_law.quantile(p)
-        return float(self._capacity_of_gain(self._gain.ppf(p)))
+            return self._grid_law._inverse_cdf(u)
+        return self._capacity_of_gain(self._gain.ppf(u))
 
     def cgf(self, theta: float) -> float:
         """log E[exp(theta C)] by composite Gauss-Legendre quadrature.
@@ -408,7 +412,7 @@ def capacity_marginal(spec: ChannelSpec, model) -> FadingMarginal:
 
 def _as_marginal(spec, model):
     """Accept either a fading model (with spec) or a capacity law directly."""
-    if isinstance(model, DiscreteDistribution):
+    if isinstance(model, (DiscreteDistribution, FadingMarginal)):
         return model
     return FadingMarginal(spec, model)
 

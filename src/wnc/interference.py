@@ -83,7 +83,7 @@ def feedback_delay(process, arrival: ArrivalSpec, d: float,
         pref, notes = r.c_plus * w, "improved prefactor"
     else:
         pref, notes = w / float(min(r.h)), ""
-    value = min(1.0, pref * math.exp(-r.theta_star * arrival.lam * d))
+    value = min(1.0, pref * math.exp(-r.theta_star * (arrival.lam * d)))
     return BoundReport("delay_upper", value, r.theta_star, pref, math.inf,
                        notes, r.diagnostics)
 

@@ -269,13 +269,13 @@ def delay_ordering_check(proc_n, proc_perp, proc_p, arrival: ArrivalSpec,
         try:
             dcc_perp = delay_constrained_capacity(proc_perp, dcc_d,
                                                   dcc_eps).conservative
-        except Exception:
+        except (UnstableSystemError, NumericFailure):
             pass
     if isinstance(proc_p, Comonotonic):
         try:
             dcc_como = delay_constrained_capacity(proc_p, dcc_d,
                                                   dcc_eps).conservative
-        except Exception:
+        except (UnstableSystemError, NumericFailure):
             pass
     ordered = None
     if dcc_perp is not None and dcc_como is not None:

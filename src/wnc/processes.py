@@ -357,7 +357,7 @@ class AntitheticPairing:
             n = 8192
             mids = (np.arange(n) + 0.5) / n
             lengths = np.full(n, 1.0 / n)
-        vals = np.array([m.quantile(u) + m.quantile(1.0 - u) for u in mids])
+        vals = m._inverse_cdf(mids) + m._inverse_cdf(1.0 - mids)
         order = np.argsort(vals, kind="stable")
         vals, lengths = vals[order], lengths[order]
         uniq, inv = np.unique(vals, return_inverse=True)

@@ -1,8 +1,11 @@
 """Monte Carlo oracle: trace generation, queueing recursions, tail estimates.
 
-Every estimator draws from counter-keyed substreams (seed, batch index)
-built on numpy SeedSequence, so identical (seed, config, process) inputs
-reproduce bit-identical outputs and batches can run concurrently.
+Every estimator draws its slots from one stream, ``_slots``, for every
+process type, and its runs in batches from one driver, ``_batches``: each
+batch uses the counter-keyed substream (seed, key, batch) built on numpy
+SeedSequence, so identical (seed, config, process) inputs reproduce
+bit-identical outputs and batches could run concurrently.
+``_tail_estimates`` turns the per-batch event counts into estimates.
 
 The stationary delay event is evaluated per run as a truncated supremum:
 
@@ -18,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
 from .errors import ValidationError
-from .fading import FadingMarginal
 from .processes import (Additive, AntitheticPairing, Comonotonic,
                         MarkovAdditive)
 
@@ -80,115 +82,84 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))))
 
 
-def _batch_sizes(runs: int):
-    start = 0
-    while start < runs:
-        size = min(_BATCH, runs - start)
-        yield start // _BATCH, size
-        start += size
+def _batches(seed: int, key: int, runs: int):
+    """(batch index, size, substream (seed, key, batch)) per batch of runs."""
+    for batch, start in enumerate(range(0, runs, _BATCH)):
+        yield batch, min(_BATCH, runs - start), substream(seed, key, batch)
+
+
+def _tail_estimates(seed: int, key: int, runs: int, batch_counts):
+    """TailEstimates of the counts batch_counts(batch, size, rng) summed."""
+    counts = sum(batch_counts(*b) for b in _batches(seed, key, runs))
+    return [TailEstimate.from_count(int(c), runs) for c in counts]
 
 
 # ---------------------------------------------------------------------------
-# vectorised slot samplers
+# the slot stream
 
 
-def _quantiles(marginal, u: np.ndarray) -> np.ndarray:
-    if isinstance(marginal, DiscreteDistribution):
-        return marginal.support[np.searchsorted(marginal._cum, u, side="left")]
-    if isinstance(marginal, FadingMarginal):
-        if marginal.is_composite:
-            law = marginal.discretize()
-            return law.support[np.searchsorted(law._cum, u, side="left")]
-        return marginal._capacity_of_gain(marginal._gain.ppf(u))
-    raise ValidationError(f"cannot invert marginal of type {type(marginal).__name__}")
+def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
+    """Endless stream of length-n capacity vectors, one per slot.
 
-
-def _slot_sampler(process, rng: np.random.Generator, n: int):
-    """Yields one length-n capacity vector per slot."""
+    Additive slots are fresh ``marginal.sample`` draws; a comonotonic
+    stream repeats F^{-1}(U) for one uniform per run; antithetic slots come
+    in pairs F^{-1}(U), F^{-1}(1 - U).  A Markov stream starts from
+    ``initial_state`` (default: the process's own start).  Per slot one
+    uniform picks the next state and, when some increment law has more
+    than one atom, a second one the increment from the law of the
+    transition: law ``nxt`` in destination mode, ``state * |E| + nxt`` for
+    a full kernel.
+    """
     if isinstance(process, Additive):
         marginal = process.marginal
         while True:
             yield np.asarray(marginal.sample(rng, n), dtype=float)
     elif isinstance(process, Comonotonic):
-        c = _quantiles(process.marginal, rng.random(n))
-        while True:
-            yield c
+        yield from repeat(process.marginal._inverse_cdf(rng.random(n)))
     elif isinstance(process, AntitheticPairing):
-        marginal = process.marginal
+        inverse = process.marginal._inverse_cdf
         while True:
             u = rng.random(n)
-            yield _quantiles(marginal, u)
-            yield _quantiles(marginal, 1.0 - u)
-    else:
+            yield inverse(u)
+            yield inverse(1.0 - u)
+    elif not isinstance(process, MarkovAdditive):
         raise ValidationError(f"unknown process type {type(process).__name__}")
-
-
-class _MarkovSampler:
-    """Vectorised chain stepper; exposes the running state vector."""
-
-    def __init__(self, process: MarkovAdditive, rng, n, initial_state=None):
-        self.kernel = process.kernel
-        self.rng = rng
-        cum_rows = np.cumsum(self.kernel.transition, axis=1)
-        # one threshold column per destination; next state = #{j: u > cum[i, j]}
-        self._thresholds = [np.ascontiguousarray(cum_rows[:, j])
-                            for j in range(cum_rows.shape[1])]
-        init = process.initial if initial_state is None else initial_state
-        if isinstance(init, str) and init == "stationary":
-            pi = self.kernel.stationary
-            self.states = np.searchsorted(np.cumsum(pi), rng.random(n), side="left")
-        else:
-            self.states = np.full(n, self.kernel.state_index(init), dtype=np.intp)
-        self._point_caps = self._point_mass_table()
-
-    def _point_mass_table(self):
-        if not self.kernel.by_destination:
-            return None
-        laws = [self.kernel.increments[0][j] for j in range(len(self.kernel.states))]
-        if all(law.support.size == 1 for law in laws):
-            return np.array([law.support[0] for law in laws])
-        return None
-
-    def step(self) -> np.ndarray:
-        u = self.rng.random(self.states.size)
-        nxt = np.zeros(self.states.size, dtype=np.intp)
-        for column in self._thresholds:
-            nxt += u > column.take(self.states)
-        if self._point_caps is not None:
-            caps = self._point_caps[nxt]
-        elif self.kernel.by_destination:
-            caps = np.empty(self.states.size)
-            u2 = self.rng.random(self.states.size)
-            for j in range(len(self.kernel.states)):
-                mask = nxt == j
-                if np.any(mask):
-                    law = self.kernel.increments[0][j]
-                    caps[mask] = law.support[
-                        np.searchsorted(law._cum, u2[mask], side="left")]
-        else:
-            caps = np.empty(self.states.size)
-            u2 = self.rng.random(self.states.size)
-            for i in range(len(self.kernel.states)):
-                for j in range(len(self.kernel.states)):
-                    mask = (self.states == i) & (nxt == j)
-                    if np.any(mask):
-                        law = self.kernel.increments[i][j]
-                        caps[mask] = law.support[
-                            np.searchsorted(law._cum, u2[mask], side="left")]
-        self.states = nxt
-        return caps
-
-
-def _capacity_steps(process, rng, n, slots, initial_state=None):
-    """Iterator of slot capacity vectors for any process type."""
-    if isinstance(process, MarkovAdditive):
-        sampler = _MarkovSampler(process, rng, n, initial_state)
-        for _ in range(slots):
-            yield sampler.step()
+    kernel = process.kernel
+    k = len(kernel.states)
+    cum_rows = np.cumsum(kernel.transition, axis=1)
+    # one threshold column per destination; next state = #{j: u > cum[i, j]}
+    thresholds = [np.ascontiguousarray(cum_rows[:, j]) for j in range(k)]
+    laws = (kernel.increments[0] if kernel.by_destination
+            else [law for row in kernel.increments for law in row])
+    atoms = np.array([law.support[0] for law in laws])
+    random_laws = any(law.support.size > 1 for law in laws)
+    init = process.initial if initial_state is None else initial_state
+    if isinstance(init, str) and init == "stationary":
+        states = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n),
+                                 side="left")
     else:
-        gen = _slot_sampler(process, rng, n)
-        for _ in range(slots):
-            yield next(gen)
+        states = np.full(n, kernel.state_index(init), dtype=np.intp)
+
+    def step(states):
+        # a function, so that a slot's draws are freed before the next slot's
+        u = rng.random(n)
+        nxt = np.zeros(n, dtype=np.intp)
+        for column in thresholds:
+            nxt += u > column.take(states)
+        law_index = nxt if kernel.by_destination else states * k + nxt
+        if not random_laws:
+            return nxt, atoms[law_index]
+        caps = np.empty(n)
+        rng.random(out=u)               # second uniform, reusing u's array
+        for i, law in enumerate(laws):
+            mask = law_index == i
+            if np.any(mask):
+                caps[mask] = law._inverse_cdf(u[mask])
+        return nxt, caps
+
+    while True:
+        states, caps = step(states)
+        yield caps
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +176,8 @@ def sample_capacity_trace(process, horizon: int, stream: np.random.Generator
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    out = np.empty(horizon)
-    for t, caps in enumerate(_capacity_steps(process, stream, 1, horizon)):
-        out[t] = caps[0]
-    return out
+    return np.array([caps[0] for caps in
+                     islice(_slots(process, stream, 1), horizon)])
 
 
 def lindley_queue(arrival_rate: float, trace: np.ndarray):
@@ -229,17 +198,7 @@ def lindley_queue(arrival_rate: float, trace: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# stationary delay estimation
-
-
-def _walk_sup_batch(process, lam, slots, rng, n, initial_state=None):
-    """Per-run max over t <= slots of (lam t - S(t)); the t = 0 term is 0."""
-    w = np.zeros(n)
-    m = np.zeros(n)
-    for caps in _capacity_steps(process, rng, n, slots, initial_state):
-        w += lam - caps
-        np.maximum(m, w, out=m)
-    return m
+# estimators
 
 
 def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
@@ -252,20 +211,20 @@ def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
     """
     lam = arrival.lam
     levels = np.asarray([lam * d for d in d_values], dtype=float)
-    counts = np.zeros(levels.size, dtype=np.int64)
-    for batch, size in _batch_sizes(config.runs):
-        rng = substream(config.seed, 1, batch)
-        sup = _walk_sup_batch(process, lam, config.window, rng, size,
-                              initial_state)
+
+    def counts(batch, size, rng):
+        # per-run max over t <= window of (lam t - S(t)); the t = 0 term is 0
+        w = np.zeros(size)
+        sup = np.zeros(size)
+        for caps in islice(_slots(process, rng, size, initial_state),
+                           config.window):
+            w += lam - caps
+            np.maximum(sup, w, out=sup)
         if strict:
-            counts += (sup[None, :] > levels[:, None] + 1e-9).sum(axis=1)
-        else:
-            counts += (sup[None, :] >= levels[:, None] - 1e-9).sum(axis=1)
-    return [TailEstimate.from_count(int(c), config.runs) for c in counts]
+            return (sup[None, :] > levels[:, None] + 1e-9).sum(axis=1)
+        return (sup[None, :] >= levels[:, None] - 1e-9).sum(axis=1)
 
-
-# ---------------------------------------------------------------------------
-# cumulative-capacity sampling
+    return _tail_estimates(config.seed, 1, config.runs, counts)
 
 
 def cumulative_capacity_samples(process, t: int, runs: int, seed: int,
@@ -274,21 +233,36 @@ def cumulative_capacity_samples(process, t: int, runs: int, seed: int,
     if t < 1:
         raise ValidationError("t must be >= 1")
     out = np.empty(runs)
-    for batch, size in _batch_sizes(runs):
-        rng = substream(seed, 2, batch)
+    for batch, size, rng in _batches(seed, 2, runs):
+        slots = _slots(process, rng, size, initial_state)
         if isinstance(process, Comonotonic):
-            s = t * _quantiles(process.marginal, rng.random(size))
+            s = t * next(slots)
         else:
             s = np.zeros(size)
-            for caps in _capacity_steps(process, rng, size, t, initial_state):
+            for caps in islice(slots, t):
                 s += caps
-        start = batch * _BATCH
-        out[start:start + size] = s
+        out[batch * _BATCH:batch * _BATCH + size] = s
     return out
 
 
-# ---------------------------------------------------------------------------
-# feedback and tandem queues
+def _departure_tails(config: SimConfig, key: int, lam: float, d_values,
+                     departures):
+    """Virtual-delay tails P(A(T - d) > A*(T)) at T = horizon.
+
+    ``departures(batch, size, rng)`` returns each run's cumulative
+    departures A*(T); A(T - d) = lambda (T - d).
+    """
+    d_values = [int(d) for d in d_values]
+    horizon = config.horizon
+    if max(d_values, default=0) >= horizon:
+        raise ValidationError("d values must be below the horizon")
+    levels = np.array([lam * (horizon - d) for d in d_values])
+
+    def counts(batch, size, rng):
+        out = departures(batch, size, rng)
+        return (levels[:, None] > out[None, :] + 1e-9).sum(axis=1)
+
+    return _tail_estimates(config.seed, key, config.runs, counts)
 
 
 def feedback_queue(process, arrival, config: SimConfig, d_values):
@@ -302,31 +276,23 @@ def feedback_queue(process, arrival, config: SimConfig, d_values):
     P(D > d) <= P(D >= d).
     """
     lam = arrival.lam
-    d_values = [int(d) for d in d_values]
-    horizon = config.horizon
-    if max(d_values, default=0) >= horizon:
-        raise ValidationError("d values must be below the horizon")
-    counts = np.zeros(len(d_values), dtype=np.int64)
-    levels = np.array([lam * (horizon - d) for d in d_values])
-    for batch, size in _batch_sizes(config.runs):
-        rng = substream(config.seed, 3, batch)
+
+    def departures(batch, size, rng):
         b_flow = np.zeros(size)          # external-flow backlog
         b_echo = np.zeros(size)          # fed-back-copy backlog
-        dep_flow_prev = np.zeros(size)
+        dep_flow = np.zeros(size)
         out_flow = np.zeros(size)        # cumulative first-pass departures
-        step = iter(_capacity_steps(process, rng, size, horizon))
-        for _ in range(horizon):
-            caps = next(step)
-            b_echo += dep_flow_prev
+        for caps in islice(_slots(process, rng, size), config.horizon):
+            b_echo += dep_flow
             dep_echo = np.minimum(b_echo, caps)
             b_echo -= dep_echo
             b_flow += lam
             dep_flow = np.minimum(b_flow, caps - dep_echo)
             b_flow -= dep_flow
-            dep_flow_prev = dep_flow
             out_flow += dep_flow
-        counts += (levels[:, None] > out_flow[None, :] + 1e-9).sum(axis=1)
-    return [TailEstimate.from_count(int(c), config.runs) for c in counts]
+        return out_flow
+
+    return _departure_tails(config, 3, lam, d_values, departures)
 
 
 def tandem_queue(chain, arrival, config: SimConfig, d_values):
@@ -341,36 +307,28 @@ def tandem_queue(chain, arrival, config: SimConfig, d_values):
     if not isinstance(chain, HopChain):
         raise ValidationError("tandem_queue needs a HopChain")
     lam = arrival.lam
-    d_values = [int(d) for d in d_values]
-    horizon = config.horizon
-    if max(d_values, default=0) >= horizon:
-        raise ValidationError("d values must be below the horizon")
     n_hops = len(chain.hops)
-    k_eff = min(chain.interference_k, n_hops)
-    extra = (2 * k_eff - 2) * lam
-    counts = np.zeros(len(d_values), dtype=np.int64)
-    for batch, size in _batch_sizes(config.runs):
-        rng = substream(config.seed, 4, batch)
+    extra = (2 * chain.effective_k - 2) * lam
+
+    def departures(batch, size, rng):
+        if chain.shared_channel:
+            streams = [_slots(chain.hops[0], rng, size)]
+        else:
+            streams = [_slots(hop, substream(config.seed, 4, batch, i + 1),
+                              size) for i, hop in enumerate(chain.hops)]
         backlogs = [np.zeros(size) for _ in range(n_hops)]
         total_out = np.zeros(size)
-        if chain.shared_channel:
-            steps = [iter(_capacity_steps(chain.hops[0], rng, size, horizon))]
-        else:
-            steps = [iter(_capacity_steps(hop, substream(config.seed, 4, batch, i + 1),
-                                          size, horizon))
-                     for i, hop in enumerate(chain.hops)]
-        levels = np.array([lam * (horizon - d) for d in d_values])
-        for t in range(1, horizon + 1):
-            if chain.shared_channel:
-                shared_caps = next(steps[0])
-            flow_in = np.full(size, lam)
+        for _ in range(config.horizon):
+            flow_in = lam
             for i in range(n_hops):
-                caps = shared_caps if chain.shared_channel else next(steps[i])
+                if i < len(streams):     # a shared stream serves every hop
+                    caps = next(streams[i])
                 eff = np.maximum(caps - extra, 0.0)
                 avail = backlogs[i] + flow_in
                 dep = np.minimum(avail, eff)
                 backlogs[i] = avail - dep
                 flow_in = dep
             total_out += flow_in
-        counts += (levels[:, None] > total_out[None, :] + 1e-9).sum(axis=1)
-    return [TailEstimate.from_count(int(c), config.runs) for c in counts]
+        return total_out
+
+    return _departure_tails(config, 4, lam, d_values, departures)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from wnc.cli import main
@@ -39,6 +40,19 @@ def test_capacity_rayleigh_zero_row(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "query_index,x_bits,cdf,tail"
     assert out[1] == "0,0,0,1"
+
+
+def test_capacity_certificate_on_discrete_channel(tmp_path, capsys):
+    doc = dict(BASE, queries=[{"kind": "capacity", "x_grid_bits": [1.0],
+                               "certify_x_hi_bits": 8.0}])
+    assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    certs = [r for r in rows if r["certificate_a"]]
+    assert len(certs) == 1
+    # the two-point tail 1/2 on [0, 2) and 0 above is covered at every rate
+    a, b = float(certs[0]["certificate_a"]), float(certs[0]["certificate_b"])
+    assert b > 0 and a * np.exp(-b * 2.0) >= 0.5
+    assert float(certs[0]["certificate_violation"]) <= 0.0
 
 
 def test_malformed_scenario_names_field(tmp_path, capsys):

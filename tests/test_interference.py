@@ -29,13 +29,18 @@ def test_feedback_additive_stability_and_degenerate(two_point):
 
 
 def test_feedback_multiplier_one_matches_plain_bound(two_point, ge_kernel):
-    arrival = ArrivalSpec(0.5)
-    plain = delay_tail(Additive(two_point), arrival, 10.0)[1]
-    fb = feedback_delay(Additive(two_point), arrival, 10.0,
-                        multiplier=1.0, improved=True)
-    assert fb.value == plain.value
-    assert fb.theta_star == plain.theta_star
-    assert fb.prefactor == plain.prefactor
+    # the grid holds points where theta * lambda * d rounds differently
+    # from theta * (lambda * d)
+    grid = [(0.5, 10.0)] + [(lam, d) for lam in (0.3, 0.35, 0.45, 0.55, 0.7)
+                            for d in (3.0, 7.0, 11.0, 13.0)]
+    for lam, d in grid:
+        arrival = ArrivalSpec(lam)
+        plain = delay_tail(Additive(two_point), arrival, d)[1]
+        fb = feedback_delay(Additive(two_point), arrival, d,
+                            multiplier=1.0, improved=True)
+        assert fb.value == plain.value, (lam, d)
+        assert fb.theta_star == plain.theta_star
+        assert fb.prefactor == plain.prefactor
     marr = ArrivalSpec(1.0)
     mplain = delay_tail(MarkovAdditive(ge_kernel), marr, 10.0)[1]
     mfb = feedback_delay(MarkovAdditive(ge_kernel), marr, 10.0,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wnc import (Additive, AntitheticPairing, ArrivalSpec, Comonotonic,
-                 adjustment_ordering, cx_order, icx_order, st_order)
+                 ValidationError, adjustment_ordering, cx_order, icx_order,
+                 st_order)
 from wnc.distributions import DiscreteDistribution
 from wnc.ordering import (SampleSet, adjustment_coefficient,
                           delay_ordering_check, stop_loss_curve)
@@ -152,3 +153,12 @@ def test_delay_ordering_unstable_comonotonic_dominates(two_point):
                                ArrivalSpec(2.5), [1, 2, 5], cfg)
     assert all(e.point == 1.0 for e in rep.tails_comonotonic)
     assert rep.chain_holds
+
+
+def test_delay_ordering_rejects_invalid_dcc_inputs(two_point):
+    # invalid DCC inputs raise instead of reporting no capacity
+    cfg = SimConfig(seed=43, runs=1_000, horizon=50)
+    with pytest.raises(ValidationError):
+        delay_ordering_check(AntitheticPairing(two_point), Additive(two_point),
+                             Comonotonic(two_point), ArrivalSpec(0.5), [1],
+                             cfg, dcc_eps=0.0)

@@ -269,6 +269,20 @@ def test_antithetic_pair_sum_law(two_point, uniform_law):
     assert u_pair.var() < 1e-6      # antithetic uniforms sum to ~1
 
 
+def test_rayleigh_pair_sum_law_matches_scalar_quantiles(rayleigh_marginal):
+    # the pair-sum law built from one scalar quantile call per grid midpoint
+    n = 8192
+    mids = (np.arange(n) + 0.5) / n
+    vals = np.array([rayleigh_marginal.quantile(u)
+                     + rayleigh_marginal.quantile(1.0 - u) for u in mids])
+    uniq, inv = np.unique(vals, return_inverse=True)
+    mass = np.zeros_like(uniq)
+    np.add.at(mass, inv, np.full(n, 1.0 / n))
+    pair = AntitheticPairing(rayleigh_marginal).pair_sum_law
+    np.testing.assert_array_equal(pair.support, uniq)
+    np.testing.assert_array_equal(pair.mass, mass / mass.sum())
+
+
 def test_perron_frobenius_near_periodic():
     # eigenvalues +-rho of equal modulus: a dense solve needs no spectral gap
     for eps in (0.0, 1e-13, 1e-8):

@@ -1,12 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from wnc import (Additive, AntitheticPairing, ArrivalSpec, Comonotonic,
-                 HopChain, MarkovAdditive, MarkovKernel, ValidationError)
+from wnc import (Additive, AntitheticPairing, ArrivalSpec, ChannelSpec,
+                 Comonotonic, FrequencySelective, HopChain, MarkovAdditive,
+                 MarkovKernel, Nakagami, Rayleigh, ValidationError,
+                 capacity_marginal)
 from wnc.distributions import DiscreteDistribution
+from wnc.processes import process_mean_rate
 from wnc.simulate import (SimConfig, cumulative_capacity_samples,
                           empirical_delay_tails, feedback_queue,
                           lindley_queue, sample_capacity_trace, substream,
@@ -98,7 +102,6 @@ def test_estimates_bit_reproducible(two_point, ge_kernel):
 
 
 def test_comonotonic_cumulative_matches_closed_form(two_point, unit_spec):
-    from wnc import Rayleigh, capacity_marginal
     ray = capacity_marginal(unit_spec, Rayleigh())
     t = 7
     samples = cumulative_capacity_samples(Comonotonic(ray), t, 100_000, seed=8)
@@ -165,3 +168,111 @@ def test_tandem_deterministic_hops_zero_delay():
     cfg = SimConfig(seed=14, runs=2_000, horizon=100)
     ests = tandem_queue(chain, ArrivalSpec(0.5), cfg, [1, 3])
     assert all(e.point == 0.0 for e in ests)
+
+
+def _stream_processes(two_point, ge_kernel, full_kernel, rayleigh_marginal):
+    selective = capacity_marginal(ChannelSpec(1.0, 1.0), FrequencySelective((
+        (ChannelSpec(1.0, 1.0), Rayleigh()),
+        (ChannelSpec(0.5, 2.0), Nakagami(2.0)))))
+    dest = MarkovKernel.from_destination_laws(
+        ("a", "b", "c"),
+        np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]),
+        [DiscreteDistribution(np.array([0.0, 1.0, 2.0]),
+                              np.array([0.2, 0.3, 0.5])),
+         DiscreteDistribution.point_mass(0.5),
+         DiscreteDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5]))])
+    return {
+        "additive_two_point": Additive(two_point),
+        "additive_rayleigh": Additive(rayleigh_marginal),
+        "comonotonic_two_point": Comonotonic(two_point),
+        "comonotonic_selective": Comonotonic(selective),
+        "antithetic_two_point": AntitheticPairing(two_point),
+        "antithetic_rayleigh": AntitheticPairing(rayleigh_marginal),
+        "ge_stationary": MarkovAdditive(ge_kernel),
+        "ge_from_b": MarkovAdditive(ge_kernel, "B"),
+        "destination_chain": MarkovAdditive(dest),
+        "full_kernel": MarkovAdditive(full_kernel),
+    }
+
+
+def _digest(values) -> str:
+    """Leading 16 hex digits of the SHA-256 of a float64 array or estimates."""
+    if isinstance(values, list):
+        values = [(e.point, e.stderr, e.runs_used) for e in values]
+    data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# Digests of the Monte Carlo streams; a change that alters a stream on
+# purpose updates them and says so in CHANGES.md.
+_STREAM_DIGESTS = {
+    "additive_two_point/trace": "f8236e343604eafb",
+    "additive_two_point/cumulative": "82ca51245b5ce3a8",
+    "additive_two_point/delay": "c04cc9ccbd6f1fb7",
+    "additive_two_point/feedback": "abca63c7094b9f8a",
+    "additive_rayleigh/trace": "d07878378ce7ce2d",
+    "additive_rayleigh/cumulative": "ef8644c07c09d8db",
+    "additive_rayleigh/delay": "dad536f0132857e4",
+    "additive_rayleigh/feedback": "85c664538349d9aa",
+    "comonotonic_two_point/trace": "9e999ac83b8adf57",
+    "comonotonic_two_point/cumulative": "1be27d9bb1dc9660",
+    "comonotonic_two_point/delay": "96ac72b7cb02cd8d",
+    "comonotonic_two_point/feedback": "66900e70869bde1c",
+    "comonotonic_selective/trace": "5d0a308845fe0674",
+    "comonotonic_selective/cumulative": "32f57bcec47a2a81",
+    "comonotonic_selective/delay": "6c3c74fc29467d79",
+    "comonotonic_selective/feedback": "b93d8e7b413ea9fc",
+    "antithetic_two_point/trace": "fe3e46fd5fc969c2",
+    "antithetic_two_point/cumulative": "5a963216f3a8ffb9",
+    "antithetic_two_point/delay": "21c407f221dc981b",
+    "antithetic_two_point/feedback": "680db70928e3aa01",
+    "antithetic_rayleigh/trace": "8fb4d9c74b961cca",
+    "antithetic_rayleigh/cumulative": "12e21640e1098b7e",
+    "antithetic_rayleigh/delay": "cdb185ca6afa7c7a",
+    "antithetic_rayleigh/feedback": "7af5ce08940127b3",
+    "ge_stationary/trace": "78c029aa28174289",
+    "ge_stationary/cumulative": "c1e5e3b911b0ecd2",
+    "ge_stationary/delay": "a91b8a5c463ca62e",
+    "ge_stationary/feedback": "e804e9958313c7b0",
+    "ge_from_b/trace": "085747f31fbfb00e",
+    "ge_from_b/cumulative": "485fcac5745a8c55",
+    "ge_from_b/delay": "77da6b3419f46712",
+    "ge_from_b/feedback": "88576878a84657a1",
+    "destination_chain/trace": "304eb8333d8f1b5c",
+    "destination_chain/cumulative": "f5166a47009fc2a9",
+    "destination_chain/delay": "11de1bbae292ed3a",
+    "destination_chain/feedback": "97f79a8fd83ce085",
+    "full_kernel/trace": "9f7990caa17d9e5f",
+    "full_kernel/cumulative": "3242b9ea706aaa90",
+    "full_kernel/delay": "7c2fbe55090c45dd",
+    "full_kernel/feedback": "c1f1caaa1fb32405",
+    "tandem/separate": "62ca235760f6648d",
+    "tandem/shared": "fc6c9c1614eff8ad",
+}
+
+
+def test_monte_carlo_streams_are_pinned(monkeypatch, two_point, ge_kernel,
+                                        full_kernel, rayleigh_marginal):
+    import wnc.simulate as sim
+    monkeypatch.setattr(sim, "_BATCH", 512)     # three batches of 1500 runs
+    cfg = SimConfig(seed=21, runs=1_500, horizon=60)
+    got = {}
+    for name, proc in _stream_processes(two_point, ge_kernel, full_kernel,
+                                        rayleigh_marginal).items():
+        rate = process_mean_rate(proc)
+        got[f"{name}/trace"] = _digest(
+            sample_capacity_trace(proc, 50, substream(21, 0)))
+        got[f"{name}/cumulative"] = _digest(
+            cumulative_capacity_samples(proc, 7, 1_500, seed=22))
+        got[f"{name}/delay"] = _digest(empirical_delay_tails(
+            proc, ArrivalSpec(0.8 * rate), [0.25, 1, 3], cfg))
+        got[f"{name}/feedback"] = _digest(
+            feedback_queue(proc, ArrivalSpec(0.4 * rate), cfg, [1, 2, 5]))
+    separate = HopChain((Additive(two_point), Additive(rayleigh_marginal)),
+                        2, False)
+    got["tandem/separate"] = _digest(tandem_queue(
+        separate, ArrivalSpec(0.3), cfg, [1, 2, 5]))
+    got["tandem/shared"] = _digest(tandem_queue(
+        HopChain((Additive(two_point),) * 3, 2, True), ArrivalSpec(0.3),
+        cfg, [1, 2, 5]))
+    assert got == _STREAM_DIGESTS
