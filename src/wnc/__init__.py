@@ -18,9 +18,8 @@ from .fading import (ChannelSpec, FadingMarginal, FrequencySelective,
                      certify_light_tail, cgf)
 from .processes import (Additive, AntitheticPairing, BoundReport,
                         CapacityProcess, Comonotonic, MarkovAdditive,
-                        MarkovKernel, SpectralData, cdf_bounds,
-                        comonotonic_cdf, frechet_bounds, mgf_matrix,
-                        perron_frobenius)
+                        MarkovKernel, cdf_bounds, comonotonic_cdf,
+                        frechet_bounds, mgf_matrix, perron_frobenius)
 from .delay import (ArrivalSpec, LundbergSolution, backlog_tail,
                     delay_constrained_capacity, delay_tail,
                     delay_tail_comonotonic, lundberg_root, stability_margin)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -49,20 +50,53 @@ _POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM = {"type": "number"}
 _NUMS = {"type": "array", "items": _NUM, "minItems": 1}
 
-_FADING_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["rayleigh", "rice", "nakagami", "weibull",
-                          "lognormal", "frequency_selective"]},
-        "sigma": _POS, "s": {"type": "number", "minimum": 0}, "sigma0": _POS,
-        "m": {"type": "number", "minimum": 0.5}, "omega": _POS,
-        "c": _POS, "k": _POS, "mu": _NUM,
-        "subchannels": {"type": "array", "minItems": 1},
+_FADING_KINDS = {"rayleigh": Rayleigh, "rice": Rice, "nakagami": Nakagami,
+                 "weibull": Weibull, "lognormal": Lognormal,
+                 "frequency_selective": FrequencySelective}
+
+# value schema of each fading model field, by field name
+_FADING_FIELDS = {
+    "sigma": _POS, "s": {"type": "number", "minimum": 0}, "sigma0": _POS,
+    "m": {"type": "number", "minimum": 0.5}, "omega": _POS,
+    "c": _POS, "k": _POS, "mu": _NUM,
+    "subchannels": {"type": "array", "minItems": 1,
+                    "items": {"$ref": "#/$defs/subchannel"}},
+}
+
+
+def _fading_kind_schema(kind, model):
+    """Fields of ``kind``: the model's dataclass fields, required where
+    they have no default."""
+    fields = dataclasses.fields(model)
+    return {
+        "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+        "then": {
+            "additionalProperties": False,
+            "required": [f.name for f in fields
+                         if f.default is dataclasses.MISSING],
+            "properties": {"kind": True,
+                           **{f.name: _FADING_FIELDS[f.name] for f in fields}},
+        },
+    }
+
+
+_FADING_DEFS = {
+    "fading": {
+        "type": "object", "required": ["kind"],
+        "properties": {"kind": {"enum": list(_FADING_KINDS)}},
+        "allOf": [_fading_kind_schema(kind, model)
+                  for kind, model in _FADING_KINDS.items()],
+    },
+    "subchannel": {
+        "type": "object", "additionalProperties": False,
+        "required": ["fading"],
+        "properties": {"bandwidth_hz": _POS, "snr_linear": _POS,
+                       "fading": {"$ref": "#/$defs/fading"}},
     },
 }
 
 _SCHEMA = {
+    "$defs": _FADING_DEFS,
     "type": "object", "additionalProperties": False,
     "required": ["process", "arrival", "sim"],
     "properties": {
@@ -71,7 +105,7 @@ _SCHEMA = {
             "properties": {
                 "bandwidth_hz": _POS,
                 "snr_linear": _POS,
-                "fading": _FADING_SCHEMA,
+                "fading": {"$ref": "#/$defs/fading"},
                 "capacity_bits_per_slot": {
                     "type": "object", "additionalProperties": False,
                     "required": ["support", "mass"],
@@ -181,27 +215,13 @@ def _validators():
 # scenario -> objects
 
 
-_FADING_KINDS = {
-    "rayleigh": (Rayleigh, ("sigma",)),
-    "rice": (Rice, ("s", "sigma0")),
-    "nakagami": (Nakagami, ("m", "omega")),
-    "weibull": (Weibull, ("c", "k")),
-    "lognormal": (Lognormal, ("mu", "sigma")),
-}
-
-
 def _build_fading(node: dict):
-    kind = node["kind"]
-    if kind == "frequency_selective":
-        subs = []
-        for sub in node["subchannels"]:
-            spec = ChannelSpec(sub.get("bandwidth_hz", 1.0),
-                               sub.get("snr_linear", 1.0))
-            subs.append((spec, _build_fading(sub["fading"])))
-        return FrequencySelective(tuple(subs))
-    cls, fields = _FADING_KINDS[kind]
-    kwargs = {f: node[f] for f in fields if f in node}
-    return cls(**kwargs)
+    kwargs = {k: v for k, v in node.items() if k != "kind"}
+    if "subchannels" in kwargs:
+        kwargs["subchannels"] = tuple(
+            (ChannelSpec(sub.get("bandwidth_hz", 1.0), sub.get("snr_linear", 1.0)),
+             _build_fading(sub["fading"])) for sub in kwargs["subchannels"])
+    return _FADING_KINDS[node["kind"]](**kwargs)
 
 
 def build_marginal(scenario: dict):
@@ -599,11 +619,13 @@ def main(argv=None) -> int:
         return 3 if args.strict else 0
 
     if args.strict:
-        verdicts = [v for k, v in meta.items() if k.endswith("verdicts")]
+        # q<index>_verdicts entries count; q<index>_order_verdicts is a report
+        own = [(k.partition("_")[2], v) for k, v in meta.items()]
+        verdicts = [v for k, v in own if k == "verdicts"]
         if any(verdicts):
             print(f"strict: {verdicts}", file=sys.stderr)
             return 3
-        if any(k.endswith("all_pass") and v is False for k, v in meta.items()):
+        if any(k == "all_pass" and v is False for k, v in own):
             print("strict: validation checks failed", file=sys.stderr)
             return 3
     return 0

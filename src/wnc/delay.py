@@ -88,14 +88,11 @@ def _entry_laws(process):
         raise ValidationError(
             "ruin bounds need an Additive or MarkovAdditive process")
     kernel = process.kernel
-    n = len(kernel.states)
     laws, seen = [], set()
-    for i in range(n):
-        for j in range(n):
-            key = j if kernel.by_destination else (i, j)
-            if kernel.transition[i, j] > 0 and key not in seen:
-                seen.add(key)
-                laws.append((j, kernel.increments[i][j]))
+    for (i, j), k in np.ndenumerate(kernel.law_index):
+        if kernel.transition[i, j] > 0 and k not in seen:
+            seen.add(k)
+            laws.append((j, kernel.laws[k]))
     return laws
 
 

@@ -231,7 +231,6 @@ class DelayOrderingReport:
     tails_independent: tuple
     tails_comonotonic: tuple
     chain_holds: bool
-    dcc_negative: Optional[float]
     dcc_independent: Optional[float]
     dcc_comonotonic: Optional[float]
     dcc_ordered: Optional[bool]
@@ -286,7 +285,6 @@ def delay_ordering_check(proc_n, proc_perp, proc_p, arrival: ArrivalSpec,
         tails_independent=tuple(ests[1]),
         tails_comonotonic=tuple(ests[2]),
         chain_holds=chain,
-        dcc_negative=None,
         dcc_independent=dcc_perp,
         dcc_comonotonic=dcc_como,
         dcc_ordered=ordered)

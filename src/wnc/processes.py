@@ -12,7 +12,10 @@ the ordering checks (consecutive slots are F^{-1}(U), F^{-1}(1-U)).
 Bounds: the comonotonic closed form F_C(x/t), universal Frechet envelopes,
 Chernoff bounds  1 - e^{t k(th) - th x} <= F_S(t)(x) <= e^{t k(-th) + th x}
 for additive processes, and the Perron-Frobenius analogue with prefactor
-h(J0)/min_j h(J_j) for Markov-additive processes.
+h(J0)/min_j h(J_j) for Markov-additive processes.  ``_spectral`` turns a
+tilt th into (kappa(th), h): log sp(F[th]) and its right eigenvector from
+one ``perron_frobenius`` solve, or the marginal's cgf and h = (1,) for an
+Additive process.  ``MarkovKernel`` says which law each transition carries.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from .errors import NumericFailure, ValidationError
 
 __all__ = [
     "Comonotonic", "Additive", "MarkovAdditive", "AntitheticPairing",
-    "CapacityProcess", "MarkovKernel", "SpectralData", "BoundReport",
+    "CapacityProcess", "MarkovKernel", "BoundReport",
     "comonotonic_cdf", "frechet_bounds", "cdf_bounds", "mgf_matrix",
-    "perron_frobenius",
-    "kernel_cgf", "marginal_of", "process_mean_rate",
+    "perron_frobenius", "process_mean_rate",
 ]
 
 
@@ -132,6 +134,21 @@ class MarkovKernel:
                             by_destination=True)
 
     @cached_property
+    def laws(self) -> tuple:
+        """Distinct increment laws: one per destination, or one per transition."""
+        if self.by_destination:
+            return self.increments[0]
+        return tuple(law for row in self.increments for law in row)
+
+    @cached_property
+    def law_index(self) -> np.ndarray:
+        """|E| x |E| index into ``laws`` of the law transition i -> j carries."""
+        n = len(self.states)
+        if self.by_destination:
+            return np.tile(np.arange(n), (n, 1))
+        return np.arange(n * n).reshape(n, n)
+
+    @cached_property
     def stationary(self) -> np.ndarray:
         """Stationary law pi of the transition matrix (pi P = pi)."""
         n = len(self.states)
@@ -153,47 +170,21 @@ class MarkovKernel:
 
     def mean_rate(self) -> float:
         """Stationary mean increment sum_i pi_i sum_j p_ij E[Y | i->j]."""
-        pi = self.stationary
-        means = np.array([[law.mean() for law in row] for row in self.increments])
-        return float(pi @ (self.transition * means).sum(axis=1))
-
-
-class _OutsideDomain(NumericFailure):
-    """theta lies outside the usable domain of the tilted kernel."""
+        means = np.array([law.mean() for law in self.laws])[self.law_index]
+        return float(self.stationary @ (self.transition * means).sum(axis=1))
 
 
 def mgf_matrix(kernel: MarkovKernel, theta: float) -> np.ndarray:
     """Tilted kernel F[theta] with entries p_ij * E[exp(theta Y) | i->j].
 
-    Equals the transition matrix exactly at theta = 0.
+    Equals the transition matrix exactly at theta = 0.  One mgf per law in
+    ``kernel.laws``; an mgf that overflows leaves a non-finite entry.
     """
     if not np.isfinite(theta):
         raise ValidationError("theta must be finite")
-    n = len(kernel.states)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            m = kernel.increments[i][j].mgf(theta)
-            if not np.isfinite(m):
-                raise _OutsideDomain(
-                    f"mgf overflow at transition ({kernel.states[i]!r}, "
-                    f"{kernel.states[j]!r}) for theta={theta!r}")
-            out[i, j] = kernel.transition[i, j] * m
-    return out
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Perron-Frobenius data of a tilted kernel.
-
-    log_eigenvalue plays the role of kappa(theta); right_vector is h with
-    pi . h = 1 and left_vector is v with v . h = 1.
-    """
-
-    theta: float
-    log_eigenvalue: float
-    right_vector: np.ndarray
-    left_vector: np.ndarray
+    mgfs = np.array([law.mgf(theta) for law in kernel.laws])
+    with np.errstate(invalid="ignore"):     # p_ij = 0 times an overflowed mgf
+        return kernel.transition * mgfs[kernel.law_index]
 
 
 def _dominant_pair(m: np.ndarray):
@@ -228,20 +219,15 @@ def _dominant_pair(m: np.ndarray):
     return lam, h
 
 
-def perron_frobenius(matrix: np.ndarray, theta: float = math.nan,
-                     stationary: Optional[np.ndarray] = None,
-                     check_irreducible: bool = True) -> SpectralData:
-    """Dominant eigenvalue and eigenvectors of a nonnegative irreducible matrix.
+def perron_frobenius(matrix: np.ndarray, stationary: np.ndarray):
+    """(log lam, h): Perron root and right eigenvector of a nonnegative matrix.
 
-    One dense eigen-solve of the matrix (right vector) and one of its
-    transpose (left vector); the Perron root is the eigenvalue of largest
+    One dense eigen-solve; the Perron root is the eigenvalue of largest
     real part, so a periodic spectrum (eigenvalues +-rho) needs no special
-    care.  h is normalised by pi . h = 1 (pi defaults to the sum-normalised
-    left vector) and v by v . h = 1.  The residual ||M h - lam h|| must
-    stay below 1e-9 relative, else a NumericFailure is raised.
-    ``check_irreducible=False`` skips the zero-pattern check (used for
-    tilted kernels whose small entries have underflowed but are positive
-    in exact arithmetic).
+    care.  h is normalised by pi . h = 1 with pi = ``stationary``.  The
+    residual ||M h - lam h|| must stay below 1e-9 relative, else a
+    NumericFailure is raised.  The zero pattern is not checked: entries of
+    a tilted kernel may underflow (``MarkovKernel`` checks the transition's).
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
@@ -249,61 +235,14 @@ def perron_frobenius(matrix: np.ndarray, theta: float = math.nan,
         raise ValidationError("matrix must be square")
     if np.any(m < 0) or not np.all(np.isfinite(m)):
         raise ValidationError("matrix must be entrywise nonnegative and finite")
-    if check_irreducible:
-        reach = np.linalg.matrix_power((m > 0).astype(float) + np.eye(n), n)
-        if np.any(reach <= 0):
-            raise ValidationError("matrix must be irreducible")
     lam, h = _dominant_pair(m)
     if not lam > 0:
         raise NumericFailure(f"Perron root {lam!r} is not positive")
-    _, v = _dominant_pair(m.T)
-    pi = np.asarray(stationary, float) if stationary is not None else v / v.sum()
-    h = h / float(pi @ h)
-    v = v / float(v @ h)
+    h = h / float(np.asarray(stationary, float) @ h)
     resid = np.max(np.abs(m @ h - lam * h)) / np.max(np.abs(h))
     if resid > 1e-9 * max(lam, 1.0):
         raise NumericFailure(f"eigen residual {resid:.3e} exceeds tolerance")
-    return SpectralData(theta=theta, log_eigenvalue=math.log(lam),
-                        right_vector=h, left_vector=v)
-
-
-def kernel_spectral(kernel: MarkovKernel, theta: float) -> SpectralData:
-    """Perron-Frobenius data of F[theta]: kappa(theta) and h from one solve.
-
-    Raises NumericFailure where theta lies outside the usable domain: an
-    mgf overflows, or F[theta] has underflowed to a nilpotent matrix (no
-    cycle of positive entries left, so no positive Perron root).
-    """
-    m = mgf_matrix(kernel, theta)
-    n = len(kernel.states)
-    if not np.any(np.linalg.matrix_power((m > 0).astype(float), n)):
-        raise _OutsideDomain(
-            f"tilted kernel underflows to a nilpotent matrix at theta={theta!r}")
-    if n == 1:
-        return SpectralData(theta=theta, log_eigenvalue=math.log(m[0, 0]),
-                            right_vector=np.ones(1), left_vector=np.ones(1))
-    return perron_frobenius(m, theta=theta, stationary=kernel.stationary,
-                            check_irreducible=False)
-
-
-def _kappa_and_h(kernel: MarkovKernel, theta: float):
-    """(kappa(theta), h) from one eigen-solve; (inf, None) outside the domain."""
-    try:
-        spec = kernel_spectral(kernel, theta)
-    except _OutsideDomain:
-        return math.inf, None
-    return spec.log_eigenvalue, spec.right_vector
-
-
-def kernel_cgf(kernel: MarkovKernel, theta: float) -> float:
-    """kappa(theta) = log of the Perron-Frobenius eigenvalue of F[theta].
-
-    Tilts outside the usable domain (mgf overflow, or a tilted kernel that
-    has underflowed to a nilpotent matrix) report +inf.
-    """
-    if theta == 0.0:
-        return 0.0
-    return _kappa_and_h(kernel, theta)[0]
+    return math.log(lam), h
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +308,13 @@ class AntitheticPairing:
 CapacityProcess = Union[Comonotonic, Additive, MarkovAdditive, AntitheticPairing]
 
 
-def marginal_of(process) -> object:
-    if isinstance(process, (Comonotonic, Additive, AntitheticPairing)):
-        return process.marginal
-    raise ValidationError(f"process {type(process).__name__} has no single marginal")
-
-
 def process_mean_rate(process) -> float:
     """Stationary mean capacity per slot."""
     if isinstance(process, MarkovAdditive):
         return process.kernel.mean_rate()
-    return marginal_of(process).mean()
+    if isinstance(process, (Comonotonic, Additive, AntitheticPairing)):
+        return process.marginal.mean()
+    raise ValidationError(f"process {type(process).__name__} has no single marginal")
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +465,23 @@ def _spectral(process, theta: float):
 
     An Additive process is the one-state case: kappa is the marginal's cgf
     and h = (1,).  A Markov-additive process takes both from one
-    Perron-Frobenius solve of F[theta].
+    Perron-Frobenius solve of F[theta].  Its tilt lies outside the domain
+    when an mgf overflows, or when F[theta] has underflowed to a nilpotent
+    matrix (no cycle of positive entries left, so no positive Perron root).
     """
     if isinstance(process, Additive):
         return process.marginal.cgf(theta), (1.0,)
-    if isinstance(process, MarkovAdditive):
-        return _kappa_and_h(process.kernel, theta)
-    raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
+    if not isinstance(process, MarkovAdditive):
+        raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
+    kernel = process.kernel
+    m = mgf_matrix(kernel, theta)
+    n = m.shape[0]
+    if (not np.all(np.isfinite(m))
+            or not np.any(np.linalg.matrix_power((m > 0).astype(float), n))):
+        return math.inf, None
+    if n == 1:
+        return math.log(m[0, 0]), np.ones(1)
+    return perron_frobenius(m, kernel.stationary)
 
 
 def _start_index(process, initial_state=None) -> Optional[int]:

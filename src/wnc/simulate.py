@@ -107,8 +107,8 @@ def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
     ``initial_state`` (default: the process's own start).  Per slot one
     uniform picks the next state and, when some increment law has more
     than one atom, a second one the increment from the law of the
-    transition: law ``nxt`` in destination mode, ``state * |E| + nxt`` for
-    a full kernel.
+    transition: ``kernel.laws[nxt]`` in destination mode,
+    ``kernel.laws[state * |E| + nxt]`` for a full kernel.
     """
     if isinstance(process, Additive):
         marginal = process.marginal
@@ -129,8 +129,7 @@ def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
     cum_rows = np.cumsum(kernel.transition, axis=1)
     # one threshold column per destination; next state = #{j: u > cum[i, j]}
     thresholds = [np.ascontiguousarray(cum_rows[:, j]) for j in range(k)]
-    laws = (kernel.increments[0] if kernel.by_destination
-            else [law for row in kernel.increments for law in row])
+    laws = kernel.laws
     atoms = np.array([law.support[0] for law in laws])
     random_laws = any(law.support.size > 1 for law in laws)
     init = process.initial if initial_state is None else initial_state

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from wnc.cli import main
@@ -142,6 +143,36 @@ def test_strict_flags_unstable_interference(tmp_path, capsys):
     assert main(["interference", "--scenario", path, "--strict"]) == 3
 
 
+def test_strict_order_reports_are_not_verdicts(tmp_path, capsys):
+    # the order runner's q0_order_verdicts sidecar entry is a report
+    doc = dict(BASE, sim={"seed": 7, "runs": 2000, "horizon_slots": 50},
+               queries=[{"kind": "order", "probe_t_slots": 4}])
+    out = tmp_path / "order.csv"
+    assert main(["order", "--scenario", write_scenario(tmp_path, doc),
+                 "--out", str(out), "--strict"]) == 0
+    assert "strict" not in capsys.readouterr().err
+    meta = json.loads((tmp_path / "order.csv.meta.json").read_text())
+    assert "q0_order_verdicts" in meta
+
+
+@pytest.mark.parametrize("fading,field", [
+    ({"kind": "rayleigh", "m": 3.0, "k": 9}, "'k', 'm' were unexpected"),
+    ({"kind": "rice"}, "'s' is a required property"),
+    ({"kind": "frequency_selective", "subchannels": [{"bandwidth_hz": 1.0}]},
+     "'fading' is a required property"),
+    ({"kind": "frequency_selective",
+      "subchannels": [{"fading": {"kind": "weibull", "c": 1.0}}]},
+     "subchannels.0.fading: 'k' is a required property"),
+])
+def test_fading_fields_checked_per_kind(tmp_path, capsys, fading, field):
+    doc = dict(BASE, channel={"bandwidth_hz": 1.0, "snr_linear": 1.0,
+                              "fading": fading})
+    assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: scenario field channel.fading")
+    assert field in err
+
+
 def test_unresolvable_margin_is_numeric_failure(tmp_path, capsys):
     doc = dict(BASE)
     doc["arrival"] = {"lambda_bits_per_slot": 1.0 - 1e-12}
@@ -193,7 +224,6 @@ def test_invalid_scenario_message_matches_jsonschema_validate(tmp_path):
     import copy
 
     import jsonschema
-    import pytest
 
     from wnc.cli import _QUERY_SCHEMA, _SCHEMA, load_scenario
     from wnc.errors import ValidationError

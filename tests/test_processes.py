@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from wnc import (Additive, AntitheticPairing, ChannelSpec, Comonotonic,
-                 MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
-                 ValidationError, capacity_marginal, cdf_bounds,
-                 comonotonic_cdf, frechet_bounds, mgf_matrix,
-                 perron_frobenius)
+                 MarkovAdditive, MarkovKernel, Rayleigh, ValidationError,
+                 capacity_marginal, cdf_bounds, comonotonic_cdf,
+                 frechet_bounds, mgf_matrix, perron_frobenius)
 from wnc.distributions import DiscreteDistribution
-from wnc.processes import (BoundReport, _grid_allocation, _tilt_terms,
-                           kernel_cgf, kernel_spectral)
+from wnc.processes import (BoundReport, _grid_allocation, _spectral,
+                           _tilt_terms)
 from wnc.simulate import cumulative_capacity_samples
 
 from conftest import (assert_matrix_power_identity, frechet_allocation_loop,
@@ -172,11 +171,9 @@ def test_mgf_matrix_values(ge_kernel):
 
 
 def test_perron_frobenius_stochastic_matrix(ge_kernel):
-    sd = perron_frobenius(ge_kernel.transition, theta=0.0,
-                          stationary=ge_kernel.stationary)
-    assert math.exp(sd.log_eigenvalue) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(sd.right_vector, np.ones(2), atol=1e-9)
-    assert float(sd.left_vector @ sd.right_vector) == pytest.approx(1.0, abs=1e-9)
+    kappa, h = perron_frobenius(ge_kernel.transition, ge_kernel.stationary)
+    assert math.exp(kappa) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(h, np.ones(2), atol=1e-9)
 
 
 def test_perron_frobenius_closed_form_2x2(ge_kernel):
@@ -185,18 +182,16 @@ def test_perron_frobenius_closed_form_2x2(ge_kernel):
         a, b = m[0, 0], m[0, 1]
         c, d = m[1, 0], m[1, 1]
         lam = 0.5 * ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c))
-        sd = kernel_spectral(ge_kernel, th)
-        assert math.exp(sd.log_eigenvalue) == pytest.approx(lam, abs=1e-10)
-        resid = np.max(np.abs(m @ sd.right_vector
-                              - lam * sd.right_vector))
+        kappa, h = _spectral(MarkovAdditive(ge_kernel), th)
+        assert math.exp(kappa) == pytest.approx(lam, abs=1e-10)
+        assert float(ge_kernel.stationary @ h) == pytest.approx(1.0, abs=1e-12)
+        resid = np.max(np.abs(m @ h - lam * h))
         assert resid < 1e-9 * max(lam, 1.0)
 
 
-def test_perron_frobenius_rejects_reducible():
+def test_perron_frobenius_rejects_negative_entries():
     with pytest.raises(ValidationError):
-        perron_frobenius(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValidationError):
-        perron_frobenius(np.array([[1.0, -0.1], [0.2, 1.0]]))
+        perron_frobenius(np.array([[1.0, -0.1], [0.2, 1.0]]), np.ones(2) / 2)
 
 
 def test_matrix_power_identity_2_and_3_state(ge_kernel):
@@ -212,10 +207,11 @@ def test_matrix_power_identity_2_and_3_state(ge_kernel):
 
 
 def test_kernel_cgf_convex(ge_kernel):
+    proc = MarkovAdditive(ge_kernel)
     ths = np.linspace(-1.2, 1.2, 25)
-    ks = np.array([kernel_cgf(ge_kernel, t) for t in ths])
+    ks = np.array([_spectral(proc, t)[0] for t in ths])
     assert np.min(np.diff(ks, 2)) >= -1e-7
-    assert kernel_cgf(ge_kernel, 0.0) == 0.0
+    assert _spectral(proc, 0.0)[0] == 0.0
 
 
 def test_markov_bounds_single_state_reduce_to_additive(two_point):
@@ -285,38 +281,55 @@ def test_rayleigh_pair_sum_law_matches_scalar_quantiles(rayleigh_marginal):
 
 def test_perron_frobenius_near_periodic():
     # eigenvalues +-rho of equal modulus: a dense solve needs no spectral gap
+    pi = np.array([0.5, 0.5])
     for eps in (0.0, 1e-13, 1e-8):
         m = np.array([[eps, 2.0], [0.5, eps]])
-        sd = perron_frobenius(m)
+        kappa, h = perron_frobenius(m, pi)
         lam = eps + 1.0
-        assert math.exp(sd.log_eigenvalue) == pytest.approx(lam, rel=1e-14)
-        np.testing.assert_allclose(m @ sd.right_vector, lam * sd.right_vector,
-                                   rtol=1e-14)
-        np.testing.assert_allclose(sd.left_vector @ m, lam * sd.left_vector,
-                                   rtol=1e-14)
-        assert np.all(sd.right_vector > 0) and np.all(sd.left_vector > 0)
-        assert float(sd.left_vector @ sd.right_vector) == pytest.approx(1.0)
+        assert math.exp(kappa) == pytest.approx(lam, rel=1e-14)
+        np.testing.assert_allclose(m @ h, lam * h, rtol=1e-14)
+        assert np.all(h > 0)
+        assert float(pi @ h) == pytest.approx(1.0)
     # period 3: eigenvalues rho * (cube roots of unity)
     cyc = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 1.0], [1.0 / 3.0, 1e-12, 0.0]])
-    sd = perron_frobenius(cyc)
-    assert abs(sd.log_eigenvalue) < 1e-11
-    h = sd.right_vector
-    assert np.max(np.abs(cyc @ h - math.exp(sd.log_eigenvalue) * h)) < 1e-12
+    kappa, h = perron_frobenius(cyc, np.ones(3) / 3)
+    assert abs(kappa) < 1e-11
+    assert np.max(np.abs(cyc @ h - math.exp(kappa) * h)) < 1e-12
 
 
 def test_kernel_cgf_reports_nilpotent_underflow_as_outside_domain(full_kernel):
     # F[-theta] -> [[0, 0], [0.12, 0]] once exp underflows: rho = 0 exactly
-    assert kernel_cgf(full_kernel, -1000.0) < 0
-    assert kernel_cgf(full_kernel, -1600.0) == math.inf
-    with pytest.raises(NumericFailure):
-        kernel_spectral(full_kernel, -1600.0)
+    proc = MarkovAdditive(full_kernel)
+    assert _spectral(proc, -1000.0)[0] < 0
+    assert _spectral(proc, -1600.0) == (math.inf, None)
     # the eigenvector keeps entries far below eps relative to its largest
     for th in (40.0, 200.0, -200.0):
-        sd = kernel_spectral(full_kernel, th)
+        kappa, h = _spectral(proc, th)
         m = mgf_matrix(full_kernel, th)
-        lam = math.exp(sd.log_eigenvalue)
-        np.testing.assert_allclose(m @ sd.right_vector, lam * sd.right_vector,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(m @ h, math.exp(kappa) * h, rtol=1e-12)
+
+
+def test_mgf_matrix_evaluates_one_mgf_per_law(ge_kernel, full_kernel,
+                                              monkeypatch):
+    calls = []
+    mgf = DiscreteDistribution.mgf
+
+    def counted(law, theta):
+        calls.append(law)
+        return mgf(law, theta)
+
+    monkeypatch.setattr(DiscreteDistribution, "mgf", counted)
+    for kernel, n_laws in ((ge_kernel, 2), (full_kernel, 4)):
+        assert len(kernel.laws) == n_laws
+        calls.clear()
+        m = mgf_matrix(kernel, 0.8)
+        assert len(calls) == n_laws
+        n = len(kernel.states)
+        np.testing.assert_array_equal(m, [
+            [kernel.transition[i, j] * mgf(kernel.increments[i][j], 0.8)
+             for j in range(n)] for i in range(n)])
+    # an mgf overflows: the tilt lies outside the domain
+    assert _spectral(MarkovAdditive(full_kernel), 400.0) == (math.inf, None)
 
 
 @pytest.mark.parametrize("t,x", [(10, 8.0), (10, 12.0), (10, 16.0), (4, 5.0)])

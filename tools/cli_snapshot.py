@@ -5,11 +5,12 @@
 
 Runs ``wnc.cli.main`` in process, with the package imported from this
 checkout's ``src/``, for each of the eight subcommands on
-``scenarios/*.yaml`` and ``bench/scenarios/*.yaml``.  Each run writes
-``<dir>__<scenario>.<command>.csv`` and its ``.meta.json`` sidecar (when
-the run gets that far), plus ``.stdout``, ``.stderr`` and ``.rc`` (the
-exit code).  Output is byte-reproducible, so ``diff -r`` of two snapshots
-shows every change in behaviour between two checkouts.
+``scenarios/*.yaml`` and ``bench/scenarios/*.yaml``, with ``--strict``.
+Each run writes ``<dir>__<scenario>.<command>.csv`` and its ``.meta.json``
+sidecar (when the run gets that far), plus ``.stdout``, ``.stderr`` and
+``.rc`` (the exit code, 3 where a strict verdict fails).  Output is
+byte-reproducible, so ``diff -r`` of two snapshots shows every change in
+behaviour between two checkouts.
 """
 
 import contextlib
@@ -35,7 +36,7 @@ def main(outdir: str) -> int:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main([command, "--scenario", path, "--out",
-                               base + ".csv"])
+                               base + ".csv", "--strict"])
             for ext, text in ((".stdout", out.getvalue()),
                               (".stderr", err.getvalue()), (".rc", f"{rc}\n")):
                 with open(base + ext, "w") as fh:
