@@ -201,14 +201,11 @@ def _check_schema(validator, instance):
 
 @functools.cache
 def _validators():
-    """Scenario and query validators, each schema checked once per process."""
+    """Scenario and query validators.  The schemas are constants: the test
+    suite checks them against their metaschema, so no process does."""
     from jsonschema.validators import validator_for
-    out = []
-    for schema in (_SCHEMA, _QUERY_SCHEMA):
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        out.append(cls(schema))
-    return tuple(out)
+    return tuple(validator_for(schema)(schema)
+                 for schema in (_SCHEMA, _QUERY_SCHEMA))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ r(x) = sqrt((2**(x/W) - 1) / gamma).  The named gain laws are:
     Lognormal(mu, sigma)   log H ~ N(mu, sigma^2)
 
 plus FrequencySelective, the independent sum of per-subchannel capacities.
+Each named law is its own distribution object: cdf, sf, ppf, pdf and
+logpdf of H.  Rayleigh and Weibull are pure numpy (log1p/expm1 forms);
+Rice (noncentral chi-square), Nakagami (regularised gamma) and Lognormal
+(normal integral) import ``scipy.special`` on their first evaluation, so a
+Rayleigh, Weibull, Markov or discrete channel loads no scipy module.
 All five named laws give light-tailed capacity; `certify_light_tail`
 produces an explicit (a, b) pair with tail(x) <= a*exp(-b*x) on all of
 the fit range [x_lo, x_hi].
@@ -46,14 +51,11 @@ __all__ = [
 ]
 
 
-def _stats():
-    """The statistics namespace behind the gain laws' ``gain()``.
-
-    Imported on the first ``gain()`` call, so that Markov and discrete
-    channels never load it.
-    """
-    from scipy import stats
-    return stats
+def _special():
+    """scipy.special, imported on the first call of a Rice, Nakagami or
+    Lognormal gain function, so that no other channel loads scipy."""
+    from scipy import special
+    return special
 
 
 def _require_positive(name, value):
@@ -73,22 +75,75 @@ class ChannelSpec:
         _require_positive("snr_gamma", self.snr_gamma)
 
 
+class _ScaledGain:
+    """Law of the gain H = scale * Z on [0, inf), from the law of Z.
+
+    A law supplies ``_scale`` and, as functions of z = r / scale, the
+    standard ``_cdf``, ``_sf``, ``_ppf`` and ``_logpdf`` (``_pdf`` defaults
+    to exp of ``_logpdf``).  The formulas hold at r = 0 and r = inf and at
+    q = 0 and q = 1, so no argument is masked; the ppf forms stay accurate
+    at the 2^-50 and 1 - 2^-40 levels that ``FadingMarginal._slices`` reads.
+    """
+
+    def cdf(self, r):
+        with np.errstate(divide="ignore"):
+            return self._cdf(self._z(r))
+
+    def sf(self, r):
+        with np.errstate(divide="ignore"):
+            return self._sf(self._z(r))
+
+    def ppf(self, q):
+        with np.errstate(divide="ignore"):
+            return self._ppf(np.asarray(q, dtype=float)) * self._scale
+
+    def pdf(self, r):
+        with np.errstate(divide="ignore"):
+            return self._pdf(self._z(r)) / self._scale
+
+    def logpdf(self, r):
+        with np.errstate(divide="ignore"):
+            return self._logpdf(self._z(r)) - np.log(self._scale)
+
+    def _z(self, r):
+        return np.asarray(r, dtype=float) / self._scale
+
+    def _pdf(self, z):
+        return np.exp(self._logpdf(z))
+
+
 @dataclass(frozen=True)
-class Rayleigh:
+class Rayleigh(_ScaledGain):
     sigma: float = 1.0 / math.sqrt(2.0)
 
     def __post_init__(self):
         _require_positive("sigma", self.sigma)
 
-    def gain(self):
-        return _stats().rayleigh(scale=self.sigma)
+    @property
+    def _scale(self):
+        return self.sigma
+
+    def _cdf(self, z):
+        return -np.expm1(-0.5 * z ** 2)
+
+    def _sf(self, z):
+        return np.exp(-0.5 * z * z)
+
+    def _ppf(self, q):
+        return np.sqrt(-2 * np.log1p(-q))
+
+    def _logpdf(self, z):
+        return np.log(z) - 0.5 * z * z
 
     def sample_gain(self, rng, size):
         return rng.rayleigh(self.sigma, size)
 
 
 @dataclass(frozen=True)
-class Rice:
+class Rice(_ScaledGain):
+    """H^2 / sigma0^2 is noncentral chi-square(2, (s / sigma0)^2); P(H > r)
+    is the Marcum Q function Q1(s / sigma0, r / sigma0), taken as 1 - cdf."""
+
     s: float
     sigma0: float
 
@@ -97,9 +152,30 @@ class Rice:
             raise ValidationError(f"s must be a nonnegative finite real, got {self.s!r}")
         _require_positive("sigma0", self.sigma0)
 
-    def gain(self):
-        # P(H > r) = Q1(s/sigma0, r/sigma0), the Marcum Q tail
-        return _stats().rice(self.s / self.sigma0, scale=self.sigma0)
+    @property
+    def _scale(self):
+        return self.sigma0
+
+    @property
+    def _b(self):
+        return self.s / self.sigma0
+
+    def _cdf(self, z):
+        return _special().chndtr(np.square(z), 2, np.square(self._b))
+
+    def _sf(self, z):
+        return 1.0 - self._cdf(z)
+
+    def _ppf(self, q):
+        return np.sqrt(_special().chndtrix(q, 2, np.square(self._b)))
+
+    def _pdf(self, z):
+        # exp(-(z^2 + b^2) / 2) I0(z b) = exp(-(z - b)^2 / 2) i0e(z b)
+        b = self._b
+        return z * np.exp(-(z - b) * (z - b) / 2.0) * _special().i0e(z * b)
+
+    def _logpdf(self, z):
+        return np.log(self._pdf(z))
 
     def sample_gain(self, rng, size):
         return np.hypot(rng.normal(self.s, self.sigma0, size),
@@ -107,7 +183,9 @@ class Rice:
 
 
 @dataclass(frozen=True)
-class Nakagami:
+class Nakagami(_ScaledGain):
+    """H^2 ~ Gamma(m, omega / m): the gain is sqrt(omega) Z with m Z^2 ~ Gamma(m)."""
+
     m: float
     omega: float = 1.0
 
@@ -116,15 +194,32 @@ class Nakagami:
             raise ValidationError(f"m must be >= 0.5, got {self.m!r}")
         _require_positive("omega", self.omega)
 
-    def gain(self):
-        return _stats().nakagami(self.m, scale=math.sqrt(self.omega))
+    @property
+    def _scale(self):
+        return math.sqrt(self.omega)
+
+    def _cdf(self, z):
+        return _special().gammainc(self.m, self.m * z * z)
+
+    def _sf(self, z):
+        return _special().gammaincc(self.m, self.m * z * z)
+
+    def _ppf(self, q):
+        return np.sqrt(1.0 / self.m * _special().gammaincinv(self.m, q))
+
+    def _logpdf(self, z):
+        sc, m = _special(), self.m
+        return (np.log(2) + sc.xlogy(m, m) - sc.gammaln(m)
+                + sc.xlogy(2 * m - 1, z) - m * z ** 2)
 
     def sample_gain(self, rng, size):
         return np.sqrt(rng.gamma(self.m, self.omega / self.m, size))
 
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(_ScaledGain):
+    """Tail P(H > r) = exp(-c r^k): the gain is c^(-1/k) Z, P(Z > z) = exp(-z^k)."""
+
     c: float
     k: float
 
@@ -132,16 +227,35 @@ class Weibull:
         _require_positive("c", self.c)
         _require_positive("k", self.k)
 
-    def gain(self):
-        # exp(-(r/l)^k) = exp(-c r^k) with l = c^(-1/k)
-        return _stats().weibull_min(self.k, scale=self.c ** (-1.0 / self.k))
+    @property
+    def _scale(self):
+        return self.c ** (-1.0 / self.k)
+
+    def _cdf(self, z):
+        return -np.expm1(-z ** self.k)
+
+    def _sf(self, z):
+        return np.exp(-z ** self.k)
+
+    def _ppf(self, q):
+        return (-np.log1p(-q)) ** (1.0 / self.k)
+
+    def _pdf(self, z):
+        return self.k * z ** (self.k - 1) * np.exp(-z ** self.k)
+
+    def _logpdf(self, z):
+        # (k - 1) log z, read as 0 at k = 1 even where z = 0
+        power = 0.0 if self.k == 1 else (self.k - 1) * np.log(z)
+        return np.log(self.k) + power - z ** self.k
 
     def sample_gain(self, rng, size):
         return (rng.exponential(1.0, size) / self.c) ** (1.0 / self.k)
 
 
 @dataclass(frozen=True)
-class Lognormal:
+class Lognormal(_ScaledGain):
+    """log H ~ N(mu, sigma^2): the gain is e^mu Z with log Z ~ N(0, sigma^2)."""
+
     mu: float = 0.0
     sigma: float = 1.0
 
@@ -150,8 +264,24 @@ class Lognormal:
             raise ValidationError(f"mu must be finite, got {self.mu!r}")
         _require_positive("sigma", self.sigma)
 
-    def gain(self):
-        return _stats().lognorm(self.sigma, scale=math.exp(self.mu))
+    @property
+    def _scale(self):
+        return math.exp(self.mu)
+
+    def _cdf(self, z):
+        return _special().ndtr(np.log(z) / self.sigma)
+
+    def _sf(self, z):
+        return _special().ndtr(-(np.log(z) / self.sigma))
+
+    def _ppf(self, q):
+        return np.exp(self.sigma * _special().ndtri(q))
+
+    def _logpdf(self, z):
+        s = self.sigma
+        with np.errstate(invalid="ignore"):
+            return np.where(z != 0, -np.log(z) ** 2 / (2 * s ** 2)
+                            - np.log(s * z * np.sqrt(2 * np.pi)), -np.inf)
 
     def sample_gain(self, rng, size):
         return rng.lognormal(self.mu, self.sigma, size)
@@ -200,10 +330,6 @@ class FadingMarginal:
         self.model = model
 
     # -- gain <-> capacity transforms (single channel) -------------------
-
-    @cached_property
-    def _gain(self):
-        return self.model.gain()
 
     def _gain_radius(self, x):
         w, g = self.spec.bandwidth_w, self.spec.snr_gamma
@@ -259,15 +385,7 @@ class FadingMarginal:
         elif isinstance(self.model, Rayleigh):
             out = rayleigh_capacity_cdf(self.spec, self.model, x)
         else:
-            out = self._gain.cdf(self._gain_radius(x))
-        return float(out) if np.ndim(x) == 0 else out
-
-    def cdf_generic(self, x):
-        """Gain-transform path F_H(r(x)) for every simple model (no closed forms)."""
-        x = np.asarray(x, dtype=float)
-        if self.is_composite:
-            raise ValidationError("generic path applies to single-channel models")
-        out = self._gain.cdf(self._gain_radius(x))
+            out = self.model.cdf(self._gain_radius(x))
         return float(out) if np.ndim(x) == 0 else out
 
     def tail(self, x):
@@ -278,7 +396,7 @@ class FadingMarginal:
         if self.is_composite:
             out = self._grid_law.tail(x)
         else:
-            out = self._gain.sf(self._gain_radius(x))
+            out = self.model.sf(self._gain_radius(x))
         return float(out) if np.ndim(x) == 0 else out
 
     def quantile(self, p: float) -> float:
@@ -290,7 +408,7 @@ class FadingMarginal:
         """Vectorised F^{-1}(u) for u in [0, 1); composite laws invert their grid."""
         if self.is_composite:
             return self._grid_law._inverse_cdf(u)
-        return self._capacity_of_gain(self._gain.ppf(u))
+        return self._capacity_of_gain(self.model.ppf(u))
 
     def cgf(self, theta: float) -> float:
         """log E[exp(theta C)] by composite Gauss-Legendre quadrature.
@@ -320,8 +438,8 @@ class FadingMarginal:
         left = 0.5 ** np.arange(50, 0, -1)       # 2^-50 ... 2^-1
         right = 1.0 - 0.5 ** np.arange(2, 41)    # 3/4 ... 1 - 2^-40
         qs = np.concatenate((left, right, [1.0 - _GAIN_CLIP_Q]))
-        r = np.asarray(self._gain.ppf(qs), dtype=float)
-        r = np.concatenate(([max(float(self._gain.ppf(1e-15)), 0.0)], r))
+        r = np.asarray(self.model.ppf(qs), dtype=float)
+        r = np.concatenate(([max(float(self.model.ppf(1e-15)), 0.0)], r))
         keep = np.concatenate(([True], np.diff(r) > 0))
         return r[keep]
 
@@ -337,8 +455,7 @@ class FadingMarginal:
         return r.ravel(), w.ravel()
 
     def _capacity_and_logpdf(self, r):
-        with np.errstate(divide="ignore"):
-            return self._capacity_of_gain(r), self._gain.logpdf(r)
+        return self._capacity_of_gain(r), self.model.logpdf(r)
 
     @cached_property
     def _node_terms(self):
@@ -378,7 +495,7 @@ class FadingMarginal:
 
     def _moment(self, k):
         r, w = self._nodes
-        vals = self._node_terms[0] ** k * self._gain.pdf(r)
+        vals = self._node_terms[0] ** k * self.model.pdf(r)
         return float(w @ vals)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -504,8 +621,10 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     For each candidate rate b the grid prefactor is max tail(x)*exp(b x)
     over the grid.  A rate is accepted when the maximising point is not the
     right edge of the grid (no pure extrapolation) and that prefactor stays
-    within ``_PREFACTOR_CAP``; laws whose support is exhausted inside the
-    range accept every rate up to the cap.  The largest accepted b is
+    within ``_PREFACTOR_CAP``.  A law with bounded support is light however
+    flat its tail looks on the range, so for it a peak at the right edge
+    extrapolates nothing; if its support is exhausted inside the range it
+    accepts every rate up to the cap.  The largest accepted b is
     located by doubling plus bisection.  With ``rate`` given, the search is
     skipped and the certificate is fitted at that rate.
 
@@ -542,10 +661,11 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
             raise ValidationError("rate must be positive")
         return make(rate)
 
-    # every rate is defensible only for genuinely bounded support, not for
-    # tails that merely underflow to zero inside the fit range
-    bounded = marginal.support_max <= x_hi
-    log_cap = math.inf if bounded else math.log(_PREFACTOR_CAP)
+    # every rate is defensible only for support exhausted in the range, not
+    # for tails that merely underflow to zero inside the fit range
+    exhausted = marginal.support_max <= x_hi
+    bounded = math.isfinite(marginal.support_max)
+    log_cap = math.inf if exhausted else math.log(_PREFACTOR_CAP)
 
     def accepted(b):
         pos = tails > 0
@@ -554,8 +674,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
         scores = np.log(tails[pos]) + b * grid[pos]
         peak = int(np.argmax(scores))
         interior = peak < pos.sum() - 1 or bounded
-        within = bounded or scores[peak] <= math.log(_PREFACTOR_CAP)
-        return interior and within
+        return interior and scores[peak] <= log_cap
 
     b_min = 1e-8
     if not accepted(b_min):

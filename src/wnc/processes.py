@@ -332,6 +332,9 @@ def comonotonic_cdf(process: Comonotonic, t: int, x: float) -> float:
     return float(process.marginal.cdf(x / t))
 
 
+_ALLOCATION_BLOCK = 32          # rows of the allocation DP's table per pass
+
+
 def _grid_allocation(fvals, grid, sign):
     """Exact DP for the best split of grid[-1] over t marginals on the grid.
 
@@ -342,18 +345,23 @@ def _grid_allocation(fvals, grid, sign):
     # right to left: w[j] = best over marginals k.. with budget j.  Row j of
     # the window view reads w[j], w[j - 1], ..., w[0] and then the fill, so
     # cand[j, i] = fvals[k][i] + w[j - i]; shares i > j get the fill, which
-    # never wins.  The view keeps one n x n temporary per step.
+    # never wins.  Each row's pick depends on that row alone, so the table
+    # is built _ALLOCATION_BLOCK rows at a time, and rows below ``hi`` only
+    # over the shares below ``hi``: the picks are those of the full table.
     n = grid.size
     fill = np.full(n - 1, -sign * np.inf)
     best = np.argmax if sign > 0 else np.argmin
-    rows = np.arange(n)
     w = fvals[-1]
     choice = []
     for k in range(len(fvals) - 2, -1, -1):
         table = sliding_window_view(np.concatenate((w[::-1], fill)), n)[::-1]
-        cand = fvals[k] + table
-        pick = best(cand, axis=1)
-        w = cand[rows, pick]
+        pick = np.empty(n, dtype=np.intp)
+        w = np.empty(n)
+        for lo in range(0, n, _ALLOCATION_BLOCK):
+            hi = min(lo + _ALLOCATION_BLOCK, n)
+            cand = fvals[k][:hi] + table[lo:hi, :hi]
+            pick[lo:hi] = best(cand, axis=1)
+            w[lo:hi] = cand[np.arange(hi - lo), pick[lo:hi]]
         choice.append(pick)
     choice.reverse()
     alloc = []

@@ -170,12 +170,43 @@ def markov_sum_cdf(kernel, t, x):
     return sum(w for (_, s), w in law.items() if s <= x + 1e-12)
 
 
+def scipy_gain_law(model):
+    """The frozen ``scipy.stats`` law of a named gain model: the oracle the
+    library's own gain functions are checked against."""
+    import math
+
+    from scipy import stats
+
+    from wnc import Lognormal, Nakagami, Rayleigh, Rice, Weibull
+
+    if isinstance(model, Rayleigh):
+        return stats.rayleigh(scale=model.sigma)
+    if isinstance(model, Rice):
+        return stats.rice(model.s / model.sigma0, scale=model.sigma0)
+    if isinstance(model, Nakagami):
+        return stats.nakagami(model.m, scale=math.sqrt(model.omega))
+    if isinstance(model, Weibull):
+        # exp(-(r/l)^k) = exp(-c r^k) with l = c^(-1/k)
+        return stats.weibull_min(model.k, scale=model.c ** (-1.0 / model.k))
+    if isinstance(model, Lognormal):
+        return stats.lognorm(model.sigma, scale=math.exp(model.mu))
+    raise TypeError(f"no scipy.stats law for {model!r}")
+
+
+def cdf_generic(marginal, x):
+    """F_H(r(x)): a single channel's capacity CDF through the gain
+    transform and the ``scipy.stats`` gain law, with no closed form."""
+    assert not marginal.is_composite
+    out = scipy_gain_law(marginal.model).cdf(marginal._gain_radius(x))
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def fading_cgf_reference(marginal, theta):
     """Fading cgf with the nodes and log-density rebuilt on every call.
 
     The quadrature of FadingMarginal.cgf written out without any cache:
-    Gauss-Legendre nodes over the gain slices, a fresh frozen gain law, and
-    the divergence probe at the clip point, evaluated per call.
+    Gauss-Legendre nodes over the gain slices, the gain law's log-density,
+    and the divergence probe at the clip point, evaluated per call.
     """
     import math
 
@@ -186,7 +217,7 @@ def fading_cgf_reference(marginal, theta):
     if marginal.is_composite:
         parts = [fading_cgf_reference(p, theta) for p in marginal._parts]
         return math.inf if any(math.isinf(v) for v in parts) else float(sum(parts))
-    gain = marginal.model.gain()
+    gain = marginal.model
 
     def log_integrand(r):
         with np.errstate(divide="ignore"):
@@ -208,7 +239,7 @@ def fading_cgf_reference(marginal, theta):
 def fading_moment_reference(marginal, k):
     """E[C^k] of a single-channel marginal by the uncached quadrature."""
     r, w = _reference_nodes(marginal)
-    vals = marginal._capacity_of_gain(r) ** k * marginal.model.gain().pdf(r)
+    vals = marginal._capacity_of_gain(r) ** k * marginal.model.pdf(r)
     return float(w @ vals)
 
 
@@ -250,6 +281,39 @@ def frechet_allocation_loop(fvals, grid, sign):
     j = budget_cells
     for k in range(t - 1):
         idx = choice[k][j]
+        alloc.append(grid[idx])
+        j -= idx
+    alloc.append(grid[j])
+    return alloc
+
+
+def frechet_allocation_full_table(fvals, grid, sign):
+    """Grid DP of the Frechet allocation search on the whole n x n table.
+
+    Reference for processes._grid_allocation, which builds the same
+    candidate table a block of rows at a time: one sliding-window view per
+    marginal, cand[j, i] = fvals[k][i] + w[j - i], with the fill (which
+    never wins) at shares i > j, and the first best of every row.
+    """
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    n = grid.size
+    fill = np.full(n - 1, -sign * np.inf)
+    best = np.argmax if sign > 0 else np.argmin
+    rows = np.arange(n)
+    w = fvals[-1]
+    choice = []
+    for k in range(len(fvals) - 2, -1, -1):
+        table = sliding_window_view(np.concatenate((w[::-1], fill)), n)[::-1]
+        cand = fvals[k] + table
+        pick = best(cand, axis=1)
+        w = cand[rows, pick]
+        choice.append(pick)
+    choice.reverse()
+    alloc = []
+    j = n - 1
+    for pick in choice:
+        idx = pick[j]
         alloc.append(grid[idx])
         j -= idx
     alloc.append(grid[j])

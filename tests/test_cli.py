@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,20 @@ def test_capacity_certificate_on_discrete_channel(tmp_path, capsys):
     a, b = float(certs[0]["certificate_a"]), float(certs[0]["certificate_b"])
     assert b > 0 and a * np.exp(-b * 2.0) >= 0.5
     assert float(certs[0]["certificate_violation"]) <= 0.0
+
+
+def test_capacity_certificate_below_the_largest_atom(tmp_path, capsys):
+    # the tail is flat at 1/2 on all of [0, 1.5]: a bounded law, not a
+    # heavy one, so the rate is the largest one with a prefactor within e
+    doc = dict(BASE, queries=[{"kind": "capacity", "x_grid_bits": [1.0],
+                               "certify_x_hi_bits": 1.5}])
+    assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    (cert,) = [r for r in rows if r["certificate_a"]]
+    a, b = float(cert["certificate_a"]), float(cert["certificate_b"])
+    assert a <= np.e * (1.0 + 1e-9) and a * np.exp(-b * 1.5) >= 0.5
+    assert b == pytest.approx((1.0 + np.log(2.0)) / 1.5, rel=1e-9)
+    assert float(cert["certificate_violation"]) <= 0.0
 
 
 def test_malformed_scenario_names_field(tmp_path, capsys):
@@ -219,6 +234,16 @@ def test_csv_rows_as_wide_as_header(tmp_path):
         assert any(needle in row for row in rows)
 
 
+def test_scenario_schemas_are_valid_under_their_metaschema():
+    # the CLI builds its validators without this check, once per process
+    from jsonschema.validators import validator_for
+
+    from wnc.cli import _QUERY_SCHEMA, _SCHEMA
+
+    for schema in (_SCHEMA, _QUERY_SCHEMA):
+        validator_for(schema).check_schema(schema)
+
+
 def test_invalid_scenario_message_matches_jsonschema_validate(tmp_path):
     # the cached validators must pick the same error as jsonschema.validate
     import copy
@@ -252,6 +277,7 @@ def test_invalid_scenario_message_matches_jsonschema_validate(tmp_path):
 
 
 _SCIPY_PROBE = r"""
+import importlib
 import sys
 
 def scipy_modules():
@@ -262,6 +288,9 @@ assert scipy_modules() == [], scipy_modules()
 from wnc.cli import main
 for i, arg in enumerate(sys.argv[1:]):
     cmd, path = arg.split("=", 1)
+    if cmd == "import":
+        importlib.import_module(path)
+        continue
     assert main([cmd, "--scenario", path, "--out", f"{path}.{cmd}.{i}.csv"]) == 0
 print(" ".join(scipy_modules()))
 """
@@ -271,8 +300,9 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def _scipy_after(runs):
-    """scipy modules loaded after ``import wnc`` and the given CLI runs,
-    each "command=scenario path", in a fresh interpreter."""
+    """scipy modules loaded after ``import wnc`` and the given runs, in a
+    fresh interpreter: each "command=scenario path" runs the CLI, and
+    "import=module" imports that module."""
     src = str(REPO / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -296,22 +326,44 @@ def test_markov_and_discrete_scenarios_load_no_scipy(tmp_path):
     assert _scipy_after(runs) == []
 
 
-def test_fading_gain_law_loads_scipy_stats_on_first_use(tmp_path):
+def _fading_runs(tmp_path, fading):
+    """capacity (with a tail certificate), bounds, delay and simulate on an
+    additive channel with the given fading node."""
     doc = {
-        "channel": {"bandwidth_hz": 1.0, "snr_linear": 1.0,
-                    "fading": {"kind": "rayleigh"}},
+        "channel": {"bandwidth_hz": 1.0, "snr_linear": 1.0, "fading": fading},
         "process": {"kind": "additive"},
         "arrival": {"lambda_bits_per_slot": 0.4},
-        "sim": {"seed": 1, "runs": 10, "horizon_slots": 10},
-        "queries": [{"kind": "capacity", "x_grid_bits": [0.0, 1.0]}],
+        "sim": {"seed": 1, "runs": 200, "horizon_slots": 20},
+        "queries": [{"kind": "capacity", "x_grid_bits": [0.0, 1.0],
+                     "certify_x_hi_bits": 8.0},
+                    {"kind": "bounds", "t_slots": 4, "x_grid_bits": [1.0, 2.0]},
+                    {"kind": "delay", "d_slots": [1, 5]},
+                    {"kind": "simulate", "d_slots": [1, 5]}],
     }
-    # scipy.stats itself imports scipy.optimize; that wnc's own code never
-    # does is checked on the source below
-    assert "scipy.stats" in _scipy_after([f"capacity={write_scenario(tmp_path, doc)}"])
+    path = write_scenario(tmp_path, doc, f"{fading['kind']}.yaml")
+    return [f"{cmd}={path}" for cmd in ("capacity", "bounds", "delay", "simulate")]
 
 
-def test_scipy_appears_in_the_source_only_as_the_lazy_stats_import():
-    src = REPO / "src" / "wnc"
-    hits = [(p.name, line.strip()) for p in sorted(src.rglob("*.py"))
-            for line in p.read_text().splitlines() if "scipy" in line]
-    assert hits == [("fading.py", "from scipy import stats")]
+def test_rayleigh_and_weibull_commands_load_no_scipy(tmp_path):
+    runs = (_fading_runs(tmp_path, {"kind": "rayleigh"})
+            + _fading_runs(tmp_path, {"kind": "weibull", "c": 1.0, "k": 2.0}))
+    assert _scipy_after(runs) == []
+
+
+def test_rice_nakagami_and_lognormal_load_scipy_special_only(tmp_path):
+    runs = (_fading_runs(tmp_path, {"kind": "rice", "s": 1.0, "sigma0": 0.5})
+            + _fading_runs(tmp_path, {"kind": "nakagami", "m": 2.0})
+            + _fading_runs(tmp_path, {"kind": "lognormal", "sigma": 0.5}))
+    loaded = _scipy_after(runs)
+    assert "scipy.special" in loaded
+    assert loaded == _scipy_after(["import=scipy.special"])
+
+
+def test_scipy_is_imported_in_the_source_only_as_the_lazy_special_import():
+    src = sorted((REPO / "src" / "wnc").rglob("*.py"))
+    hits = [(p.name, line.strip()) for p in src
+            for line in p.read_text().splitlines()
+            if re.match(r"\s*(from|import)\s+scipy\b", line)]
+    assert hits == [("fading.py", "from scipy import special")]
+    assert not any("scipy.stats" in p.read_text()
+                   or "from scipy import stats" in p.read_text() for p in src)

@@ -11,8 +11,8 @@ from wnc import (ChannelSpec, FrequencySelective, HeavyTailError, Lognormal,
 from wnc.distributions import DiscreteDistribution
 from wnc.fading import rayleigh_capacity_cdf
 
-from conftest import (exponential_tail_law, fading_cgf_reference,
-                      fading_moment_reference)
+from conftest import (cdf_generic, exponential_tail_law, fading_cgf_reference,
+                      fading_moment_reference, scipy_gain_law)
 
 SPEC = ChannelSpec(1.0, 1.0)
 
@@ -33,6 +33,39 @@ def test_channel_spec_validation():
         Weibull(1.0, -2.0)
 
 
+# the quantile levels FadingMarginal._slices reads: 2^-50 ... 1 - 2^-40
+LEFT_LEVELS = 0.5 ** np.arange(50, 0, -1)
+RIGHT_LEVELS = 1.0 - 0.5 ** np.arange(2, 41)
+LAW_MATRIX = ALL_MODELS + [
+    Rayleigh(1.3), Rice(0.0, 1.0), Rice(3.0, 0.7), Nakagami(0.5),
+    Nakagami(4.0, 2.0), Weibull(1.0, 0.5), Weibull(2.0, 1.0), Lognormal(0.3, 1.0),
+]
+
+
+@pytest.mark.parametrize("model", LAW_MATRIX, ids=repr)
+def test_gain_law_matches_scipy_stats(model):
+    oracle = scipy_gain_law(model)
+    levels = np.concatenate((LEFT_LEVELS, RIGHT_LEVELS, [1e-15, 1.0 - 1e-12]))
+    r = oracle.ppf(levels)
+    np.testing.assert_allclose(model.ppf(levels), r, rtol=1e-13, atol=0)
+    for name in ("cdf", "sf", "pdf", "logpdf"):
+        np.testing.assert_allclose(getattr(model, name)(r), getattr(oracle, name)(r),
+                                   rtol=1e-13, atol=1e-300, err_msg=name)
+    # the formulas hold on the edges of the support, unmasked
+    assert model.cdf(np.array([0.0, np.inf])).tolist() == [0.0, 1.0]
+    assert model.sf(np.array([0.0, np.inf])).tolist() == [1.0, 0.0]
+    assert model.ppf(np.array([0.0, 1.0])).tolist() == [0.0, np.inf]
+
+
+@pytest.mark.parametrize("model", LAW_MATRIX, ids=repr)
+def test_gain_law_ppf_round_trips_at_depth(model):
+    # the lower levels through the cdf, the upper ones through the sf
+    np.testing.assert_allclose(model.cdf(model.ppf(LEFT_LEVELS)), LEFT_LEVELS,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.sf(model.ppf(RIGHT_LEVELS)), 1.0 - RIGHT_LEVELS,
+                               rtol=1e-12, atol=0)
+
+
 def test_rayleigh_closed_form_values():
     m = capacity_marginal(SPEC, Rayleigh())
     assert m.cdf(0.0) == 0.0
@@ -46,11 +79,11 @@ def test_rayleigh_closed_form_values():
 def test_rayleigh_closed_vs_generic_transform():
     m = capacity_marginal(SPEC, Rayleigh())
     xs = np.linspace(0.0, 8.0, 200)
-    assert np.max(np.abs(m.cdf(xs) - m.cdf_generic(xs))) < 1e-9
+    assert np.max(np.abs(m.cdf(xs) - cdf_generic(m, xs))) < 1e-9
     # non-default sigma keeps the two paths consistent via the effective SNR
     m2 = capacity_marginal(SPEC, Rayleigh(sigma=1.3))
     assert np.max(np.abs(rayleigh_capacity_cdf(SPEC, Rayleigh(1.3), xs)
-                         - m2.cdf_generic(xs))) < 1e-9
+                         - cdf_generic(m2, xs))) < 1e-9
 
 
 def test_rayleigh_cdf_against_gain_monte_carlo():
@@ -155,8 +188,9 @@ def test_cgf_quadrature_is_built_once_per_part(model, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(wnc.fading, "leggauss", counted("leggauss", wnc.fading.leggauss))
-    for p in parts:
-        monkeypatch.setattr(p._gain, "logpdf", counted("logpdf", p._gain.logpdf))
+    # a frozen dataclass takes no per-instance attribute: patch each law's class
+    for law in {type(p.model) for p in parts}:
+        monkeypatch.setattr(law, "logpdf", counted("logpdf", law.logpdf))
     for i in range(100):
         m.cgf(0.7 if i % 2 else -0.7)
     # one node set per part; one logpdf for its nodes, one for the probe
@@ -218,9 +252,24 @@ def test_certificate_point_mass_rate_at_least_one():
 
 
 def test_certificate_heavy_tail_detected():
-    flat = DiscreteDistribution(np.array([0.05, 5000.0]), np.array([0.5, 0.5]))
+    # log H ~ N(0, 1e18): the capacity tail falls by a relative 1e-8 on
+    # [1, 30] bits, slower than any rate above 1e-8 would need
+    flat = capacity_marginal(SPEC, Lognormal(0.0, 1e9))
     with pytest.raises(HeavyTailError):
-        certify_light_tail(None, flat, 0.1, 900.0, 64)
+        certify_light_tail(None, flat, 1.0, 30.0, 64)
+
+
+@pytest.mark.parametrize("law,x_lo,x_hi", [
+    (DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5])), 0.0, 1.5),
+    (DiscreteDistribution(np.array([0.05, 5000.0]), np.array([0.5, 0.5])), 0.1, 900.0),
+])
+def test_certificate_bounded_law_flat_to_the_right_edge(law, x_lo, x_hi):
+    # the tail is flat on the whole range and drops at an atom beyond it:
+    # a bounded law is light, and the prefactor cap e sets the rate
+    cert = certify_light_tail(None, law, x_lo, x_hi, 64)
+    assert cert.max_violation <= 0.0
+    assert cert.prefactor_a <= math.e * (1.0 + 1e-9)
+    assert cert.rate_b == pytest.approx((1.0 + math.log(2.0)) / x_hi, rel=1e-12)
 
 
 def minplus_tail(laws, x):

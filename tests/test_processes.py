@@ -12,7 +12,8 @@ from wnc.processes import (BoundReport, _grid_allocation, _spectral,
                            _tilt_terms)
 from wnc.simulate import cumulative_capacity_samples
 
-from conftest import (assert_matrix_power_identity, frechet_allocation_loop,
+from conftest import (assert_matrix_power_identity,
+                      frechet_allocation_full_table, frechet_allocation_loop,
                       frechet_polish_reference, grid_exponent_min,
                       markov_sum_cdf, theta_grid)
 
@@ -109,6 +110,25 @@ def test_frechet_grid_allocation_matches_cell_loop(law_name, t, two_point,
         for sign in (+1.0, -1.0):
             assert (_grid_allocation(fvals, grid, sign)
                     == frechet_allocation_loop(fvals, grid, sign))
+
+
+@pytest.mark.parametrize("n", [17, 33, 257, 300])
+@pytest.mark.parametrize("t", [2, 3, 8])
+def test_frechet_grid_allocation_matches_full_table(n, t, two_point,
+                                                    rayleigh_marginal):
+    # row blocks of the candidate table pick what the whole table picks,
+    # also with a different law for each marginal
+    laws = [two_point, rayleigh_marginal,
+            DiscreteDistribution(np.array([0.0, 1.0, 2.5]),
+                                 np.array([0.2, 0.5, 0.3]))]
+    for x in (0.4 * t, 0.9 * t):
+        grid = np.linspace(0.0, x, n)
+        for shift in range(3):
+            fvals = [np.asarray(laws[(k + shift) % 3].cdf(grid), dtype=float)
+                     for k in range(t)]
+            for sign in (+1.0, -1.0):
+                assert (_grid_allocation(fvals, grid, sign)
+                        == frechet_allocation_full_table(fvals, grid, sign))
 
 
 # ---------------------------------------------------------------------------

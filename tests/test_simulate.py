@@ -227,7 +227,7 @@ _STREAM_DIGESTS = {
     "antithetic_two_point/delay": "21c407f221dc981b",
     "antithetic_two_point/feedback": "680db70928e3aa01",
     "antithetic_rayleigh/trace": "8fb4d9c74b961cca",
-    "antithetic_rayleigh/cumulative": "12e21640e1098b7e",
+    "antithetic_rayleigh/cumulative": "a938330696165e87",
     "antithetic_rayleigh/delay": "cdb185ca6afa7c7a",
     "antithetic_rayleigh/feedback": "7af5ce08940127b3",
     "ge_stationary/trace": "78c029aa28174289",
