@@ -573,7 +573,11 @@ def run_command(command: str, scenario: dict, seed_override=None,
     return rows, meta
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built once per process.  Building it is most of
+    the allocation of a call, so a process that calls ``main`` many times
+    would otherwise grow its heap with every call."""
     parser = argparse.ArgumentParser(
         prog="wnc",
         description="Wireless channel capacity bounds and their MC validation")
@@ -584,16 +588,22 @@ def main(argv=None) -> int:
         p.add_argument("--out")
         p.add_argument("--seed", type=int)
         p.add_argument("--strict", action="store_true")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("WNC_THREADS", "1")))
+        p.add_argument("--threads", type=int)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # read at each call, as the parser is shared
+    threads = (int(os.environ.get("WNC_THREADS", "1")) if args.threads is None
+               else args.threads)
 
     try:
         scenario = load_scenario(args.scenario)
         rows, meta = run_command(args.command, scenario,
                                  seed_override=args.seed,
-                                 threads=max(args.threads, 1))
+                                 threads=max(threads, 1))
         text = (_rows_to_csv(rows) if args.format == "csv"
                 else _rows_to_json(rows))
         if args.out:

@@ -71,6 +71,31 @@ def test_capacity_certificate_below_the_largest_atom(tmp_path, capsys):
     assert float(cert["certificate_violation"]) <= 0.0
 
 
+def test_threads_default_is_read_from_the_environment_at_each_call(
+        tmp_path, monkeypatch):
+    # the parser is built once per process; WNC_THREADS is not frozen in it
+    import wnc.cli as cli
+
+    seen = []
+    real = cli.run_command
+
+    def spy(command, scenario, seed_override=None, threads=1):
+        seen.append(threads)
+        return real(command, scenario, seed_override=seed_override, threads=1)
+
+    monkeypatch.setattr(cli, "run_command", spy)
+    doc = dict(BASE, queries=[{"kind": "capacity", "x_grid_bits": [1.0]}])
+    argv = ["capacity", "--scenario", write_scenario(tmp_path, doc),
+            "--out", str(tmp_path / "out.csv")]
+    for env in ("3", "2"):
+        monkeypatch.setenv("WNC_THREADS", env)
+        assert cli.main(argv) == 0
+    assert cli.main(argv + ["--threads", "5"]) == 0
+    monkeypatch.delenv("WNC_THREADS")
+    assert cli.main(argv) == 0
+    assert seen == [3, 2, 5, 1]
+
+
 def test_malformed_scenario_names_field(tmp_path, capsys):
     doc = {
         "channel": {"bandwidth_hz": 1.0, "snr_linear": -1.0,
