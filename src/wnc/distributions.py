@@ -20,6 +20,7 @@ from .errors import ValidationError
 MASS_TOL = 1e-9
 DEFAULT_GRID_N = 4096
 _EXP_OVERFLOW = 700.0
+_THRESHOLD_ATOMS = 4        # laws this small invert by threshold counts
 
 __all__ = ["DiscreteDistribution", "MASS_TOL", "DEFAULT_GRID_N"]
 
@@ -108,8 +109,21 @@ class DiscreteDistribution:
         return float(self._inverse_cdf(p))
 
     def _inverse_cdf(self, u):
-        """Vectorised generalised inverse F^{-1}(u) for u in [0, 1)."""
-        return self.support[np.searchsorted(self._cum, u, side="left")]
+        """Vectorised generalised inverse F^{-1}(u) for u in [0, 1].
+
+        The atom index is #{k : cum_k < u}, the position that
+        ``searchsorted(side="left")`` returns because cum[-1] = 1 >= u.
+        On an array over a law of at most ``_THRESHOLD_ATOMS`` atoms it is
+        counted by one compare per threshold, which is cheaper than the
+        binary search.
+        """
+        cum = self._cum
+        if cum.size > _THRESHOLD_ATOMS or np.ndim(u) == 0:
+            return self.support[np.searchsorted(cum, u, side="left")]
+        idx = (cum[0] < u).astype(np.intp)     # a point mass has cum[0] = 1
+        for c in cum[1:-1]:
+            idx += c < u
+        return self.support.take(idx)
 
     def mean(self) -> float:
         return float(self.support @ self.mass)

@@ -103,12 +103,24 @@ def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
 
     Additive slots are fresh ``marginal.sample`` draws; a comonotonic
     stream repeats F^{-1}(U) for one uniform per run; antithetic slots come
-    in pairs F^{-1}(U), F^{-1}(1 - U).  A Markov stream starts from
-    ``initial_state`` (default: the process's own start).  Per slot one
-    uniform picks the next state and, when some increment law has more
-    than one atom, a second one the increment from the law of the
-    transition: ``kernel.laws[nxt]`` in destination mode,
-    ``kernel.laws[state * |E| + nxt]`` for a full kernel.
+    in pairs F^{-1}(U), F^{-1}(1 - U).  Each law inverts its uniform by
+    its own ``_inverse_cdf``: the atom index #{k : cum_k < u}, counted by
+    threshold compares on a lattice law of at most 4 atoms and binary
+    searched otherwise.
+
+    A Markov stream starts from ``initial_state`` (default: the process's
+    own start).  Per slot one uniform picks the next state and, when some
+    increment law has more than one atom, a second one the increment from
+    the law of the transition: ``kernel.laws[nxt]`` in destination mode,
+    ``kernel.laws[state * |E| + nxt]`` for a full kernel.  Both draws are
+    the same count #{k : cum_k < u}, taken against tables stacked once per
+    stream (the cumulative transition sums of every state; the cumulative
+    masses of every law, padded above 1) and gathered by each run's key;
+    the atom is then one gather from the stacked supports.
+
+    Consumers read each vector before drawing the next and never write
+    into it: a comonotonic stream yields one array forever, and a Markov
+    stream refills one array per slot.
     """
     if isinstance(process, Additive):
         marginal = process.marginal
@@ -118,47 +130,67 @@ def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
         yield from repeat(process.marginal._inverse_cdf(rng.random(n)))
     elif isinstance(process, AntitheticPairing):
         inverse = process.marginal._inverse_cdf
+        u = np.empty(n)
         while True:
-            u = rng.random(n)
-            yield inverse(u)
-            yield inverse(1.0 - u)
+            yield inverse(rng.random(out=u))
+            yield inverse(np.subtract(1.0, u, out=u))
     elif not isinstance(process, MarkovAdditive):
         raise ValidationError(f"unknown process type {type(process).__name__}")
     kernel = process.kernel
-    k = len(kernel.states)
-    cum_rows = np.cumsum(kernel.transition, axis=1)
-    # one threshold column per destination; next state = #{j: u > cum[i, j]}
-    thresholds = [np.ascontiguousarray(cum_rows[:, j]) for j in range(k)]
     laws = kernel.laws
-    atoms = np.array([law.support[0] for law in laws])
-    random_laws = any(law.support.size > 1 for law in laws)
+    k = len(kernel.states)
+    width = max(law.support.size for law in laws)
+    # Column i of a threshold table belongs to key i (a state or a law) and
+    # key i draws the count #{r : table[r, i] < u}: the next state from the
+    # row's cumulative transition sums, the atom from the law's _cum[:-1].
+    steps = _threshold_rows(np.cumsum(kernel.transition, axis=1).T)
+    cums = np.full((width - 1, len(laws)), 2.0)  # pad 2.0: above every u
+    atoms = np.zeros((len(laws), width))        # atom r of law i: i width + r
+    for i, law in enumerate(laws):
+        cums[:law.support.size - 1, i] = law._cum[:-1]
+        atoms[i, :law.support.size] = law.support
+    draws = _threshold_rows(cums)
+    atoms = atoms.ravel()
     init = process.initial if initial_state is None else initial_state
     if isinstance(init, str) and init == "stationary":
         states = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n),
                                  side="left")
     else:
         states = np.full(n, kernel.state_index(init), dtype=np.intp)
+    u, gathered, below = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    nxt, caps = np.empty(n, dtype=np.intp), np.empty(n)
+    pair = None if kernel.by_destination else np.empty(n, dtype=np.intp)
+    flat = np.empty(n, dtype=np.intp) if width > 1 else None
 
-    def step(states):
-        # a function, so that a slot's draws are freed before the next slot's
-        u = rng.random(n)
-        nxt = np.zeros(n, dtype=np.intp)
-        for column in thresholds:
-            nxt += u > column.take(states)
-        law_index = nxt if kernel.by_destination else states * k + nxt
-        if not random_laws:
-            return nxt, atoms[law_index]
-        caps = np.empty(n)
-        rng.random(out=u)               # second uniform, reusing u's array
-        for i, law in enumerate(laws):
-            mask = law_index == i
-            if np.any(mask):
-                caps[mask] = law._inverse_cdf(u[mask])
-        return nxt, caps
+    def count(rows, keys, out):
+        # out += #{r : rows[r][keys] < u}; keys are in range, and mode="clip"
+        # spares take the buffered copy that out= costs in mode="raise"
+        for row in rows:
+            row.take(keys, out=gathered, mode="clip")
+            np.less(gathered, u, out=below)
+            out += below
 
     while True:
-        states, caps = step(states)
+        rng.random(out=u)
+        nxt.fill(0)
+        count(steps, states, nxt)
+        law_index = nxt
+        if pair is not None:
+            law_index = np.multiply(states, k, out=pair)
+            law_index += nxt
+        if flat is None:                        # point masses: no second draw
+            atoms.take(law_index, out=caps, mode="clip")
+        else:
+            rng.random(out=u)
+            count(draws, law_index, np.multiply(law_index, width, out=flat))
+            atoms.take(flat, out=caps, mode="clip")
+        states, nxt = nxt, states
         yield caps
+
+
+def _threshold_rows(table):
+    """Contiguous rows of a threshold table that some u in [0, 1) is above."""
+    return [np.ascontiguousarray(row) for row in table if row.min() < 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +247,10 @@ def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
         # per-run max over t <= window of (lam t - S(t)); the t = 0 term is 0
         w = np.zeros(size)
         sup = np.zeros(size)
+        step = np.empty(size)
         for caps in islice(_slots(process, rng, size, initial_state),
                            config.window):
-            w += lam - caps
+            w += np.subtract(lam, caps, out=step)
             np.maximum(sup, w, out=sup)
         if strict:
             return (sup[None, :] > levels[:, None] + 1e-9).sum(axis=1)

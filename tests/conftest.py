@@ -39,6 +39,21 @@ def full_kernel():
 
 
 @pytest.fixture(scope="session")
+def mixed_kernel():
+    """Destination kernel whose laws hold 3, 1, 2 and 2 atoms, with an
+    interior and a trailing zero-mass atom."""
+    laws = [DiscreteDistribution(np.array([0.0, 1.0, 2.5]),
+                                 np.array([0.4, 0.0, 0.6])),
+            DiscreteDistribution.point_mass(1.5),
+            DiscreteDistribution(np.array([0.5, 3.0]), np.array([0.7, 0.3])),
+            DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0, 0.0]))]
+    transition = np.array([[0.5, 0.2, 0.2, 0.1], [0.1, 0.6, 0.2, 0.1],
+                           [0.3, 0.3, 0.3, 0.1], [0.25, 0.25, 0.25, 0.25]])
+    return MarkovKernel.from_destination_laws(("a", "b", "c", "d"),
+                                              transition, laws)
+
+
+@pytest.fixture(scope="session")
 def unit_spec():
     return ChannelSpec(1.0, 1.0)
 
@@ -403,3 +418,42 @@ def frechet_polish_reference(marginals, x, budget_cells=256, polish_passes=2):
         return sum(float(m.cdf(u)) for m, u in zip(ms, alloc))
 
     return max(0.0, value(sup_alloc) - (t - 1)), min(1.0, value(inf_alloc))
+
+
+def markov_slots_reference(process, rng, n, initial_state=None):
+    """Markov slot stream with one searchsorted per law over a mask.
+
+    Reference for the Markov branch of simulate._slots, which reads the
+    same uniforms: per slot one picks the next state by threshold compares
+    against the row's cumulative sums and, when some law has more than one
+    atom, a second one inverts the law of each run's transition.
+    """
+    kernel = process.kernel
+    k = len(kernel.states)
+    cum_rows = np.cumsum(kernel.transition, axis=1)
+    laws = kernel.laws
+    atoms = np.array([law.support[0] for law in laws])
+    random_laws = any(law.support.size > 1 for law in laws)
+    init = process.initial if initial_state is None else initial_state
+    if isinstance(init, str) and init == "stationary":
+        states = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n),
+                                 side="left")
+    else:
+        states = np.full(n, kernel.state_index(init), dtype=np.intp)
+    while True:
+        u = rng.random(n)
+        nxt = np.zeros(n, dtype=np.intp)
+        for j in range(k):
+            nxt += u > cum_rows[:, j][states]
+        law_index = nxt if kernel.by_destination else states * k + nxt
+        if random_laws:
+            caps = np.empty(n)
+            u = rng.random(n)
+            for i, law in enumerate(laws):
+                mask = law_index == i
+                caps[mask] = law.support[np.searchsorted(law._cum, u[mask],
+                                                         side="left")]
+        else:
+            caps = atoms[law_index]
+        states = nxt
+        yield caps

@@ -97,3 +97,34 @@ def test_regrid_preserves_mass():
     coarse = law.regrid(512)
     assert coarse.support.size <= 512
     assert coarse.mean() == pytest.approx(law.mean(), rel=1e-3)
+
+
+_SMALL_LAWS = [
+    ([1.5], [1.0]),
+    ([0.0, 2.0], [0.5, 0.5]),
+    ([0.0, 2.0], [1.0, 0.0]),                        # trailing zero mass
+    ([0.0, 1.0, 2.5], [0.3, 0.0, 0.7]),              # interior zero mass
+    ([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]),
+    ([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4]),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.0, 0.5]),    # zero mass first and inside
+    ([0.0, 1.0, 2.0, 3.0], [0.6, 0.4, 0.0, 0.0]),    # two trailing zeros
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.0, 0.3, 0.4]),
+]
+
+
+@pytest.mark.parametrize("support, mass", _SMALL_LAWS)
+def test_threshold_inverse_equals_searchsorted(support, mass):
+    law = DiscreteDistribution(np.array(support), np.array(mass))
+    cum = law._cum
+    edges = np.concatenate((cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0)))
+    u = np.concatenate(([0.0, 1.0], edges,
+                        np.random.default_rng(5).random(100_000)))
+    u = u[(u >= 0.0) & (u <= 1.0)]             # 1.0 is the antithetic 1 - 0
+    want = law.support[np.searchsorted(cum, u, side="left")]
+    np.testing.assert_array_equal(law._inverse_cdf(u), want)
+    for p in np.concatenate((edges, [0.37])):
+        if 0.0 < p < 1.0:
+            expected = float(law.support[np.searchsorted(cum, p, side="left")])
+            assert law.quantile(float(p)) == expected
+            assert law._inverse_cdf(float(p)) == expected
+            assert law._inverse_cdf(np.array(p)) == expected

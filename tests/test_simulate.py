@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from wnc import (Additive, AntitheticPairing, ArrivalSpec, ChannelSpec,
                  capacity_marginal)
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import process_mean_rate
-from wnc.simulate import (SimConfig, cumulative_capacity_samples,
+from wnc.simulate import (SimConfig, _slots, cumulative_capacity_samples,
                           empirical_delay_tails, feedback_queue,
                           lindley_queue, sample_capacity_trace, substream,
                           tandem_queue)
+
+from conftest import markov_slots_reference
 
 
 def test_sim_config_validation():
@@ -195,6 +198,49 @@ def _stream_processes(two_point, ge_kernel, full_kernel, rayleigh_marginal):
     }
 
 
+class _ThresholdReplay:
+    """Stand-in generator whose uniforms sit on and beside every threshold
+    of a kernel (its cumulative transition sums and its laws' cumulative
+    masses), shifted by one place per call."""
+
+    def __init__(self, kernel):
+        cums = np.concatenate([np.cumsum(kernel.transition, axis=1).ravel()]
+                              + [law._cum for law in kernel.laws])
+        u = np.concatenate(([0.0], cums, np.nextafter(cums, -1.0),
+                            np.nextafter(cums, 2.0)))
+        self.u = np.unique(u[u < 1.0])
+        self.calls = 0
+
+    def random(self, size=None, out=None):
+        draw = np.roll(self.u, self.calls)
+        self.calls += 1
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
+
+
+def test_markov_slots_match_masked_per_law_loop(full_kernel, mixed_kernel,
+                                                ge_kernel):
+    laws = mixed_kernel.laws
+    full_mixed = MarkovKernel(
+        ("a", "b", "c"), np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3],
+                                   [0.3, 0.3, 0.4]]),
+        [laws[:3], laws[1:], [laws[3], laws[0], laws[1]]])
+    for kernel in (full_kernel, mixed_kernel, full_mixed, ge_kernel):
+        proc = MarkovAdditive(kernel)
+        n = _ThresholdReplay(kernel).u.size
+        for start in (None, kernel.states[-1]):
+            for rng, runs in ((lambda: substream(8, 1), 2_000),
+                              (lambda: _ThresholdReplay(kernel), n)):
+                # the stream refills one array per slot: copy each slot
+                got = [caps.copy() for caps in
+                       islice(_slots(proc, rng(), runs, start), 40)]
+                want = list(islice(markov_slots_reference(
+                    proc, rng(), runs, start), 40))
+                np.testing.assert_array_equal(got, want)
+
+
 def _digest(values) -> str:
     """Leading 16 hex digits of the SHA-256 of a float64 array or estimates."""
     if isinstance(values, list):
@@ -248,11 +294,14 @@ _STREAM_DIGESTS = {
     "full_kernel/feedback": "c1f1caaa1fb32405",
     "tandem/separate": "62ca235760f6648d",
     "tandem/shared": "fc6c9c1614eff8ad",
+    "mixed_chain/trace": "e5dd9a8ca0b4c648",
+    "mixed_chain/delay": "1143df030ed19d99",
 }
 
 
 def test_monte_carlo_streams_are_pinned(monkeypatch, two_point, ge_kernel,
-                                        full_kernel, rayleigh_marginal):
+                                        full_kernel, mixed_kernel,
+                                        rayleigh_marginal):
     import wnc.simulate as sim
     monkeypatch.setattr(sim, "_BATCH", 512)     # three batches of 1500 runs
     cfg = SimConfig(seed=21, runs=1_500, horizon=60)
@@ -275,4 +324,9 @@ def test_monte_carlo_streams_are_pinned(monkeypatch, two_point, ge_kernel,
     got["tandem/shared"] = _digest(tandem_queue(
         HopChain((Additive(two_point),) * 3, 2, True), ArrivalSpec(0.3),
         cfg, [1, 2, 5]))
+    mixed = MarkovAdditive(mixed_kernel)
+    got["mixed_chain/trace"] = _digest(
+        sample_capacity_trace(mixed, 50, substream(21, 0)))
+    got["mixed_chain/delay"] = _digest(empirical_delay_tails(
+        mixed, ArrivalSpec(0.8 * process_mean_rate(mixed)), [0.25, 1, 3], cfg))
     assert got == _STREAM_DIGESTS
