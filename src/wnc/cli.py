@@ -2,11 +2,13 @@
 
 Scenario files are YAML documents with explicit units in the key names
 (bandwidth_hz, lambda_bits_per_slot, ...), schema-validated before any
-computation; unknown keys are rejected.  Results are written as CSV tables
-with a header row (17 significant digits, lossless round-trip) plus a
-sidecar .meta.json capturing inputs, seeds, package version and derived
-quantities.  Exit codes: 0 success, 1 validation error, 2 numeric failure,
-3 instability/divergence verdicts under --strict.
+computation; unknown keys are rejected.  They are parsed with libyaml where
+PyYAML has it, and checked by ``_conforms``; jsonschema is imported only to
+word the error for a document that ``_conforms`` rejects.  Results are
+written as CSV tables with a header row (17 significant digits, lossless
+round-trip) plus a sidecar .meta.json capturing inputs, seeds, package
+version and derived quantities.  Exit codes: 0 success, 1 validation error,
+2 numeric failure, 3 instability/divergence verdicts under --strict.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import functools
 import io
 import json
 import math
+import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import yaml
@@ -173,21 +175,118 @@ _QUERY_SCHEMA = {
 }
 
 
+# libyaml's scanner and parser where PyYAML was built with it; the
+# constructor and resolver are SafeLoader's either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            try:
+                doc = yaml.load(fh, Loader=_YAML_LOADER)
+            except yaml.YAMLError:
+                # the pure-Python parser words the error, as it always has
+                fh.seek(0)
+                doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read scenario: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ValidationError(f"scenario is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a mapping")
+    if not (_conforms(_SCHEMA, doc, _SCHEMA)
+            and all(_conforms(_QUERY_SCHEMA, q, _QUERY_SCHEMA)
+                    for q in doc.get("queries", []))):
+        _reject(doc)
+    return doc
+
+
+def _reject(doc):
+    """Raise the ValidationError for a document ``_conforms`` rejected, with
+    the message jsonschema words for it, which is imported only here."""
     doc_validator, query_validator = _validators()
     _check_schema(doc_validator, doc)
     for q in doc.get("queries", []):
         _check_schema(query_validator, q)
-    return doc
+    raise ValidationError("scenario does not conform to its schema")
+
+
+def _is_number(x):
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _same(a, b):
+    """JSON equality, as ``enum`` and ``const`` compare: True is not 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+def _resolve(ref, root):
+    if not ref.startswith("#/"):
+        raise NotImplementedError(f"schema $ref {ref!r} is not local")
+    node = root
+    for part in ref[2:].split("/"):
+        node = node[part]
+    return node
+
+
+# keyword -> check(value, instance, schema, root); each applies to the
+# instance types the keyword constrains and passes any other instance
+_KEYWORDS = {
+    "$defs": lambda v, x, s, r: True,
+    "type": lambda v, x, s, r: _TYPES[v](x),
+    "enum": lambda v, x, s, r: any(_same(x, e) for e in v),
+    "const": lambda v, x, s, r: _same(x, v),
+    "required": lambda v, x, s, r: (not isinstance(x, dict)
+                                    or all(k in x for k in v)),
+    "properties": lambda v, x, s, r: (not isinstance(x, dict) or all(
+        _conforms(sub, x[k], r) for k, sub in v.items() if k in x)),
+    "additionalProperties": lambda v, x, s, r: (not isinstance(x, dict) or all(
+        _conforms(v, x[k], r) for k in x if k not in s.get("properties", {}))),
+    "items": lambda v, x, s, r: (not isinstance(x, list)
+                                 or all(_conforms(v, i, r) for i in x)),
+    "minItems": lambda v, x, s, r: not isinstance(x, list) or len(x) >= v,
+    "minimum": lambda v, x, s, r: not _is_number(x) or not x < v,
+    "exclusiveMinimum": lambda v, x, s, r: not _is_number(x) or not x <= v,
+    "exclusiveMaximum": lambda v, x, s, r: not _is_number(x) or not x >= v,
+    "anyOf": lambda v, x, s, r: any(_conforms(sub, x, r) for sub in v),
+    "allOf": lambda v, x, s, r: all(_conforms(sub, x, r) for sub in v),
+    "if": lambda v, x, s, r: (not _conforms(v, x, r)
+                              or _conforms(s.get("then", True), x, r)),
+    "then": lambda v, x, s, r: True,      # applied by "if"
+    "$ref": lambda v, x, s, r: _conforms(_resolve(v, r), x, r),
+}
+
+
+def _conforms(schema, x, root) -> bool:
+    """Whether ``x`` is valid under ``schema`` by JSON Schema Draft 2020-12,
+    with ``root`` the schema that "$ref" resolves in.  It knows only the
+    keywords of ``_SCHEMA`` and ``_QUERY_SCHEMA`` and raises on any other,
+    so a schema edit cannot pass unchecked.  jsonschema is the oracle of
+    this function in the tests, and words the errors of what it rejects."""
+    if isinstance(schema, bool):
+        return schema
+    unknown = schema.keys() - _KEYWORDS.keys()
+    if unknown:
+        raise NotImplementedError(f"schema keywords {sorted(unknown)}")
+    return all(_KEYWORDS[k](v, x, schema, root) for k, v in schema.items())
 
 
 def _check_schema(validator, instance):
@@ -559,6 +658,7 @@ def run_command(command: str, scenario: dict, seed_override=None,
 
     indexed = list(enumerate(queries))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_one, indexed))
     else:

@@ -42,6 +42,7 @@ _RATE_CAP = 64.0              # largest certified exponential rate (per bit)
 _PREFACTOR_CAP = math.e       # prefactor budget for the rate search
 _COVER_TOL = 2.5e-10          # log slack of a certified cover over the sup
 _COVER_CHUNK = 2048           # cells refined per tail evaluation
+_RICE_UPPER_Q = 1.0 - 2.0 ** -6   # Rice ppf levels polished on the sf
 
 __all__ = [
     "ChannelSpec", "Rayleigh", "Rice", "Nakagami", "Weibull", "Lognormal",
@@ -139,10 +140,31 @@ class Rayleigh(_ScaledGain):
         return rng.rayleigh(self.sigma, size)
 
 
+def _marcum_q1(b, z):
+    """Q1(b, z) for z >= b + 2, as the series of positive terms
+    exp(-(z - b)^2 / 2) sum_{k <= n} r^k ive(k, x), r = b / z, x = z b.
+    Since ive(k, x) <= ive(0, x), the terms beyond n add less than
+    r^(n + 1) / (1 - r) < 2^-56 of the sum at the largest r.  The terms come
+    from the backward recurrence ive(k - 1) = ive(k + 1) + 2k/x ive(k),
+    which is stable, started from ive at n and n + 1."""
+    if b == 0.0:
+        return np.exp(-0.5 * z * z)
+    ive = _special().ive
+    x, r = z * b, b / z
+    r_max = float(r.max())
+    n = math.ceil(math.log(2.0 ** -56 * (1.0 - r_max)) / math.log(r_max))
+    above, term = ive(n + 1, x), ive(n, x)
+    total = term
+    for k in range(n, 0, -1):
+        above, term = term, above + (2.0 * k / x) * term
+        total = term + r * total
+    return np.exp(-0.5 * (z - b) * (z - b)) * total
+
+
 @dataclass(frozen=True)
 class Rice(_ScaledGain):
     """H^2 / sigma0^2 is noncentral chi-square(2, (s / sigma0)^2); P(H > r)
-    is the Marcum Q function Q1(s / sigma0, r / sigma0), taken as 1 - cdf."""
+    is the Marcum Q function Q1(s / sigma0, r / sigma0)."""
 
     s: float
     sigma0: float
@@ -164,10 +186,28 @@ class Rice(_ScaledGain):
         return _special().chndtr(np.square(z), 2, np.square(self._b))
 
     def _sf(self, z):
-        return 1.0 - self._cdf(z)
+        # beyond b + 2 the Marcum series keeps the tail's relative accuracy
+        # far below 1e-16; up to there Q1 > 1/50 and 1 - cdf loses little
+        z = np.asarray(z, dtype=float)
+        out = np.atleast_1d(1.0 - self._cdf(z))
+        flat = np.atleast_1d(z)
+        far = (flat >= self._b + 2.0) & (flat < np.inf)
+        if far.any():
+            out[far] = _marcum_q1(self._b, flat[far])
+        return out.reshape(z.shape)[()]
 
     def _ppf(self, q):
-        return np.sqrt(_special().chndtrix(q, 2, np.square(self._b)))
+        z = np.atleast_1d(np.sqrt(_special().chndtrix(q, 2, np.square(self._b))))
+        # chndtrix meets the cdf only to ~1e-15 absolute; on the upper
+        # levels, two Newton steps on log sf meet the tail 1 - q relatively
+        upper = np.flatnonzero((np.atleast_1d(q) > _RICE_UPPER_Q) & (z < np.inf))
+        if upper.size:
+            tail, zu = 1.0 - np.atleast_1d(q)[upper], z[upper]
+            for _ in range(2):
+                sf = self._sf(zu)
+                zu = zu + np.log(sf / tail) * sf / self._pdf(zu)
+            z[upper] = zu
+        return z.reshape(np.shape(q))[()]
 
     def _pdf(self, z):
         # exp(-(z^2 + b^2) / 2) I0(z b) = exp(-(z - b)^2 / 2) i0e(z b)

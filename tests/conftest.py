@@ -185,6 +185,31 @@ def markov_sum_cdf(kernel, t, x):
     return sum(w for (_, s), w in law.items() if s <= x + 1e-12)
 
 
+class _RiceOracle:
+    """``stats.rice``, except that sf and ppf on the upper levels read the
+    noncentral chi-square law of (H / sigma0)^2.  ``stats.rice`` takes its
+    sf as 1 - cdf and inverts the cdf at every level, so in the upper tail
+    both have only absolute accuracy."""
+
+    def __init__(self, s, sigma0):
+        from scipy import stats
+
+        self._law = stats.rice(s / sigma0, scale=sigma0)
+        self._ncx2 = stats.ncx2(2, (s / sigma0) ** 2)
+        self._scale = sigma0
+
+    def __getattr__(self, name):
+        return getattr(self._law, name)
+
+    def sf(self, r):
+        return self._ncx2.sf(np.square(np.asarray(r) / self._scale))
+
+    def ppf(self, q):
+        q = np.asarray(q, dtype=float)
+        upper = np.sqrt(self._ncx2.isf(1.0 - q)) * self._scale
+        return np.where(q > 0.5, upper, self._law.ppf(q))
+
+
 def scipy_gain_law(model):
     """The frozen ``scipy.stats`` law of a named gain model: the oracle the
     library's own gain functions are checked against."""
@@ -197,7 +222,7 @@ def scipy_gain_law(model):
     if isinstance(model, Rayleigh):
         return stats.rayleigh(scale=model.sigma)
     if isinstance(model, Rice):
-        return stats.rice(model.s / model.sigma0, scale=model.sigma0)
+        return _RiceOracle(model.s, model.sigma0)
     if isinstance(model, Nakagami):
         return stats.nakagami(model.m, scale=math.sqrt(model.omega))
     if isinstance(model, Weibull):

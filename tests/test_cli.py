@@ -1,4 +1,6 @@
+import copy
 import csv
+import functools
 import json
 import os
 import re
@@ -9,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wnc.cli import main
+from wnc.cli import (_KEYWORDS, _QUERY_SCHEMA, _SCHEMA, _TYPES, _conforms,
+                     _resolve, main)
 
 BASE = {
     "channel": {"capacity_bits_per_slot": {"support": [0.0, 2.0],
@@ -392,3 +397,247 @@ def test_scipy_is_imported_in_the_source_only_as_the_lazy_special_import():
     assert hits == [("fading.py", "from scipy import special")]
     assert not any("scipy.stats" in p.read_text()
                    or "from scipy import stats" in p.read_text() for p in src)
+
+
+# ---------------------------------------------------------------------------
+# scenario loading: libyaml parsing, the schema evaluator, lazy jsonschema
+
+SHIPPED = sorted([*(REPO / "scenarios").glob("*.yaml"),
+                  *(REPO / "bench" / "scenarios").glob("*.yaml")])
+
+
+def test_libyaml_and_python_loaders_give_equal_documents():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    assert SHIPPED
+    for path in SHIPPED:
+        text = path.read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert fast == slow and repr(fast) == repr(slow), path.name
+
+
+def test_malformed_yaml_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("process: {kind: additive\narrival: [1, 2\n")
+    with open(path) as fh, pytest.raises(yaml.YAMLError) as exc:
+        yaml.safe_load(fh)
+    assert main(["delay", "--scenario", str(path)]) == 1
+    # worded by the pure-Python parser, as before libyaml parsed scenarios
+    assert capsys.readouterr().err == (
+        f"validation error: scenario is not valid YAML: {exc.value}\n")
+
+
+def test_document_the_evaluator_rejects_is_never_accepted(tmp_path,
+                                                          monkeypatch):
+    # were jsonschema to find no error, the document is still rejected
+    import wnc.cli as cli
+
+    monkeypatch.setattr(cli, "_conforms", lambda schema, x, root: False)
+    with pytest.raises(cli.ValidationError,
+                       match="^scenario does not conform to its schema$"):
+        cli.load_scenario(write_scenario(tmp_path, BASE))
+
+
+def _schema_nodes(schema, root):
+    """Every subschema of ``schema``, ``$ref`` targets included once."""
+    seen, stack = [], [schema]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, bool) or any(node is s for s in seen):
+            continue
+        seen.append(node)
+        for key, value in node.items():
+            if key in ("properties", "$defs"):
+                stack += value.values()
+            elif key in ("anyOf", "allOf"):
+                stack += value
+            elif key in ("items", "additionalProperties", "if", "then"):
+                stack.append(value)
+            elif key == "$ref":
+                stack.append(_resolve(value, root))
+    return seen
+
+
+def test_schemas_use_only_keywords_the_evaluator_implements():
+    for schema in (_SCHEMA, _QUERY_SCHEMA):
+        nodes = _schema_nodes(schema, schema)
+        assert len(nodes) > 10
+        for node in nodes:
+            assert node.keys() <= _KEYWORDS.keys(), node
+            if "type" in node:
+                assert node["type"] in _TYPES, node
+    with pytest.raises(NotImplementedError, match="maxItems"):
+        _conforms({"type": "array", "maxItems": 1}, [], {})
+    with pytest.raises(NotImplementedError):
+        _conforms({"$ref": "other.json#/x"}, 1, {})
+
+
+def test_conforms_keeps_draft_2020_12_type_and_equality_rules():
+    # a bool is no number, 3.0 is an integer, and enum/const tell True from 1
+    from jsonschema import Draft202012Validator
+
+    cases = [
+        ({"type": "integer"}, [3, 3.0, -0.0, 3.5, True, float("inf"),
+                               float("nan"), "3", None]),
+        ({"type": "number"}, [1, 1.5, True, False, None, "1"]),
+        ({"type": "boolean"}, [True, 0, 1.0]),
+        ({"enum": [1, "a"]}, [1, 1.0, True, "a", "1"]),
+        ({"enum": [True]}, [True, 1, 1.0]),
+        ({"const": False}, [False, 0, 0.0, None]),
+        ({"const": [1, True]}, [[1, True], [1.0, True], [1, 1], [True, True]]),
+        ({"const": {"a": 0}}, [{"a": 0}, {"a": False}, {"a": 0.0}, {}]),
+        ({"exclusiveMinimum": 0, "exclusiveMaximum": 1},
+         [0, 0.0, -0.0, 1, 0.5, True, float("nan"), "0.5"]),
+    ]
+    for schema, instances in cases:
+        oracle = Draft202012Validator(schema)
+        for x in instances:
+            assert _conforms(schema, x, schema) == oracle.is_valid(x), (schema, x)
+
+
+@functools.cache
+def _base_documents():
+    docs = [yaml.safe_load(p.read_text()) for p in SHIPPED]
+    docs.append(dict(BASE, queries=[
+        {"kind": "dcc", "d_slots": 10, "epsilon": 0.5},
+        {"kind": "delay", "d_slots": [1, 2.5], "validate_mc": True},
+        {"kind": "capacity", "certify_x_hi_bits": 8.0, "p_grid": [0.5]}]))
+    sub = [{"bandwidth_hz": 1.0, "snr_linear": 2.0,
+            "fading": {"kind": "rice", "s": 1.0, "sigma0": 0.5}},
+           {"fading": {"kind": "weibull", "c": 1.0, "k": 2.0}},
+           {"fading": {"kind": "nakagami", "m": 2.0, "omega": 1.0}}]
+    for fading in ({"kind": "frequency_selective", "subchannels": sub},
+                   {"kind": "lognormal", "mu": 0.0, "sigma": 0.5},
+                   {"kind": "rayleigh", "sigma": 1.0}):
+        docs.append(dict(BASE, channel={"bandwidth_hz": 1.0, "snr_linear": 1.0,
+                                        "fading": fading}))
+    return tuple(docs)
+
+
+@functools.cache
+def _oracle(which):
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator({"doc": _SCHEMA, "query": _QUERY_SCHEMA}[which])
+
+
+_VALUES = [True, False, "x", "rice", None, 3.0, 3, 2.5, 0, 0.0, -1, -1.0, 1,
+           1.0, 0.5, 1e-3, -0.5, float("inf"), float("nan"), [], {}, [0.5],
+           [True], ["G"], [[0.5, 0.5]], {"kind": "rayleigh"}]
+_KEYS = ["bogus", "kind", "s", "sigma0", "sigma", "m", "omega", "c", "k", "mu",
+         "subchannels", "fading", "epsilon", "t_slots", "d_slots", "queries",
+         "channel", "markov", "initial", "warmup_slots", "shared_channel"]
+
+
+def _containers(node):
+    """Every dict and list inside ``node``, itself included."""
+    out = [node] if isinstance(node, (dict, list)) else []
+    for child in (node.values() if isinstance(node, dict)
+                  else node if isinstance(node, list) else ()):
+        out += _containers(child)
+    return out
+
+
+# what a number or an integer may meet: the exclusiveMinimum, minimum and
+# epsilon boundaries, integral floats, and bools, strings and None
+_NUMBERS = [0, 0.0, -1, -1.0, 1, 1.0, 3.0, 0.5, True, False, None, "1"]
+
+
+def _numbers(node):
+    """(container, key) of every number inside ``node``, bools excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, child in items:
+        if isinstance(child, (int, float)) and not isinstance(child, bool):
+            out.append((node, key))
+        out += _numbers(child)
+    return out
+
+
+def _mutate(draw, doc):
+    op = draw(st.sampled_from(["drop", "add", "set", "kind", "number",
+                               "epsilon"]))
+    numbers = _numbers(doc)
+    if op == "epsilon":
+        # a dcc query's epsilon, bounded on both sides
+        queries = doc.get("queries")
+        numbers = [(q, "epsilon") for q in queries if isinstance(q, dict)
+                   ] if isinstance(queries, list) else []
+    if op in ("number", "epsilon") and numbers:
+        node, key = draw(st.sampled_from(numbers))
+        node[key] = draw(st.sampled_from(_NUMBERS))
+        return
+    node = draw(st.sampled_from(_containers(doc)))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    value = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+    if op == "drop" and keys:
+        del node[draw(st.sampled_from(keys))]
+    elif op == "add" or not keys:
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = value
+        else:
+            node.append(value)
+    elif op == "kind" and isinstance(node, dict):
+        # a fading or query node of another kind: fields missing or extra
+        node["kind"] = draw(st.sampled_from(
+            ["rayleigh", "rice", "nakagami", "weibull", "lognormal",
+             "frequency_selective", "delay", "dcc", "additive", "markov"]))
+    else:
+        node[draw(st.sampled_from(keys))] = value
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_conforms_agrees_with_jsonschema(data):
+    docs = _base_documents()
+    doc = copy.deepcopy(docs[data.draw(st.integers(0, len(docs) - 1))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data.draw, doc)
+    for which, schema, instances in (
+            ("doc", _SCHEMA, [doc]),
+            ("query", _QUERY_SCHEMA, doc.get("queries") or [])):
+        if not isinstance(instances, list):
+            continue
+        for x in instances:
+            assert _conforms(schema, x, schema) == _oracle(which).is_valid(x), x
+
+
+_LOAD_PROBE = r"""
+import sys
+from wnc import cli
+from wnc.errors import ValidationError
+
+*paths, bad, out = sys.argv[1:]
+for path in paths:
+    cli.load_scenario(path)
+assert "jsonschema" not in sys.modules, "jsonschema loaded for valid scenarios"
+assert cli.main(["bounds", "--scenario", paths[0], "--out", out]) == 0
+assert not [m for m in sys.modules if m.startswith("concurrent.futures")]
+try:
+    cli.load_scenario(bad)
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def test_valid_scenarios_load_without_jsonschema(tmp_path):
+    """Every shipped scenario loads in a fresh interpreter without importing
+    jsonschema, a single-thread run imports no thread pool, and a rejected
+    document still gets jsonschema's message."""
+    bad = copy.deepcopy(BASE)
+    bad["arrival"]["lambda_bits_per_slot"] = -1
+    src = str(REPO / "src")
+    env = {k: v for k, v in os.environ.items() if k != "WNC_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    gilbert = REPO / "scenarios" / "gilbert_elliott.yaml"
+    paths = [str(gilbert)] + [str(p) for p in SHIPPED if p != gilbert]
+    out = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, *paths,
+         write_scenario(tmp_path, bad), str(tmp_path / "ge.csv")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("scenario field arrival.lambda_bits_per_slot: -1 is "
+                          "less than or equal to the minimum of 0\n")

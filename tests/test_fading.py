@@ -66,6 +66,33 @@ def test_gain_law_ppf_round_trips_at_depth(model):
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("model", [Rice(1.0, 0.5), Rice(3.0, 0.7), Rice(0.0, 1.0),
+                                   Rice(10.0, 1.0), Rice(0.2, 2.0)], ids=repr)
+def test_rice_sf_keeps_relative_accuracy_in_the_tail(model):
+    # the Marcum series against the noncentral chi-square sf of (H/sigma0)^2,
+    # from the mode out to where the sf reaches 1e-200
+    b, scale = model.s / model.sigma0, model.sigma0
+    z_far = b + math.sqrt(2.0 * 200.0 * math.log(10.0)) + 1.0
+    z = np.concatenate((np.linspace(0.0, z_far, 2001), [b, np.nextafter(b, 9.0)]))
+    want = stats.ncx2.sf(z * z, 2, b * b)
+    keep = want >= 1e-200
+    assert want[keep].min() < 1e-190
+    np.testing.assert_allclose(model.sf(z[keep] * scale), want[keep],
+                               rtol=1e-12, atol=0)
+    # one point and a 0-d array give a scalar, as an array gives an array
+    assert np.ndim(model.sf(z[3] * scale)) == 0
+    assert model.sf(np.array(z[3] * scale)) == model.sf(z[3:4] * scale)[0]
+
+
+def test_rice_capacity_tail_below_one_minus_cdf_resolution():
+    # 1 - cdf read 0 here; the tail is 7.76e-20
+    m = capacity_marginal(SPEC, Rice(1.0, 0.5))
+    r = m._gain_radius(np.array([4.0, 5.0])) / 0.5
+    want = stats.ncx2.sf(r * r, 2, 4.0)
+    np.testing.assert_allclose(m.tail(np.array([4.0, 5.0])), want, rtol=1e-12)
+    assert 7e-20 < m.tail(5.0) < 8e-20
+
+
 def test_rayleigh_closed_form_values():
     m = capacity_marginal(SPEC, Rayleigh())
     assert m.cdf(0.0) == 0.0
