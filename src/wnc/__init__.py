@@ -22,8 +22,10 @@ from .processes import (Additive, AntitheticPairing, BoundReport,
                         frechet_bounds, mgf_matrix, perron_frobenius)
 from .delay import (ArrivalSpec, LundbergSolution, backlog_tail,
                     delay_constrained_capacity, delay_tail,
-                    delay_tail_comonotonic, lundberg_root, stability_margin)
-from .interference import HopChain, e2e_delay_bound, feedback_delay
+                    delay_tail_comonotonic, delay_tails, lundberg_root,
+                    stability_margin)
+from .interference import (HopChain, e2e_delay_bound, feedback_delay,
+                           feedback_delays)
 from .ordering import (OrderVerdict, SampleSet, adjustment_ordering, cx_order,
                        delay_ordering_check, icx_order, st_order)
 from .simulate import (SimConfig, TailEstimate, feedback_queue, lindley_queue,

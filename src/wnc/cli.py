@@ -28,16 +28,15 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .delay import (ArrivalSpec, delay_constrained_capacity, delay_tail,
-                    delay_tail_comonotonic, delay_tail_markov_detail,
-                    stability_margin)
+from .delay import (ArrivalSpec, delay_constrained_capacity,
+                    delay_tail_comonotonic, delay_tails, stability_margin)
 from .distributions import DiscreteDistribution
 from .errors import (HeavyTailError, NumericFailure, UnstableSystemError,
                      ValidationError)
 from .fading import (ChannelSpec, FrequencySelective, Lognormal, Nakagami,
                      Rayleigh, Rice, Weibull, capacity_marginal,
                      certify_light_tail)
-from .interference import HopChain, e2e_delay_bound, feedback_delay
+from .interference import HopChain, e2e_delay_bound, feedback_delays
 from .ordering import SampleSet, adjustment_ordering, cx_order
 from .processes import (Additive, AntitheticPairing, Comonotonic,
                         MarkovAdditive, MarkovKernel, cdf_bounds,
@@ -424,6 +423,8 @@ def _run_delay(scenario, query, arrival, config, meta):
     d_values = query.get("d_slots", [1, 2, 5, 10])
     mc = (empirical_delay_tails(process, arrival, d_values, config)
           if query.get("validate_mc") else None)
+    details = (None if isinstance(process, Comonotonic) else
+               delay_tails(process, arrival, [float(d) for d in d_values]))
     for i, d in enumerate(d_values):
         d = float(d)
         row = {"d_slots": d}
@@ -432,7 +433,7 @@ def _run_delay(scenario, query, arrival, config, meta):
                        delay_upper=delay_tail_comonotonic(process, arrival, d),
                        theta_star=None, prefactor=None, horizon=math.inf)
         elif isinstance(process, MarkovAdditive):
-            detail = delay_tail_markov_detail(process, arrival, d)
+            detail = details[i]
             row.update(delay_lower=detail.lower.value,
                        delay_upper=detail.upper.value,
                        theta_star=detail.theta_star,
@@ -440,7 +441,7 @@ def _run_delay(scenario, query, arrival, config, meta):
                        basic_upper=detail.basic_upper.value,
                        horizon=detail.upper.horizon)
         else:
-            lo, up = delay_tail(process, arrival, d)
+            lo, up = details[i].lower, details[i].upper
             row.update(delay_lower=lo.value, delay_upper=up.value,
                        theta_star=up.theta_star, prefactor=up.prefactor,
                        horizon=up.horizon)
@@ -508,18 +509,21 @@ def _run_interference(scenario, query, arrival, config, meta):
     process = build_process(scenario)
     d_values = query.get("d_slots", [1, 2, 5])
     rows = []
-    for d in d_values:
-        d = float(d)
-        row = {"d_slots": d}
-        try:
-            rep = feedback_delay(process, arrival, d)
-            rep_impr = feedback_delay(process, arrival, d, improved=True)
+    try:
+        reports = feedback_delays(process, arrival, [float(d) for d in d_values])
+        error = None
+    except UnstableSystemError as exc:
+        error = str(exc)
+    for i, d in enumerate(d_values):
+        row = {"d_slots": float(d)}
+        if error is None:
+            rep, rep_impr = reports[i]
             row.update(feedback_upper=rep.value, theta_star=rep.theta_star,
                        prefactor=rep.prefactor, horizon=rep.horizon,
                        feedback_upper_improved=rep_impr.value)
-        except UnstableSystemError as exc:
-            row.update(feedback_upper=None, error=str(exc))
-            meta.setdefault("verdicts", []).append(str(exc))
+        else:
+            row.update(feedback_upper=None, error=error)
+            meta.setdefault("verdicts", []).append(error)
         rows.append(row)
     n_hops = query.get("hops", 1)
     k = query.get("interference_k", 1)
@@ -584,9 +588,9 @@ def _run_validate(scenario, query, arrival, config, meta):
     else:
         name = ("markov_delay" if isinstance(process, MarkovAdditive)
                 else "additive_delay")
-        for d, est in zip(d_values, ests):
-            lo, up = delay_tail(process, arrival, float(d))
-            check(name, f"d={d:g}", lo.value, up.value, est)
+        details = delay_tails(process, arrival, [float(d) for d in d_values])
+        for d, est, detail in zip(d_values, ests, details):
+            check(name, f"d={d:g}", detail.lower.value, detail.upper.value, est)
     if isinstance(process, Additive):
         t = query.get("t_slots", 10)
         xs = query.get("x_grid_bits") or [
@@ -600,8 +604,9 @@ def _run_validate(scenario, query, arrival, config, meta):
             check("additive_cdf", f"t={t},x={x:g}", lo.value, up.value, est)
         if stability_margin(process, ArrivalSpec(2 * arrival.lam),) > 0:
             fb = feedback_queue(process, arrival, config, d_values)
-            for d, est in zip(d_values, fb):
-                rep = feedback_delay(process, arrival, float(d))
+            reports = feedback_delays(process, arrival,
+                                      [float(d) for d in d_values])
+            for d, est, (rep, _) in zip(d_values, fb, reports):
                 check("feedback_delay", f"d={d:g}", None, rep.value, est)
     meta["all_pass"] = all(r["pass"] for r in rows)
     return rows

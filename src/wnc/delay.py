@@ -21,6 +21,12 @@ Cramer prefactors (the bare eigenvector pair is exact only for skip-free
 kernels and is reported separately).  Every bound here takes either
 process through one path: an Additive process is the one-state Markov-
 additive case, with kappa the marginal's cgf and h = (1,).
+
+One solve per tilt per query: the walk does not depend on d, so
+``delay_tails`` answers a grid of d from one ``ruin``, and the delay-
+constrained capacity keeps a memo, local to the call, of each tilt's
+(kappa, h) and (C_-, C_+).  The prefactor scan runs on the atom arrays of
+drain - B_j directly (``_cramer``), without building a law per tilt.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ _ROOT_TOL = 1e-9
 __all__ = [
     "ArrivalSpec", "LundbergSolution", "Ruin", "stability_margin",
     "lundberg_root", "ruin", "delay_tail", "delay_tail_markov_detail",
-    "delay_tail_comonotonic", "backlog_tail", "delay_constrained_capacity",
-    "cramer_prefactors",
+    "delay_tails", "delay_tail_comonotonic", "backlog_tail",
+    "delay_constrained_capacity", "cramer_prefactors",
 ]
 
 
@@ -137,22 +143,9 @@ def lundberg_root(process, arrival: ArrivalSpec,
 # Cramer prefactors (atom-exact)
 
 
-def cramer_prefactors(increment_law: DiscreteDistribution, theta: float):
-    """(C_-, C_+) for a purely atomic increment law Y.
-
-    Scans the ratio  P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B(dy)  over
-    x in [0, x0].  Between consecutive atoms the ratio is increasing in x,
-    so the supremum is attained at atom points and the infimum at interval
-    left endpoints; both are evaluated exactly (including the x = 0 point
-    and the x0 atom itself).
-    """
-    if theta <= 0:
-        raise ValidationError("theta must be positive")
-    y = increment_law.support
-    m = increment_law.mass
-    x0 = float(y[-1])
-    if x0 <= 0:
-        raise ValidationError("increment law has no positive part")
+def _cramer(y: np.ndarray, m: np.ndarray, theta: float):
+    """(C_-, C_+) of the atomic law with support y (increasing, y[-1] > 0)
+    and masses m, at tilt theta > 0: the array kernel of cramer_prefactors."""
     # suffix structures over all atoms
     tail_geq = np.cumsum(m[::-1])[::-1]                  # P(Y >= y_k)
     expwt = np.exp(np.minimum(theta * y, _EXP_OVERFLOW)) * m
@@ -167,6 +160,22 @@ def cramer_prefactors(increment_law: DiscreteDistribution, theta: float):
     c_plus = float(np.max(ratios_up)) if r0 is None else float(max(np.max(ratios_up), r0))
     c_minus = float(np.min(ratios_lo)) if r0 is None else float(min(np.min(ratios_lo), r0))
     return c_minus, min(c_plus, 1.0)
+
+
+def cramer_prefactors(increment_law: DiscreteDistribution, theta: float):
+    """(C_-, C_+) for a purely atomic increment law Y.
+
+    Scans the ratio  P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B(dy)  over
+    x in [0, x0].  Between consecutive atoms the ratio is increasing in x,
+    so the supremum is attained at atom points and the infimum at interval
+    left endpoints; both are evaluated exactly (including the x = 0 point
+    and the x0 atom itself).
+    """
+    if theta <= 0:
+        raise ValidationError("theta must be positive")
+    if increment_law.support_max <= 0:
+        raise ValidationError("increment law has no positive part")
+    return _cramer(increment_law.support, increment_law.mass, theta)
 
 
 @dataclass(frozen=True)
@@ -192,14 +201,19 @@ def _prefactors(process, drain: float, theta: float, h):
 
     inf and sup over the laws B_j a slot can carry into state j of
     (1/h_j) P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B(dy), Y ~ drain - B_j.
-    With one state (h = (1,)) this is the plain Cramer pair.
+    With one state (h = (1,)) this is the plain Cramer pair.  Y's atoms
+    are drain minus B_j's in reverse order, with B_j's masses reversed and
+    renormalised: the law that ``B_j.affine(drain, -1)`` builds, without
+    its validation.
     """
     ratios = []
     for j, law in _entry_laws(process):
-        walk = law.affine(shift=drain, scale=-1.0)
-        if walk.support_max <= 0:
+        y = drain - law.support[::-1]
+        if y[-1] <= 0:
             continue                 # this law never crosses upward
-        lo, up = cramer_prefactors(walk, theta)
+        # a contiguous copy sums in the order the law's constructor does
+        m = np.ascontiguousarray(law.mass[::-1])
+        lo, up = _cramer(y, m / m.sum(), theta)
         ratios.append((lo / h[j], up / h[j]))
     return min(r[0] for r in ratios), max(r[1] for r in ratios)
 
@@ -252,9 +266,26 @@ def delay_tail_markov_detail(process, arrival: ArrivalSpec, d: float,
     the one-state case (h = (1,), no per-state pairs).  A degenerate or
     unstable walk reports prefactor 1.
     """
-    if d < 0:
+    return delay_tails(process, arrival, [d], initial_state)[0]
+
+
+def delay_tails(process, arrival: ArrivalSpec, d_values,
+                initial_state=None) -> list:
+    """``delay_tail_markov_detail`` at each d of d_values.
+
+    The walk does not depend on d, so one ``ruin`` solve (Lundberg root,
+    eigenvector and Cramer prefactors) serves every d.
+    """
+    if any(d < 0 for d in d_values):
         raise ValidationError("d must be nonnegative")
     r = ruin(process, arrival.lam)
+    return [_delay_bounds(process, r, arrival, d, initial_state)
+            for d in d_values]
+
+
+def _delay_bounds(process, r: Ruin, arrival: ArrivalSpec, d: float,
+                  initial_state) -> MarkovDelayBounds:
+    """delay_tail_markov_detail at one d from the walk's ruin data r."""
     level = arrival.lam * d
 
     def report(kind, value, pref, notes=""):
@@ -333,6 +364,22 @@ def backlog_tail(process, arrival: ArrivalSpec, x: float,
 
 
 @dataclass(frozen=True)
+class DCCDiagnostics:
+    """How a delay-constrained-capacity search ended.
+
+    conservative/optimistic hold the SolveInfo of each end's root search in
+    theta (bracketing steps included in its evaluation count), or None
+    where no root search ran: the end sits at the floor rate or no rate
+    meets epsilon.  tilts counts the distinct theta solved, one
+    ``_spectral`` solve each.
+    """
+
+    conservative: Optional[solve.SolveInfo]
+    optimistic: Optional[solve.SolveInfo]
+    tilts: int
+
+
+@dataclass(frozen=True)
 class DelayConstrainedCapacity:
     """Arrival-rate window for the constraint P(D >= d) <= epsilon.
 
@@ -346,12 +393,15 @@ class DelayConstrainedCapacity:
                    themselves depend on lambda, which makes the one-shot
                    inversion circular; the effective-capacity root is the
                    fixed-point-correct answer
+    diagnostics  : DCCDiagnostics of the theta search (None where none ran);
+                   equality ignores it
     """
 
     conservative: float
     optimistic: float
     one_shot_window: tuple
     feasible: bool
+    diagnostics: Optional[DCCDiagnostics] = field(default=None, compare=False)
 
 
 # a DCC constraint that still fails at E[C] * 2^-46 is declared infeasible
@@ -374,6 +424,10 @@ def delay_constrained_capacity(process, d: float, epsilon: float
     end (times h(J0) for a Markov channel started in a fixed state).
     Rates at or below ess inf C never build a queue and are always
     feasible; a constant channel is feasible up to its mean.
+
+    One solve per tilt per query: a memo local to the call keeps each
+    theta's (kappa_C(-theta), h) and (C_-, C_+), so both ends share one
+    doubling/halving bracket and alpha(theta) reuses the solve.
     """
     if d <= 0:
         raise ValidationError("d must be positive")
@@ -388,29 +442,42 @@ def delay_constrained_capacity(process, d: float, epsilon: float
     mean = process_mean_rate(process)
     floor = _floor(process)
     start = _start_index(process)
-
-    def tilt(th):
-        # kappa_C(-th), C-+ and the start weight h(J0): one solve
-        k, h = _spectral(process, -th)
-        if h is None:
-            raise NumericFailure(f"tilt {-th!r} lies outside the kernel's domain")
-        return (k, *_prefactors(process, -k / th, th, h),
-                _start_weight(h, start))
-
     if floor >= mean:
         # constant channel: the capacity never falls below the drain
         return DelayConstrainedCapacity(mean, mean, (mean, mean), True)
 
+    memo = {}       # theta -> (kappa_C(-theta), h, (C_-, C_+) or None)
+
+    def spectral(th):
+        if th not in memo:
+            memo[th] = (*_spectral(process, -th), None)
+        return memo[th]
+
+    def tilt(th):
+        # kappa_C(-th), C-+ and the start weight h(J0)
+        k, h, pref = spectral(th)
+        if h is None:
+            raise NumericFailure(f"tilt {-th!r} lies outside the kernel's domain")
+        if pref is None:
+            pref = _prefactors(process, -k / th, th, h)
+            memo[th] = (k, h, pref)
+        return (k, *pref, _start_weight(h, start))
+
     def rate(th):
-        return -_spectral(process, -th)[0] / th
+        # -inf outside the domain, which ends the doubling
+        return -spectral(th)[0] / th
 
     log_eps = math.log(epsilon)
 
     def largest_rate(side):
-        """(theta, rate, (C_-, C_+)) at the root for C_- (side 0) or C_+
-        (side 1); theta is None when only rates at the floor qualify, and
-        None is returned when no rate meets epsilon."""
+        """(theta, rate, (C_-, C_+), SolveInfo) at the root for C_- (side 0)
+        or C_+ (side 1); theta and the SolveInfo are None when only rates at
+        the floor qualify, and None is returned when no rate meets epsilon."""
+        calls = 0
+
         def excess(th):
+            nonlocal calls
+            calls += 1
             k, c_minus, c_plus, weight = tilt(th)
             c = (c_minus, c_plus)[side] * weight
             return (math.log(c) if c > 0 else -math.inf) + k * d - log_eps
@@ -420,23 +487,29 @@ def delay_constrained_capacity(process, d: float, epsilon: float
         while excess(hi) > 0:
             lo, hi = hi, 2.0 * hi
             if rate(hi) <= max(floor, _DCC_RATE_FLOOR * mean):
-                return (None, floor, None) if floor > 0 else None
+                return (None, floor, None, None) if floor > 0 else None
         while excess(lo) <= 0:
             lo, hi = 0.5 * lo, lo
-        th, _ = solve.root(excess, lo, hi)
+        th, info = solve.root(excess, lo, hi)
         k, c_minus, c_plus, _ = tilt(th)
-        return th, -k / th, (c_minus, c_plus)
+        return th, -k / th, (c_minus, c_plus), solve.SolveInfo(
+            info.bracket, calls, info.residual, info.at_edge)
 
     upper = largest_rate(1)
     lower = largest_rate(0)
     optimistic = 0.0 if lower is None else lower[1]
+    diagnostics = DCCDiagnostics(None if upper is None else upper[3],
+                                 None if lower is None else lower[3],
+                                 len(memo))
     if upper is None:
-        return DelayConstrainedCapacity(0.0, optimistic, (0.0, 0.0), False)
-    theta, conservative, pref = upper
+        return DelayConstrainedCapacity(0.0, optimistic, (0.0, 0.0), False,
+                                        diagnostics)
+    theta, conservative, pref, _ = upper
     if theta is None:
         one_shot = (conservative, conservative)
     else:
         cm, cp = pref
         one_shot = (-math.log(epsilon / cm) / (theta * d) if cm > 0 else 0.0,
                     -math.log(epsilon / cp) / (theta * d))
-    return DelayConstrainedCapacity(conservative, optimistic, one_shot, True)
+    return DelayConstrainedCapacity(conservative, optimistic, one_shot, True,
+                                    diagnostics)

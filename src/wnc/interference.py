@@ -25,7 +25,8 @@ from .errors import UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, _start_index, _start_weight,
                         process_mean_rate)
 
-__all__ = ["HopChain", "feedback_delay", "e2e_delay_bound"]
+__all__ = ["HopChain", "feedback_delay", "feedback_delays",
+           "e2e_delay_bound"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,18 @@ def feedback_delay(process, arrival: ArrivalSpec, d: float,
     C_+ h(J0) of the m*lambda - C walk is applied.  ``multiplier=1``
     reproduces the non-feedback upper bound bit-for-bit.
     """
-    if d < 0:
+    pair = feedback_delays(process, arrival, [d], initial_state, multiplier)[0]
+    return pair[1] if improved else pair[0]
+
+
+def feedback_delays(process, arrival: ArrivalSpec, d_values,
+                    initial_state=None, multiplier: float = 2.0) -> list:
+    """(plain, improved) ``feedback_delay`` reports at each d of d_values.
+
+    The m*lambda - C walk does not depend on d, so one ``ruin`` solve
+    serves every d and both prefactors.
+    """
+    if any(d < 0 for d in d_values):
         raise ValidationError("d must be nonnegative")
     drain = multiplier * arrival.lam
     if process_mean_rate(process) - drain <= 0:
@@ -76,16 +88,18 @@ def feedback_delay(process, arrival: ArrivalSpec, d: float,
             f"feedback-unstable: {multiplier:g}*lambda exceeds the mean capacity")
     r = ruin(process, drain)
     if r.degenerate:
-        return BoundReport("delay_upper", 0.0 if d > 0 else 1.0, None, 1.0,
-                           math.inf, "degenerate: queue never builds")
+        return [(BoundReport("delay_upper", 0.0 if d > 0 else 1.0, None, 1.0,
+                             math.inf, "degenerate: queue never builds"),) * 2
+                for d in d_values]
     w = _start_weight(r.h, _start_index(process, initial_state))
-    if improved:
-        pref, notes = r.c_plus * w, "improved prefactor"
-    else:
-        pref, notes = w / float(min(r.h)), ""
-    value = min(1.0, pref * math.exp(-r.theta_star * (arrival.lam * d)))
-    return BoundReport("delay_upper", value, r.theta_star, pref, math.inf,
-                       notes, r.diagnostics)
+    plain = (w / float(min(r.h)), "")
+    improved = (r.c_plus * w, "improved prefactor")
+
+    def report(d, pref, notes):
+        value = min(1.0, pref * math.exp(-r.theta_star * (arrival.lam * d)))
+        return BoundReport("delay_upper", value, r.theta_star, pref, math.inf,
+                           notes, r.diagnostics)
+    return [(report(d, *plain), report(d, *improved)) for d in d_values]
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +128,16 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
         raise ValidationError("d must be nonnegative")
     if not all(isinstance(h, Additive) for h in chain.hops):
         raise ValidationError("the end-to-end bound requires additive hops")
-    marginals = [h.marginal for h in chain.hops]
+    # one cgf per distinct marginal: a chain may repeat one hop object, and
+    # laws are unhashable, so hops are told apart by identity
+    distinct = {id(h.marginal): h.marginal for h in chain.hops}
+    index = [list(distinct).index(id(h.marginal)) for h in chain.hops]
+    marginals = list(distinct.values())
     lam = arrival.lam
     drain = (chain.multiplier + 1) * lam
 
     def log_w(th):
-        return np.array([m.cgf(-th) for m in marginals]) + th * drain
+        return np.array([m.cgf(-th) for m in marginals])[index] + th * drain
 
     def log_bound(th):
         lw = log_w(th)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -523,19 +523,32 @@ def _tilt_terms(process, initial_state=None):
     return terms
 
 
+def _trivial_side(exponent):
+    """A Chernoff side whose exponent is >= 0 at every theta > 0.
+
+    Its bound is 0 (lower) or 1 (upper) at every theta, so the exponent is
+    evaluated once, at the floor of ``solve.minimize_convex``'s range, where
+    that search would end: (theta, exponent, SolveInfo) as it returns them.
+    """
+    floor = solve.CONVEX_FLOOR
+    return floor, exponent(floor), solve.SolveInfo((floor, floor), 1, 0.0, True)
+
+
 def cdf_bounds(process, t: int, x: float, initial_state=None):
     """Chernoff sandwich on F_S(t)(x) for an Additive or Markov-additive process.
 
     1 - pf(th) e^{t k(th) - th x} <= F_S(t)(x) <= pf(-th) e^{t k(-th) + th x},
     each side optimised over th > 0, with the prefactor pf = h(J0)/min_j h(J_j)
     (1 for an Additive process).  Returns (lower, upper) BoundReports with
-    the optimising theta recorded.
+    the optimising theta recorded.  Since k(th) >= th E[C] and pf >= 1, the
+    lower side is 0 at x <= t E[C] and the upper side 1 at x >= t E[C]; such
+    a side is evaluated at one theta only.  Each tilt is solved once.
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
     if x < 0:
         raise ValidationError("x must be nonnegative")
-    terms = _tilt_terms(process, initial_state)
+    terms = lru_cache(maxsize=None)(_tilt_terms(process, initial_state))
 
     # upper: min over th > 0 of pf(-th) * e^{t k(-th) + th x}
     def upper_exponent(th):
@@ -551,8 +564,11 @@ def cdf_bounds(process, t: int, x: float, initial_state=None):
             return math.inf
         return t * k - th * x + math.log(pf)
 
-    th_up, e_up, info_up = solve.minimize_convex(upper_exponent)
-    th_lo, e_lo, info_lo = solve.minimize_convex(lower_exponent)
+    mean_sum = t * process_mean_rate(process)
+    th_up, e_up, info_up = (_trivial_side(upper_exponent) if x >= mean_sum
+                            else solve.minimize_convex(upper_exponent))
+    th_lo, e_lo, info_lo = (_trivial_side(lower_exponent) if x <= mean_sum
+                            else solve.minimize_convex(lower_exponent))
 
     upper = BoundReport("cdf_upper", min(1.0, math.exp(min(e_up, _EXP_OVERFLOW))),
                         theta_star=th_up, prefactor=terms(-th_up)[1],

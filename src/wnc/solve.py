@@ -31,11 +31,13 @@ from typing import Callable
 
 from .errors import NumericFailure
 
-__all__ = ["SolveInfo", "ROOT_CAP", "root", "minimize", "positive_root",
-           "minimize_convex"]
+__all__ = ["SolveInfo", "ROOT_CAP", "CONVEX_FLOOR", "root", "minimize",
+           "positive_root", "minimize_convex"]
 
 # positive_root reports math.inf when g < 0 at every theta up to this cap
 ROOT_CAP = 2.0 ** 40
+# the smallest theta minimize_convex evaluates; its range ends at _CONVEX_CAP
+CONVEX_FLOOR = 1e-4
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -45,7 +47,7 @@ _ROOT_MAXITER = 300
 _MIN_MAXITER = 500
 _POSITIVE_XATOL = 2.0 ** -60  # resolution of the search for g < 0 near 0
 _CONVEX_XRTOL = 1e-12
-_CONVEX_FLOOR, _CONVEX_CAP = 1e-4, 65536.0  # the range of minimize_convex
+_CONVEX_CAP = 65536.0
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ def minimize_convex(f: Callable[[float], float]):
     Chernoff exponents, whose Markov prefactor need not be convex, every
     theta still gives a valid bound.
     """
-    floor, cap = _CONVEX_FLOOR, _CONVEX_CAP
+    floor, cap = CONVEX_FLOOR, _CONVEX_CAP
     seen = {}
 
     def fm(x):

@@ -482,3 +482,18 @@ def markov_slots_reference(process, rng, n, initial_state=None):
             caps = atoms[law_index]
         states = nxt
         yield caps
+
+
+def affine_prefactors(process, drain, theta, h):
+    """Reference for delay._prefactors: each entry law's walk increment
+    drain - B_j built as a validated law through ``affine`` and scanned by
+    the public ``cramer_prefactors``."""
+    from wnc.delay import _entry_laws, cramer_prefactors
+    ratios = []
+    for j, law in _entry_laws(process):
+        walk = law.affine(shift=drain, scale=-1.0)
+        if walk.support_max <= 0:
+            continue
+        lo, up = cramer_prefactors(walk, theta)
+        ratios.append((lo / h[j], up / h[j]))
+    return min(r[0] for r in ratios), max(r[1] for r in ratios)

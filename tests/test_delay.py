@@ -1,19 +1,26 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wnc import (Additive, ArrivalSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
                  UnstableSystemError, ValidationError, backlog_tail,
                  capacity_marginal, delay_constrained_capacity, delay_tail,
                  delay_tail_comonotonic, lundberg_root, stability_margin)
-from wnc.delay import cramer_prefactors, delay_tail_markov_detail
+from wnc import cli, delay
+from wnc.delay import (cramer_prefactors, delay_tail_markov_detail,
+                       delay_tails)
 from wnc.distributions import DiscreteDistribution
-from wnc.processes import process_mean_rate
+from wnc.processes import _spectral, process_mean_rate
 from wnc.simulate import SimConfig, empirical_delay_tails
 
-from conftest import lundberg_theta_oracle
+from conftest import affine_prefactors, lundberg_theta_oracle
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_stability_margin_cases(two_point, ge_kernel):
@@ -343,3 +350,187 @@ def test_delay_tail_additive_cgf_call_count(two_point, monkeypatch):
     assert len(calls) <= 40
     assert up.diagnostics.evaluations == len(calls)
     assert lo.diagnostics is up.diagnostics
+
+
+# delay_constrained_capacity outputs recorded before the tilt memo: the memo
+# and the array prefactors must leave every bit of them unchanged
+_DCC_PINNED = {
+    "gilbert_elliott": (10.0, 0.01, 0.0, 0.0, (0.0, 0.0), False),
+    "two_point": (10.0, 0.01, 0.6874740491524829, 0.7265512596745952,
+                  (0.6187266442372347, 0.6874740491524829), True),
+    "rayleigh": (10.0, 1e-3, 0.7054893235679045, 0.713733915321548,
+                 (0.6674111588407459, 0.7054893235679045), True),
+    "full_kernel": (10.0, 0.01, 1.204795545798047, 1.2196612222020757,
+                    (1.084315991218242, 1.2047955457980468), True),
+}
+
+
+def _dcc_process(name, two_point, ge_kernel, full_kernel, rayleigh_marginal):
+    return {"gilbert_elliott": MarkovAdditive(ge_kernel),
+            "two_point": Additive(two_point),
+            "rayleigh": Additive(rayleigh_marginal),
+            "full_kernel": MarkovAdditive(full_kernel)}[name]
+
+
+def _count_spectral(monkeypatch):
+    calls = []
+
+    def counted(process, theta):
+        calls.append(theta)
+        return _spectral(process, theta)
+    monkeypatch.setattr(delay, "_spectral", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_DCC_PINNED))
+def test_dcc_outputs_pinned(name, two_point, ge_kernel, full_kernel,
+                            rayleigh_marginal, monkeypatch):
+    proc = _dcc_process(name, two_point, ge_kernel, full_kernel,
+                        rayleigh_marginal)
+    d, eps, *expected = _DCC_PINNED[name]
+    calls = _count_spectral(monkeypatch)
+    res = delay_constrained_capacity(proc, d, eps)
+    assert (res.conservative, res.optimistic, res.one_shot_window,
+            res.feasible) == tuple(expected)
+    # one solve per distinct tilt, and the diagnostics count them
+    assert len(calls) == len(set(calls)) == res.diagnostics.tilts
+    ends = (res.diagnostics.conservative, res.diagnostics.optimistic)
+    if res.feasible:
+        for info in ends:
+            assert info.evaluations > 0 and not info.at_edge
+            assert info.bracket[0] < info.bracket[1]
+    else:
+        assert ends == (None, None)
+
+
+def test_dcc_solve_counts(two_point, ge_kernel, monkeypatch):
+    calls = _count_spectral(monkeypatch)
+    delay_constrained_capacity(MarkovAdditive(ge_kernel), 10.0, 0.01)
+    assert len(calls) <= 45            # 176 before the tilt memo
+    calls.clear()
+    res = delay_constrained_capacity(Additive(two_point), 10.0, 0.01)
+    assert res.feasible
+    assert len(calls) <= 14            # 24 before the tilt memo
+
+
+def test_dcc_diagnostics_stay_out_of_equality(two_point):
+    res = delay_constrained_capacity(Additive(two_point), 10.0, 0.01)
+    assert res.diagnostics is not None
+    bare = type(res)(res.conservative, res.optimistic, res.one_shot_window,
+                     res.feasible)
+    assert bare.diagnostics is None and bare == res
+
+
+def test_delay_query_makes_one_ruin(monkeypatch):
+    calls = []
+    ruin = delay.ruin
+
+    def counted(process, drain):
+        calls.append(drain)
+        return ruin(process, drain)
+    monkeypatch.setattr(delay, "ruin", counted)
+    doc = cli.load_scenario(str(REPO / "scenarios" / "gilbert_elliott.yaml"))
+    doc["queries"] = [{"kind": "delay", "d_slots": [5, 10, 20]}]
+    rows, _ = cli.run_command("delay", doc)
+    assert len(rows) == 3 and len(calls) == 1
+    # the same rows as one single-d call per d, which solves once each
+    proc = cli.build_process(doc)
+    for (_, row), d in zip(rows, (5.0, 10.0, 20.0)):
+        detail = delay_tail_markov_detail(proc, ArrivalSpec(1.0), d)
+        assert (row["delay_lower"], row["delay_upper"]) == (
+            detail.lower.value, detail.upper.value)
+    assert len(calls) == 1 + 3
+
+
+def test_delay_tails_equal_single_d_calls(ge_kernel, two_point):
+    for proc, state in ((MarkovAdditive(ge_kernel), "B"),
+                        (MarkovAdditive(ge_kernel), None),
+                        (Additive(two_point), None)):
+        ds = [0.0, 1.0, 7.5]
+        many = delay_tails(proc, ArrivalSpec(0.6), ds, state)
+        one = [delay_tail_markov_detail(proc, ArrivalSpec(0.6), d, state)
+               for d in ds]
+        assert many == one
+    with pytest.raises(ValidationError):
+        delay_tails(Additive(two_point), ArrivalSpec(0.6), [1.0, -1.0])
+
+
+_STEP = 0.5                           # lattice of the generated laws
+
+
+@st.composite
+def _lattice_law(draw):
+    """A law on the lattice 0.5 Z in [0, 8], zero-mass atoms allowed."""
+    ks = draw(st.lists(st.integers(0, 16), min_size=1, max_size=6,
+                       unique=True))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(ks),
+                            max_size=len(ks)))
+    if sum(weights) == 0:
+        weights[0] = 1
+    w = np.array(weights, dtype=float)
+    return DiscreteDistribution(_STEP * np.array(sorted(ks), dtype=float),
+                                w / w.sum())
+
+
+@st.composite
+def _prefactor_case(draw):
+    """(process, drain, theta): an Additive law or a destination Markov
+    kernel, a drain on the lattice above every law's smallest atom (often
+    at an atom, so the walk has an atom at 0), and a tilt."""
+    n = draw(st.integers(1, 3))
+    laws = [draw(_lattice_law()) for _ in range(n)]
+    if n == 1:
+        process = Additive(laws[0])
+    else:
+        rows = np.array(draw(st.lists(st.lists(st.integers(1, 5), min_size=n,
+                                               max_size=n),
+                                      min_size=n, max_size=n)), dtype=float)
+        process = MarkovAdditive(MarkovKernel.from_destination_laws(
+            tuple("abc"[:n]), rows / rows.sum(axis=1, keepdims=True), laws))
+    low = max(law.support_min for law in laws)
+    if draw(st.booleans()):
+        atoms = sorted({float(a) for law in laws for a in law.support
+                        if a > low})
+        drain = draw(st.sampled_from(atoms)) if atoms else low + _STEP
+    else:
+        drain = low + _STEP * draw(st.integers(1, 12))
+    theta = draw(st.floats(0.01, 4.0))
+    return process, drain, theta
+
+
+def _assert_same_bits(got, want):
+    # hex compares every bit and lets nan equal nan (a walk whose only
+    # upward atoms carry zero mass scans 0/0 on both routes)
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_prefactor_case())
+def test_array_prefactors_equal_affine_route(case):
+    process, drain, theta = case
+    h = _spectral(process, -theta)[1]
+    assert h is not None
+    _assert_same_bits(delay._prefactors(process, drain, theta, h),
+                      affine_prefactors(process, drain, theta, h))
+
+
+def test_array_prefactors_on_shipped_laws(full_kernel, mixed_kernel,
+                                          rayleigh_marginal):
+    # full-transition laws, interior and trailing zero-mass atoms, and a
+    # 4096-atom discretised fading law
+    for process, drain in ((MarkovAdditive(full_kernel), 1.2),
+                           (MarkovAdditive(mixed_kernel), 1.5),
+                           (MarkovAdditive(mixed_kernel), 2.0),
+                           (Additive(rayleigh_marginal), 0.7)):
+        for theta in (0.05, 0.7, 3.0):
+            h = _spectral(process, -theta)[1]
+            _assert_same_bits(delay._prefactors(process, drain, theta, h),
+                              affine_prefactors(process, drain, theta, h))
+
+
+def test_cramer_prefactors_keeps_its_checks(two_point):
+    with pytest.raises(ValidationError):
+        cramer_prefactors(two_point.affine(shift=1.0, scale=-1.0), 0.0)
+    with pytest.raises(ValidationError):
+        cramer_prefactors(DiscreteDistribution(np.array([-3.0, -1.0]),
+                                               np.array([0.5, 0.5])), 1.0)

@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wnc import (Additive, ArrivalSpec, HopChain, MarkovAdditive,
-                 MarkovKernel, UnstableSystemError, delay_tail,
-                 e2e_delay_bound, feedback_delay, lundberg_root)
+                 MarkovKernel, UnstableSystemError, ValidationError,
+                 delay_tail, e2e_delay_bound, feedback_delay, lundberg_root)
+from wnc import cli, interference
 from wnc.distributions import DiscreteDistribution
+from wnc.interference import feedback_delays
 
 from conftest import additive_union_delay_bound
 
@@ -156,3 +159,59 @@ def test_e2e_grid_optimization_beats_fixed_theta(two_point):
     for th in (0.5, 1.0, 1.4):
         fixed = e2e_delay_bound(chain, arrival, 40.0, th)
         assert best.value <= fixed.value + 1e-12
+
+
+def test_e2e_one_cgf_per_distinct_hop_marginal(two_point, monkeypatch):
+    calls = []
+    cgf = DiscreteDistribution.cgf
+
+    def counted(self, theta):
+        calls.append(theta)
+        return cgf(self, theta)
+
+    monkeypatch.setattr(DiscreteDistribution, "cgf", counted)
+    arrival = ArrivalSpec(0.1)
+    proc = Additive(two_point)
+    shared = e2e_delay_bound(HopChain((proc,) * 3), arrival, 40.0)
+    n_shared = len(calls)
+    calls.clear()
+    # three equal but distinct laws: the same search, one cgf per hop
+    copies = tuple(Additive(DiscreteDistribution(two_point.support,
+                                                 two_point.mass))
+                   for _ in range(3))
+    distinct = e2e_delay_bound(HopChain(copies), arrival, 40.0)
+    assert shared == distinct and 0.0 < shared.value < 1.0
+    assert n_shared > 0 and 3 * n_shared == len(calls)
+
+
+def test_feedback_delays_equal_single_d_calls(two_point, ge_kernel):
+    ds = [0.0, 2.0, 9.5]
+    for proc, state, m in ((Additive(two_point), None, 2.0),
+                           (MarkovAdditive(ge_kernel), "G", 1.5),
+                           (Additive(DiscreteDistribution.point_mass(2.0)),
+                            None, 2.0)):
+        pairs = feedback_delays(proc, ArrivalSpec(0.3), ds, state, m)
+        assert pairs == [tuple(feedback_delay(proc, ArrivalSpec(0.3), d,
+                                              state, m, improved)
+                               for improved in (False, True)) for d in ds]
+    with pytest.raises(ValidationError):
+        feedback_delays(Additive(two_point), ArrivalSpec(0.3), [1.0, -2.0])
+
+
+def test_interference_query_makes_one_ruin(monkeypatch):
+    calls = []
+    ruin = interference.ruin
+
+    def counted(process, drain):
+        calls.append(drain)
+        return ruin(process, drain)
+    monkeypatch.setattr(interference, "ruin", counted)
+    repo = Path(__file__).resolve().parents[1]
+    doc = cli.load_scenario(str(repo / "scenarios" / "gilbert_elliott.yaml"))
+    doc["arrival"]["lambda_bits_per_slot"] = 0.3
+    doc["queries"] = [{"kind": "interference", "d_slots": [5, 10, 20]}]
+    rows, _ = cli.run_command("interference", doc)
+    # plain and improved feedback rows at three d from one Lundberg root
+    assert [row["d_slots"] for _, row in rows] == [5.0, 10.0, 20.0]
+    assert all(0.0 < row["feedback_upper"] <= 1.0 for _, row in rows)
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from wnc import (Additive, AntitheticPairing, ChannelSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, Rayleigh, ValidationError,
                  capacity_marginal, cdf_bounds, comonotonic_cdf,
                  frechet_bounds, mgf_matrix, perron_frobenius)
+from wnc import processes, solve
+from wnc.cli import build_process, load_scenario
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import (BoundReport, _grid_allocation, _spectral,
-                           _tilt_terms)
+                           _tilt_terms, process_mean_rate)
 from wnc.simulate import cumulative_capacity_samples
 
 from conftest import (assert_matrix_power_identity,
@@ -437,3 +440,42 @@ def test_frechet_never_looser_than_continuous_polish(rayleigh_marginal, t):
     lo, up = frechet_bounds(mixed, 2.0)
     ref_lo, ref_up = frechet_polish_reference(mixed, 2.0)
     assert lo >= ref_lo and up <= ref_up
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED = sorted([*(REPO / "scenarios").glob("*.yaml"),
+                  *(REPO / "bench" / "scenarios").glob("*.yaml")])
+
+
+@pytest.mark.parametrize("path", SHIPPED,
+                         ids=[f"{p.parent.name}/{p.stem}" for p in SHIPPED])
+def test_trivial_chernoff_side_equals_full_search(path, monkeypatch):
+    """At x <= t E[C] the lower side and at x >= t E[C] the upper side is
+    evaluated once, at the floor of the theta range: value, theta_star and
+    prefactor equal those of the full search on every shipped scenario's
+    bounds and validate grids, and on x around t E[C]."""
+    doc = load_scenario(str(path))
+    proc = build_process(doc)
+    lam = doc["arrival"]["lambda_bits_per_slot"]
+    cases = []
+    for q in doc["queries"]:
+        if q["kind"] in ("bounds", "validate"):
+            t = q.get("t_slots", 10)
+            xs = q.get("x_grid_bits") or [0.6 * t * lam, t * lam, 1.4 * t * lam]
+            cases += [(t, float(x)) for x in xs]
+    for t in (1, 8, 10):
+        mean_sum = t * process_mean_rate(proc)
+        cases += [(t, f * mean_sum) for f in (0.25, 0.9, 1.0, 1.1, 2.0)]
+    fast = [cdf_bounds(proc, t, x) for t, x in cases]
+    monkeypatch.setattr(processes, "_trivial_side", solve.minimize_convex)
+    full = [cdf_bounds(proc, t, x) for t, x in cases]
+    trivial = 0
+    for (t, x), (lo, up), ref in zip(cases, fast, full):
+        assert (lo, up) == ref, (t, x)
+        for rep in (lo, up):
+            if rep.diagnostics.evaluations == 1:
+                trivial += 1
+                assert rep.theta_star == solve.CONVEX_FLOOR
+                assert rep.value == (0.0 if rep.kind == "cdf_lower" else 1.0)
+    # each (t, x) has at least one trivial side
+    assert trivial >= len(cases)
