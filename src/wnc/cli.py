@@ -481,8 +481,7 @@ def _run_order(scenario, query, arrival, config, meta):
                                                config.seed + 2), "S_P")
     v1 = cx_order(sn, sp)
     v2 = cx_order(sp, sc)
-    adj = adjustment_ordering(proc_perp, proc_p, arrival, probe_t,
-                              runs, config.seed)
+    adj = adjustment_ordering(proc_perp, proc_p, arrival, v2)
     meta["order_verdicts"] = {
         "cx_N_perp": v1.holds, "cx_perp_P": v2.holds,
         "theta_independent": adj.theta_a, "theta_comonotonic": adj.theta_b,

@@ -103,8 +103,8 @@ def _entry_laws(process):
 
 
 def _floor(process) -> float:
-    """Smallest increment any slot can produce (ess inf C)."""
-    return min(law.support_min for _, law in _entry_laws(process))
+    """Smallest positive-mass atom any slot can produce (ess inf C)."""
+    return min(float(law._pos_support[0]) for _, law in _entry_laws(process))
 
 
 def lundberg_root(process, arrival: ArrivalSpec,
@@ -202,17 +202,18 @@ def _prefactors(process, drain: float, theta: float, h):
     inf and sup over the laws B_j a slot can carry into state j of
     (1/h_j) P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B(dy), Y ~ drain - B_j.
     With one state (h = (1,)) this is the plain Cramer pair.  Y's atoms
-    are drain minus B_j's in reverse order, with B_j's masses reversed and
-    renormalised: the law that ``B_j.affine(drain, -1)`` builds, without
-    its validation.
+    are drain minus B_j's atoms of positive mass in reverse order, with
+    their masses reversed and renormalised: the law that
+    ``B_j.affine(drain, -1)`` builds, without its validation and its
+    zero-mass atoms (which would scan 0/0).
     """
     ratios = []
     for j, law in _entry_laws(process):
-        y = drain - law.support[::-1]
+        y = drain - law._pos_support[::-1]
         if y[-1] <= 0:
             continue                 # this law never crosses upward
         # a contiguous copy sums in the order the law's constructor does
-        m = np.ascontiguousarray(law.mass[::-1])
+        m = np.ascontiguousarray(law._pos_mass[::-1])
         lo, up = _cramer(y, m / m.sum(), theta)
         ratios.append((lo / h[j], up / h[j]))
     return min(r[0] for r in ratios), max(r[1] for r in ratios)
@@ -250,27 +251,26 @@ class MarkovDelayBounds:
     upper: BoundReport
     basic_lower: BoundReport
     basic_upper: BoundReport
-    per_state: dict
     theta_star: Optional[float]
 
 
-def delay_tail_markov_detail(process, arrival: ArrivalSpec, d: float,
-                             initial_state=None) -> MarkovDelayBounds:
-    """State-conditional and stationary delay bounds.
+def delay_tail_markov_detail(process, arrival: ArrivalSpec,
+                             d: float) -> MarkovDelayBounds:
+    """Delay bounds from the process's start, ``process.initial``.
 
     The primary pair uses the overshoot-corrected Cramer prefactors
-    C_-+ h_i e^{-theta lambda d}.  The bare eigenvector pair h_i/max_j h_j
-    and h_i/min_j h_j is attached as basic_lower/basic_upper; its lower
-    side is exact only for skip-free kernels.  per_state holds the primary
-    pair for each start state of a Markov channel.  An Additive process is
-    the one-state case (h = (1,), no per-state pairs).  A degenerate or
-    unstable walk reports prefactor 1.
+    C_-+ h(J0) e^{-theta lambda d}, with h(J0) = 1 from the stationary
+    start.  The bare eigenvector pair h(J0)/max_j h_j and h(J0)/min_j h_j
+    is attached as basic_lower/basic_upper; its lower side is exact only
+    for skip-free kernels.  The bounds from a fixed state s are those of
+    ``MarkovAdditive(kernel, s)``; the stationary ones are their
+    pi-mixture.  An Additive process is the one-state case (h = (1,)).
+    A degenerate or unstable walk reports prefactor 1.
     """
-    return delay_tails(process, arrival, [d], initial_state)[0]
+    return delay_tails(process, arrival, [d])[0]
 
 
-def delay_tails(process, arrival: ArrivalSpec, d_values,
-                initial_state=None) -> list:
+def delay_tails(process, arrival: ArrivalSpec, d_values) -> list:
     """``delay_tail_markov_detail`` at each d of d_values.
 
     The walk does not depend on d, so one ``ruin`` solve (Lundberg root,
@@ -279,12 +279,11 @@ def delay_tails(process, arrival: ArrivalSpec, d_values,
     if any(d < 0 for d in d_values):
         raise ValidationError("d must be nonnegative")
     r = ruin(process, arrival.lam)
-    return [_delay_bounds(process, r, arrival, d, initial_state)
-            for d in d_values]
+    return [_delay_bounds(process, r, arrival, d) for d in d_values]
 
 
-def _delay_bounds(process, r: Ruin, arrival: ArrivalSpec, d: float,
-                  initial_state) -> MarkovDelayBounds:
+def _delay_bounds(process, r: Ruin, arrival: ArrivalSpec,
+                  d: float) -> MarkovDelayBounds:
     """delay_tail_markov_detail at one d from the walk's ruin data r."""
     level = arrival.lam * d
 
@@ -298,12 +297,12 @@ def _delay_bounds(process, r: Ruin, arrival: ArrivalSpec, d: float,
                  else "degenerate: queue never builds")
         pair = (report("delay_lower", v, 1.0, notes),
                 report("delay_upper", v, 1.0, notes))
-        return MarkovDelayBounds(*pair, *pair, per_state={}, theta_star=None)
+        return MarkovDelayBounds(*pair, *pair, theta_star=None)
 
     h = r.h
     e = math.exp(-r.theta_star * level)
     hmin, hmax = float(min(h)), float(max(h))
-    w = _start_weight(h, _start_index(process, initial_state))
+    w = _start_weight(h, _start_index(process))
     basic_note = "eigenvector prefactor (exact only for skip-free kernels)"
     basic_lower = report("delay_lower", w / hmax * e, w / hmax, basic_note)
     basic_upper = report("delay_upper", w / hmin * e, w / hmin, basic_note)
@@ -311,24 +310,17 @@ def _delay_bounds(process, r: Ruin, arrival: ArrivalSpec, d: float,
                    "improved prefactor")
     upper = report("delay_upper", r.c_plus * w * e, r.c_plus * w,
                    "improved prefactor")
-    per_state = {}
-    states = process.kernel.states if isinstance(process, MarkovAdditive) else ()
-    for i, s in enumerate(states):
-        hi = float(h[i])
-        pair = (report("delay_lower", r.c_minus * hi * e, r.c_minus * hi),
-                report("delay_upper", r.c_plus * hi * e, r.c_plus * hi))
-        per_state[s] = pair
     return MarkovDelayBounds(lower, upper, basic_lower, basic_upper,
-                             per_state=per_state, theta_star=r.theta_star)
+                             theta_star=r.theta_star)
 
 
-def delay_tail(process, arrival: ArrivalSpec, d: float, initial_state=None):
-    """(lower, upper) BoundReports on the stationary P(D >= d).
+def delay_tail(process, arrival: ArrivalSpec, d: float):
+    """(lower, upper) BoundReports on P(D >= d) from ``process.initial``.
 
     C_-+ h(J0) e^{-theta* lambda d}; h(J0) = 1 from the stationary start
     and for an Additive process.
     """
-    detail = delay_tail_markov_detail(process, arrival, d, initial_state)
+    detail = delay_tail_markov_detail(process, arrival, d)
     return detail.lower, detail.upper
 
 
@@ -353,14 +345,14 @@ def delay_tail_comonotonic(process: Comonotonic, arrival: ArrivalSpec,
 
 
 def backlog_tail(process, arrival: ArrivalSpec, x: float,
-                 horizon_t: float = math.inf, initial_state=None):
+                 horizon_t: float = math.inf):
     """P(B > x) = P(D > x / lambda): delegates to the matching delay op."""
     if x < 0:
         raise ValidationError("x must be nonnegative")
     d = x / arrival.lam
     if isinstance(process, Comonotonic):
         return delay_tail_comonotonic(process, arrival, d, horizon_t)
-    return delay_tail(process, arrival, d, initial_state)
+    return delay_tail(process, arrival, d)
 
 
 @dataclass(frozen=True)

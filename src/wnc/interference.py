@@ -59,22 +59,23 @@ class HopChain:
 
 
 def feedback_delay(process, arrival: ArrivalSpec, d: float,
-                   initial_state=None, multiplier: float = 2.0,
+                   multiplier: float = 2.0,
                    improved: bool = False) -> BoundReport:
     """Delay bound for the feedback channel: Lundberg root at drain m*lambda.
 
-    The default prefactor is the plain Lundberg one, h(J0)/min_j h(J_j):
-    1 for an Additive process, and h(J0) = 1 from the stationary start
-    since pi . h = 1.  With ``improved=True`` the Cramer prefactor
-    C_+ h(J0) of the m*lambda - C walk is applied.  ``multiplier=1``
-    reproduces the non-feedback upper bound bit-for-bit.
+    The default prefactor is the plain Lundberg one, h(J0)/min_j h(J_j)
+    with J0 the process's start, ``process.initial``: 1 for an Additive
+    process, and h(J0) = 1 from the stationary start since pi . h = 1.
+    With ``improved=True`` the Cramer prefactor C_+ h(J0) of the
+    m*lambda - C walk is applied.  ``multiplier=1`` reproduces the
+    non-feedback upper bound bit-for-bit.
     """
-    pair = feedback_delays(process, arrival, [d], initial_state, multiplier)[0]
+    pair = feedback_delays(process, arrival, [d], multiplier)[0]
     return pair[1] if improved else pair[0]
 
 
 def feedback_delays(process, arrival: ArrivalSpec, d_values,
-                    initial_state=None, multiplier: float = 2.0) -> list:
+                    multiplier: float = 2.0) -> list:
     """(plain, improved) ``feedback_delay`` reports at each d of d_values.
 
     The m*lambda - C walk does not depend on d, so one ``ruin`` solve
@@ -91,7 +92,7 @@ def feedback_delays(process, arrival: ArrivalSpec, d_values,
         return [(BoundReport("delay_upper", 0.0 if d > 0 else 1.0, None, 1.0,
                              math.inf, "degenerate: queue never builds"),) * 2
                 for d in d_values]
-    w = _start_weight(r.h, _start_index(process, initial_state))
+    w = _start_weight(r.h, _start_index(process))
     plain = (w / float(min(r.h)), "")
     improved = (r.c_plus * w, "improved prefactor")
 

@@ -27,7 +27,7 @@ import numpy as np
 from .delay import ArrivalSpec, lundberg_root
 from .errors import NumericFailure, UnstableSystemError, ValidationError
 from .processes import Additive, AntitheticPairing, Comonotonic
-from .simulate import SimConfig, cumulative_capacity_samples, empirical_delay_tails
+from .simulate import SimConfig, empirical_delay_tails
 
 __all__ = [
     "SampleSet", "OrderVerdict", "st_order", "icx_order", "cx_order",
@@ -196,18 +196,14 @@ class AdjustmentOrdering:
 
 
 def adjustment_ordering(proc_a, proc_b, arrival: ArrivalSpec,
-                        probe_t: int = 16, runs: int = 100_000,
-                        seed: int = 0, tol: float = 1e-6) -> AdjustmentOrdering:
-    """Check S_A <=_cx S_B  =>  theta_B <= theta_A on simulated cumulatives.
+                        verdict: OrderVerdict,
+                        tol: float = 1e-6) -> AdjustmentOrdering:
+    """Check S_A <=_cx S_B  =>  theta_B <= theta_A.
 
-    The antecedent is decided by cx_order on S(probe_t) samples; the check
-    is one-directional and vacuously consistent when either root is missing.
+    The antecedent is the caller's verdict, ``cx_order`` of samples of
+    S_A and S_B; the check is one-directional and vacuously consistent
+    when either root is missing.
     """
-    sa = SampleSet(cumulative_capacity_samples(proc_a, probe_t, runs, seed),
-                   label="S_A")
-    sb = SampleSet(cumulative_capacity_samples(proc_b, probe_t, runs, seed + 1),
-                   label="S_B")
-    verdict = cx_order(sa, sb)
     theta_a = adjustment_coefficient(proc_a, arrival)
     theta_b = adjustment_coefficient(proc_b, arrival)
     if verdict.holds != "yes":

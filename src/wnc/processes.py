@@ -270,6 +270,9 @@ class MarkovAdditive:
     kernel: MarkovKernel
     initial: object = "stationary"     # state label/index or "stationary"
 
+    def __post_init__(self):
+        _start_index(self)              # an unknown state fails here
+
 
 @dataclass(frozen=True)
 class AntitheticPairing:
@@ -492,15 +495,15 @@ def _spectral(process, theta: float):
     return perron_frobenius(m, kernel.stationary)
 
 
-def _start_index(process, initial_state=None) -> Optional[int]:
-    """Index of a fixed initial state, or None for the stationary start.
+def _start_index(process) -> Optional[int]:
+    """Index of ``process.initial``, or None for the stationary start.
 
-    None for an Additive process; a Markov-additive one starts in
-    ``initial_state``, or in its own ``initial`` when that is None.
+    The one reading of ``MarkovAdditive.initial``: "stationary", or a
+    state label or index.  None for an Additive process.
     """
     if not isinstance(process, MarkovAdditive):
         return None
-    init = process.initial if initial_state is None else initial_state
+    init = process.initial
     if isinstance(init, str) and init == "stationary":
         return None
     return process.kernel.state_index(init)
@@ -511,9 +514,9 @@ def _start_weight(h, start: Optional[int]) -> float:
     return 1.0 if start is None else float(h[start])
 
 
-def _tilt_terms(process, initial_state=None):
+def _tilt_terms(process):
     """theta -> (kappa(theta), prefactor h(J0)/min_j h(J_j)), one solve each."""
-    start = _start_index(process, initial_state)
+    start = _start_index(process)
 
     def terms(th):
         k, h = _spectral(process, th)
@@ -534,7 +537,7 @@ def _trivial_side(exponent):
     return floor, exponent(floor), solve.SolveInfo((floor, floor), 1, 0.0, True)
 
 
-def cdf_bounds(process, t: int, x: float, initial_state=None):
+def cdf_bounds(process, t: int, x: float):
     """Chernoff sandwich on F_S(t)(x) for an Additive or Markov-additive process.
 
     1 - pf(th) e^{t k(th) - th x} <= F_S(t)(x) <= pf(-th) e^{t k(-th) + th x},
@@ -548,7 +551,7 @@ def cdf_bounds(process, t: int, x: float, initial_state=None):
         raise ValidationError("t must be >= 1")
     if x < 0:
         raise ValidationError("x must be nonnegative")
-    terms = lru_cache(maxsize=None)(_tilt_terms(process, initial_state))
+    terms = lru_cache(maxsize=None)(_tilt_terms(process))
 
     # upper: min over th > 0 of pf(-th) * e^{t k(-th) + th x}
     def upper_exponent(th):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .processes import (Additive, AntitheticPairing, Comonotonic,
-                        MarkovAdditive)
+                        MarkovAdditive, _start_index)
 
 _BATCH = 1 << 18
 
@@ -98,7 +98,7 @@ def _tail_estimates(seed: int, key: int, runs: int, batch_counts):
 # the slot stream
 
 
-def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
+def _slots(process, rng: np.random.Generator, n: int):
     """Endless stream of length-n capacity vectors, one per slot.
 
     Additive slots are fresh ``marginal.sample`` draws; a comonotonic
@@ -108,10 +108,11 @@ def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
     threshold compares on a lattice law of at most 4 atoms and binary
     searched otherwise.
 
-    A Markov stream starts from ``initial_state`` (default: the process's
-    own start).  Per slot one uniform picks the next state and, when some
-    increment law has more than one atom, a second one the increment from
-    the law of the transition: ``kernel.laws[nxt]`` in destination mode,
+    A Markov stream starts where ``processes._start_index`` says: in the
+    state ``process.initial``, or drawn from the stationary law.  Per slot
+    one uniform picks the next state and, when some increment law has more
+    than one atom, a second one the increment from the law of the
+    transition: ``kernel.laws[nxt]`` in destination mode,
     ``kernel.laws[state * |E| + nxt]`` for a full kernel.  Both draws are
     the same count #{k : cum_k < u}, taken against tables stacked once per
     stream (the cumulative transition sums of every state; the cumulative
@@ -151,12 +152,12 @@ def _slots(process, rng: np.random.Generator, n: int, initial_state=None):
         atoms[i, :law.support.size] = law.support
     draws = _threshold_rows(cums)
     atoms = atoms.ravel()
-    init = process.initial if initial_state is None else initial_state
-    if isinstance(init, str) and init == "stationary":
+    start = _start_index(process)
+    if start is None:
         states = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n),
                                  side="left")
     else:
-        states = np.full(n, kernel.state_index(init), dtype=np.intp)
+        states = np.full(n, start, dtype=np.intp)
     u, gathered, below = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     nxt, caps = np.empty(n, dtype=np.intp), np.empty(n)
     pair = None if kernel.by_destination else np.empty(n, dtype=np.intp)
@@ -233,7 +234,7 @@ def lindley_queue(arrival_rate: float, trace: np.ndarray):
 
 
 def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
-                          initial_state=None, strict: bool = False):
+                          strict: bool = False):
     """TailEstimates of the stationary P(D >= d) for each d in d_values.
 
     ``strict=True`` estimates P(D > d) instead; on lattice-valued walks the
@@ -248,8 +249,7 @@ def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
         w = np.zeros(size)
         sup = np.zeros(size)
         step = np.empty(size)
-        for caps in islice(_slots(process, rng, size, initial_state),
-                           config.window):
+        for caps in islice(_slots(process, rng, size), config.window):
             w += np.subtract(lam, caps, out=step)
             np.maximum(sup, w, out=sup)
         if strict:
@@ -259,14 +259,14 @@ def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
     return _tail_estimates(config.seed, 1, config.runs, counts)
 
 
-def cumulative_capacity_samples(process, t: int, runs: int, seed: int,
-                                initial_state=None) -> np.ndarray:
+def cumulative_capacity_samples(process, t: int, runs: int,
+                                seed: int) -> np.ndarray:
     """Independent samples of S(t)."""
     if t < 1:
         raise ValidationError("t must be >= 1")
     out = np.empty(runs)
     for batch, size, rng in _batches(seed, 2, runs):
-        slots = _slots(process, rng, size, initial_state)
+        slots = _slots(process, rng, size)
         if isinstance(process, Comonotonic):
             s = t * next(slots)
         else:

@@ -445,7 +445,7 @@ def frechet_polish_reference(marginals, x, budget_cells=256, polish_passes=2):
     return max(0.0, value(sup_alloc) - (t - 1)), min(1.0, value(inf_alloc))
 
 
-def markov_slots_reference(process, rng, n, initial_state=None):
+def markov_slots_reference(process, rng, n):
     """Markov slot stream with one searchsorted per law over a mask.
 
     Reference for the Markov branch of simulate._slots, which reads the
@@ -459,7 +459,7 @@ def markov_slots_reference(process, rng, n, initial_state=None):
     laws = kernel.laws
     atoms = np.array([law.support[0] for law in laws])
     random_laws = any(law.support.size > 1 for law in laws)
-    init = process.initial if initial_state is None else initial_state
+    init = process.initial
     if isinstance(init, str) and init == "stationary":
         states = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n),
                                  side="left")

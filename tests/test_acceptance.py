@@ -132,17 +132,19 @@ def test_c05_markov_delay_sandwich_and_spectra():
     d_grid = [5.0, 10.0, 20.0]
     horizons = {0.5: 400, 1.0: 700}
     pi = GE.stationary
+    starts = {init: MarkovAdditive(GE, init) for init in GE.states}
     for lam, horizon in horizons.items():
         arrival = ArrivalSpec(lam)
         per_state = {}
         for idx, init in enumerate(GE.states):
             cfg = SimConfig(5050 + idx, 500_000, horizon, 0)
-            per_state[init] = empirical_delay_tails(proc, arrival, d_grid,
-                                                    cfg, initial_state=init)
+            per_state[init] = empirical_delay_tails(starts[init], arrival,
+                                                    d_grid, cfg)
         for k, d in enumerate(d_grid):
             detail = delay_tail_markov_detail(proc, arrival, d)
             for init in GE.states:
-                lo, up = detail.per_state[init]
+                fixed = delay_tail_markov_detail(starts[init], arrival, d)
+                lo, up = fixed.lower, fixed.upper
                 est = per_state[init][k]
                 assert est.point <= up.value + slack3(est, up.value)
                 assert est.point >= lo.value - slack3(est, lo.value)

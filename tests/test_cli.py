@@ -245,6 +245,69 @@ def test_markov_scenario_round_trip(tmp_path):
     assert main(["bounds", "--scenario", path, "--out", str(out)]) == 0
 
 
+# CSV output of the Gilbert-Elliott scenario started in state B, with
+# lambda 0.5, epsilon 0.2 and 2000 runs of 120 slots, recorded when each
+# bound and estimator still took the start state as an override
+_FIXED_START_CSV = {
+    "bounds": """\
+query_index,t_slots,x_bits,cdf_lower,cdf_upper,theta_lower,theta_upper,prefactor_lower,prefactor_upper
+0,10,8,0,0.99638083866402793,0.0001,0.010833197468076381,1,1.0524672284519956
+0,10,13,0,1,0.0001,0.0001,1,1.0004668274289448
+0,10,18,0.25510840988652977,1,0.16154119741670531,0.0001,1,1.0004668274289448
+""",
+    "delay": """\
+query_index,d_slots,delay_lower,delay_upper,theta_star,prefactor,basic_upper,horizon,mc_estimate,mc_stderr
+0,5,0.30904969946945149,0.37585783226930475,0.39141772510358258,1,1,inf,0.38200000000000001,0.010864529442180181
+0,10,0.11615875010606813,0.1412691100781808,0.39141772510358258,1,0.5804102552362288,inf,0.14099999999999999,0.0077819984579798008
+0,20,0.016409643255278036,0.019956961462281167,0.39141772510358258,1,0.081994040237471838,inf,0.021999999999999999,0.0032799390238234609
+""",
+    "dcc": """\
+query_index,d_slots,epsilon,lambda_conservative,lambda_optimistic,one_shot_lower,one_shot_upper,feasible
+0,10,0.20000000000000001,0.77517478742963131,0.86205659167613147,0.44560850559514187,0.52312598433810509,true
+""",
+    "interference": """\
+query_index,d_slots,feedback_upper,theta_star,prefactor,horizon,feedback_upper_improved
+0,5,1,0.11778303565638325,1.7777777777777766,inf,0.74493553902780352
+0,10,0.98654036854514471,0.11778303565638325,1.7777777777777766,inf,0.55492895730664427
+0,20,0.54745981805766963,0.11778303565638325,1.7777777777777766,inf,0.30794614765743938
+""",
+    "simulate": """\
+query_index,d_slots,mc_estimate,mc_stderr,runs
+0,2,0.66300000000000003,0.01056955533596376,2000
+0,5,0.38200000000000001,0.010864529442180181,2000
+""",
+    "validate": """\
+query_index,check,parameter,lower,upper,estimate,stderr,pass
+0,markov_delay,d=5,0.30904969946945149,0.37585783226930475,0.38200000000000001,0.010864529442180181,true
+0,markov_delay,d=10,0.11615875010606813,0.1412691100781808,0.14099999999999999,0.0077819984579798008,true
+0,markov_delay,d=20,0.016409643255278036,0.019956961462281167,0.021999999999999999,0.0032799390238234609,true
+""",
+}
+
+
+def test_fixed_start_markov_scenario(tmp_path, capsys):
+    doc = yaml.safe_load((REPO / "scenarios" / "gilbert_elliott.yaml")
+                         .read_text())
+    doc["process"]["markov"]["initial"] = "B"
+    doc["arrival"]["lambda_bits_per_slot"] = 0.5
+    doc["sim"] = {"seed": 5, "runs": 2000, "horizon_slots": 120,
+                  "warmup_slots": 12}
+    doc["queries"][2]["epsilon"] = 0.2
+    doc["queries"].append({"kind": "simulate", "d_slots": [2, 5]})
+    path = write_scenario(tmp_path, doc)
+    for command, text in _FIXED_START_CSV.items():
+        assert main([command, "--scenario", path]) == 0
+        assert capsys.readouterr().out.replace("\r\n", "\n") == text
+    # an unknown start state fails on every command
+    doc["process"]["markov"]["initial"] = "X"
+    path = write_scenario(tmp_path, doc, "unknown.yaml")
+    for command in _FIXED_START_CSV:
+        assert main([command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "validation error: unknown state 'X'\n"
+        assert captured.out == ""
+
+
 def test_csv_rows_as_wide_as_header(tmp_path):
     # validate's additive_cdf parameters (t=8,x=4) and order's relations
     # (cx(S_N, S_perp)) contain commas and must come out quoted

@@ -10,7 +10,8 @@ from wnc import (Additive, ArrivalSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
                  UnstableSystemError, ValidationError, backlog_tail,
                  capacity_marginal, delay_constrained_capacity, delay_tail,
-                 delay_tail_comonotonic, lundberg_root, stability_margin)
+                 delay_tail_comonotonic, feedback_delay, lundberg_root,
+                 stability_margin)
 from wnc import cli, delay
 from wnc.delay import (cramer_prefactors, delay_tail_markov_detail,
                        delay_tails)
@@ -142,26 +143,90 @@ def test_delay_markov_structure(ge_kernel):
     assert detail.upper.value <= 1.0
     assert detail.lower.value <= detail.upper.value
     det10 = delay_tail_markov_detail(proc, arrival, 10.0)
+    fixed = {s: delay_tail_markov_detail(MarkovAdditive(ge_kernel, s),
+                                         arrival, 10.0)
+             for s in ge_kernel.states}
     # good state strictly better off than bad state
-    assert det10.per_state["G"][1].value < det10.per_state["B"][1].value
+    assert fixed["G"].upper.value < fixed["B"].upper.value
     # improved prefactors tighten the basic eigenvector pair
     assert det10.upper.value <= det10.basic_upper.value + 1e-15
-    # stationary bounds are the pi-mixture of the per-state bounds
+    # stationary bounds are the pi-mixture of the fixed-start bounds
     pi = ge_kernel.stationary
-    mix_up = sum(p * det10.per_state[s][1].value
+    mix_up = sum(p * fixed[s].upper.value
                  for p, s in zip(pi, ge_kernel.states))
     assert det10.upper.value == pytest.approx(mix_up, abs=1e-12)
 
 
+# (kernel, lambda) -> state -> ((lower, upper) at d = 0, 5, 20) from that
+# fixed start, recorded from the per-state bounds that the stationary
+# process's delay report carried
+_FIXED_START_BOUNDS = {
+    ("ge", 0.5): {
+        "G": ((0.20013214628468468, 0.2433952687839463),
+              (0.07522123466996497, 0.09148201810973883),
+              (0.003994029530767069, 0.0048574299992227826)),
+        "B": ((0.8222515880632634, 1.0),
+              (0.3090496994694515, 0.37585783226930475),
+              (0.016409643255278036, 0.019956961462281167))},
+    ("ge", 1.0): {
+        "G": ((0.5000000000000004, 0.5625000000000004),
+              (0.27746447865332236, 0.31214753848498766),
+              (0.04741541492852877, 0.053342341794594864)),
+        "B": ((0.888888888888889, 1.0),
+              (0.49327018427257274, 0.5549289573066443),
+              (0.08429407098405108, 0.09483082985705746))},
+    ("full", 0.8): {
+        "a": ((0.15275462614124743, 1.0),
+              (1.2704753107155686e-05, 8.317098753793549e-05),
+              (7.309401267831292e-18, 4.785060493730983e-17)),
+        "b": ((0.19611780823587877, 1.0),
+              (1.6311311784753495e-05, 0.00010678113126126169),
+              (9.384355763066122e-18, 6.143418369790453e-17))},
+}
+
+
+def test_fixed_start_bounds_pinned(ge_kernel, full_kernel):
+    kernels = {"ge": ge_kernel, "full": full_kernel}
+    for (name, lam), by_state in _FIXED_START_BOUNDS.items():
+        kernel = kernels[name]
+        stationary = delay_tails(MarkovAdditive(kernel), ArrivalSpec(lam),
+                                 [0.0, 5.0, 20.0])
+        fixed = {}
+        for s, pairs in by_state.items():
+            fixed[s] = delay_tails(MarkovAdditive(kernel, s),
+                                   ArrivalSpec(lam), [0.0, 5.0, 20.0])
+            assert [(b.lower.value, b.upper.value)
+                    for b in fixed[s]] == list(pairs)
+        # the stationary start is the pi-mixture of the fixed starts,
+        # wherever no fixed-start bound is clipped at 1
+        for k, bounds in enumerate(stationary):
+            if any(fixed[s][k].upper.value == 1.0 for s in by_state):
+                continue
+            for side in ("lower", "upper"):
+                mix = sum(p * getattr(fixed[s][k], side).value
+                          for p, s in zip(kernel.stationary, kernel.states))
+                assert getattr(bounds, side).value == pytest.approx(
+                    mix, rel=1e-12)
+
+
+def test_unknown_start_state_fails_on_construction(ge_kernel):
+    with pytest.raises(ValidationError, match="unknown state 'X'"):
+        MarkovAdditive(ge_kernel, "X")
+    with pytest.raises(ValidationError, match="out of range"):
+        MarkovAdditive(ge_kernel, 2)
+    # a state index and its label give the same start
+    assert delay_tail(MarkovAdditive(ge_kernel, 1), ArrivalSpec(1.0), 5.0) == \
+        delay_tail(MarkovAdditive(ge_kernel, "B"), ArrivalSpec(1.0), 5.0)
+
+
 def test_delay_markov_quick_sandwich(ge_kernel):
-    proc = MarkovAdditive(ge_kernel)
     arrival = ArrivalSpec(1.0)
     cfg = SimConfig(seed=23, runs=150_000, horizon=600)
     for init in ("G", "B"):
-        ests = empirical_delay_tails(proc, arrival, [5.0, 20.0], cfg,
-                                     initial_state=init)
+        proc = MarkovAdditive(ge_kernel, init)
+        ests = empirical_delay_tails(proc, arrival, [5.0, 20.0], cfg)
         for d, est in zip((5.0, 20.0), ests):
-            lo, up = delay_tail(proc, arrival, d, initial_state=init)
+            lo, up = delay_tail(proc, arrival, d)
             assert lo.value - 3 * est.stderr <= est.point <= up.value + 3 * est.stderr
 
 
@@ -443,12 +508,11 @@ def test_delay_query_makes_one_ruin(monkeypatch):
 
 
 def test_delay_tails_equal_single_d_calls(ge_kernel, two_point):
-    for proc, state in ((MarkovAdditive(ge_kernel), "B"),
-                        (MarkovAdditive(ge_kernel), None),
-                        (Additive(two_point), None)):
+    for proc in (MarkovAdditive(ge_kernel, "B"), MarkovAdditive(ge_kernel),
+                 Additive(two_point)):
         ds = [0.0, 1.0, 7.5]
-        many = delay_tails(proc, ArrivalSpec(0.6), ds, state)
-        one = [delay_tail_markov_detail(proc, ArrivalSpec(0.6), d, state)
+        many = delay_tails(proc, ArrivalSpec(0.6), ds)
+        one = [delay_tail_markov_detail(proc, ArrivalSpec(0.6), d)
                for d in ds]
         assert many == one
     with pytest.raises(ValidationError):
@@ -460,58 +524,70 @@ _STEP = 0.5                           # lattice of the generated laws
 
 @st.composite
 def _lattice_law(draw):
-    """A law on the lattice 0.5 Z in [0, 8], zero-mass atoms allowed."""
+    """(law, its positive-mass part): a law on the lattice 0.5 Z in [0, 8],
+    zero-mass atoms allowed.  Both laws divide the same weights by their
+    sum, so the part's masses equal the law's positive masses bit for bit."""
     ks = draw(st.lists(st.integers(0, 16), min_size=1, max_size=6,
                        unique=True))
     weights = draw(st.lists(st.integers(0, 5), min_size=len(ks),
                             max_size=len(ks)))
     if sum(weights) == 0:
         weights[0] = 1
+    support = _STEP * np.array(sorted(ks), dtype=float)
     w = np.array(weights, dtype=float)
-    return DiscreteDistribution(_STEP * np.array(sorted(ks), dtype=float),
-                                w / w.sum())
+    law = DiscreteDistribution(support, w / w.sum())
+    pos = w > 0
+    return law, DiscreteDistribution(support[pos], w[pos] / w.sum())
+
+
+def _process(laws, rows):
+    """Additive for one law, a destination Markov kernel for more."""
+    if len(laws) == 1:
+        return Additive(laws[0])
+    return MarkovAdditive(MarkovKernel.from_destination_laws(
+        tuple("abc"[:len(laws)]), rows, laws))
 
 
 @st.composite
 def _prefactor_case(draw):
-    """(process, drain, theta): an Additive law or a destination Markov
-    kernel, a drain on the lattice above every law's smallest atom (often
-    at an atom, so the walk has an atom at 0), and a tilt."""
+    """(process, its positive-mass twin, drain, theta): an Additive law or
+    a destination Markov kernel, a drain on the lattice above every law's
+    smallest positive-mass atom (often at an atom, so the walk has an atom
+    at 0), and a tilt.  Lower drains are ruin's degenerate case, which
+    never reaches the prefactors."""
     n = draw(st.integers(1, 3))
-    laws = [draw(_lattice_law()) for _ in range(n)]
-    if n == 1:
-        process = Additive(laws[0])
-    else:
-        rows = np.array(draw(st.lists(st.lists(st.integers(1, 5), min_size=n,
-                                               max_size=n),
-                                      min_size=n, max_size=n)), dtype=float)
-        process = MarkovAdditive(MarkovKernel.from_destination_laws(
-            tuple("abc"[:n]), rows / rows.sum(axis=1, keepdims=True), laws))
-    low = max(law.support_min for law in laws)
+    pairs = [draw(_lattice_law()) for _ in range(n)]
+    rows = np.array(draw(st.lists(st.lists(st.integers(1, 5), min_size=n,
+                                           max_size=n),
+                                  min_size=n, max_size=n)), dtype=float)
+    rows /= rows.sum(axis=1, keepdims=True)
+    low = max(pos.support_min for _, pos in pairs)
     if draw(st.booleans()):
-        atoms = sorted({float(a) for law in laws for a in law.support
+        atoms = sorted({float(a) for law, _ in pairs for a in law.support
                         if a > low})
         drain = draw(st.sampled_from(atoms)) if atoms else low + _STEP
     else:
         drain = low + _STEP * draw(st.integers(1, 12))
     theta = draw(st.floats(0.01, 4.0))
-    return process, drain, theta
+    return (_process([law for law, _ in pairs], rows),
+            _process([pos for _, pos in pairs], rows), drain, theta)
 
 
 def _assert_same_bits(got, want):
-    # hex compares every bit and lets nan equal nan (a walk whose only
-    # upward atoms carry zero mass scans 0/0 on both routes)
+    # hex compares every bit
     assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_prefactor_case())
 def test_array_prefactors_equal_affine_route(case):
-    process, drain, theta = case
+    # zero-mass atoms are never drawn: the prefactors are those of the
+    # positive-mass laws, with no 0/0 ratio
+    process, positive, drain, theta = case
     h = _spectral(process, -theta)[1]
     assert h is not None
     _assert_same_bits(delay._prefactors(process, drain, theta, h),
-                      affine_prefactors(process, drain, theta, h))
+                      affine_prefactors(positive, drain, theta, h))
 
 
 def test_array_prefactors_on_shipped_laws(full_kernel, mixed_kernel,
@@ -526,6 +602,52 @@ def test_array_prefactors_on_shipped_laws(full_kernel, mixed_kernel,
             h = _spectral(process, -theta)[1]
             _assert_same_bits(delay._prefactors(process, drain, theta, h),
                               affine_prefactors(process, drain, theta, h))
+
+
+def test_prefactors_count_a_law_with_a_zero_mass_bottom_atom():
+    # the walk drain - B of law b has a zero-mass top atom, whose 0/0
+    # ratio would drop law b from the maximum or keep it, by law order
+    a = DiscreteDistribution.point_mass(0.0)
+    b = DiscreteDistribution(np.array([0.0, 0.5]), np.array([0.0, 1.0]))
+    b_pos = DiscreteDistribution.point_mass(0.5)
+    transition = np.array([[0.3, 0.7], [0.6, 0.4]])
+    for laws, positive_laws, j in (((a, b), (a, b_pos), 1),
+                                   ((b, a), (b_pos, a), 0)):
+        process = _process(laws, transition)
+        h = _spectral(process, -1.0)[1]
+        got = delay._prefactors(process, 1.0, 1.0, h)
+        assert not any(math.isnan(v) for v in got)
+        _assert_same_bits(got, affine_prefactors(
+            _process(positive_laws, transition), 1.0, 1.0, h))
+        # law b's walk is the point 0.5, whose ratio is 1: C_+ >= 1 / h_b
+        assert got[1] >= 1.0 / h[j]
+
+
+def test_zero_mass_bottom_atom_is_never_drawn():
+    # a zero-mass atom below the law's support is never drawn: counted
+    # as the floor, it sends the Lundberg root to NumericFailure and the
+    # DCC to 0/0 prefactors
+    zero = DiscreteDistribution(np.array([0.0, 1.0, 3.0]),
+                                np.array([0.0, 0.5, 0.5]))
+    pos = DiscreteDistribution(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
+    additive = [Additive(law) for law in (zero, pos)]
+    lo, up = delay_tail(additive[0], ArrivalSpec(0.9), 5.0)
+    assert (lo.value, up.value) == (0.0, 0.0)
+    assert up.notes == "degenerate: queue never builds"
+    fb = [feedback_delay(p, ArrivalSpec(0.45), 5.0) for p in additive]
+    assert fb[0] == fb[1] and fb[0].value == 0.0
+    dcc = [delay_constrained_capacity(p, 5.0, 0.01) for p in additive]
+    assert dcc[0] == dcc[1] and dcc[0].feasible
+    assert dcc[0].conservative == pytest.approx(1.7479, abs=1e-4)
+    # a destination kernel with the same law next to the point mass 2
+    transition = np.array([[0.5, 0.5], [0.5, 0.5]])
+    markov = [MarkovAdditive(MarkovKernel.from_destination_laws(
+        ("x", "y"), transition, [law, 2.0])) for law in (zero, pos)]
+    for lam in (0.9, 1.9):
+        got, want = (delay_tail(p, ArrivalSpec(lam), 5.0) for p in markov)
+        assert got == want
+    assert got[1].theta_star is not None
+    assert delay_tail(markov[0], ArrivalSpec(0.9), 5.0)[1].value == 0.0
 
 
 def test_cramer_prefactors_keeps_its_checks(two_point):

@@ -186,13 +186,12 @@ def test_e2e_one_cgf_per_distinct_hop_marginal(two_point, monkeypatch):
 
 def test_feedback_delays_equal_single_d_calls(two_point, ge_kernel):
     ds = [0.0, 2.0, 9.5]
-    for proc, state, m in ((Additive(two_point), None, 2.0),
-                           (MarkovAdditive(ge_kernel), "G", 1.5),
-                           (Additive(DiscreteDistribution.point_mass(2.0)),
-                            None, 2.0)):
-        pairs = feedback_delays(proc, ArrivalSpec(0.3), ds, state, m)
+    for proc, m in ((Additive(two_point), 2.0),
+                    (MarkovAdditive(ge_kernel, "G"), 1.5),
+                    (Additive(DiscreteDistribution.point_mass(2.0)), 2.0)):
+        pairs = feedback_delays(proc, ArrivalSpec(0.3), ds, m)
         assert pairs == [tuple(feedback_delay(proc, ArrivalSpec(0.3), d,
-                                              state, m, improved)
+                                              m, improved)
                                for improved in (False, True)) for d in ds]
     with pytest.raises(ValidationError):
         feedback_delays(Additive(two_point), ArrivalSpec(0.3), [1.0, -2.0])

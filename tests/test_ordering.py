@@ -7,12 +7,22 @@ from wnc import (Additive, AntitheticPairing, ArrivalSpec, Comonotonic,
 from wnc.distributions import DiscreteDistribution
 from wnc.ordering import (SampleSet, adjustment_coefficient,
                           delay_ordering_check, stop_loss_curve)
-from wnc.simulate import SimConfig
+from wnc.simulate import SimConfig, cumulative_capacity_samples
 
 
 @pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(1234)
+
+
+def _adjustment(proc_a, proc_b, arrival, runs, probe_t=16, seed=0):
+    """adjustment_ordering judged on cx_order of S(probe_t) samples of A
+    and B, drawn with seeds seed and seed + 1."""
+    sa = SampleSet(cumulative_capacity_samples(proc_a, probe_t, runs, seed),
+                   label="S_A")
+    sb = SampleSet(cumulative_capacity_samples(proc_b, probe_t, runs,
+                                               seed + 1), label="S_B")
+    return adjustment_ordering(proc_a, proc_b, arrival, cx_order(sa, sb))
 
 
 def test_sample_set_validation():
@@ -74,8 +84,8 @@ def test_st_implies_icx(rng):
 
 def test_verdicts_deterministic(two_point):
     proc_a, proc_b = Additive(two_point), Comonotonic(two_point)
-    r1 = adjustment_ordering(proc_a, proc_b, ArrivalSpec(0.5), runs=20_000)
-    r2 = adjustment_ordering(proc_a, proc_b, ArrivalSpec(0.5), runs=20_000)
+    r1 = _adjustment(proc_a, proc_b, ArrivalSpec(0.5), runs=20_000)
+    r2 = _adjustment(proc_a, proc_b, ArrivalSpec(0.5), runs=20_000)
     assert r1 == r2
 
 
@@ -89,8 +99,8 @@ def test_adjustment_coefficients_triple(two_point):
 
 
 def test_adjustment_ordering_same_process_consistent(two_point):
-    res = adjustment_ordering(Additive(two_point), Additive(two_point),
-                              ArrivalSpec(0.5), runs=50_000)
+    res = _adjustment(Additive(two_point), Additive(two_point),
+                      ArrivalSpec(0.5), runs=50_000)
     assert res.consistent
     assert res.theta_a == pytest.approx(res.theta_b, abs=1e-9)
 
@@ -105,14 +115,14 @@ def test_adjustment_ordering_nonvacuous_asymmetric():
     theta_p = adjustment_coefficient(pp, arrival)
     assert theta_n is not None and theta_p is not None
     assert theta_n >= theta_p
-    res = adjustment_ordering(pn, pp, arrival, runs=100_000)
+    res = _adjustment(pn, pp, arrival, runs=100_000)
     assert res.cx_verdict.holds == "yes"
     assert res.consistent
 
 
 def test_adjustment_ordering_comonotonic_vacuous(two_point):
-    res = adjustment_ordering(Additive(two_point), Comonotonic(two_point),
-                              ArrivalSpec(0.5), runs=100_000)
+    res = _adjustment(Additive(two_point), Comonotonic(two_point),
+                      ArrivalSpec(0.5), runs=100_000)
     assert res.cx_verdict.holds == "yes"
     assert res.theta_b is None
     assert res.consistent
@@ -122,8 +132,8 @@ def test_adjustment_ordering_comonotonic_vacuous(two_point):
 def test_adjustment_ordering_symmetric_under_swap(two_point, uniform_law):
     arrival = ArrivalSpec(0.4)
     a, b = Additive(two_point), Comonotonic(two_point)
-    fwd = adjustment_ordering(a, b, arrival, runs=50_000)
-    rev = adjustment_ordering(b, a, arrival, runs=50_000)
+    fwd = _adjustment(a, b, arrival, runs=50_000)
+    rev = _adjustment(b, a, arrival, runs=50_000)
     # swapping exchanges the roles; both runs must stay consistent here
     assert fwd.consistent and rev.consistent
 

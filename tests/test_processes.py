@@ -251,17 +251,17 @@ def test_markov_bounds_single_state_reduce_to_additive(two_point):
 
 
 def test_markov_bounds_sandwich_simulated(ge_kernel):
-    proc = MarkovAdditive(ge_kernel)
     t = 50
     for init in ("G", "B"):
-        samples = cumulative_capacity_samples(proc, t, 100_000, seed=11,
-                                              initial_state=init)
+        start = MarkovAdditive(ge_kernel, init)
+        samples = cumulative_capacity_samples(start, t, 100_000, seed=11)
         for x in (50.0, 60.0, 70.0, 80.0):
-            lo, up = cdf_bounds(proc, t, x, initial_state=init)
+            lo, up = cdf_bounds(start, t, x)
             p = float(np.mean(samples <= x))
             se = math.sqrt(max(p * (1 - p), 1e-9) / samples.size)
             assert lo.value - 3 * se <= p <= up.value + 3 * se
     # tail upper bound 1 - lower vs MC
+    proc = MarkovAdditive(ge_kernel)
     samples = cumulative_capacity_samples(proc, t, 100_000, seed=12)
     for x in (70.0, 80.0):
         lo, _ = cdf_bounds(proc, t, x)

@@ -228,16 +228,16 @@ def test_markov_slots_match_masked_per_law_loop(full_kernel, mixed_kernel,
                                    [0.3, 0.3, 0.4]]),
         [laws[:3], laws[1:], [laws[3], laws[0], laws[1]]])
     for kernel in (full_kernel, mixed_kernel, full_mixed, ge_kernel):
-        proc = MarkovAdditive(kernel)
         n = _ThresholdReplay(kernel).u.size
-        for start in (None, kernel.states[-1]):
+        for proc in (MarkovAdditive(kernel),
+                     MarkovAdditive(kernel, kernel.states[-1])):
             for rng, runs in ((lambda: substream(8, 1), 2_000),
                               (lambda: _ThresholdReplay(kernel), n)):
                 # the stream refills one array per slot: copy each slot
                 got = [caps.copy() for caps in
-                       islice(_slots(proc, rng(), runs, start), 40)]
+                       islice(_slots(proc, rng(), runs), 40)]
                 want = list(islice(markov_slots_reference(
-                    proc, rng(), runs, start), 40))
+                    proc, rng(), runs), 40))
                 np.testing.assert_array_equal(got, want)
 
 
