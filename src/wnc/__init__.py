@@ -28,5 +28,5 @@ from .interference import (HopChain, e2e_delay_bound, feedback_delay,
                            feedback_delays)
 from .ordering import (OrderVerdict, SampleSet, adjustment_ordering, cx_order,
                        delay_ordering_check, icx_order, st_order)
-from .simulate import (SimConfig, TailEstimate, feedback_queue, lindley_queue,
+from .simulate import (SimConfig, TailEstimate, feedback_queue,
                        sample_capacity_trace, tandem_queue)

@@ -432,19 +432,13 @@ def _run_delay(scenario, query, arrival, config, meta):
             row.update(delay_lower=None,
                        delay_upper=delay_tail_comonotonic(process, arrival, d),
                        theta_star=None, prefactor=None, horizon=math.inf)
-        elif isinstance(process, MarkovAdditive):
-            detail = details[i]
-            row.update(delay_lower=detail.lower.value,
-                       delay_upper=detail.upper.value,
-                       theta_star=detail.theta_star,
-                       prefactor=detail.upper.prefactor,
-                       basic_upper=detail.basic_upper.value,
-                       horizon=detail.upper.horizon)
         else:
             lo, up = details[i].lower, details[i].upper
             row.update(delay_lower=lo.value, delay_upper=up.value,
-                       theta_star=up.theta_star, prefactor=up.prefactor,
-                       horizon=up.horizon)
+                       theta_star=up.theta_star, prefactor=up.prefactor)
+            if isinstance(process, MarkovAdditive):
+                row["basic_upper"] = details[i].basic_upper.value
+            row["horizon"] = up.horizon
         if mc is not None:
             row.update(mc_estimate=mc[i].point, mc_stderr=mc[i].stderr)
         rows.append(row)

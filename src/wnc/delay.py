@@ -107,16 +107,16 @@ def _floor(process) -> float:
     return min(float(law._pos_support[0]) for _, law in _entry_laws(process))
 
 
-def lundberg_root(process, arrival: ArrivalSpec,
-                  offset_multiplier: float = 1.0) -> LundbergSolution:
-    """Positive root of kappa(theta) = theta m lambda + kappa_C(-theta).
+def lundberg_root(process, arrival: ArrivalSpec) -> LundbergSolution:
+    """Positive root of kappa(theta) = theta lambda + kappa_C(-theta).
 
     kappa_C is the marginal's cgf for an Additive process and the log
     Perron-Frobenius eigenvalue of F[-theta] for a Markov-additive one.
-    offset_multiplier m = 2 reproduces the feedback (self-interference)
-    increment law.  Requires a positive stability margin at rate m*lambda.
+    A walk that drains m*lambda per step (the feedback channel, the
+    antithetic two-slot block) is the one at rate ``ArrivalSpec(m*lambda)``.
+    Requires a positive stability margin.
     """
-    drain = offset_multiplier * arrival.lam
+    drain = arrival.lam
     if process_mean_rate(process) - drain <= 0:
         raise UnstableSystemError("no positive root: system unstable")
     if _floor(process) >= drain:

@@ -204,7 +204,7 @@ class DiscreteDistribution:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return self._inverse_cdf(rng.random(size))
 
-    def discretize(self, n: int = DEFAULT_GRID_N) -> "DiscreteDistribution":
+    def discretize(self) -> "DiscreteDistribution":
         """Already discrete; returns itself (protocol compatibility)."""
         return self
 

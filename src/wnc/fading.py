@@ -387,7 +387,8 @@ class FadingMarginal:
     def _grid_law(self) -> DiscreteDistribution:
         """Discretised law; for composite models, the subchannel convolution."""
         if not self.is_composite:
-            return self._discretize_single(DEFAULT_GRID_N)
+            return DiscreteDistribution.from_cdf(
+                self.cdf, self.quantile(1e-9), self.quantile(1.0 - 1e-9))
         # common uniform grid so the convolution stays on a lattice
         his = [p.quantile(1.0 - 1e-9) for p in self._parts]
         hi = sum(his)
@@ -408,11 +409,6 @@ class FadingMarginal:
         centers = h * (np.arange(out.size) + 0.5)
         keep = out > 0
         return DiscreteDistribution(centers[keep], out[keep] / out[keep].sum())
-
-    def _discretize_single(self, n):
-        x_lo = self.quantile(1e-9)
-        x_hi = self.quantile(1.0 - 1e-9)
-        return DiscreteDistribution.from_cdf(self.cdf, x_lo, x_hi, n)
 
     # -- protocol ---------------------------------------------------------
 
@@ -543,12 +539,8 @@ class FadingMarginal:
             return sum(p.sample(rng, size) for p in self._parts)
         return self._capacity_of_gain(self.model.sample_gain(rng, size))
 
-    def discretize(self, n: int = DEFAULT_GRID_N) -> DiscreteDistribution:
-        if self.is_composite:
-            return self._grid_law
-        if n == DEFAULT_GRID_N:
-            return self._grid_law
-        return self._discretize_single(n)
+    def discretize(self) -> DiscreteDistribution:
+        return self._grid_law
 
     @property
     def support_min(self) -> float:

@@ -2,13 +2,15 @@
 
 A channel whose output is fed back into itself offers the external flow at
 least S(t) - A(t) of service (leftover service under blind scheduling plus
-causality), so the delay obeys the Lundberg bound with the doubled-arrival
-increment law 2*lambda - C.  Multi-hop chains with K-hop interference
-reduce to S(t) - (2K-1) A(t) per hop with K = min(K, N); a shared channel
-collapses to a single traversal.  The end-to-end bound sums factorised
-per-segment Chernoff terms over all time segmentations; for additive hops
-that sum has the closed form e^{-theta lambda d} prod_i 1/(1 - w_i), which
-is minimised over theta by one bounded scalar search.
+causality), so the delay obeys the delay bound of the walk 2*lambda - C,
+read at the same level lambda*d: ``feedback_delays`` solves that walk with
+``delay.ruin`` and assembles its reports with ``delay._delay_bounds``.
+Multi-hop chains with K-hop interference reduce to S(t) - (2K-1) A(t) per
+hop with K = min(K, N); a shared channel collapses to a single traversal.
+The end-to-end bound sums factorised per-segment Chernoff terms over all
+time segmentations; for additive hops that sum has the closed form
+e^{-theta lambda d} prod_i 1/(1 - w_i), which is minimised over theta by
+one bounded scalar search.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import solve
-from .delay import ArrivalSpec, ruin
+from .delay import ArrivalSpec, _delay_bounds, ruin
 from .errors import UnstableSystemError, ValidationError
-from .processes import (Additive, BoundReport, _start_index, _start_weight,
-                        process_mean_rate)
+from .processes import Additive, BoundReport, process_mean_rate
 
 __all__ = ["HopChain", "feedback_delay", "feedback_delays",
            "e2e_delay_bound"]
@@ -61,14 +62,12 @@ class HopChain:
 def feedback_delay(process, arrival: ArrivalSpec, d: float,
                    multiplier: float = 2.0,
                    improved: bool = False) -> BoundReport:
-    """Delay bound for the feedback channel: Lundberg root at drain m*lambda.
+    """Feedback delay bound: that of the walk m*lambda - C at level lambda*d.
 
-    The default prefactor is the plain Lundberg one, h(J0)/min_j h(J_j)
-    with J0 the process's start, ``process.initial``: 1 for an Additive
-    process, and h(J0) = 1 from the stationary start since pi . h = 1.
-    With ``improved=True`` the Cramer prefactor C_+ h(J0) of the
-    m*lambda - C walk is applied.  ``multiplier=1`` reproduces the
-    non-feedback upper bound bit-for-bit.
+    The default is the eigenvector pair's upper side h(J0)/min_j h(J_j),
+    with J0 the process's start, ``process.initial`` (1 for an Additive
+    process); ``improved=True`` gives the Cramer upper side C_+ h(J0).
+    ``multiplier=1`` is the non-feedback upper bound itself.
     """
     pair = feedback_delays(process, arrival, [d], multiplier)[0]
     return pair[1] if improved else pair[0]
@@ -78,8 +77,8 @@ def feedback_delays(process, arrival: ArrivalSpec, d_values,
                     multiplier: float = 2.0) -> list:
     """(plain, improved) ``feedback_delay`` reports at each d of d_values.
 
-    The m*lambda - C walk does not depend on d, so one ``ruin`` solve
-    serves every d and both prefactors.
+    One ``ruin`` solve of the m*lambda - C walk serves every d, and
+    ``delay._delay_bounds`` assembles both reports.
     """
     if any(d < 0 for d in d_values):
         raise ValidationError("d must be nonnegative")
@@ -88,19 +87,8 @@ def feedback_delays(process, arrival: ArrivalSpec, d_values,
         raise UnstableSystemError(
             f"feedback-unstable: {multiplier:g}*lambda exceeds the mean capacity")
     r = ruin(process, drain)
-    if r.degenerate:
-        return [(BoundReport("delay_upper", 0.0 if d > 0 else 1.0, None, 1.0,
-                             math.inf, "degenerate: queue never builds"),) * 2
-                for d in d_values]
-    w = _start_weight(r.h, _start_index(process))
-    plain = (w / float(min(r.h)), "")
-    improved = (r.c_plus * w, "improved prefactor")
-
-    def report(d, pref, notes):
-        value = min(1.0, pref * math.exp(-r.theta_star * (arrival.lam * d)))
-        return BoundReport("delay_upper", value, r.theta_star, pref, math.inf,
-                           notes, r.diagnostics)
-    return [(report(d, *plain), report(d, *improved)) for d in d_values]
+    return [(b.basic_upper, b.upper)
+            for b in (_delay_bounds(process, r, arrival, d) for d in d_values)]
 
 
 # ---------------------------------------------------------------------------

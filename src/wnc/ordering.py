@@ -176,12 +176,12 @@ def adjustment_coefficient(process, arrival: ArrivalSpec) -> Optional[float]:
     """
     if isinstance(process, Comonotonic):
         return None
-    m = 1.0
     if isinstance(process, AntitheticPairing):
         # the antithetic block of two slots drains 2 lambda per step
-        process, m = Additive(process.pair_sum_law), 2.0
+        process = Additive(process.pair_sum_law)
+        arrival = ArrivalSpec(2.0 * arrival.lam)
     try:
-        return lundberg_root(process, arrival, m).theta_star
+        return lundberg_root(process, arrival).theta_star
     except (UnstableSystemError, NumericFailure):
         return None
 

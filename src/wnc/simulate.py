@@ -33,7 +33,7 @@ _BATCH = 1 << 18
 
 __all__ = [
     "SimConfig", "TailEstimate", "substream", "sample_capacity_trace",
-    "lindley_queue", "empirical_delay_tails", "feedback_queue",
+    "empirical_delay_tails", "feedback_queue",
     "tandem_queue", "cumulative_capacity_samples",
 ]
 
@@ -210,23 +210,6 @@ def sample_capacity_trace(process, horizon: int, stream: np.random.Generator
         raise ValidationError("horizon must be >= 1")
     return np.array([caps[0] for caps in
                      islice(_slots(process, stream, 1), horizon)])
-
-
-def lindley_queue(arrival_rate: float, trace: np.ndarray):
-    """Exact backlog recursion B(t+1) = [B(t) + lambda - C(t+1)]^+, B(0)=0.
-
-    Returns (backlog, delay) paths of length len(trace)+1 with delay = B/lambda.
-    """
-    if arrival_rate <= 0:
-        raise ValidationError("arrival rate must be positive")
-    trace = np.asarray(trace, dtype=float)
-    backlog = np.empty(trace.size + 1)
-    backlog[0] = 0.0
-    b = 0.0
-    for t, c in enumerate(trace):
-        b = max(b + arrival_rate - c, 0.0)
-        backlog[t + 1] = b
-    return backlog, backlog / arrival_rate
 
 
 # ---------------------------------------------------------------------------

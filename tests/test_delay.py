@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wnc import (Additive, ArrivalSpec, Comonotonic,
+from wnc import (Additive, AntitheticPairing, ArrivalSpec, Comonotonic,
                  MarkovAdditive, MarkovKernel, NumericFailure, Rayleigh,
                  UnstableSystemError, ValidationError, backlog_tail,
                  capacity_marginal, delay_constrained_capacity, delay_tail,
@@ -16,6 +16,7 @@ from wnc import cli, delay
 from wnc.delay import (cramer_prefactors, delay_tail_markov_detail,
                        delay_tails)
 from wnc.distributions import DiscreteDistribution
+from wnc.ordering import adjustment_coefficient
 from wnc.processes import _spectral, process_mean_rate
 from wnc.simulate import SimConfig, empirical_delay_tails
 
@@ -49,12 +50,20 @@ def test_lundberg_root_cubic_oracle(two_point):
     assert abs(sol.kappa_residual) < 1e-9
 
 
-def test_lundberg_offset_multiplier_substitution(two_point):
-    # doubling the multiplier at half the rate reproduces the increment law
-    base = lundberg_root(Additive(two_point), ArrivalSpec(0.5))
-    doubled = lundberg_root(Additive(two_point), ArrivalSpec(0.25),
-                            offset_multiplier=2.0)
-    assert doubled.theta_star == pytest.approx(base.theta_star, abs=1e-12)
+def test_antithetic_adjustment_is_root_at_doubled_rate(two_point):
+    # the antithetic two-slot block drains 2 lambda per step: its root is
+    # the pair-sum law's Lundberg root at rate 2 lambda, bit for bit
+    anti = AntitheticPairing(DiscreteDistribution(np.array([0.0, 2.0]),
+                                                  np.array([0.3, 0.7])))
+    for lam in (1.05, 1.1, 1.3):      # pair sums in {2, 4}, mean 2.8
+        root = lundberg_root(Additive(anti.pair_sum_law),
+                             ArrivalSpec(2.0 * lam)).theta_star
+        assert adjustment_coefficient(anti, ArrivalSpec(lam)) == root
+    # the symmetric two-point pair sums to the constant 2: no root
+    anti = AntitheticPairing(two_point)
+    assert adjustment_coefficient(anti, ArrivalSpec(0.5)) is None
+    with pytest.raises(NumericFailure):
+        lundberg_root(Additive(anti.pair_sum_law), ArrivalSpec(1.0))
 
 
 def test_lundberg_root_monotone_and_boundary(two_point):

@@ -197,6 +197,56 @@ def test_feedback_delays_equal_single_d_calls(two_point, ge_kernel):
         feedback_delays(Additive(two_point), ArrivalSpec(0.3), [1.0, -2.0])
 
 
+# (process, multiplier) -> theta_star, (plain, improved) prefactor and
+# (plain, improved) value at each d of _PINNED_D: recorded values, so that
+# any change to the shared delay-report assembly shows here bit for bit
+_PINNED_D = [0.0, 1.0, 5.0, 20.0]
+_PINNED_FEEDBACK = {
+    ("two_point", 1.0): (2.7564847416361182, (1.0, 1.0),
+        [(1.0, 1.0), (0.5020170551781655, 0.5020170551781655),
+         (0.031885435940112734, 0.031885435940112734),
+         (1.0336403067801532e-06, 1.0336403067801532e-06)]),
+    ("two_point", 2.0): (1.2187557268720124, (1.0, 1.0),
+        [(1.0, 1.0), (0.7373527057603277, 0.7373527057603277),
+         (0.2179597952653039, 0.2179597952653039),
+         (0.002256864915340195, 0.002256864915340195)]),
+    ("ge", 1.0): (0.5126883869157433, (2.305969186634519, 0.46889234060343693),
+        [(1.0, 0.46889234060343693), (1.0, 0.3819531038871197),
+         (0.8270619194995996, 0.1681735391374086),
+         (0.038158526921785986, 0.007759098042610269)]),
+    ("ge", 2.0): (0.19622960567652656, (1.4895449968193613, 0.6033881082366728),
+        [(1.0, 0.6033881082366728), (1.0, 0.5578380996767056),
+         (1.0, 0.40752464413223366),
+         (0.3099432250263582, 0.12555247180096252)]),
+    ("ge_B", 1.0): (0.5126883869157433, (4.917907559903564, 1.0),
+        [(1.0, 1.0), (1.0, 0.8145859311661361), (1.0, 0.35866130575086624),
+         (0.08138014554189177, 0.016547717611733143)]),
+    ("ge_B", 2.0): (0.19622960567652656, (2.4686349904580864, 1.0),
+        [(1.0, 1.0), (1.0, 0.9245096017999402), (1.0, 0.6753938941938615),
+         (0.5136714177747537, 0.20807912865216072)]),
+    ("zero", 1.0): (None, (1.0, 1.0),
+        [(1.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]),
+    ("zero", 2.0): (None, (1.0, 1.0),
+        [(1.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]),
+}
+
+
+def test_feedback_delays_pinned_values(two_point, ge_kernel):
+    zero = DiscreteDistribution(np.array([0.0, 1.0, 3.0]),
+                                np.array([0.0, 0.5, 0.5]))
+    cases = {"two_point": (Additive(two_point), 0.25),
+             "ge": (MarkovAdditive(ge_kernel), 0.4),
+             "ge_B": (MarkovAdditive(ge_kernel, "B"), 0.4),
+             "zero": (Additive(zero), 0.45)}     # degenerate: floor 1
+    for (name, m), (theta, prefs, values) in _PINNED_FEEDBACK.items():
+        proc, lam = cases[name]
+        pairs = feedback_delays(proc, ArrivalSpec(lam), _PINNED_D, m)
+        for pair, want in zip(pairs, values):
+            assert tuple(r.value for r in pair) == want, (name, m)
+            assert tuple(r.prefactor for r in pair) == prefs, (name, m)
+            assert all(r.theta_star == theta for r in pair), (name, m)
+
+
 def test_interference_query_makes_one_ruin(monkeypatch):
     calls = []
     ruin = interference.ruin

@@ -14,8 +14,7 @@ from wnc.distributions import DiscreteDistribution
 from wnc.processes import process_mean_rate
 from wnc.simulate import (SimConfig, _slots, cumulative_capacity_samples,
                           empirical_delay_tails, feedback_queue,
-                          lindley_queue, sample_capacity_trace, substream,
-                          tandem_queue)
+                          sample_capacity_trace, substream, tandem_queue)
 
 from conftest import markov_slots_reference
 
@@ -55,27 +54,6 @@ def test_single_state_markov_matches_iid(two_point):
     stat = stats.ks_2samp(m, a).statistic
     critical = 1.9495 * math.sqrt(2.0 / 50_000)
     assert stat < critical
-
-
-def test_lindley_recursion_basics():
-    backlog, delay = lindley_queue(1.0, np.full(10, 2.0))
-    assert np.all(backlog == 0.0)
-    backlog, delay = lindley_queue(1.0, np.zeros(10))
-    np.testing.assert_allclose(backlog, np.arange(11.0))
-    np.testing.assert_allclose(delay, backlog)
-    with pytest.raises(ValidationError):
-        lindley_queue(0.0, np.ones(5))
-
-
-def test_lindley_against_dual_formulation(two_point):
-    # oracle: B(t) = max over s <= t of sum_{i=s+1..t} (lambda - C(i))
-    trace = sample_capacity_trace(Additive(two_point), 200, substream(77, 0))
-    lam = 0.5
-    backlog, _ = lindley_queue(lam, trace)
-    walk = np.concatenate(([0.0], np.cumsum(lam - trace)))
-    for t in (0, 1, 50, 137, 200):
-        oracle = walk[t] - np.min(walk[: t + 1])
-        assert backlog[t] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_empirical_delay_tail_basics(two_point):
