@@ -429,11 +429,15 @@ class FadingMarginal:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValidationError("capacity argument must be nonnegative")
-        if self.is_composite:
-            out = self._grid_law.tail(x)
-        else:
-            out = self.model.sf(self._gain_radius(x))
+        out = self._tail_values(x)
         return float(out) if np.ndim(x) == 0 else out
+
+    def _tail_values(self, x):
+        """P(C > x) on a float array x >= 0, unchecked: the tail cover's
+        refinement reads it once per chunk."""
+        if self.is_composite:
+            return self._grid_law.tail(x)
+        return self.model.sf(self._gain_radius(x))
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -520,14 +524,24 @@ class FadingMarginal:
         return kappa if kappa < _EXP_OVERFLOW else math.inf
 
     def mean(self) -> float:
+        return self._mean
+
+    def var(self) -> float:
+        return self._var
+
+    @cached_property
+    def _mean(self) -> float:
+        """E[C] by the node quadrature, once per marginal."""
         if self.is_composite:
             return float(sum(p.mean() for p in self._parts))
         return self._moment(1)
 
-    def var(self) -> float:
+    @cached_property
+    def _var(self) -> float:
+        """Var C by the node quadrature, once per marginal."""
         if self.is_composite:
             return float(sum(p.var() for p in self._parts))
-        return self._moment(2) - self._moment(1) ** 2
+        return self._moment(2) - self._mean ** 2
 
     def _moment(self, k):
         r, w = self._nodes
@@ -608,7 +622,7 @@ class TailCertificate:
         return self.prefactor_a * np.exp(-self.rate_b * np.asarray(x, dtype=float))
 
 
-def _tail_cover(tail_fn, grid, tails, rate_b: float, log_cap: float):
+def _tail_cover(tail_values, grid, tails, rate_b: float, log_cap: float):
     """(log a, b_cap): tail(x) <= a e^{-b x} on the whole range at b = rate_b.
 
     On a cell [x_k, x_{k+1}] the nonincreasing tail is at most tail(x_k)
@@ -618,30 +632,41 @@ def _tail_cover(tail_fn, grid, tails, rate_b: float, log_cap: float):
     halved until none does, so log a exceeds the supremum over the range
     by at most _COVER_TOL.  The final cells cover the range at every rate;
     b_cap is the largest rate at which all of them stay within log_cap.
-    Cells are refined depth first, _COVER_CHUNK at a time, to bound memory.
+
+    Cells are refined depth first, _COVER_CHUNK at a time, to bound memory:
+    a chunk's halves go on the stack as one entry, and the entry pushed
+    last is checked next.  ``best`` rises as chunks are sampled, so this
+    order decides which cells are halved, and hence the last bits of log a
+    and b_cap.  ``tail_values`` reads the tail unchecked on a float array
+    (every cell lies in the nonnegative fit range).
     """
     with np.errstate(divide="ignore"):
         logs = np.log(tails)
-    best = float(np.max(logs + rate_b * grid))
-    log_a = float(logs[-1] + rate_b * grid[-1])
-    b_cap = float((log_cap - logs[-1]) / grid[-1])
-    stack = [(grid[:-1], grid[1:], logs[:-1])]
-    while stack:
-        left, right, logs = stack.pop()
-        env = logs + rate_b * right
-        loose = env > best + _COVER_TOL
-        log_a = max(log_a, float(np.max(env[~loose], initial=-math.inf)))
-        b_cap = min(b_cap, float(np.min((log_cap - logs[~loose]) / right[~loose],
-                                        initial=math.inf)))
-        left, right, logs = left[loose], right[loose], logs[loose]
-        for i in range(0, left.size, _COVER_CHUNK):
-            lo, hi = left[i:i + _COVER_CHUNK], right[i:i + _COVER_CHUNK]
-            mid = 0.5 * (lo + hi)
-            with np.errstate(divide="ignore"):
-                log_mid = np.log(np.asarray(tail_fn(mid), dtype=float))
-            best = max(best, float(np.max(log_mid + rate_b * mid)))
-            stack.append((np.concatenate((lo, mid)), np.concatenate((mid, hi)),
-                          np.concatenate((logs[i:i + _COVER_CHUNK], log_mid))))
+        best = float(np.max(logs + rate_b * grid))
+        log_a = float(logs[-1] + rate_b * grid[-1])
+        b_cap = float((log_cap - logs[-1]) / grid[-1])
+        stack = [(grid[:-1], grid[1:], logs[:-1])]
+        while stack:
+            left, right, logs = stack.pop()
+            env = logs + rate_b * right
+            loose = env > best + _COVER_TOL
+            halve = np.flatnonzero(loose)
+            if halve.size < loose.size:
+                # reduce over the settled cells by masking the others out,
+                # which is cheaper than selecting the settled ones
+                log_a = max(log_a, float(np.where(loose, -math.inf, env).max()))
+                b_cap = min(b_cap, float(np.where(
+                    loose, math.inf, (log_cap - logs) / right).min()))
+            if halve.size == 0:
+                continue
+            left, right, logs = left.take(halve), right.take(halve), logs.take(halve)
+            for i in range(0, left.size, _COVER_CHUNK):
+                lo, hi = left[i:i + _COVER_CHUNK], right[i:i + _COVER_CHUNK]
+                mid = 0.5 * (lo + hi)
+                log_mid = np.log(tail_values(mid))
+                best = max(best, float((log_mid + rate_b * mid).max()))
+                stack.append((np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+                              np.concatenate((logs[i:i + _COVER_CHUNK], log_mid))))
     return log_a, b_cap
 
 
@@ -671,6 +696,8 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     if grid_n < 16:
         raise ValidationError("grid_n must be >= 16")
     marginal = _as_marginal(spec, model)
+    tail_values = (marginal._tail_values if isinstance(marginal, FadingMarginal)
+                   else marginal.tail)
     grid = np.linspace(x_lo, x_hi, grid_n)
     tails = np.asarray(marginal.tail(grid), dtype=float)
     if np.any(~np.isfinite(tails)):
@@ -680,7 +707,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
         if not np.any(tails > 0):
             a = 1e-300
         else:
-            log_a, b_cap = _tail_cover(marginal.tail, grid, tails, b, log_cap)
+            log_a, b_cap = _tail_cover(tail_values, grid, tails, b, log_cap)
             if log_a > log_cap:
                 b, log_a = b_cap, log_cap
             a = (math.inf if log_a > _EXP_OVERFLOW

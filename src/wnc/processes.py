@@ -400,6 +400,11 @@ def frechet_bounds(marginals, x: float):
     the sup and over-estimates the inf: the returned lower never exceeds
     the exact lower bound and the returned upper never falls below the
     exact upper bound.
+
+    A split depends only on its two marginals, its budget and its side, so
+    each is solved once per distinct (pair, budget, side) within a call:
+    with t copies of one law, as the CLI passes, the polish re-meets the
+    same splits many times.  The memo is local to the call.
     """
     ms = list(marginals)
     t = len(ms)
@@ -419,7 +424,15 @@ def frechet_bounds(marginals, x: float):
     def alloc_value(alloc):
         return sum(float(m.cdf(u)) for m, u in zip(ms, alloc))
 
+    splits = {}
+
     def best_split(i, j, budget, sign):
+        key = (id(ms[i]), id(ms[j]), budget, sign)
+        if key not in splits:
+            splits[key] = solve_split(ms[i], ms[j], budget, sign)
+        return splits[key]
+
+    def solve_split(mi, mj, budget, sign):
         """Best u in [0, budget] for F_i(u) + F_j(budget - u), and its value.
 
         Two lattice laws give a piecewise-constant sum with breakpoints
@@ -428,7 +441,6 @@ def frechet_bounds(marginals, x: float):
         value at its midpoint, so evaluating both sets is exact.  Other
         marginals use the bounded minimiser.
         """
-        mi, mj = ms[i], ms[j]
         if isinstance(mi, DiscreteDistribution) and isinstance(mj, DiscreteDistribution):
             pts = np.concatenate(([0.0, budget], mi.support, budget - mj.support))
             pts = np.unique(pts[(pts >= 0.0) & (pts <= budget)])

@@ -224,6 +224,28 @@ def test_cgf_quadrature_is_built_once_per_part(model, monkeypatch):
     assert calls == {"leggauss": len(parts), "logpdf": 2 * len(parts)}
 
 
+@pytest.mark.parametrize("model", [Rayleigh(), TWO_PART],
+                         ids=lambda m: type(m).__name__)
+def test_moments_are_computed_once_per_marginal(model, monkeypatch):
+    m = capacity_marginal(SPEC, model)
+    parts = m._parts if m.is_composite else [m]
+    calls = {"pdf": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["pdf"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for law in {type(p.model) for p in parts}:
+        monkeypatch.setattr(law, "pdf", counted(law.pdf))
+    first = (m.mean(), m.var())
+    after_first = calls["pdf"]
+    assert after_first == 2 * len(parts)       # E[C] and E[C^2] per part
+    assert (m.mean(), m.var()) == first
+    assert calls["pdf"] == after_first
+
+
 @pytest.mark.parametrize("model,samples", [
     (Rayleigh(), 1_000_000), (Rice(1.0, 0.5), 1_000_000),
     (Nakagami(2.0), 1_000_000), (Weibull(1.0, 0.5), 1_000_000),
@@ -351,3 +373,47 @@ def test_certificate_covers_between_grid_points():
         tail = np.asarray(capacity_marginal(spec, model).tail(fine)
                           if spec is not None else model.tail(fine))
         assert np.all(tail <= cert.bound(fine))
+
+
+# float.hex of (prefactor_a, rate_b, max_violation) of certify_light_tail
+# on [0, x_hi] with the default 256-point grid.  The cover refines its cells
+# in one fixed order, and that order decides the last bits of a.
+CERTIFICATE_PINS = [
+    (SPEC, Rayleigh(), 4.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.e258ecc170592p+0", "-0x1.8a14993800000p-26")),
+    (SPEC, Rayleigh(), 8.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.e258ecc170592p+0", "-0x1.8a14993800000p-26")),
+    (SPEC, Rice(1.0, 0.5), 4.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.6c1530f0ef8b4p+0", "-0x1.1f5c903200000p-21")),
+    (SPEC, Rice(1.0, 0.5), 8.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.6c152873a053ep+0", "-0x1.0512d7ebc7e43p-15")),
+    (SPEC, Nakagami(2.0), 4.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.e697737ef0cffp+0", "-0x1.42055cf508000p-17")),
+    (SPEC, Nakagami(2.0), 8.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.e697607956979p+0", "-0x1.6b527186ed6f8p-21")),
+    (SPEC, Weibull(1.0, 1.5), 4.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.a37b14d845afap+0", "-0x1.1bf4f01688000p-19")),
+    (SPEC, Weibull(1.0, 1.5), 8.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.a37b14d845afap+0", "-0x1.1fd8ef9500000p-19")),
+    (SPEC, Lognormal(0.0, 0.5), 4.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.7f5d37fb304b8p+0", "-0x1.98c575d000000p-24")),
+    (SPEC, Lognormal(0.0, 0.5), 8.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.7f5d37fb304b8p+0", "-0x1.98c575d000000p-24")),
+    (None, DiscreteDistribution(np.array([0.0, 1.0, 2.5]),
+                                np.array([0.2, 0.5, 0.3])), 2.0,
+     ("0x1.5bf0a8b146f52p+1", "0x1.1a1bc7e5ed390p+0", "-0x1.51d0000000000p-42")),
+    (None, DiscreteDistribution(np.array([0.0, 1.0, 2.5]),
+                                np.array([0.2, 0.5, 0.3])), 4.0,
+     ("0x1.1147eaa379f3cp+229", "0x1.0000000000000p+6", "-0x1.b2d4b26bb5cb6p-141")),
+    (SPEC, TWO_PART, 8.0,
+     ("0x1.5bf0a8b146f53p+1", "0x1.8d5fbdd365890p-2", "-0x1.669310f1c4000p-14")),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,model,x_hi,pinned", CERTIFICATE_PINS,
+    ids=[f"{type(m).__name__}-{x_hi:g}" for _, m, x_hi, _ in CERTIFICATE_PINS])
+def test_certificate_bits_are_pinned(spec, model, x_hi, pinned):
+    cert = certify_light_tail(spec, model, 0.0, x_hi)
+    assert (cert.prefactor_a.hex(), cert.rate_b.hex(),
+            cert.max_violation.hex()) == pinned

@@ -1,3 +1,4 @@
+import copy
 import math
 from pathlib import Path
 
@@ -440,6 +441,33 @@ def test_frechet_never_looser_than_continuous_polish(rayleigh_marginal, t):
     lo, up = frechet_bounds(mixed, 2.0)
     ref_lo, ref_up = frechet_polish_reference(mixed, 2.0)
     assert lo >= ref_lo and up <= ref_up
+
+
+@pytest.mark.parametrize("t", [2, 5, 8])
+def test_frechet_memo_matches_unshared_copies(rayleigh_marginal, t):
+    # t references to one law share their splits; t deep copies share none
+    # across pairs, so every pair solves its own
+    two_point = DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+    three_atom = DiscreteDistribution(np.array([0.0, 1.0, 3.0]),
+                                      np.array([0.2, 0.5, 0.3]))
+    for law in (two_point, three_atom, rayleigh_marginal):
+        copies = [copy.deepcopy(law) for _ in range(t)]
+        for x in (0.5, 1.6, 2.4, 6.0):
+            assert frechet_bounds([law] * t, x) == frechet_bounds(copies, x)
+
+
+def test_frechet_solves_each_split_once(rayleigh_marginal, monkeypatch):
+    budgets = []
+    minimize = solve.minimize
+
+    def counted(fn, lo, hi, tol):
+        budgets.append(hi)
+        return minimize(fn, lo, hi, tol)
+
+    monkeypatch.setattr(solve, "minimize", counted)
+    frechet_bounds([rayleigh_marginal] * 8, 1.6)
+    # 21 distinct (budget, side) splits among the 2 x 2 x 28 the polish meets
+    assert len(budgets) == len(set(budgets)) == 21
 
 
 REPO = Path(__file__).resolve().parents[1]
