@@ -14,8 +14,7 @@ from .errors import (HeavyTailError, NumericFailure, UnstableSystemError,
                      ValidationError, WncError)
 from .fading import (ChannelSpec, FadingMarginal, FrequencySelective,
                      Lognormal, Nakagami, Rayleigh, Rice, TailCertificate,
-                     Weibull, capacity_marginal, capacity_quantile,
-                     certify_light_tail, cgf)
+                     Weibull, capacity_marginal, certify_light_tail)
 from .processes import (Additive, AntitheticPairing, BoundReport,
                         CapacityProcess, Comonotonic, MarkovAdditive,
                         MarkovKernel, cdf_bounds, comonotonic_cdf,
@@ -28,5 +27,4 @@ from .interference import (HopChain, e2e_delay_bound, feedback_delay,
                            feedback_delays)
 from .ordering import (OrderVerdict, SampleSet, adjustment_ordering, cx_order,
                        delay_ordering_check, icx_order, st_order)
-from .simulate import (SimConfig, TailEstimate, feedback_queue,
-                       sample_capacity_trace, tandem_queue)
+from .simulate import SimConfig, TailEstimate, feedback_queue, tandem_queue

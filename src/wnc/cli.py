@@ -658,10 +658,9 @@ def run_command(command: str, scenario: dict, seed_override=None,
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, indexed))
+            results = list(pool.map(run_one, indexed))   # in query order
     else:
         results = [run_one(item) for item in indexed]
-    results.sort(key=lambda r: r[0])
     rows = []
     for idx, out, local_meta in results:
         for row in out:
@@ -691,13 +690,20 @@ def _parser():
     return parser
 
 
+def _env_threads() -> int:
+    value = os.environ.get("WNC_THREADS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(
+            f"WNC_THREADS must be an integer, got {value!r}") from None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # read at each call, as the parser is shared
-    threads = (int(os.environ.get("WNC_THREADS", "1")) if args.threads is None
-               else args.threads)
-
     try:
+        # read at each call, as the parser is shared
+        threads = _env_threads() if args.threads is None else args.threads
         scenario = load_scenario(args.scenario)
         rows, meta = run_command(args.command, scenario,
                                  seed_override=args.seed,

@@ -67,8 +67,13 @@ class ArrivalSpec:
 
 @dataclass(frozen=True)
 class LundbergSolution:
+    """The Lundberg root, its kappa residual and h, the right eigenvector
+    at tilt -theta_star ((1,) for an Additive process), taken from the
+    root search's own solve at that tilt."""
+
     theta_star: float
     kappa_residual: float
+    h: Sequence[float] = field(compare=False)
     diagnostics: Optional[solve.SolveInfo] = field(default=None, compare=False)
 
 
@@ -123,8 +128,11 @@ def lundberg_root(process, arrival: ArrivalSpec) -> LundbergSolution:
         # capacity never falls below the drain: the queue never builds
         raise NumericFailure("no positive root: capacity never below drain rate")
 
+    spectra = {}    # theta -> (kappa_C(-theta), h); the search solves each once
+
     def kappa(th):
-        return th * drain + _spectral(process, -th)[0]
+        spectra[th] = _spectral(process, -th)
+        return th * drain + spectra[th][0]
 
     theta, info = solve.positive_root(kappa)
     if theta is None:
@@ -136,7 +144,7 @@ def lundberg_root(process, arrival: ArrivalSpec) -> LundbergSolution:
         raise NumericFailure(
             f"Lundberg residual {info.residual:.3e} exceeds tolerance")
     return LundbergSolution(theta_star=theta, kappa_residual=info.residual,
-                            diagnostics=info)
+                            h=spectra[theta][1], diagnostics=info)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +163,10 @@ def _cramer(y: np.ndarray, m: np.ndarray, theta: float):
     lefts = np.concatenate(([0.0], y[pos][:-1]))         # previous atom or 0
     ratios_lo = tail_geq[pos] * np.exp(theta * lefts) / mexp[pos]
     # exact x = 0 point (includes any atom at 0)
-    k0 = int(np.searchsorted(y, 0.0, side="left"))
-    r0 = tail_geq[k0] / mexp[k0] if k0 < y.size else None
-    c_plus = float(np.max(ratios_up)) if r0 is None else float(max(np.max(ratios_up), r0))
-    c_minus = float(np.min(ratios_lo)) if r0 is None else float(min(np.min(ratios_lo), r0))
+    k0 = int(np.searchsorted(y, 0.0, side="left"))       # < y.size: y[-1] > 0
+    r0 = tail_geq[k0] / mexp[k0]
+    c_plus = float(max(np.max(ratios_up), r0))
+    c_minus = float(min(np.min(ratios_lo), r0))
     return c_minus, min(c_plus, 1.0)
 
 
@@ -237,11 +245,8 @@ def ruin(process, drain: float) -> Ruin:
     if process_mean_rate(process) - drain <= 0:
         return Ruin(None, None, 1.0, 1.0, degenerate=False, unstable=True)
     sol = lundberg_root(process, ArrivalSpec(drain))
-    # the one-state h = (1,) needs no further cgf evaluation
-    h = ((1.0,) if isinstance(process, Additive)
-         else _spectral(process, -sol.theta_star)[1])
-    c_minus, c_plus = _prefactors(process, drain, sol.theta_star, h)
-    return Ruin(sol.theta_star, h, c_minus, c_plus, degenerate=False,
+    c_minus, c_plus = _prefactors(process, drain, sol.theta_star, sol.h)
+    return Ruin(sol.theta_star, sol.h, c_minus, c_plus, degenerate=False,
                 unstable=False, diagnostics=sol.diagnostics)
 
 
@@ -344,14 +349,13 @@ def delay_tail_comonotonic(process: Comonotonic, arrival: ArrivalSpec,
     return float(process.marginal.cdf(arg))
 
 
-def backlog_tail(process, arrival: ArrivalSpec, x: float,
-                 horizon_t: float = math.inf):
+def backlog_tail(process, arrival: ArrivalSpec, x: float):
     """P(B > x) = P(D > x / lambda): delegates to the matching delay op."""
     if x < 0:
         raise ValidationError("x must be nonnegative")
     d = x / arrival.lam
     if isinstance(process, Comonotonic):
-        return delay_tail_comonotonic(process, arrival, d, horizon_t)
+        return delay_tail_comonotonic(process, arrival, d)
     return delay_tail(process, arrival, d)
 
 
@@ -465,11 +469,8 @@ def delay_constrained_capacity(process, d: float, epsilon: float
         """(theta, rate, (C_-, C_+), SolveInfo) at the root for C_- (side 0)
         or C_+ (side 1); theta and the SolveInfo are None when only rates at
         the floor qualify, and None is returned when no rate meets epsilon."""
-        calls = 0
-
+        @solve._Counted
         def excess(th):
-            nonlocal calls
-            calls += 1
             k, c_minus, c_plus, weight = tilt(th)
             c = (c_minus, c_plus)[side] * weight
             return (math.log(c) if c > 0 else -math.inf) + k * d - log_eps
@@ -485,7 +486,7 @@ def delay_constrained_capacity(process, d: float, epsilon: float
         th, info = solve.root(excess, lo, hi)
         k, c_minus, c_plus, _ = tilt(th)
         return th, -k / th, (c_minus, c_plus), solve.SolveInfo(
-            info.bracket, calls, info.residual, info.at_edge)
+            info.bracket, excess.calls, info.residual, info.at_edge)
 
     upper = largest_rate(1)
     lower = largest_rate(0)

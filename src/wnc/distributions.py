@@ -5,7 +5,7 @@ currency of the toolkit: CDFs, tails, quantiles, cumulant generating
 functions, convolutions and the increment laws used by the ruin-theoretic
 prefactors are all evaluated on it.  Continuous capacity laws are reduced
 to this form by ``from_cdf`` (4096 cells spanning the [1e-9, 1-1e-9]
-quantile range by default).
+quantile range).
 """
 
 from __future__ import annotations
@@ -75,31 +75,27 @@ class DiscreteDistribution:
         return self.mass[self.mass > 0]
 
     @cached_property
-    def _suffix(self) -> np.ndarray:
-        # _suffix[i] = P(X >= support[i]); suffix sums avoid 1-CDF cancellation
-        return np.cumsum(self.mass[::-1])[::-1]
+    def _cdf_table(self) -> np.ndarray:
+        # _cdf_table[k] = P(X <= x) for support[k-1] <= x < support[k]
+        return np.concatenate(([0.0], self._cum))
+
+    @cached_property
+    def _tail_table(self) -> np.ndarray:
+        # _tail_table[k] = P(X >= support[k]); suffix sums avoid 1-CDF cancellation
+        return np.concatenate((np.cumsum(self.mass[::-1])[::-1], [0.0]))
 
     # -- basic functionals ----------------------------------------------
 
     def cdf(self, x):
         """P(X <= x), evaluated exactly on the atoms."""
         idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate(([0.0], self._cum))
-        out = padded[idx]
+        out = self._cdf_table[idx]
         return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
     def tail(self, x):
         """P(X > x) via suffix sums (stable deep in the tail)."""
         idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate((self._suffix, [0.0]))
-        out = padded[idx]
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-    def tail_geq(self, x):
-        """P(X >= x)."""
-        idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="left")
-        padded = np.concatenate((self._suffix, [0.0]))
-        out = padded[idx]
+        out = self._tail_table[idx]
         return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
     def quantile(self, p: float) -> float:
@@ -166,12 +162,11 @@ class DiscreteDistribution:
             s, m = s[::-1], m[::-1]
         return DiscreteDistribution(s, m)
 
-    def convolve(self, other: "DiscreteDistribution",
-                 max_atoms: int = 8192) -> "DiscreteDistribution":
+    def convolve(self, other: "DiscreteDistribution") -> "DiscreteDistribution":
         """Law of the independent sum X + Y.
 
         Exact outer-sum when the product of supports is small; otherwise
-        regridded onto ``max_atoms`` uniform cells (mass preserving).
+        regridded onto 8192 uniform cells (mass preserving).
         """
         if self.support.size * other.support.size > 4_000_000:
             a = self.regrid(2048)
@@ -184,8 +179,8 @@ class DiscreteDistribution:
         mass = np.zeros_like(uniq)
         np.add.at(mass, inv, wts)
         out = DiscreteDistribution(uniq, mass)
-        if uniq.size > max_atoms:
-            out = out.regrid(max_atoms)
+        if uniq.size > 8192:
+            out = out.regrid(8192)
         return out
 
     def regrid(self, n: int) -> "DiscreteDistribution":
@@ -215,9 +210,8 @@ class DiscreteDistribution:
         return DiscreteDistribution(np.array([float(c)]), np.array([1.0]))
 
     @staticmethod
-    def from_cdf(cdf_fn, x_lo: float, x_hi: float,
-                 n: int = DEFAULT_GRID_N) -> "DiscreteDistribution":
-        """Discretise a continuous CDF onto an n-node uniform grid.
+    def from_cdf(cdf_fn, x_lo: float, x_hi: float) -> "DiscreteDistribution":
+        """Discretise a continuous CDF onto a DEFAULT_GRID_N-node uniform grid.
 
         Nodes are cell centers; each node receives the CDF increment over
         its cell, with the two edge cells absorbing the clipped tails so
@@ -225,8 +219,8 @@ class DiscreteDistribution:
         """
         if not x_lo < x_hi:
             raise ValidationError("x_lo must be < x_hi")
-        nodes = np.linspace(x_lo, x_hi, n)
-        bounds = np.empty(n + 1)
+        nodes = np.linspace(x_lo, x_hi, DEFAULT_GRID_N)
+        bounds = np.empty(DEFAULT_GRID_N + 1)
         bounds[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
         cvals = np.asarray(cdf_fn(bounds[1:-1]), dtype=float)
         cvals = np.concatenate(([0.0], cvals, [1.0]))

@@ -47,8 +47,7 @@ _RICE_UPPER_Q = 1.0 - 2.0 ** -6   # Rice ppf levels polished on the sf
 __all__ = [
     "ChannelSpec", "Rayleigh", "Rice", "Nakagami", "Weibull", "Lognormal",
     "FrequencySelective", "FadingMarginal", "TailCertificate",
-    "capacity_marginal", "capacity_quantile", "cgf", "certify_light_tail",
-    "rayleigh_capacity_cdf",
+    "capacity_marginal", "certify_light_tail", "rayleigh_capacity_cdf",
 ]
 
 
@@ -592,19 +591,6 @@ def rayleigh_capacity_cdf(spec: ChannelSpec, model: Rayleigh, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-# -- module-level operations ---------------------------------------------
-
-
-def capacity_quantile(spec: ChannelSpec, model, p: float) -> float:
-    """inf{x : F_C(x) >= p} for p in (0,1)."""
-    return _as_marginal(spec, model).quantile(p)
-
-
-def cgf(spec: ChannelSpec, model, theta: float) -> float:
-    """Cumulant generating function of the instantaneous capacity."""
-    return _as_marginal(spec, model).cgf(theta)
-
-
 @dataclass(frozen=True)
 class TailCertificate:
     """Certified exponential tail cover tail(x) <= a * exp(-b x) on fit_range.
@@ -617,9 +603,6 @@ class TailCertificate:
     rate_b: float
     fit_range: tuple
     max_violation: float
-
-    def bound(self, x):
-        return self.prefactor_a * np.exp(-self.rate_b * np.asarray(x, dtype=float))
 
 
 def _tail_cover(tail_values, grid, tails, rate_b: float, log_cap: float):

@@ -149,11 +149,12 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
         # every hop's capacity above the drain: the bound decays in theta
         # forever, and the search runs below the root cap
         theta_max = min(theta_max, solve.ROOT_CAP)
-        theta, _, info = solve.minimize(log_bound, 0.0, theta_max,
-                                        1e-12 * theta_max)
+        theta, log_value, info = solve.minimize(log_bound, 0.0, theta_max,
+                                                1e-12 * theta_max)
     elif theta <= 0:
         raise ValidationError("theta must be positive")
-    log_value = log_bound(theta)
+    else:
+        log_value = log_bound(theta)
     if log_value == math.inf:
         return BoundReport("delay_upper", 1.0, theta, 1.0, math.inf,
                            "bound diverges at this theta", info)

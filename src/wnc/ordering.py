@@ -57,9 +57,9 @@ class SampleSet:
     def n(self) -> int:
         return self.values.size
 
-    def dkw(self, alpha: float = 0.01) -> float:
-        """DKW half-width: P(sup |F_n - F| > eps) <= alpha."""
-        return math.sqrt(math.log(2.0 / alpha) / (2.0 * self.n))
+    def dkw(self) -> float:
+        """DKW half-width of the 99 % band: P(sup |F_n - F| > eps) <= 0.01."""
+        return math.sqrt(math.log(2.0 / 0.01) / (2.0 * self.n))
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class OrderVerdict:
     reason: str = ""
 
 
-def _verdict(relation, violations, tolerances, locations, reason=""):
+def _verdict(relation, violations, tolerances, locations):
     violations = np.asarray(violations, dtype=float)
     tolerances = np.asarray(tolerances, dtype=float)
     worst = int(np.argmax(violations - tolerances))
@@ -87,15 +87,15 @@ def _verdict(relation, violations, tolerances, locations, reason=""):
     else:
         holds = "inconclusive"
         loc = float(locations[worst])
-    return OrderVerdict(relation, holds, max_v, loc, tol, reason)
+    return OrderVerdict(relation, holds, max_v, loc, tol)
 
 
-def st_order(x: SampleSet, y: SampleSet, tol: Optional[float] = None) -> OrderVerdict:
+def st_order(x: SampleSet, y: SampleSet) -> OrderVerdict:
     """Is X <=_st Y, i.e. F_X >= F_Y everywhere, within the DKW band."""
     grid = np.union1d(x.values, y.values)
     fx = np.searchsorted(x.values, grid, side="right") / x.n
     fy = np.searchsorted(y.values, grid, side="right") / y.n
-    tolerance = (x.dkw() + y.dkw()) if tol is None else tol
+    tolerance = x.dkw() + y.dkw()
     violations = fy - fx
     return _verdict("st", violations, np.full(grid.size, tolerance), grid)
 
@@ -117,28 +117,25 @@ def _lower_stop_loss(sample: SampleSet, t_grid: np.ndarray) -> np.ndarray:
     return (t_grid * idx - prefix[idx]) / v.size
 
 
-def _pooled_grid(x: SampleSet, y: SampleSet, n: int = 512) -> np.ndarray:
+def _pooled_grid(x: SampleSet, y: SampleSet) -> np.ndarray:
     lo = min(x.values[0], y.values[0])
     hi = max(x.values[-1], y.values[-1])
     if hi <= lo:
         return np.array([lo])
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, 512)
 
 
-def icx_order(x: SampleSet, y: SampleSet, tol: Optional[float] = None) -> OrderVerdict:
+def icx_order(x: SampleSet, y: SampleSet) -> OrderVerdict:
     """Is X <=_icx Y: stop-loss transforms compared on a 512-point grid."""
     grid = _pooled_grid(x, y)
     slx = stop_loss_curve(x, grid)
     sly = stop_loss_curve(y, grid)
     hi = grid[-1]
-    if tol is None:
-        tolerances = (x.dkw() + y.dkw()) * np.maximum(hi - grid, 0.0) + 1e-12
-    else:
-        tolerances = np.full(grid.size, tol)
+    tolerances = (x.dkw() + y.dkw()) * np.maximum(hi - grid, 0.0) + 1e-12
     return _verdict("icx", slx - sly, tolerances, grid)
 
 
-def cx_order(x: SampleSet, y: SampleSet, tol: Optional[float] = None) -> OrderVerdict:
+def cx_order(x: SampleSet, y: SampleSet) -> OrderVerdict:
     """Is X <=_cx Y: equal means, then icx in both directions."""
     mean_gap = abs(float(x.values.mean()) - float(y.values.mean()))
     mean_tol = 3.0 * (x.values.std(ddof=1) / math.sqrt(x.n)
@@ -149,12 +146,9 @@ def cx_order(x: SampleSet, y: SampleSet, tol: Optional[float] = None) -> OrderVe
     grid = _pooled_grid(x, y)
     up = stop_loss_curve(x, grid) - stop_loss_curve(y, grid)
     down = _lower_stop_loss(x, grid) - _lower_stop_loss(y, grid)
-    if tol is None:
-        band = x.dkw() + y.dkw()
-        tol_up = band * np.maximum(grid[-1] - grid, 0.0) + 1e-12
-        tol_down = band * np.maximum(grid - grid[0], 0.0) + 1e-12
-    else:
-        tol_up = tol_down = np.full(grid.size, tol)
+    band = x.dkw() + y.dkw()
+    tol_up = band * np.maximum(grid[-1] - grid, 0.0) + 1e-12
+    tol_down = band * np.maximum(grid - grid[0], 0.0) + 1e-12
     violations = np.concatenate((up, down))
     tolerances = np.concatenate((tol_up, tol_down))
     locations = np.concatenate((grid, grid))
@@ -196,8 +190,7 @@ class AdjustmentOrdering:
 
 
 def adjustment_ordering(proc_a, proc_b, arrival: ArrivalSpec,
-                        verdict: OrderVerdict,
-                        tol: float = 1e-6) -> AdjustmentOrdering:
+                        verdict: OrderVerdict) -> AdjustmentOrdering:
     """Check S_A <=_cx S_B  =>  theta_B <= theta_A.
 
     The antecedent is the caller's verdict, ``cx_order`` of samples of
@@ -212,7 +205,7 @@ def adjustment_ordering(proc_a, proc_b, arrival: ArrivalSpec,
     if theta_a is None or theta_b is None:
         return AdjustmentOrdering(theta_a, theta_b, verdict, True,
                                   "no positive root: vacuously consistent")
-    consistent = not (theta_b > theta_a + tol)
+    consistent = not (theta_b > theta_a + 1e-6)
     return AdjustmentOrdering(theta_a, theta_b, verdict, consistent)
 
 

@@ -32,7 +32,7 @@ from .processes import (Additive, AntitheticPairing, Comonotonic,
 _BATCH = 1 << 18
 
 __all__ = [
-    "SimConfig", "TailEstimate", "substream", "sample_capacity_trace",
+    "SimConfig", "TailEstimate", "substream",
     "empirical_delay_tails", "feedback_queue",
     "tandem_queue", "cumulative_capacity_samples",
 ]
@@ -48,6 +48,8 @@ class SimConfig:
     warmup: int = -1          # -1: default to horizon // 10
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
         if self.horizon < 1:
@@ -192,24 +194,6 @@ def _slots(process, rng: np.random.Generator, n: int):
 def _threshold_rows(table):
     """Contiguous rows of a threshold table that some u in [0, 1) is above."""
     return [np.ascontiguousarray(row) for row in table if row.min() < 1.0]
-
-
-# ---------------------------------------------------------------------------
-# single-trace operations
-
-
-def sample_capacity_trace(process, horizon: int, stream: np.random.Generator
-                          ) -> np.ndarray:
-    """One capacity trace of ``horizon`` slots.
-
-    Comonotonic traces are constant at F^{-1}(U) for one uniform draw;
-    additive traces are fresh i.i.d. draws; Markov traces follow the chain.
-    Identical stream state reproduces the trace bit-exactly.
-    """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    return np.array([caps[0] for caps in
-                     islice(_slots(process, stream, 1), horizon)])
 
 
 # ---------------------------------------------------------------------------

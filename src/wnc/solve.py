@@ -20,7 +20,9 @@ and two drivers for the convex problems of the tilt:
 
 The iterates of ``root`` and ``minimize`` follow the textbook algorithms
 step for step, so they agree with the usual library implementations of
-the same methods bit for bit (the tests check this).
+the same methods bit for bit (the tests check this).  Every search
+evaluates its objective through a memo, so a point that a driver has
+already evaluated (a bracket end, a probe) is not evaluated again.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class SolveInfo:
     """How a scalar search ended.
 
     bracket      (lo, hi), the interval the final search ran on
-    evaluations  calls of the objective, bracketing steps included
+    evaluations  distinct points at which the objective was evaluated,
+                 bracketing steps included
     residual     for a root, the function value at the returned point; for
                  a minimum, the width of the final interval of uncertainty
     at_edge      the returned point lies at an end of the bracket (within
@@ -70,15 +73,21 @@ class SolveInfo:
 
 
 class _Counted:
-    """f with a call counter."""
+    """f with a memo: each distinct point is evaluated once, and ``calls``
+    counts the distinct points."""
 
     def __init__(self, f: Callable[[float], float]):
         self.f = f
-        self.calls = 0
+        self.seen = {}
+
+    @property
+    def calls(self) -> int:
+        return len(self.seen)
 
     def __call__(self, x: float) -> float:
-        self.calls += 1
-        return self.f(x)
+        if x not in self.seen:
+            self.seen[x] = float(self.f(x))
+        return self.seen[x]
 
 
 def root(f: Callable[[float], float], lo: float, hi: float):
@@ -90,7 +99,7 @@ def root(f: Callable[[float], float], lo: float, hi: float):
     """
     fc = _Counted(f)
     xpre, xcur = float(lo), float(hi)
-    fpre, fcur = float(fc(xpre)), float(fc(xcur))
+    fpre, fcur = fc(xpre), fc(xcur)
 
     def done(x, fx, at_edge):
         return x, SolveInfo((float(lo), float(hi)), fc.calls, fx, at_edge)
@@ -139,7 +148,7 @@ def root(f: Callable[[float], float], lo: float, hi: float):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = float(fc(xcur))
+        fcur = fc(xcur)
     raise NumericFailure(
         f"root search did not converge in {_ROOT_MAXITER} steps")
 
@@ -160,7 +169,7 @@ def minimize(f: Callable[[float], float], lo: float, hi: float,
     fc = _Counted(f)
     a, b = float(lo), float(hi)
     x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = float(fc(x))
+    fx = fw = fv = fc(x)
     step = prev = 0.0
     xm = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
@@ -189,7 +198,7 @@ def minimize(f: Callable[[float], float], lo: float, hi: float,
             prev = (a - x) if x >= xm else (b - x)
             step = _GOLDEN * prev
         u = x + (1.0 if step >= 0 else -1.0) * max(abs(step), tol1)
-        fu = float(fc(u))
+        fu = fc(u)
         if fu <= fx:
             if u >= x:
                 a = x
@@ -261,15 +270,10 @@ def minimize_convex(f: Callable[[float], float]):
     theta still gives a valid bound.
     """
     floor, cap = CONVEX_FLOOR, _CONVEX_CAP
-    seen = {}
-
-    def fm(x):
-        if x not in seen:
-            seen[x] = float(f(x))
-        return seen[x]
+    fm = _Counted(f)
 
     def best():
-        return min((v, k) for k, v in seen.items() if v < math.inf)
+        return min((v, k) for k, v in fm.seen.items() if v < math.inf)
 
     x = 1.0
     while not fm(x) < math.inf:
@@ -291,9 +295,9 @@ def minimize_convex(f: Callable[[float], float]):
         # convexity: no lower value lies beyond a no-better inner probe
         inner = xbest * (1.0 + (_SQRT_EPS if xbest == floor else -_SQRT_EPS))
         if not fm(inner) < fbest:
-            return xbest, fbest, SolveInfo((a, b), len(seen),
+            return xbest, fbest, SolveInfo((a, b), fm.calls,
                                            abs(xbest - inner), True)
     _, _, info = minimize(fm, a, b, _CONVEX_XRTOL * b)
     fbest, xbest = best()
-    return xbest, fbest, SolveInfo((a, b), len(seen), info.residual,
+    return xbest, fbest, SolveInfo((a, b), fm.calls, info.residual,
                                    info.at_edge)

@@ -154,6 +154,28 @@ def test_seed_override_changes_outputs(tmp_path):
     assert o1.read_bytes() != o3.read_bytes()
 
 
+def _one_validation_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: "), err
+    return err[0]
+
+
+def test_negative_seed_override_is_a_validation_error(tmp_path, capsys):
+    # the scenario schema rejects sim.seed < 0; --seed is checked alike
+    doc = dict(BASE, queries=[{"kind": "simulate", "d_slots": [1]}])
+    path = write_scenario(tmp_path, doc)
+    assert main(["simulate", "--scenario", path, "--seed", "-5"]) == 1
+    assert "seed" in _one_validation_line(capsys)
+
+
+def test_non_integer_wnc_threads_is_a_validation_error(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("WNC_THREADS", "abc")
+    doc = dict(BASE, queries=[{"kind": "capacity", "x_grid_bits": [1.0]}])
+    assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    assert "WNC_THREADS" in _one_validation_line(capsys)
+
+
 def test_validate_passes_and_threads_deterministic(tmp_path):
     doc = dict(BASE)
     doc["queries"] = [{"kind": "validate", "d_slots": [1, 2, 5]}]

@@ -12,7 +12,8 @@ from wnc import (Additive, AntitheticPairing, ArrivalSpec, Comonotonic,
                  capacity_marginal, delay_constrained_capacity, delay_tail,
                  delay_tail_comonotonic, feedback_delay, lundberg_root,
                  stability_margin)
-from wnc import cli, delay
+from wnc import (HopChain, cdf_bounds, cli, delay, e2e_delay_bound,
+                 feedback_delays, processes)
 from wnc.delay import (cramer_prefactors, delay_tail_markov_detail,
                        delay_tails)
 from wnc.distributions import DiscreteDistribution
@@ -475,6 +476,58 @@ def test_dcc_outputs_pinned(name, two_point, ge_kernel, full_kernel,
             assert info.bracket[0] < info.bracket[1]
     else:
         assert ends == (None, None)
+
+
+def _record_tilts(monkeypatch, process):
+    """The tilts a query solves: theta of each ``_spectral`` solve for a
+    Markov process, (law, theta) of each cgf call for an Additive one (the
+    end-to-end bound calls the cgf directly)."""
+    calls = []
+    if isinstance(process, MarkovAdditive):
+        def counted(proc, theta):
+            calls.append(theta)
+            return _spectral(proc, theta)
+        monkeypatch.setattr(delay, "_spectral", counted)
+        monkeypatch.setattr(processes, "_spectral", counted)
+    else:
+        law_type = type(process.marginal)
+        cgf = law_type.cgf
+
+        def counted(law, theta):
+            calls.append((id(law), theta))
+            return cgf(law, theta)
+        monkeypatch.setattr(law_type, "cgf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_DCC_PINNED))
+def test_each_query_solves_each_tilt_once(name, two_point, ge_kernel,
+                                          full_kernel, rayleigh_marginal,
+                                          monkeypatch):
+    proc = _dcc_process(name, two_point, ge_kernel, full_kernel,
+                        rayleigh_marginal)
+    lam = 0.3 * process_mean_rate(proc)
+    arrival = ArrivalSpec(lam)
+    mean_sum = 8 * process_mean_rate(proc)
+    queries = {
+        "delay_tails": lambda: delay_tails(proc, arrival, [1.0, 5.0, 10.0]),
+        "feedback_delays": lambda: feedback_delays(proc, arrival,
+                                                   [1.0, 5.0, 10.0]),
+        "cdf_bounds below the mean": lambda: cdf_bounds(proc, 8,
+                                                        0.5 * mean_sum),
+        "cdf_bounds above the mean": lambda: cdf_bounds(proc, 8,
+                                                        1.5 * mean_sum),
+        "delay_constrained_capacity":
+            lambda: delay_constrained_capacity(proc, 10.0, 1e-2),
+    }
+    if isinstance(proc, Additive):
+        queries["e2e_delay_bound"] = lambda: e2e_delay_bound(
+            HopChain((proc, proc)), arrival, 10.0)
+    calls = _record_tilts(monkeypatch, proc)
+    for query, run in queries.items():
+        calls.clear()
+        run()
+        assert calls and len(calls) == len(set(calls)), (query, calls)
 
 
 def test_dcc_solve_counts(two_point, ge_kernel, monkeypatch):

@@ -25,7 +25,6 @@ def test_cdf_tail_quantile(two_point):
     assert two_point.cdf(2.0) == 1.0
     assert two_point.tail(0.0) == 0.5
     assert two_point.tail(2.0) == 0.0
-    assert two_point.tail_geq(2.0) == 0.5
     assert two_point.quantile(0.25) == 0.0
     assert two_point.quantile(0.75) == 2.0
     with pytest.raises(ValidationError):
@@ -78,7 +77,7 @@ def test_convolution_exact_on_atoms(two_point):
 
 
 def test_from_cdf_uniform_moments():
-    law = DiscreteDistribution.from_cdf(lambda x: np.clip(x, 0, 1), 0.0, 1.0, 4096)
+    law = DiscreteDistribution.from_cdf(lambda x: np.clip(x, 0, 1), 0.0, 1.0)
     assert law.mass.sum() == pytest.approx(1.0, abs=1e-12)
     assert law.mean() == pytest.approx(0.5, abs=1e-6)
     assert law.var() == pytest.approx(1.0 / 12.0, rel=1e-3)

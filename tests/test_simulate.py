@@ -13,10 +13,16 @@ from wnc import (Additive, AntitheticPairing, ArrivalSpec, ChannelSpec,
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import process_mean_rate
 from wnc.simulate import (SimConfig, _slots, cumulative_capacity_samples,
-                          empirical_delay_tails, feedback_queue,
-                          sample_capacity_trace, substream, tandem_queue)
+                          empirical_delay_tails, feedback_queue, substream,
+                          tandem_queue)
 
 from conftest import markov_slots_reference
+
+
+def sample_capacity_trace(process, horizon, stream):
+    """One capacity trace of ``horizon`` slots, read off a one-run stream."""
+    return np.array([caps[0] for caps in
+                     islice(_slots(process, stream, 1), horizon)])
 
 
 def test_sim_config_validation():
@@ -24,6 +30,8 @@ def test_sim_config_validation():
         SimConfig(seed=1, runs=0, horizon=10)
     with pytest.raises(ValidationError):
         SimConfig(seed=1, runs=1, horizon=10, warmup=10)
+    with pytest.raises(ValidationError):
+        SimConfig(seed=-1, runs=1, horizon=10)
     cfg = SimConfig(seed=1, runs=1, horizon=100)
     assert cfg.warmup == 10 and cfg.window == 90
 
