@@ -22,7 +22,9 @@ Rice (noncentral chi-square), Nakagami (regularised gamma) and Lognormal
 Rayleigh, Weibull, Markov or discrete channel loads no scipy module.
 All five named laws give light-tailed capacity; `certify_light_tail`
 produces an explicit (a, b) pair with tail(x) <= a*exp(-b*x) on all of
-the fit range [x_lo, x_hi].
+the fit range [x_lo, x_hi].  Each law says whether its power H^2 has a
+log-concave survival function (``power_sf_log_concave``); where it does,
+the capacity log tail is concave and the certificate is cheap.
 """
 
 from __future__ import annotations
@@ -83,7 +85,12 @@ class _ScaledGain:
     to exp of ``_logpdf``).  The formulas hold at r = 0 and r = inf and at
     q = 0 and q = 1, so no argument is masked; the ppf forms stay accurate
     at the 2^-50 and 1 - 2^-40 levels that ``FadingMarginal._slices`` reads.
+
+    ``power_sf_log_concave`` says whether the power H^2 has a log-concave
+    survival function; a law sets it only where that is proven.
     """
+
+    power_sf_log_concave = False
 
     def cdf(self, r):
         with np.errstate(divide="ignore"):
@@ -115,6 +122,8 @@ class _ScaledGain:
 @dataclass(frozen=True)
 class Rayleigh(_ScaledGain):
     sigma: float = 1.0 / math.sqrt(2.0)
+
+    power_sf_log_concave = True       # H^2 is exponential
 
     def __post_init__(self):
         _require_positive("sigma", self.sigma)
@@ -237,6 +246,11 @@ class Nakagami(_ScaledGain):
     def _scale(self):
         return math.sqrt(self.omega)
 
+    @property
+    def power_sf_log_concave(self):
+        # a Gamma(m) survival function is log-concave exactly for m >= 1
+        return self.m >= 1.0
+
     def _cdf(self, z):
         return _special().gammainc(self.m, self.m * z * z)
 
@@ -269,6 +283,11 @@ class Weibull(_ScaledGain):
     @property
     def _scale(self):
         return self.c ** (-1.0 / self.k)
+
+    @property
+    def power_sf_log_concave(self):
+        # P(H^2 > p) = exp(-c p^(k/2)), log-concave exactly for k >= 2
+        return self.k >= 2.0
 
     def _cdf(self, z):
         return -np.expm1(-z ** self.k)
@@ -381,6 +400,12 @@ class FadingMarginal:
     @property
     def is_composite(self) -> bool:
         return self._parts is not None
+
+    @property
+    def log_concave_tail(self) -> bool:
+        """Whether log P(C > x) is concave: log P(H^2 > p) is concave and
+        nonincreasing, and p = (2^(x/W) - 1) / gamma is convex in x."""
+        return not self.is_composite and self.model.power_sf_log_concave
 
     @cached_property
     def _grid_law(self) -> DiscreteDistribution:
@@ -615,6 +640,10 @@ def _tail_cover(tail_values, grid, tails, rate_b: float, log_cap: float):
     halved until none does, so log a exceeds the supremum over the range
     by at most _COVER_TOL.  The final cells cover the range at every rate;
     b_cap is the largest rate at which all of them stay within log_cap.
+    This bound is only first-order tight, so cells near the supremum are
+    halved ~28 times; it needs nothing but a nonincreasing tail, and so it
+    is the cover of every law whose log tail is not known to be concave
+    (``_concave_cover`` serves the others).
 
     Cells are refined depth first, _COVER_CHUNK at a time, to bound memory:
     a chunk's halves go on the stack as one entry, and the entry pushed
@@ -653,6 +682,72 @@ def _tail_cover(tail_values, grid, tails, rate_b: float, log_cap: float):
     return log_a, b_cap
 
 
+def _concave_cover(tail_values, grid, tails, rate_b: float, log_cap: float):
+    """``_tail_cover`` for a tail whose log L = log tail(x) is concave.
+
+    A concave L lies below each secant line extended beyond its cell.  On a
+    cell [x_k, x_{k+1}], L is thus at most the lower of two lines: the left
+    neighbour's secant extended to the right (on the first cell the constant
+    L(x_k), as L is nonincreasing) and the right neighbour's secant extended
+    to the left (none on the last cell).  So L + b x is at most its largest
+    value at x_k, at x_{k+1} and where the lines cross, clipped into the
+    cell; the lines do not depend on b, so the same three points give b_cap.
+    That bound is second-order tight, and a loose cell settles after a few
+    halvings, where the monotone bound L(x_k) + b x_{k+1} needs ~28.
+
+    A cell keeps the monotone bound where that is within _COVER_TOL of the
+    best sampled value, which settles every cell away from the supremum, and
+    where any point its secants read has a subnormal or zero tail: there the
+    computed L is not concave.  All loose cells are halved at once.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, logs = grid, np.log(tails)
+        tiny = np.finfo(float).tiny
+        normal = tails >= tiny
+        best = float(np.max(logs + rate_b * x))
+        while True:
+            left, right, l0, l1 = x[:-1], x[1:], logs[:-1], logs[1:]
+            env = l0 + rate_b * right
+            cap = (log_cap - l0) / right
+            # the points x_{k-1} .. x_{k+2} that cell k's secants read
+            read = np.concatenate(([True], normal, [True]))
+            secant = ((env > best + _COVER_TOL) & read[:-3] & read[1:-2]
+                      & read[2:-1] & read[3:])
+            k = np.flatnonzero(secant)
+            if k.size:
+                h = right[k] - left[k]
+                slope = np.diff(logs) / np.diff(x)
+                s1 = np.where(k > 0, slope[k - 1], 0.0)
+                last = k == slope.size - 1
+                s2 = slope[np.minimum(k + 1, slope.size - 1)]
+                # where the lines cross, as an offset from x_k; the lines
+                # anchor on the cell's own ends, so each is exact there
+                u = np.fmin(np.fmax((l1[k] - l0[k] - s2 * h) / (s1 - s2), 0.0), h)
+                u[last] = h[last]
+                top = np.where(last, l0[k] + s1 * h, np.minimum(
+                    l0[k] + s1 * u, l1[k] + s2 * (u - h)))
+                c = left[k] + u
+                env[k] = np.maximum(np.maximum(l0[k] + rate_b * left[k],
+                                               l1[k] + rate_b * right[k]),
+                                    top + rate_b * c)
+                cap[k] = np.minimum(np.minimum((log_cap - l0[k]) / left[k],
+                                               (log_cap - l1[k]) / right[k]),
+                                    (log_cap - top) / c)
+            loose = np.flatnonzero(env > best + _COVER_TOL)
+            if loose.size == 0:
+                break
+            mid = 0.5 * (left[loose] + right[loose])
+            tail_mid = tail_values(mid)
+            log_mid = np.log(tail_mid)
+            best = max(best, float((log_mid + rate_b * mid).max()))
+            x = np.insert(x, loose + 1, mid)
+            logs = np.insert(logs, loose + 1, log_mid)
+            normal = np.insert(normal, loose + 1, tail_mid >= tiny)
+        log_a = max(float(env.max()), float(logs[-1] + rate_b * x[-1]))
+        b_cap = min(float(cap.min()), float((log_cap - logs[-1]) / x[-1]))
+    return log_a, b_cap
+
+
 def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
                        grid_n: int = 256, rate: float | None = None
                        ) -> TailCertificate:
@@ -669,8 +764,14 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     skipped and the certificate is fitted at that rate.
 
     The certified prefactor covers the tail on all of [x_lo, x_hi], not
-    only at the grid points (see ``_tail_cover``).  A searched rate is
-    lowered, where needed, so that this prefactor stays within the cap.
+    only at the grid points.  Where the power H^2 of a single channel has a
+    log-concave survival function (Rayleigh, Nakagami m >= 1, Weibull
+    k >= 2), the capacity log tail is concave, as a concave nonincreasing
+    function of the convex p = (2^(x/W) - 1) / gamma; its cover bounds
+    each cell by secant lines (``_concave_cover``), which reads a few dozen
+    tail values.  Every other law takes the monotone cover (``_tail_cover``).
+    A searched rate is lowered, where needed, so that the certified
+    prefactor stays within the cap.
 
     Raises HeavyTailError when no b > 1e-8 is accepted.
     """
@@ -679,8 +780,10 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     if grid_n < 16:
         raise ValidationError("grid_n must be >= 16")
     marginal = _as_marginal(spec, model)
-    tail_values = (marginal._tail_values if isinstance(marginal, FadingMarginal)
-                   else marginal.tail)
+    fading = isinstance(marginal, FadingMarginal)
+    tail_values = marginal._tail_values if fading else marginal.tail
+    cover = (_concave_cover if fading and marginal.log_concave_tail
+             else _tail_cover)
     grid = np.linspace(x_lo, x_hi, grid_n)
     tails = np.asarray(marginal.tail(grid), dtype=float)
     if np.any(~np.isfinite(tails)):
@@ -690,7 +793,7 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
         if not np.any(tails > 0):
             a = 1e-300
         else:
-            log_a, b_cap = _tail_cover(tail_values, grid, tails, b, log_cap)
+            log_a, b_cap = cover(tail_values, grid, tails, b, log_cap)
             if log_a > log_cap:
                 b, log_a = b_cap, log_cap
             a = (math.inf if log_a > _EXP_OVERFLOW

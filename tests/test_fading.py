@@ -8,7 +8,8 @@ from wnc import (ChannelSpec, FrequencySelective, HeavyTailError, Lognormal,
                  Nakagami, Rayleigh, Rice, ValidationError, Weibull,
                  capacity_marginal, certify_light_tail, frechet_bounds)
 from wnc.distributions import DiscreteDistribution
-from wnc.fading import rayleigh_capacity_cdf
+from wnc import fading
+from wnc.fading import FadingMarginal, rayleigh_capacity_cdf
 
 from conftest import (cdf_generic, exponential_tail_law, fading_cgf_reference,
                       fading_moment_reference, scipy_gain_law)
@@ -377,20 +378,22 @@ def test_certificate_covers_between_grid_points():
 
 # float.hex of (prefactor_a, rate_b, max_violation) of certify_light_tail
 # on [0, x_hi] with the default 256-point grid.  The cover refines its cells
-# in one fixed order, and that order decides the last bits of a.
+# in one fixed order, and that order decides the last bits of a.  Rayleigh
+# and Nakagami(2) take the secant cover of a concave log tail; the others
+# take the monotone cover.
 CERTIFICATE_PINS = [
     (SPEC, Rayleigh(), 4.0,
-     ("0x1.5bf0a8b146f53p+1", "0x1.e258ecc170592p+0", "-0x1.8a14993800000p-26")),
+     ("0x1.5bf0a8b146f53p+1", "0x1.e258ecc1ec684p+0", "-0x1.89943fb000000p-26")),
     (SPEC, Rayleigh(), 8.0,
-     ("0x1.5bf0a8b146f53p+1", "0x1.e258ecc170592p+0", "-0x1.8a14993800000p-26")),
+     ("0x1.5bf0a8b146f53p+1", "0x1.e258ecc1ec684p+0", "-0x1.89943fb000000p-26")),
     (SPEC, Rice(1.0, 0.5), 4.0,
      ("0x1.5bf0a8b146f53p+1", "0x1.6c1530f0ef8b4p+0", "-0x1.1f5c903200000p-21")),
     (SPEC, Rice(1.0, 0.5), 8.0,
      ("0x1.5bf0a8b146f53p+1", "0x1.6c152873a053ep+0", "-0x1.0512d7ebc7e43p-15")),
     (SPEC, Nakagami(2.0), 4.0,
-     ("0x1.5bf0a8b146f53p+1", "0x1.e697737ef0cffp+0", "-0x1.42055cf508000p-17")),
+     ("0x1.5bf0a8b146f53p+1", "0x1.e697747a2aba6p+0", "-0x1.413cd88038000p-17")),
     (SPEC, Nakagami(2.0), 8.0,
-     ("0x1.5bf0a8b146f53p+1", "0x1.e697607956979p+0", "-0x1.6b527186ed6f8p-21")),
+     ("0x1.5bf0a8b146f53p+1", "0x1.e69774731e32fp+0", "-0x1.6b518eba4d013p-21")),
     (SPEC, Weibull(1.0, 1.5), 4.0,
      ("0x1.5bf0a8b146f53p+1", "0x1.a37b14d845afap+0", "-0x1.1bf4f01688000p-19")),
     (SPEC, Weibull(1.0, 1.5), 8.0,
@@ -417,3 +420,142 @@ def test_certificate_bits_are_pinned(spec, model, x_hi, pinned):
     cert = certify_light_tail(spec, model, 0.0, x_hi)
     assert (cert.prefactor_a.hex(), cert.rate_b.hex(),
             cert.max_violation.hex()) == pinned
+
+
+# the secant cover of a concave log tail: the laws whose power has a
+# log-concave survival function, and laws that lack it
+CONCAVE_LAWS = [Rayleigh(), Rayleigh(0.3), Nakagami(1.0), Nakagami(2.0),
+                Nakagami(4.0), Weibull(1.0, 2.0), Weibull(1.0, 3.0)]
+NOT_CONCAVE_LAWS = [Nakagami(0.5), Weibull(1.0, 1.0), Weibull(1.0, 1.5),
+                    Lognormal(0.0, 1.0)]
+E_LN2 = math.e * math.log(2.0)
+
+
+def log_tail_sup(marginal, rate_b, x_hi):
+    """sup of log tail(x) + b x on [0, x_hi]: a 200001-point grid, then a
+    20001-point grid over the two cells around its best point."""
+    fine = np.linspace(0.0, x_hi, 200_001)
+    with np.errstate(divide="ignore"):
+        score = np.log(marginal.tail(fine)) + rate_b * fine
+        i = int(np.argmax(score))
+        near = np.linspace(fine[max(i - 1, 0)], fine[min(i + 1, fine.size - 1)],
+                           20_001)
+        return max(float(score[i]),
+                   float(np.max(np.log(marginal.tail(near)) + rate_b * near)))
+
+
+@pytest.mark.parametrize("rate", [None, E_LN2, 0.5])
+@pytest.mark.parametrize("x_hi", [4.0, 8.0, 20.0])
+@pytest.mark.parametrize("model", CONCAVE_LAWS, ids=repr)
+def test_concave_cover_is_rigorous_and_tight(model, x_hi, rate):
+    marginal = capacity_marginal(SPEC, model)
+    assert marginal.log_concave_tail
+    cert = certify_light_tail(SPEC, model, 0.0, x_hi, rate=rate)
+    fine = np.linspace(0.0, x_hi, 200_001)
+    assert np.all(marginal.tail(fine)
+                  <= cert.prefactor_a * np.exp(-cert.rate_b * fine))
+    if rate is None:
+        # a searched rate is lowered until a meets the cap e, so the cover
+        # itself is checked at that rate
+        assert cert.prefactor_a == math.e * (1.0 + 1e-12)
+        grid = np.linspace(0.0, x_hi, 256)
+        log_a, _ = fading._concave_cover(marginal._tail_values, grid,
+                                         marginal.tail(grid), cert.rate_b,
+                                         math.inf)
+    else:
+        log_a = math.log(cert.prefactor_a)
+    gap = log_a - log_tail_sup(marginal, cert.rate_b, x_hi)
+    assert 0.0 <= gap <= fading._COVER_TOL + 1e-11
+
+
+@pytest.mark.parametrize("x_lo,x_hi", [(1.43, 8.0), (0.0, 1.445)])
+def test_concave_cover_with_the_peak_in_an_end_cell(x_lo, x_hi):
+    # at b = e ln 2 the Rayleigh log tail + b x peaks at log2(e) = 1.4427,
+    # inside the first cell of [1.43, 8] and the last cell of [0, 1.445]
+    marginal = capacity_marginal(SPEC, Rayleigh())
+    grid = np.linspace(x_lo, x_hi, 256)
+    log_a, _ = fading._concave_cover(marginal._tail_values, grid,
+                                     marginal.tail(grid), E_LN2, math.inf)
+    near = np.linspace(1.44, 1.445, 200_001)
+    gap = log_a - float(np.max(np.log(marginal.tail(near)) + E_LN2 * near))
+    assert 0.0 <= gap <= fading._COVER_TOL + 1e-11
+
+
+@pytest.mark.parametrize("x_hi", [4.0, 8.0])
+def test_concave_cover_meets_rayleigh_closed_form(x_hi):
+    # at W = gamma = 1, sup log tail(x) + b x = 1 - b/ln2 + (b/ln2) log(b/ln2),
+    # which meets the cap log e at b = e ln 2
+    cert = certify_light_tail(SPEC, Rayleigh(), 0.0, x_hi)
+    assert E_LN2 - 1e-9 <= cert.rate_b <= E_LN2
+
+
+@pytest.mark.parametrize("model,x_hi,parent_b", [
+    (Rayleigh(), 4.0, "0x1.e258ecc170592p+0"),
+    (Rayleigh(), 8.0, "0x1.e258ecc170592p+0"),
+    (Nakagami(2.0), 4.0, "0x1.e697737ef0cffp+0"),
+    (Nakagami(2.0), 8.0, "0x1.e697607956979p+0"),
+])
+def test_concave_cover_rate_never_below_monotone_cover(model, x_hi, parent_b):
+    # the rates the monotone cover searched for these laws
+    cert = certify_light_tail(SPEC, model, 0.0, x_hi)
+    assert cert.rate_b >= float.fromhex(parent_b)
+
+
+def test_concave_cover_reads_few_points(monkeypatch):
+    read = []
+    tail_values = FadingMarginal._tail_values
+
+    def counted(self, x):
+        read.append(np.size(x))
+        return tail_values(self, x)
+
+    monkeypatch.setattr(FadingMarginal, "_tail_values", counted)
+    certify_light_tail(SPEC, Rayleigh(), 0.0, 8.0)
+    # the monotone cover reads ~646k points here
+    assert sum(read) - 256 <= 100
+
+
+@pytest.mark.parametrize("rate", [760.0, 3000.0])
+def test_concave_cover_where_the_tail_underflows(rate):
+    # at these rates L + b x peaks where the Weibull(1, 3) tail is subnormal
+    # (x ~ 6.4) or at the last point before it underflows to 0; there the
+    # computed log tail is not concave, and a secant through a zero tail
+    # reads -inf - -inf
+    marginal = capacity_marginal(SPEC, Weibull(1.0, 3.0))
+    grid = np.linspace(0.0, 8.0, 256)
+    log_a, b_cap = fading._concave_cover(marginal._tail_values, grid,
+                                         marginal.tail(grid), rate, math.inf)
+    fine = np.linspace(0.0, 8.0, 200_001)
+    with np.errstate(divide="ignore"):
+        dense = np.max(np.log(marginal.tail(fine)) + rate * fine)
+    assert math.isfinite(log_a) and log_a >= dense
+    assert b_cap == math.inf
+
+
+def second_differences(model, x_hi=8.0, n=8001):
+    """Second differences of the computed log tail on n points of [0, x_hi],
+    where all three points have a tail of at least 1e-300."""
+    x = np.linspace(0.0, x_hi, n)
+    tail = capacity_marginal(SPEC, model).tail(x)
+    normal = (tail[:-2] >= 1e-300) & (tail[1:-1] >= 1e-300) & (tail[2:] >= 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.diff(np.log(tail), 2)[normal]
+
+
+@pytest.mark.parametrize("model", CONCAVE_LAWS, ids=repr)
+def test_flagged_laws_have_a_concave_log_tail(model):
+    assert np.max(second_differences(model)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", NOT_CONCAVE_LAWS + [Rice(1.0, 0.5)], ids=repr)
+def test_unflagged_laws_take_the_monotone_cover(model):
+    assert not capacity_marginal(SPEC, model).log_concave_tail
+    if not isinstance(model, Rice):
+        # the gate is needed: these log tails bend upwards somewhere
+        assert np.max(second_differences(model)) > 1e-6
+
+
+def test_composite_laws_take_the_monotone_cover():
+    assert not capacity_marginal(SPEC, TWO_PART).log_concave_tail
+    single = FrequencySelective(((SPEC, Rayleigh()),))
+    assert capacity_marginal(SPEC, single).log_concave_tail

@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# every entry of tools/unreached.py is kept on purpose (ROADMAP, "Library
+# code that only tests reach"); a change that removes one updates this list
+KEPT_UNREACHED = [
+    "name   wnc.delay.cramer_prefactors",
+    "name   wnc.delay.backlog_tail",
+    "name   wnc.distributions.DiscreteDistribution.affine",
+    "name   wnc.distributions.DiscreteDistribution.convolve",
+    "name   wnc.interference.feedback_delay",
+    "name   wnc.ordering.st_order",
+    "name   wnc.ordering.icx_order",
+    "name   wnc.ordering.delay_ordering_check",
+    "param  wnc.distributions.DiscreteDistribution.affine(shift)",
+    "param  wnc.distributions.DiscreteDistribution.affine(scale)",
+    "param  wnc.fading.certify_light_tail(grid_n)",
+    "param  wnc.fading.certify_light_tail(rate)",
+    "param  wnc.interference.feedback_delay(multiplier)",
+    "param  wnc.interference.feedback_delay(improved)",
+    "param  wnc.interference.e2e_delay_bound(theta)",
+    "param  wnc.ordering.delay_ordering_check(dcc_d)",
+    "param  wnc.ordering.delay_ordering_check(dcc_eps)",
+]
+
+
+def test_unreached_lists_only_the_entries_kept_on_purpose():
+    run = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "unreached.py")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == KEPT_UNREACHED
+    # the counts line goes to stderr
+    assert run.stderr.startswith("8 of ") and ", 9 of " in run.stderr
