@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -364,6 +364,15 @@ class FrequencySelective:
 _SIMPLE_MODELS = (Rayleigh, Rice, Nakagami, Weibull, Lognormal)
 
 
+@cache
+def _legendre_rule():
+    """The 64-point Gauss-Legendre rule on [-1, 1], built on first use."""
+    nodes, weights = leggauss(64)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 class FadingMarginal:
     """Instantaneous-capacity law of a (ChannelSpec, FadingModel) pair.
 
@@ -509,8 +518,13 @@ class FadingMarginal:
 
     @cached_property
     def _nodes(self):
-        """Gauss-Legendre nodes r and weights w, 64 per slice."""
-        nodes, weights = leggauss(64)
+        """Gauss-Legendre nodes r and weights w, 64 per slice.
+
+        The 64-point rule on [-1, 1] is the same for every marginal, so
+        ``_legendre_rule`` builds it once per process and each marginal
+        only maps it onto its slices.
+        """
+        nodes, weights = _legendre_rule()
         edges = self._slices
         a, b = edges[:-1], edges[1:]
         half = 0.5 * (b - a)

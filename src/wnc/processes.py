@@ -380,6 +380,45 @@ def _grid_allocation(fvals, grid, sign):
 # budget grid cells of the allocation DP, and pairwise polish passes after it
 _FRECHET_BUDGET_CELLS = 256
 _FRECHET_POLISH_PASSES = 2
+# Slack of the hull certificate of ``frechet_bounds``.  The search's value
+# is a float sum of t <= 8 cdf values, each at most 1, so it rounds by less
+# than 1e-14; a computed cdf may fall by an ulp where it should rise, and
+# its array and scalar forms may differ by an ulp; the hull's chords round
+# too.  1e-9 exceeds each of these by orders of magnitude.
+_HULL_MARGIN = 1e-9
+# The search's shares sum to x only up to the rounding of its sums, below
+# 1e-13 relative, so the majorant takes its last value this far past x.
+_HULL_REACH = 2.0 ** -40
+
+
+def _hull_at(a, b, p, sign):
+    """Concave majorant (sign +1) or convex minorant (sign -1) of the points
+    (a_k, b_k) at p, for sorted distinct a with a[0] < p < a[-1]: the best
+    chord between a point left of p and one right of it, or a point at p."""
+    left, right = np.searchsorted(a, p, "left"), np.searchsorted(a, p, "right")
+    al, bl = a[:left, None], b[:left, None]
+    chords = bl + (b[right:] - bl) * ((p - al) / (a[right:] - al))
+    return sign * max(float(np.max(sign * chords)),
+                      float(np.max(sign * b[left:right], initial=-np.inf)))
+
+
+def _frechet_hulls(law, grid, f, t):
+    """Jensen bounds (hi, lo) with lo <= sum_i F(u_i) <= hi for every split
+    of x = grid[-1] into t shares u_i >= 0, from f = F(grid).
+
+    On a cell [g_k, g_{k+1}], F(g_k) <= F <= F(g_{k+1}), as F is
+    nondecreasing.  So the concave majorant G^ of the points
+    (g_k, F(g_{k+1})), k < n - 1, and (x, F(x+)) lies above F on [0, x];
+    it is nondecreasing, so held at its value at x it also covers
+    [x, x+], with x+ = x (1 + _HULL_REACH).  The convex minorant G_ of
+    (0, F(0)) and the points (g_{k+1}, F(g_k)) lies below F on [0, x].
+    By Jensen, hi = t G^(x/t) and lo = t G_(x/t).
+    """
+    x = float(grid[-1])
+    beyond = float(law.cdf(x + x * _HULL_REACH))
+    hi = t * _hull_at(grid, np.append(f[1:], beyond), x / t, +1.0)
+    lo = t * _hull_at(grid, np.concatenate((f[:1], f[:-1])), x / t, -1.0)
+    return hi, lo
 
 
 def frechet_bounds(marginals, x: float):
@@ -405,6 +444,18 @@ def frechet_bounds(marginals, x: float):
     each is solved once per distinct (pair, budget, side) within a call:
     with t copies of one law, as the CLI passes, the polish re-meets the
     same splits many times.  The memo is local to the call.
+
+    Before a side searches, a hull certificate tries to prove it trivial.
+    When the t marginals are one object, ``_frechet_hulls`` bounds every
+    split's sum between t G_(x/t) and t G^(x/t), from the budget-grid
+    values the search reads anyway.  If t G^(x/t) <= t - 1 - _HULL_MARGIN,
+    every allocation the search could return has a sum below t - 1, so
+    lower is exactly 0.0; if t G_(x/t) >= 1 + _HULL_MARGIN, every sum is
+    above 1, so upper is exactly 1.0.  A decided side returns that float
+    and runs neither the DP nor the polish; the margin exceeds every
+    rounding between the two computations, so the output bits are those
+    of the search.  Mixed marginals, and equal laws passed as distinct
+    objects, always search.
     """
     ms = list(marginals)
     t = len(ms)
@@ -470,12 +521,16 @@ def frechet_bounds(marginals, x: float):
                         alloc[i], alloc[j] = cand, budget - cand
         return alloc
 
+    def search(sign):
+        return alloc_value(polish(_grid_allocation(fvals, grid, sign), sign))
+
     grid = np.linspace(0.0, x, _FRECHET_BUDGET_CELLS + 1)
     fvals = [np.asarray(m.cdf(grid), dtype=float) for m in ms]
-    sup_alloc = polish(_grid_allocation(fvals, grid, +1.0), +1.0)
-    inf_alloc = polish(_grid_allocation(fvals, grid, -1.0), -1.0)
-    lower = max(0.0, alloc_value(sup_alloc) - (t - 1))
-    upper = min(1.0, alloc_value(inf_alloc))
+    hi, lo = (_frechet_hulls(ms[0], grid, fvals[0], t)
+              if all(m is ms[0] for m in ms) else (math.inf, -math.inf))
+    lower = (0.0 if hi <= (t - 1) - _HULL_MARGIN
+             else max(0.0, search(+1.0) - (t - 1)))
+    upper = 1.0 if lo >= 1.0 + _HULL_MARGIN else min(1.0, search(-1.0))
     return lower, upper
 
 
@@ -549,6 +604,46 @@ def _trivial_side(exponent):
     return floor, exponent(floor), solve.SolveInfo((floor, floor), 1, 0.0, True)
 
 
+def _support_ends(process):
+    """(floor, top): the least and the greatest capacity a slot can carry.
+
+    From the positive-mass atoms of a discrete marginal, or of every law on
+    a transition of positive probability; a fading capacity has support
+    (0, inf).
+    """
+    if isinstance(process, MarkovAdditive):
+        k = process.kernel
+        laws = [k.laws[i] for i in np.unique(k.law_index[k.transition > 0])]
+    elif not isinstance(process, Additive):
+        raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
+    elif isinstance(process.marginal, DiscreteDistribution):
+        laws = [process.marginal]
+    else:
+        return process.marginal.support_min, process.marginal.support_max
+    return (min(float(law._pos_support[0]) for law in laws),
+            max(float(law._pos_support[-1]) for law in laws))
+
+
+def _exact_end(process, t: int, x: float) -> Optional[float]:
+    """F_S(t)(x) where the support decides it: 0 below t*floor, 1 from t*top.
+
+    x is compared with the products exactly, in integers, as a float
+    product can round across x; None inside the support.
+    """
+    floor, top = _support_ends(process)
+    xn, xd = float(x).as_integer_ratio()
+
+    def above(v):                       # x - t v, times a positive integer
+        vn, vd = float(v).as_integer_ratio()
+        return xn * vd - int(t) * vn * xd
+
+    if above(floor) < 0:
+        return 0.0
+    if math.isfinite(top) and above(top) >= 0:
+        return 1.0
+    return None
+
+
 def cdf_bounds(process, t: int, x: float):
     """Chernoff sandwich on F_S(t)(x) for an Additive or Markov-additive process.
 
@@ -558,11 +653,19 @@ def cdf_bounds(process, t: int, x: float):
     the optimising theta recorded.  Since k(th) >= th E[C] and pf >= 1, the
     lower side is 0 at x <= t E[C] and the upper side 1 at x >= t E[C]; such
     a side is evaluated at one theta only.  Each tilt is solved once.
+    Below t times the least capacity a slot can carry F_S(t)(x) is exactly
+    0, and from t times the greatest it is exactly 1: both sides return
+    that value with no search (theta_star None, prefactor 1).
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
     if x < 0:
         raise ValidationError("x must be nonnegative")
+    exact = _exact_end(process, t, x)
+    if exact is not None:
+        return tuple(BoundReport(kind, exact, theta_star=None, prefactor=1.0,
+                                 horizon=float(t), notes="exact: support end")
+                     for kind in ("cdf_lower", "cdf_upper"))
     terms = lru_cache(maxsize=None)(_tilt_terms(process))
 
     # upper: min over th > 0 of pf(-th) * e^{t k(-th) + th x}

@@ -516,7 +516,7 @@ def test_each_query_solves_each_tilt_once(name, two_point, ge_kernel,
         "cdf_bounds below the mean": lambda: cdf_bounds(proc, 8,
                                                         0.5 * mean_sum),
         "cdf_bounds above the mean": lambda: cdf_bounds(proc, 8,
-                                                        1.5 * mean_sum),
+                                                        1.25 * mean_sum),
         "delay_constrained_capacity":
             lambda: delay_constrained_capacity(proc, 10.0, 1e-2),
     }

@@ -200,13 +200,14 @@ def test_cgf_and_moments_match_uncached_quadrature(model):
                                 for p in parts))
 
 
-@pytest.mark.parametrize("model", [Rayleigh(), TWO_PART],
+@pytest.mark.parametrize("first", [Rayleigh(), TWO_PART],
                          ids=lambda m: type(m).__name__)
-def test_cgf_quadrature_is_built_once_per_part(model, monkeypatch):
+def test_cgf_quadrature_is_built_once_per_part(first, monkeypatch):
     import wnc.fading
 
-    m = capacity_marginal(SPEC, model)
-    parts = m._parts if m.is_composite else [m]
+    # the Gauss-Legendre rule is built once per process, by whichever
+    # marginal needs it first; every part maps it onto its own slices
+    second = TWO_PART if first is not TWO_PART else Rayleigh()
     calls = {"leggauss": 0, "logpdf": 0}
 
     def counted(name, fn):
@@ -216,13 +217,17 @@ def test_cgf_quadrature_is_built_once_per_part(model, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(wnc.fading, "leggauss", counted("leggauss", wnc.fading.leggauss))
+    wnc.fading._legendre_rule.cache_clear()
+    marginals = [capacity_marginal(SPEC, model) for model in (first, second)]
+    parts = [p for m in marginals for p in (m._parts if m.is_composite else [m])]
     # a frozen dataclass takes no per-instance attribute: patch each law's class
     for law in {type(p.model) for p in parts}:
         monkeypatch.setattr(law, "logpdf", counted("logpdf", law.logpdf))
-    for i in range(100):
-        m.cgf(0.7 if i % 2 else -0.7)
-    # one node set per part; one logpdf for its nodes, one for the probe
-    assert calls == {"leggauss": len(parts), "logpdf": 2 * len(parts)}
+    for m in marginals:
+        for i in range(100):
+            m.cgf(0.7 if i % 2 else -0.7)
+    # one rule in all; one logpdf per part for its nodes, one for the probe
+    assert calls == {"leggauss": 1, "logpdf": 2 * len(parts)}
 
 
 @pytest.mark.parametrize("model", [Rayleigh(), TWO_PART],

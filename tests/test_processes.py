@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wnc import (Additive, AntitheticPairing, ChannelSpec, Comonotonic,
-                 MarkovAdditive, MarkovKernel, Rayleigh, ValidationError,
+                 MarkovAdditive, MarkovKernel, Nakagami, Rayleigh,
+                 ValidationError, Weibull,
                  capacity_marginal, cdf_bounds, comonotonic_cdf,
                  frechet_bounds, mgf_matrix, perron_frobenius)
 from wnc import processes, solve
@@ -158,14 +159,63 @@ def test_additive_bounds_brute_force_theta(two_point):
 def test_additive_bounds_vacuous_and_certain(two_point):
     proc = Additive(two_point)
     lo, up = cdf_bounds(proc, 5, 10.5)   # x above t * max support
-    assert lo.value >= 1.0 - 1e-6
-    assert up.value == 1.0
-    # exactly at the support edge the bound saturates at the boundary atom
-    lo_edge, _ = cdf_bounds(proc, 5, 10.0)
-    assert lo_edge.value == pytest.approx(1.0 - 0.5 ** 5, abs=1e-9)
+    assert lo.value == up.value == 1.0
+    # from the support edge on S(5) <= x surely: both sides are exact (the
+    # Chernoff search alone saturated at 1 - P(S = 10) = 1 - 0.5**5 there)
+    lo_edge, up_edge = cdf_bounds(proc, 5, 10.0)
+    assert lo_edge.value == up_edge.value == 1.0
+    assert lo_edge.theta_star is None and up_edge.theta_star is None
     lo2, up2 = cdf_bounds(proc, 5, 5.0)  # x at the mean: both vacuous
     assert lo2.value == 0.0
     assert up2.value == 1.0
+
+
+def _three_state_chain():
+    return MarkovAdditive(MarkovKernel.from_destination_laws(
+        ("a", "b", "c"), np.array([[0.56, 0.01, 0.43], [0.05, 0.08, 0.87],
+                                   [0.2, 0.3, 0.5]]), [2.0, 3.0, 4.0]))
+
+
+@pytest.mark.parametrize("make, t, x", [
+    (_three_state_chain, 5, 7.0),           # raised ZeroDivisionError
+    (_three_state_chain, 5, 9.0),
+    (_three_state_chain, 5, 9.99),          # reported an upper bound of 0.187
+    (lambda: MarkovAdditive(MarkovKernel.from_destination_laws(
+        ("G", "B"), np.array([[0.9, 0.1], [0.2, 0.8]]), [2.0, 1.0])),
+     5, 4.99),                              # reported an upper bound of 0.676
+])
+def test_cdf_bounds_below_the_support_are_exactly_zero(make, t, x):
+    lo, up = cdf_bounds(make(), t, x)
+    assert lo.value == up.value == 0.0
+    assert lo.theta_star is None and up.theta_star is None
+
+
+def test_cdf_bounds_ends_compare_exactly():
+    # 10 * 0.1 rounds down to 1.0, below the exact product
+    low = Additive(DiscreteDistribution(np.array([0.1, 0.3]), np.array([0.5, 0.5])))
+    lo, up = cdf_bounds(low, 10, 1.0)
+    assert lo.value == up.value == 0.0
+    high = Additive(DiscreteDistribution(np.array([0.0, 0.1]), np.array([0.5, 0.5])))
+    lo, up = cdf_bounds(high, 10, 1.0)      # S = 10 * 0.1 > 1 with mass 2^-10
+    assert lo.theta_star is not None and lo.value <= 1.0 - 0.5 ** 10 + 1e-9
+    lo, up = cdf_bounds(high, 10, math.nextafter(1.0, 2.0))
+    assert lo.value == up.value == 1.0
+
+
+def test_cdf_bounds_ends_read_only_possible_transitions():
+    # the transition a -> a never happens, so its law's atom 0 is no floor
+    zero, one = (DiscreteDistribution.point_mass(v) for v in (0.0, 1.0))
+    laws = ((zero, one),
+            (DiscreteDistribution.point_mass(2.0),
+             DiscreteDistribution.point_mass(1.5)))
+    proc = MarkovAdditive(MarkovKernel(("a", "b"), np.array([[0.0, 1.0], [0.5, 0.5]]),
+                                       laws))
+    assert cdf_bounds(proc, 2, 1.99)[1].value == 0.0
+    assert cdf_bounds(proc, 2, 4.0)[0].value == 1.0
+    assert cdf_bounds(proc, 2, 2.0)[0].theta_star is not None
+    # a fading capacity has support (0, inf): no end is ever exact
+    ray = Additive(capacity_marginal(ChannelSpec(1.0, 1.0), Rayleigh()))
+    assert all(rep.theta_star is not None for rep in cdf_bounds(ray, 8, 0.0))
 
 
 def test_additive_sandwich_on_simulated_cdf(two_point):
@@ -443,17 +493,70 @@ def test_frechet_never_looser_than_continuous_polish(rayleigh_marginal, t):
     assert lo >= ref_lo and up <= ref_up
 
 
-@pytest.mark.parametrize("t", [2, 5, 8])
+def _frechet_laws(rayleigh_marginal):
+    """(law, top of its x range per slot): three lattice and three fading laws."""
+    spec = rayleigh_marginal.spec
+    return [
+        (DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5])), 2.0),
+        (DiscreteDistribution(np.array([0.0, 1.0, 3.0]),
+                              np.array([0.2, 0.5, 0.3])), 3.0),
+        (DiscreteDistribution(np.array([0.5, 3.0]), np.array([0.9, 0.1])), 3.0),
+        (rayleigh_marginal, 4.0),
+        (capacity_marginal(spec, Nakagami(0.5)), 4.0),
+        (capacity_marginal(spec, Weibull(1.0, 1.0)), 4.0),
+    ]
+
+
+@pytest.mark.parametrize("t", [2, 3, 5, 8])
 def test_frechet_memo_matches_unshared_copies(rayleigh_marginal, t):
-    # t references to one law share their splits; t deep copies share none
-    # across pairs, so every pair solves its own
-    two_point = DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
-    three_atom = DiscreteDistribution(np.array([0.0, 1.0, 3.0]),
-                                      np.array([0.2, 0.5, 0.3]))
-    for law in (two_point, three_atom, rayleigh_marginal):
+    # t references to one law share their splits and may take the hull
+    # certificate; t deep copies share neither, so every pair of them runs
+    # the full search: the two must agree to the bit
+    for law, top in _frechet_laws(rayleigh_marginal):
         copies = [copy.deepcopy(law) for _ in range(t)]
-        for x in (0.5, 1.6, 2.4, 6.0):
-            assert frechet_bounds([law] * t, x) == frechet_bounds(copies, x)
+        xs = {0.5, 1.6, 2.4, 6.0, *(t * top * np.linspace(0.1, 1.1, 11))}
+        if t == 8 and top == 2.0:
+            # the two-point lower side is decided up to x ~ 11.9 only
+            xs |= {12.0, 12.5, 13.0, 13.9}
+        for x in sorted(xs):
+            assert frechet_bounds([law] * t, x) == frechet_bounds(copies, x), x
+
+
+@pytest.mark.parametrize("t", [2, 3, 5, 8])
+def test_frechet_hulls_bound_every_split(rayleigh_marginal, t):
+    # Jensen: for every split of x into t shares, t G_(x/t) <= sum F(u_i)
+    # <= t G^(x/t), up to the rounding of the float sums
+    rng = np.random.default_rng(21)
+    for law, top in _frechet_laws(rayleigh_marginal):
+        for x in t * top * np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.1]):
+            grid = np.linspace(0.0, x, processes._FRECHET_BUDGET_CELLS + 1)
+            hi, lo = processes._frechet_hulls(law, grid, law.cdf(grid), t)
+            shares = x * rng.dirichlet(np.full(t, 0.5), size=2000)
+            sums = law.cdf(shares.ravel()).reshape(shares.shape).sum(axis=1)
+            assert lo - 1e-12 <= sums.min() and sums.max() <= hi + 1e-12, x
+
+
+def test_frechet_certificate_skips_the_search(rayleigh_marginal, monkeypatch):
+    two_point = DiscreteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+    sides = []
+    allocate = processes._grid_allocation
+
+    def counted(fvals, grid, sign):
+        sides.append(sign)
+        return allocate(fvals, grid, sign)
+
+    monkeypatch.setattr(processes, "_grid_allocation", counted)
+    for x in (4.0, 8.0):
+        assert frechet_bounds([two_point] * 8, x) == (0.0, 1.0)
+    assert sides == []
+    # Rayleigh has F(0) = 0, so only its lower side is decided at x = 6
+    lower, upper = frechet_bounds([rayleigh_marginal] * 8, 6.0)
+    assert lower == 0.0 and sides == [-1.0]
+    # one law passed as distinct objects searches both sides
+    sides.clear()
+    assert frechet_bounds([two_point] * 7 + [copy.deepcopy(two_point)],
+                          4.0) == (0.0, 1.0)
+    assert sides == [1.0, -1.0]
 
 
 def test_frechet_solves_each_split_once(rayleigh_marginal, monkeypatch):
@@ -465,9 +568,12 @@ def test_frechet_solves_each_split_once(rayleigh_marginal, monkeypatch):
         return minimize(fn, lo, hi, tol)
 
     monkeypatch.setattr(solve, "minimize", counted)
-    frechet_bounds([rayleigh_marginal] * 8, 1.6)
-    # 21 distinct (budget, side) splits among the 2 x 2 x 28 the polish meets
-    assert len(budgets) == len(set(budgets)) == 21
+    # the hull certificate decides neither side here (the lower is above 0,
+    # and F(0) = 0 leaves the upper to the search), so both sides search:
+    # 20 distinct (budget, side) splits among the 2 x 2 x 10 the polish meets
+    lower, upper = frechet_bounds([rayleigh_marginal] * 5, 8.0)
+    assert 0.0 < lower and upper == 1.0
+    assert len(budgets) == len(set(budgets)) == 20
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -501,9 +607,47 @@ def test_trivial_chernoff_side_equals_full_search(path, monkeypatch):
     for (t, x), (lo, up), ref in zip(cases, fast, full):
         assert (lo, up) == ref, (t, x)
         for rep in (lo, up):
-            if rep.diagnostics.evaluations == 1:
+            if rep.diagnostics is None:     # an exact support end: no search
+                trivial += 1
+                assert rep.theta_star is None and rep.value in (0.0, 1.0)
+            elif rep.diagnostics.evaluations == 1:
                 trivial += 1
                 assert rep.theta_star == solve.CONVEX_FLOOR
                 assert rep.value == (0.0 if rep.kind == "cdf_lower" else 1.0)
     # each (t, x) has at least one trivial side
     assert trivial >= len(cases)
+
+
+SHIPPED_CHANNELS = [p for p in SHIPPED if "channel" in load_scenario(str(p))]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CHANNELS,
+                         ids=[f"{p.parent.name}/{p.stem}" for p in SHIPPED_CHANNELS])
+def test_frechet_certificate_equals_full_search(path, monkeypatch):
+    """On every shipped scenario with one marginal, on its bounds grid and
+    on x around t E[C], a side the hull certificate decides equals the full
+    search's, and the certificate decides at least one side."""
+    doc = load_scenario(str(path))
+    law = build_process(doc).marginal
+    cases = [(q.get("t_slots", 10), float(x)) for q in doc["queries"]
+             if q["kind"] == "bounds" for x in q.get("x_grid_bits", [1.0])]
+    for t in (2, 5, 8):
+        cases += [(t, f * t * law.mean()) for f in (0.25, 0.9, 1.0, 1.1, 2.0)]
+    cases = [(t, x) for t, x in cases if t <= 8]
+    hulls = processes._frechet_hulls
+    decided = 0
+
+    def counted(law, grid, f, t):
+        nonlocal decided
+        hi, lo = hulls(law, grid, f, t)
+        decided += ((hi <= t - 1 - processes._HULL_MARGIN)
+                    + (lo >= 1.0 + processes._HULL_MARGIN))
+        return hi, lo
+
+    monkeypatch.setattr(processes, "_frechet_hulls", counted)
+    fast = [frechet_bounds([law] * t, x) for t, x in cases]
+    monkeypatch.setattr(processes, "_frechet_hulls",
+                        lambda *args: (math.inf, -math.inf))
+    full = [frechet_bounds([law] * t, x) for t, x in cases]
+    assert fast == full
+    assert decided >= 1
