@@ -26,7 +26,8 @@ One solve per tilt per query: the walk does not depend on d, so
 ``delay_tails`` answers a grid of d from one ``ruin``, and the delay-
 constrained capacity keeps a memo, local to the call, of each tilt's
 (kappa, h) and (C_-, C_+).  The prefactor scan runs on the atom arrays of
-drain - B_j directly (``_cramer``), without building a law per tilt.
+drain - B_j directly (``_cramer``), without building a law per tilt; a
+point mass takes the closed form ``_cramer_point``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, UnstableSystemError, ValidationError
 from .processes import (Additive, BoundReport, Comonotonic, MarkovAdditive,
                         _spectral, _start_index, _start_weight,
-                        process_mean_rate)
+                        _support_ends, process_mean_rate)
 
 _ROOT_TOL = 1e-9
 
@@ -91,20 +92,15 @@ def _entry_laws(process):
 
     An Additive process is the one-state case: the single law of its
     discretised marginal.  A Markov-additive process lists each allowed
-    transition's law once (once per destination in the compact mode).
+    transition's law once (once per destination in the compact mode):
+    ``MarkovKernel.entry_laws``, built once per kernel.
     """
     if isinstance(process, Additive):
-        return [(0, process.marginal.discretize())]
+        return ((0, process.marginal.discretize()),)
     if not isinstance(process, MarkovAdditive):
         raise ValidationError(
             "ruin bounds need an Additive or MarkovAdditive process")
-    kernel = process.kernel
-    laws, seen = [], set()
-    for (i, j), k in np.ndenumerate(kernel.law_index):
-        if kernel.transition[i, j] > 0 and k not in seen:
-            seen.add(k)
-            laws.append((j, kernel.laws[k]))
-    return laws
+    return process.kernel.entry_laws
 
 
 def _floor(process) -> float:
@@ -151,9 +147,24 @@ def lundberg_root(process, arrival: ArrivalSpec) -> LundbergSolution:
 # Cramer prefactors (atom-exact)
 
 
+def _cramer_point(y: float, theta: float):
+    """``_cramer`` of the point mass at y > 0, at tilt theta > 0.
+
+    The array expressions with one atom of mass 1.0: the tail is 1.0 and
+    M(y) = e = exp(min(theta y, _EXP_OVERFLOW)) * 1.0, so the ratio at the
+    left end 0 and at x = 0 is 1.0 * exp(0.0) / e = 1 / e, and the ratio at
+    the atom is exp(theta y) / e >= 1, which the clip takes to 1.0.  Each
+    dropped factor is an exact 1.0, and the exp is numpy's, so the bits
+    are those of ``_cramer``.
+    """
+    return float(1.0 / np.exp(np.minimum(theta * y, _EXP_OVERFLOW))), 1.0
+
+
 def _cramer(y: np.ndarray, m: np.ndarray, theta: float):
     """(C_-, C_+) of the atomic law with support y (increasing, y[-1] > 0)
-    and masses m, at tilt theta > 0: the array kernel of cramer_prefactors."""
+    and masses m, at tilt theta > 0: the array kernel of cramer_prefactors.
+    About a dozen numpy calls whatever the law's size; ``_prefactors``
+    takes a point mass through ``_cramer_point`` instead."""
     # suffix structures over all atoms
     tail_geq = np.cumsum(m[::-1])[::-1]                  # P(Y >= y_k)
     expwt = np.exp(np.minimum(theta * y, _EXP_OVERFLOW)) * m
@@ -213,16 +224,23 @@ def _prefactors(process, drain: float, theta: float, h):
     are drain minus B_j's atoms of positive mass in reverse order, with
     their masses reversed and renormalised: the law that
     ``B_j.affine(drain, -1)`` builds, without its validation and its
-    zero-mass atoms (which would scan 0/0).
+    zero-mass atoms (which would scan 0/0).  Those masses depend on
+    neither the drain nor the tilt, so each law keeps them
+    (``_reversed_mass``); a law with one positive-mass atom takes the
+    closed form ``_cramer_point``.
     """
     ratios = []
     for j, law in _entry_laws(process):
-        y = drain - law._pos_support[::-1]
-        if y[-1] <= 0:
-            continue                 # this law never crosses upward
-        # a contiguous copy sums in the order the law's constructor does
-        m = np.ascontiguousarray(law._pos_mass[::-1])
-        lo, up = _cramer(y, m / m.sum(), theta)
+        if law._point is not None:
+            y = drain - law._point
+            if y <= 0:
+                continue             # this law never crosses upward
+            lo, up = _cramer_point(y, theta)
+        else:
+            y = drain - law._pos_support[::-1]
+            if y[-1] <= 0:
+                continue
+            lo, up = _cramer(y, law._reversed_mass, theta)
         ratios.append((lo / h[j], up / h[j]))
     return min(r[0] for r in ratios), max(r[1] for r in ratios)
 
@@ -419,7 +437,8 @@ def delay_constrained_capacity(process, d: float, epsilon: float
     with C = C_+ for the conservative end and C = C_- for the optimistic
     end (times h(J0) for a Markov channel started in a fixed state).
     Rates at or below ess inf C never build a queue and are always
-    feasible; a constant channel is feasible up to its mean.
+    feasible; a constant channel, whose least and greatest capacity are
+    one value, is feasible up to that value.
 
     One solve per tilt per query: a memo local to the call keeps each
     theta's (kappa_C(-theta), h) and (C_-, C_+), so both ends share one
@@ -438,8 +457,11 @@ def delay_constrained_capacity(process, d: float, epsilon: float
     mean = process_mean_rate(process)
     floor = _floor(process)
     start = _start_index(process)
-    if floor >= mean:
+    if floor == _support_ends(process)[1]:
         # constant channel: the capacity never falls below the drain
+        return DelayConstrainedCapacity(floor, floor, (floor, floor), True)
+    if floor >= mean:
+        # the mean rounds down to the floor: no drain below it crosses
         return DelayConstrainedCapacity(mean, mean, (mean, mean), True)
 
     memo = {}       # theta -> (kappa_C(-theta), h, (C_-, C_+) or None)

@@ -10,6 +10,7 @@ quantile range).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +76,22 @@ class DiscreteDistribution:
         return self.mass[self.mass > 0]
 
     @cached_property
+    def _point(self):
+        """The one positive-mass atom as a float, or None for more atoms."""
+        return float(self._pos_support[0]) if self._pos_support.size == 1 else None
+
+    @cached_property
+    def _reversed_mass(self) -> np.ndarray:
+        """Positive masses in reverse atom order, renormalised to sum 1.
+
+        A contiguous copy, summed in the order this law's constructor sums
+        its masses: the masses of ``self.affine(shift, -1)`` without its
+        zero-mass atoms.
+        """
+        m = np.ascontiguousarray(self._pos_mass[::-1])
+        return m / m.sum()
+
+    @cached_property
     def _cdf_table(self) -> np.ndarray:
         # _cdf_table[k] = P(X <= x) for support[k-1] <= x < support[k]
         return np.concatenate(([0.0], self._cum))
@@ -129,11 +146,19 @@ class DiscreteDistribution:
         return float(((self.support - mu) ** 2) @ self.mass)
 
     def cgf(self, theta: float) -> float:
-        """log E[exp(theta X)], exact on the atoms; 0 at theta = 0."""
-        if not np.isfinite(theta):
+        """log E[exp(theta X)], exact on the atoms; 0 at theta = 0.
+
+        With one positive-mass atom s the value is theta*s + 0.0, the bits
+        of the general form: there the renormalised mass is exactly 1.0,
+        a - top is 0.0, and log(1.0 * exp(0.0)) is 0.0, so the sum is
+        top + 0.0 (which also turns a -0.0 product into 0.0).
+        """
+        if not math.isfinite(theta):
             raise ValidationError("theta must be finite")
         if theta == 0.0:
             return 0.0
+        if self._point is not None:
+            return float(theta * self._point) + 0.0
         a = theta * self._pos_support
         top = a.max()
         return float(top + np.log(self._pos_mass @ np.exp(a - top)))

@@ -149,6 +149,24 @@ class MarkovKernel:
         return np.arange(n * n).reshape(n, n)
 
     @cached_property
+    def entry_laws(self) -> tuple:
+        """(j, law) for each law a transition of positive probability
+        carries into state j: each law once, in row-major order of the
+        first transition that carries it (once per destination in the
+        compact mode)."""
+        pairs, seen = [], set()
+        for (i, j), k in np.ndenumerate(self.law_index):
+            if self.transition[i, j] > 0 and k not in seen:
+                seen.add(k)
+                pairs.append((j, self.laws[k]))
+        return tuple(pairs)
+
+    @cached_property
+    def _possible_transitions(self) -> int:
+        """The number of transitions of positive probability."""
+        return int(np.count_nonzero(self.transition))
+
+    @cached_property
     def stationary(self) -> np.ndarray:
         """Stationary law pi of the transition matrix (pi P = pi)."""
         n = len(self.states)
@@ -180,11 +198,14 @@ def mgf_matrix(kernel: MarkovKernel, theta: float) -> np.ndarray:
     Equals the transition matrix exactly at theta = 0.  One mgf per law in
     ``kernel.laws``; an mgf that overflows leaves a non-finite entry.
     """
-    if not np.isfinite(theta):
+    if not math.isfinite(theta):
         raise ValidationError("theta must be finite")
-    mgfs = np.array([law.mgf(theta) for law in kernel.laws])
+    mgfs = [law.mgf(theta) for law in kernel.laws]
+    tilted = np.array(mgfs)[kernel.law_index]
+    if max(mgfs) < math.inf:            # np.errstate costs more than the product
+        return kernel.transition * tilted
     with np.errstate(invalid="ignore"):     # p_ij = 0 times an overflowed mgf
-        return kernel.transition * mgfs[kernel.law_index]
+        return kernel.transition * tilted
 
 
 def _dominant_pair(m: np.ndarray):
@@ -233,13 +254,13 @@ def perron_frobenius(matrix: np.ndarray, stationary: np.ndarray):
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise ValidationError("matrix must be square")
-    if np.any(m < 0) or not np.all(np.isfinite(m)):
+    if not (m.min() >= 0.0 and m.max() < math.inf):     # NaN fails both
         raise ValidationError("matrix must be entrywise nonnegative and finite")
     lam, h = _dominant_pair(m)
     if not lam > 0:
         raise NumericFailure(f"Perron root {lam!r} is not positive")
     h = h / float(np.asarray(stationary, float) @ h)
-    resid = np.max(np.abs(m @ h - lam * h)) / np.max(np.abs(h))
+    resid = abs(m @ h - lam * h).max() / abs(h).max()
     if resid > 1e-9 * max(lam, 1.0):
         raise NumericFailure(f"eigen residual {resid:.3e} exceeds tolerance")
     return math.log(lam), h
@@ -538,6 +559,19 @@ def frechet_bounds(marginals, x: float):
 # Chernoff machinery: an Additive process is the one-state Markov-additive one
 
 
+def _nilpotent(m: np.ndarray) -> bool:
+    """Whether the nonnegative matrix m has no cycle of positive entries.
+
+    A 2x2 matrix [[a, b], [c, d]] is nilpotent exactly when a = d = 0 and
+    bc = 0; a larger one when its zero pattern's n-th power vanishes.
+    """
+    n = m.shape[0]
+    if n == 2:
+        (a, b), (c, d) = m.tolist()
+        return a == 0.0 and d == 0.0 and (b == 0.0 or c == 0.0)
+    return not np.any(np.linalg.matrix_power((m > 0).astype(float), n))
+
+
 def _spectral(process, theta: float):
     """(kappa(theta), h) from one solve; (inf, None) outside the domain.
 
@@ -546,6 +580,10 @@ def _spectral(process, theta: float):
     Perron-Frobenius solve of F[theta].  Its tilt lies outside the domain
     when an mgf overflows, or when F[theta] has underflowed to a nilpotent
     matrix (no cycle of positive entries left, so no positive Perron root).
+    The kernel is irreducible, so while every transition of positive
+    probability keeps a positive entry in F[theta] the matrix has the
+    transition's cycles; only when an entry has underflowed to 0 is the
+    cycle test (``_nilpotent``) run.
     """
     if isinstance(process, Additive):
         return process.marginal.cgf(theta), (1.0,)
@@ -553,11 +591,11 @@ def _spectral(process, theta: float):
         raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
     kernel = process.kernel
     m = mgf_matrix(kernel, theta)
-    n = m.shape[0]
-    if (not np.all(np.isfinite(m))
-            or not np.any(np.linalg.matrix_power((m > 0).astype(float), n))):
+    if not m.max() < math.inf:          # an overflowed mgf, or p_ij = 0 times it
         return math.inf, None
-    if n == 1:
+    if np.count_nonzero(m) < kernel._possible_transitions and _nilpotent(m):
+        return math.inf, None
+    if m.shape[0] == 1:
         return math.log(m[0, 0]), np.ones(1)
     return perron_frobenius(m, kernel.stationary)
 
@@ -612,8 +650,7 @@ def _support_ends(process):
     (0, inf).
     """
     if isinstance(process, MarkovAdditive):
-        k = process.kernel
-        laws = [k.laws[i] for i in np.unique(k.law_index[k.transition > 0])]
+        laws = [law for _, law in process.kernel.entry_laws]
     elif not isinstance(process, Additive):
         raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
     elif isinstance(process.marginal, DiscreteDistribution):

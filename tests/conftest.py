@@ -497,3 +497,92 @@ def affine_prefactors(process, drain, theta, h):
         lo, up = cramer_prefactors(walk, theta)
         ratios.append((lo / h[j], up / h[j]))
     return min(r[0] for r in ratios), max(r[1] for r in ratios)
+
+
+def cgf_reference(law, theta):
+    """DiscreteDistribution.cgf in its array form for every law: the
+    max-shifted log-sum-exp over the positive-mass atoms."""
+    if theta == 0.0:
+        return 0.0
+    a = theta * law._pos_support
+    top = a.max()
+    return float(top + np.log(law._pos_mass @ np.exp(a - top)))
+
+
+def entry_laws_reference(kernel):
+    """(j, law) for each law on a transition of positive probability, each
+    law once, scanning the law index on every call."""
+    laws, seen = [], set()
+    for (i, j), k in np.ndenumerate(kernel.law_index):
+        if kernel.transition[i, j] > 0 and k not in seen:
+            seen.add(k)
+            laws.append((j, kernel.laws[k]))
+    return laws
+
+
+def spectral_reference(process, theta):
+    """(kappa(theta), h) of a Markov-additive process, or (inf, None)
+    outside the domain, as first written: array cgfs, the tilted matrix
+    from a fancy index, and the domain tested by a matrix power of the
+    zero pattern on every tilt; then one dense Perron-Frobenius solve
+    with its checks and residual gate.  Raises as that solve does."""
+    import math
+
+    from wnc import NumericFailure
+    from wnc.distributions import _EXP_OVERFLOW
+    from wnc.processes import _dominant_pair
+
+    kernel = process.kernel
+    ks = [cgf_reference(law, theta) for law in kernel.laws]
+    mgfs = np.array([float(np.exp(k)) if k < _EXP_OVERFLOW else math.inf
+                     for k in ks])
+    with np.errstate(invalid="ignore"):
+        m = kernel.transition * mgfs[kernel.law_index]
+    n = m.shape[0]
+    if (not np.all(np.isfinite(m))
+            or not np.any(np.linalg.matrix_power((m > 0).astype(float), n))):
+        return math.inf, None
+    if n == 1:
+        return math.log(m[0, 0]), np.ones(1)
+    lam, h = _dominant_pair(m)
+    if not lam > 0:
+        raise NumericFailure(f"Perron root {lam!r} is not positive")
+    h = h / float(np.asarray(kernel.stationary, float) @ h)
+    resid = np.max(np.abs(m @ h - lam * h)) / np.max(np.abs(h))
+    if resid > 1e-9 * max(lam, 1.0):
+        raise NumericFailure(f"eigen residual {resid:.3e} exceeds tolerance")
+    return math.log(lam), h
+
+
+def cramer_reference(y, m, theta):
+    """(C_-, C_+) of the atomic law with support y and masses m: the array
+    scan of the ratio at every atom, every left end and x = 0."""
+    from wnc.distributions import _EXP_OVERFLOW
+
+    with np.errstate(over="ignore"):
+        tail_geq = np.cumsum(m[::-1])[::-1]
+        expwt = np.exp(np.minimum(theta * y, _EXP_OVERFLOW)) * m
+        mexp = np.cumsum(expwt[::-1])[::-1]
+        pos = np.nonzero(y > 0)[0]
+        ratios_up = tail_geq[pos] * np.exp(theta * y[pos]) / mexp[pos]
+        lefts = np.concatenate(([0.0], y[pos][:-1]))
+        ratios_lo = tail_geq[pos] * np.exp(theta * lefts) / mexp[pos]
+    k0 = int(np.searchsorted(y, 0.0, side="left"))
+    r0 = tail_geq[k0] / mexp[k0]
+    c_plus = float(max(np.max(ratios_up), r0))
+    c_minus = float(min(np.min(ratios_lo), r0))
+    return c_minus, min(c_plus, 1.0)
+
+
+def prefactors_reference(process, drain, theta, h):
+    """delay._prefactors with every law, point masses included, scanned by
+    ``cramer_reference`` on masses reversed and renormalised per call."""
+    ratios = []
+    for j, law in entry_laws_reference(process.kernel):
+        y = drain - law._pos_support[::-1]
+        if y[-1] <= 0:
+            continue
+        m = np.ascontiguousarray(law._pos_mass[::-1])
+        lo, up = cramer_reference(y, m / m.sum(), theta)
+        ratios.append((lo / h[j], up / h[j]))
+    return min(r[0] for r in ratios), max(r[1] for r in ratios)

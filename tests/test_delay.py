@@ -718,3 +718,23 @@ def test_cramer_prefactors_keeps_its_checks(two_point):
     with pytest.raises(ValidationError):
         cramer_prefactors(DiscreteDistribution(np.array([-3.0, -1.0]),
                                                np.array([0.5, 0.5])), 1.0)
+
+
+def test_dcc_constant_markov_channel():
+    # both states carry 3.5 (or 0.3): the mean rounds above the capacity,
+    # and the DCC is that capacity, from the CLI as from the library
+    for cap in (3.5, 0.3):
+        doc = cli.load_scenario(str(REPO / "scenarios" / "gilbert_elliott.yaml"))
+        doc["process"]["markov"]["capacities_bits_per_slot"] = [cap, cap]
+        doc["queries"] = [{"kind": "dcc", "d_slots": 10, "epsilon": 0.01}]
+        rows, _ = cli.run_command("dcc", doc)
+        (_, row), = rows
+        assert row["lambda_conservative"] == row["lambda_optimistic"] == cap
+        assert row["feasible"]
+    # here the mean rounds below 3.5
+    kernel = MarkovKernel.from_destination_laws(
+        ("G", "B"), np.array([[0.99, 0.01], [0.02, 0.98]]), [3.5, 3.5])
+    assert process_mean_rate(MarkovAdditive(kernel)) < 3.5
+    res = delay_constrained_capacity(MarkovAdditive(kernel), 10.0, 0.01)
+    assert (res.conservative, res.optimistic, res.one_shot_window,
+            res.feasible) == (3.5, 3.5, (3.5, 3.5), True)
