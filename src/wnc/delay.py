@@ -170,9 +170,12 @@ def _cramer(y: np.ndarray, m: np.ndarray, theta: float):
     expwt = np.exp(np.minimum(theta * y, _EXP_OVERFLOW)) * m
     mexp = np.cumsum(expwt[::-1])[::-1]                  # M(y_k)
     pos = np.nonzero(y > 0)[0]
-    ratios_up = tail_geq[pos] * np.exp(theta * y[pos]) / mexp[pos]
     lefts = np.concatenate(([0.0], y[pos][:-1]))         # previous atom or 0
-    ratios_lo = tail_geq[pos] * np.exp(theta * lefts) / mexp[pos]
+    # unclipped: at theta y > 709 a ratio is inf, which the clip below
+    # takes to C_+ = 1.0 exactly; clipping the exp would move it off 1.0
+    with np.errstate(over="ignore"):
+        ratios_up = tail_geq[pos] * np.exp(theta * y[pos]) / mexp[pos]
+        ratios_lo = tail_geq[pos] * np.exp(theta * lefts) / mexp[pos]
     # exact x = 0 point (includes any atom at 0)
     k0 = int(np.searchsorted(y, 0.0, side="left"))       # < y.size: y[-1] > 0
     r0 = tail_geq[k0] / mexp[k0]

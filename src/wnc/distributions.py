@@ -22,8 +22,24 @@ MASS_TOL = 1e-9
 DEFAULT_GRID_N = 4096
 _EXP_OVERFLOW = 700.0
 _THRESHOLD_ATOMS = 4        # laws this small invert by threshold counts
+_DRAW_SCALE = 2.0 ** 32     # a 32-bit draw is uniform on {0, ..., 2^32 - 1}
 
 __all__ = ["DiscreteDistribution", "MASS_TOL", "DEFAULT_GRID_N"]
+
+
+def _draw_thresholds(cum) -> np.ndarray:
+    """32-bit draw thresholds T_k = round(cum_k 2^32) of cumulative masses.
+
+    ``cum`` runs along its last axis and ends at (about) 1; that last entry
+    is dropped, so a law of K atoms has K - 1 thresholds and a draw V,
+    uniform on {0, ..., 2^32 - 1}, takes atom #{k : T_k <= V}.  The
+    thresholds are uint64 because T_k = 2^32 (cum_k rounding to 1) is
+    above every draw.  Rounding moves each cumulative mass by at most
+    2^-33, so a draw's law is within total variation (K - 1) 2^-33 of the
+    law itself, and a mass below 2^-33 may never be drawn.
+    """
+    return np.rint(np.asarray(cum, dtype=float)[..., :-1]
+                   * _DRAW_SCALE).astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -126,17 +142,32 @@ class DiscreteDistribution:
 
         The atom index is #{k : cum_k < u}, the position that
         ``searchsorted(side="left")`` returns because cum[-1] = 1 >= u.
-        On an array over a law of at most ``_THRESHOLD_ATOMS`` atoms it is
-        counted by one compare per threshold, which is cheaper than the
-        binary search.
         """
-        cum = self._cum
-        if cum.size > _THRESHOLD_ATOMS or np.ndim(u) == 0:
-            return self.support[np.searchsorted(cum, u, side="left")]
-        idx = (cum[0] < u).astype(np.intp)     # a point mass has cum[0] = 1
-        for c in cum[1:-1]:
-            idx += c < u
-        return self.support.take(idx)
+        return self.support[np.searchsorted(self._cum, u, side="left")]
+
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        """The law's 32-bit draw thresholds T_k (read-only uint64)."""
+        t = _draw_thresholds(self._cum)
+        t.flags.writeable = False
+        return t
+
+    def _draw_index(self, v, index):
+        """Atom index #{k : T_k <= v} of each 32-bit draw v.
+
+        v is a uint64 array of integers in [0, 2^32), and index an intp
+        array of its shape that receives the count on a law of at most
+        ``_THRESHOLD_ATOMS`` atoms, one compare per threshold, which is
+        cheaper than the binary search a larger law takes.
+        """
+        t = self._thresholds
+        if t.size >= _THRESHOLD_ATOMS:
+            return np.searchsorted(t, v, side="right")
+        # a point mass has no threshold: 2^32 is above every draw
+        np.greater_equal(v, t[0] if t.size else 1 << 32, out=index)
+        for c in t[1:]:
+            index += v >= c
+        return index
 
     def mean(self) -> float:
         return float(self.support @ self.mass)
@@ -222,7 +253,16 @@ class DiscreteDistribution:
         return DiscreteDistribution(centers[keep], mass[keep])
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return self._inverse_cdf(rng.random(size))
+        """size draws (one for None) from ceil(size / 2) PCG64 words.
+
+        The draws are the words' low halves, then their high halves; a
+        draw v takes the atom ``_draw_index(v)``.
+        """
+        n = 1 if size is None else int(size)
+        raw = rng.bit_generator.random_raw((n + 1) // 2)
+        v = np.concatenate((raw & 0xFFFFFFFF, raw >> 32))[:n]
+        out = self.support[self._draw_index(v, np.empty(n, dtype=np.intp))]
+        return out[0] if size is None else out
 
     def discretize(self) -> "DiscreteDistribution":
         """Already discrete; returns itself (protocol compatibility)."""

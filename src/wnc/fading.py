@@ -402,9 +402,18 @@ class FadingMarginal:
         w, g = self.spec.bandwidth_w, self.spec.snr_gamma
         return np.sqrt(np.expm1(np.asarray(x, dtype=float) / w * math.log(2.0)) / g)
 
-    def _capacity_of_gain(self, r):
+    def _capacity_of_gain(self, r, out=None):
+        """W log2(1 + gamma r^2); with ``out``, in place, in the same order
+        of operations, so the bits are those of the allocating form."""
         w, g = self.spec.bandwidth_w, self.spec.snr_gamma
-        return w * np.log1p(g * np.square(r)) / math.log(2.0)
+        if out is None:
+            return w * np.log1p(g * np.square(r)) / math.log(2.0)
+        np.square(r, out=out)
+        out *= g
+        np.log1p(out, out=out)
+        out *= w
+        out /= math.log(2.0)
+        return out
 
     @property
     def is_composite(self) -> bool:
@@ -590,6 +599,22 @@ class FadingMarginal:
         if self.is_composite:
             return sum(p.sample(rng, size) for p in self._parts)
         return self._capacity_of_gain(self.model.sample_gain(rng, size))
+
+    def _sample_into(self, rng: np.random.Generator, out: np.ndarray):
+        """``sample(rng, out.size)`` written into out, bit for bit.
+
+        A Rayleigh gain is drawn in place the way numpy's ``rayleigh``
+        draws it, sigma sqrt(2 E) for a standard exponential E; every
+        other law fills out from ``sample``.
+        """
+        if self.is_composite or not isinstance(self.model, Rayleigh):
+            out[...] = self.sample(rng, out.size)
+            return out
+        rng.standard_exponential(out=out)
+        out *= 2.0
+        np.sqrt(out, out=out)
+        out *= self.model.sigma
+        return self._capacity_of_gain(out, out=out)
 
     def discretize(self) -> DiscreteDistribution:
         return self._grid_law

@@ -7,6 +7,17 @@ SeedSequence, so identical (seed, config, process) inputs reproduce
 bit-identical outputs and batches could run concurrently.
 ``_tail_estimates`` turns the per-batch event counts into estimates.
 
+A lattice stream (a discrete law, or any Markov process) draws 32-bit
+integers V, two from each PCG64 word: the word's low half raw & 0xFFFFFFFF
+and its high half raw >> 32, taken by arithmetic, so the stream does not
+depend on byte order.  A law of K atoms takes atom #{k : T_k <= V} with
+T_k = round(cum_k 2^32), which moves each cumulative mass by at most 2^-33:
+a draw's law is within total variation (K - 1) 2^-33 of the law, a run of
+D draws within D (K - 1) 2^-33, and a mass below 2^-33 may never be drawn.
+``_slots`` gives the order in which slots consume the halves.  A fading
+stream draws float64 uniforms and gains.  The estimator loops write into
+buffers allocated once per batch.
+
 The stationary delay event is evaluated per run as a truncated supremum:
 
     max over t in [0, horizon - warmup] of (lambda t - S(t))  >=  lambda d
@@ -25,6 +36,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from .distributions import (_THRESHOLD_ATOMS, DiscreteDistribution,
+                            _draw_thresholds)
 from .errors import ValidationError
 from .processes import (Additive, AntitheticPairing, Comonotonic,
                         MarkovAdditive, _start_index)
@@ -100,100 +113,208 @@ def _tail_estimates(seed: int, key: int, runs: int, batch_counts):
 # the slot stream
 
 
-def _slots(process, rng: np.random.Generator, n: int):
+def _slots(process, rng: np.random.Generator, n: int, drain=None):
     """Endless stream of length-n capacity vectors, one per slot.
 
-    Additive slots are fresh ``marginal.sample`` draws; a comonotonic
-    stream repeats F^{-1}(U) for one uniform per run; antithetic slots come
-    in pairs F^{-1}(U), F^{-1}(1 - U).  Each law inverts its uniform by
-    its own ``_inverse_cdf``: the atom index #{k : cum_k < u}, counted by
-    threshold compares on a lattice law of at most 4 atoms and binary
-    searched otherwise.
+    With ``drain`` each vector is drain - C, a delay walk's increment: a
+    lattice stream subtracts once per atom and a fading stream in place,
+    one float subtraction either way, so the values are those of
+    drain - C computed per slot.
 
-    A Markov stream starts where ``processes._start_index`` says: in the
-    state ``process.initial``, or drawn from the stationary law.  Per slot
-    one uniform picks the next state and, when some increment law has more
-    than one atom, a second one the increment from the law of the
-    transition: ``kernel.laws[nxt]`` in destination mode,
-    ``kernel.laws[state * |E| + nxt]`` for a full kernel.  Both draws are
-    the same count #{k : cum_k < u}, taken against tables stacked once per
-    stream (the cumulative transition sums of every state; the cumulative
-    masses of every law, padded above 1) and gathered by each run's key;
-    the atom is then one gather from the stacked supports.
+    A lattice stream (a process over a ``DiscreteDistribution``, and every
+    Markov process) draws 32-bit integers V, uniform on {0, ..., 2^32 - 1},
+    from ``_draws``: each PCG64 word serves two draws, and a law inverts a
+    draw by ``DiscreteDistribution._draw_index``, atom #{k : T_k <= V}
+    with T_k = round(cum_k 2^32).  Draws are taken in order, block by
+    block: the n low halves (raw & 0xFFFFFFFF) of a block of n words, then
+    its n high halves (raw >> 32), one draw per run each time.
+
+    - Additive: slot 2j reads the low halves of block j, slot 2j + 1 its
+      high halves.
+    - Antithetic: each draw V serves a pair of slots, V then its partner
+      2^32 - 1 - V: slots 4j, 4j + 1 from the low halves of block j, slots
+      4j + 2, 4j + 3 from its high halves.
+    - Comonotonic: every slot repeats the atom of the low half of block 0.
+    - Markov: a stationary start takes the low halves of a block of its
+      own.  Each slot then takes one draw for the next state and, when
+      some increment law has more than one atom, a second one for the
+      increment from the law of the transition (``kernel.laws[nxt]`` in
+      destination mode, ``kernel.laws[state * |E| + nxt]`` for a full
+      kernel).  So a one-draw slot takes half a word, and a two-draw slot
+      one whole word: its state from the low half, its increment from the
+      high half.  The counts are taken against tables stacked once per
+      stream (every state's transition thresholds; every law's
+      thresholds) and gathered by each run's key: one compare per table
+      row when every law has at most ``_THRESHOLD_ATOMS`` atoms, otherwise
+      one binary search of the keys law 2^32 + T_k for law 2^32 + V.
+
+    Rounding moves each cumulative mass by at most 2^-33, so a draw of a
+    K-atom law is within total variation (K - 1) 2^-33 of the law, and a
+    run of D draws within D (K - 1) 2^-33 (4.2e-8 for a 360-slot
+    two-point walk); a mass below 2^-33 may never be drawn.
+
+    A fading stream draws float64 uniforms and gains: additive slots are
+    ``marginal.sample`` draws (a Rayleigh gain drawn in place), a
+    comonotonic stream repeats F^{-1}(U) for one uniform per run, and
+    antithetic slots come in pairs F^{-1}(U), F^{-1}(1 - U).
 
     Consumers read each vector before drawing the next and never write
-    into it: a comonotonic stream yields one array forever, and a Markov
-    stream refills one array per slot.
+    into it: a comonotonic stream yields one array forever, and every
+    other stream refills one array per slot.
     """
-    if isinstance(process, Additive):
-        marginal = process.marginal
+    if isinstance(process, MarkovAdditive):
+        return _markov_slots(process, rng, n, drain)
+    if not isinstance(process, (Additive, Comonotonic, AntitheticPairing)):
+        raise ValidationError(f"unknown process type {type(process).__name__}")
+    if isinstance(process.marginal, DiscreteDistribution):
+        return _lattice_slots(process, rng, n, drain)
+    return _fading_slots(process, rng, n, drain)
+
+
+def _draws(rng: np.random.Generator, n: int):
+    """Endless 32-bit draws, n at a time, as uint64 arrays: the low halves
+    of a block of n PCG64 words, then its high halves.
+
+    Each array is valid until the next draw.
+    """
+    random_raw = rng.bit_generator.random_raw
+    low = np.empty(n, dtype=np.uint64)
+    while True:
+        raw = random_raw(n)
+        yield np.bitwise_and(raw, 0xFFFFFFFF, out=low)
+        yield np.right_shift(raw, 32, out=raw)
+        del raw             # free the block before the next is drawn
+
+
+def _lattice_slots(process, rng, n, drain):
+    law = process.marginal
+    atoms = law.support if drain is None else np.subtract(drain, law.support)
+    count = law._draw_index
+    if isinstance(process, Comonotonic):
+        index = count(next(_draws(rng, n)), np.empty(n, dtype=np.intp))
+        yield from repeat(atoms.take(index))
+    draws = _draws(rng, n)
+    caps, index = np.empty(n), np.empty(n, dtype=np.intp)
+    if isinstance(process, AntitheticPairing):
         while True:
-            yield np.asarray(marginal.sample(rng, n), dtype=float)
-    elif isinstance(process, Comonotonic):
-        yield from repeat(process.marginal._inverse_cdf(rng.random(n)))
-    elif isinstance(process, AntitheticPairing):
-        inverse = process.marginal._inverse_cdf
+            v = next(draws)
+            yield atoms.take(count(v, index), out=caps, mode="clip")
+            partner = np.subtract(0xFFFFFFFF, v, out=v)
+            yield atoms.take(count(partner, index), out=caps, mode="clip")
+            del v, partner      # hold no draw across next(draws)
+    while True:
+        yield atoms.take(count(next(draws), index), out=caps, mode="clip")
+
+
+def _fading_slots(process, rng, n, drain):
+    marginal = process.marginal
+    caps = np.empty(n)
+
+    def shifted(values):
+        return values if drain is None else np.subtract(drain, values,
+                                                        out=caps)
+
+    if isinstance(process, Comonotonic):
+        yield from repeat(shifted(marginal._inverse_cdf(rng.random(n))))
+    if isinstance(process, AntitheticPairing):
+        inverse = marginal._inverse_cdf
         u = np.empty(n)
         while True:
-            yield inverse(rng.random(out=u))
-            yield inverse(np.subtract(1.0, u, out=u))
-    elif not isinstance(process, MarkovAdditive):
-        raise ValidationError(f"unknown process type {type(process).__name__}")
+            yield shifted(inverse(rng.random(out=u)))
+            yield shifted(inverse(np.subtract(1.0, u, out=u)))
+    while True:
+        yield shifted(marginal._sample_into(rng, caps))
+
+
+def _markov_slots(process, rng, n, drain):
     kernel = process.kernel
     laws = kernel.laws
     k = len(kernel.states)
     width = max(law.support.size for law in laws)
-    # Column i of a threshold table belongs to key i (a state or a law) and
-    # key i draws the count #{r : table[r, i] < u}: the next state from the
-    # row's cumulative transition sums, the atom from the law's _cum[:-1].
-    steps = _threshold_rows(np.cumsum(kernel.transition, axis=1).T)
-    cums = np.full((width - 1, len(laws)), 2.0)  # pad 2.0: above every u
-    atoms = np.zeros((len(laws), width))        # atom r of law i: i width + r
-    for i, law in enumerate(laws):
-        cums[:law.support.size - 1, i] = law._cum[:-1]
-        atoms[i, :law.support.size] = law.support
-    draws = _threshold_rows(cums)
-    atoms = atoms.ravel()
     start = _start_index(process)
     if start is None:
-        states = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n),
-                                 side="left")
+        start_law = _draw_thresholds(np.cumsum(kernel.stationary))
+        states = np.searchsorted(start_law, next(_draws(rng, n)),
+                                 side="right")
     else:
         states = np.full(n, start, dtype=np.intp)
-    u, gathered, below = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    draws = _draws(rng, n)
+    # Column i of a threshold table belongs to key i (a state or a law),
+    # and key i draws the count #{r : table[r, i] <= V}: the next state
+    # from the state's transition thresholds, the atom from the law's.
+    steps = _threshold_rows(_draw_thresholds(np.cumsum(kernel.transition,
+                                                       axis=1)).T)
     nxt, caps = np.empty(n, dtype=np.intp), np.empty(n)
+    # the consumer has read caps before it asks for the next slot, so the
+    # gathered thresholds and the search keys use caps' memory until the
+    # slot's atoms overwrite them
+    gathered, below = caps.view(np.uint64), np.empty(n, dtype=bool)
     pair = None if kernel.by_destination else np.empty(n, dtype=np.intp)
     flat = np.empty(n, dtype=np.intp) if width > 1 else None
+    if width == 1:                              # point masses: one draw
+        atoms = np.array([law.support[0] for law in laws])
+    elif width <= _THRESHOLD_ATOMS:
+        table = np.full((width - 1, len(laws)), 1 << 32, dtype=np.uint64)
+        atoms = np.zeros((len(laws), width))    # atom r of law i: i width + r
+        for i, law in enumerate(laws):
+            table[:law.support.size - 1, i] = law._thresholds
+            atoms[i, :law.support.size] = law.support
+        rows = _threshold_rows(table)
+        atoms = atoms.ravel()
+    else:
+        # keys law 2^32 + T_k: a binary search for law 2^32 + V counts every
+        # key of the laws before, plus #{k : T_k <= V}; a law has one atom
+        # more than it has keys, so adding the law gives the atom's place
+        keys = np.concatenate([(i << 32) + law._thresholds
+                               for i, law in enumerate(laws)])
+        atoms = np.concatenate([law.support for law in laws])
+    if drain is not None:
+        atoms = np.subtract(drain, atoms)
 
-    def count(rows, keys, out):
-        # out += #{r : rows[r][keys] < u}; keys are in range, and mode="clip"
-        # spares take the buffered copy that out= costs in mode="raise"
-        for row in rows:
-            row.take(keys, out=gathered, mode="clip")
-            np.less(gathered, u, out=below)
+    def count(table_rows, column, v, out):
+        # out += #{r : table_rows[r][column] <= v}; columns are in range,
+        # and mode="clip" spares the buffered copy out= costs in "raise"
+        for row in table_rows:
+            row.take(column, out=gathered, mode="clip")
+            np.less_equal(gathered, v, out=below)
             out += below
 
+    def step(v):
+        # nxt = #{r : steps[r][states] <= v}, the first row written directly
+        if not steps:
+            nxt.fill(0)
+            return
+        steps[0].take(states, out=gathered, mode="clip")
+        np.less_equal(gathered, v, out=nxt)
+        count(steps[1:], states, v, nxt)
+
+    # no draw is held across next(draws), which frees each block of words
     while True:
-        rng.random(out=u)
-        nxt.fill(0)
-        count(steps, states, nxt)
+        step(next(draws))
         law_index = nxt
         if pair is not None:
             law_index = np.multiply(states, k, out=pair)
             law_index += nxt
-        if flat is None:                        # point masses: no second draw
+        if width == 1:
             atoms.take(law_index, out=caps, mode="clip")
+        elif width <= _THRESHOLD_ATOMS:
+            np.multiply(law_index, width, out=flat)
+            count(rows, law_index, next(draws), flat)
+            atoms.take(flat, out=caps, mode="clip")
         else:
-            rng.random(out=u)
-            count(draws, law_index, np.multiply(law_index, width, out=flat))
+            gathered[...] = law_index
+            gathered <<= 32
+            gathered += next(draws)
+            np.add(np.searchsorted(keys, gathered, side="right"), law_index,
+                   out=flat)
             atoms.take(flat, out=caps, mode="clip")
         states, nxt = nxt, states
         yield caps
 
 
 def _threshold_rows(table):
-    """Contiguous rows of a threshold table that some u in [0, 1) is above."""
-    return [np.ascontiguousarray(row) for row in table if row.min() < 1.0]
+    """Contiguous rows of a threshold table that some draw is at or above."""
+    return [np.ascontiguousarray(row) for row in table if row.min() < 1 << 32]
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +336,8 @@ def empirical_delay_tails(process, arrival, d_values, config: SimConfig,
         # per-run max over t <= window of (lam t - S(t)); the t = 0 term is 0
         w = np.zeros(size)
         sup = np.zeros(size)
-        step = np.empty(size)
-        for caps in islice(_slots(process, rng, size), config.window):
-            w += np.subtract(lam, caps, out=step)
+        for step in islice(_slots(process, rng, size, lam), config.window):
+            w += step
             np.maximum(sup, w, out=sup)
         if strict:
             return (sup[None, :] > levels[:, None] + 1e-9).sum(axis=1)
@@ -281,12 +401,14 @@ def feedback_queue(process, arrival, config: SimConfig, d_values):
         b_echo = np.zeros(size)          # fed-back-copy backlog
         dep_flow = np.zeros(size)
         out_flow = np.zeros(size)        # cumulative first-pass departures
+        spare = np.empty(size)           # echo departures, then what is left
         for caps in islice(_slots(process, rng, size), config.horizon):
             b_echo += dep_flow
-            dep_echo = np.minimum(b_echo, caps)
-            b_echo -= dep_echo
+            np.minimum(b_echo, caps, out=spare)
+            b_echo -= spare
+            np.subtract(caps, spare, out=spare)
             b_flow += lam
-            dep_flow = np.minimum(b_flow, caps - dep_echo)
+            np.minimum(b_flow, spare, out=dep_flow)
             b_flow -= dep_flow
             out_flow += dep_flow
         return out_flow
@@ -317,16 +439,18 @@ def tandem_queue(chain, arrival, config: SimConfig, d_values):
                               size) for i, hop in enumerate(chain.hops)]
         backlogs = [np.zeros(size) for _ in range(n_hops)]
         total_out = np.zeros(size)
+        eff, dep = np.empty(size), np.empty(size)
         for _ in range(config.horizon):
             flow_in = lam
-            for i in range(n_hops):
+            for i, backlog in enumerate(backlogs):
                 if i < len(streams):     # a shared stream serves every hop
                     caps = next(streams[i])
-                eff = np.maximum(caps - extra, 0.0)
-                avail = backlogs[i] + flow_in
-                dep = np.minimum(avail, eff)
-                backlogs[i] = avail - dep
-                flow_in = dep
+                np.subtract(caps, extra, out=eff)
+                np.maximum(eff, 0.0, out=eff)
+                backlog += flow_in       # the hop's input joins its backlog
+                np.minimum(backlog, eff, out=dep)
+                backlog -= dep
+                flow_in = dep            # read by the next hop before dep is
             total_out += flow_in
         return total_out
 

@@ -445,13 +445,30 @@ def frechet_polish_reference(marginals, x, budget_cells=256, polish_passes=2):
     return max(0.0, value(sup_alloc) - (t - 1)), min(1.0, value(inf_alloc))
 
 
+def word_halves_reference(rng, n):
+    """Endless 32-bit draws as floats, n at a time: the low halves of a
+    block of n ``random_raw`` words, then their high halves."""
+    while True:
+        high, low = np.divmod(rng.bit_generator.random_raw(n), 2 ** 32)
+        yield low.astype(float)
+        yield high.astype(float)
+
+
+def draw_index_reference(cum, v):
+    """#{k < K - 1 : round(cum_k 2^32) <= v} for cumulative masses cum."""
+    return np.searchsorted(np.round(np.asarray(cum)[:-1] * 2.0 ** 32), v,
+                           side="right")
+
+
 def markov_slots_reference(process, rng, n):
-    """Markov slot stream with one searchsorted per law over a mask.
+    """Markov slot stream with one searchsorted per state and per law over
+    a mask.
 
     Reference for the Markov branch of simulate._slots, which reads the
-    same uniforms: per slot one picks the next state by threshold compares
-    against the row's cumulative sums and, when some law has more than one
-    atom, a second one inverts the law of each run's transition.
+    same 32-bit draws: a stationary start inverts the low halves of a block
+    of its own; per slot one draw picks the next state from the row's
+    cumulative sums and, when some law has more than one atom, a second
+    one inverts the law of each run's transition.
     """
     kernel = process.kernel
     k = len(kernel.states)
@@ -461,23 +478,25 @@ def markov_slots_reference(process, rng, n):
     random_laws = any(law.support.size > 1 for law in laws)
     init = process.initial
     if isinstance(init, str) and init == "stationary":
-        states = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n),
-                                 side="left")
+        states = draw_index_reference(np.cumsum(kernel.stationary),
+                                      next(word_halves_reference(rng, n)))
     else:
         states = np.full(n, kernel.state_index(init), dtype=np.intp)
+    draws = word_halves_reference(rng, n)
     while True:
-        u = rng.random(n)
+        v = next(draws)
         nxt = np.zeros(n, dtype=np.intp)
-        for j in range(k):
-            nxt += u > cum_rows[:, j][states]
+        for i in range(k):
+            mask = states == i
+            nxt[mask] = draw_index_reference(cum_rows[i], v[mask])
         law_index = nxt if kernel.by_destination else states * k + nxt
         if random_laws:
             caps = np.empty(n)
-            u = rng.random(n)
+            v = next(draws)
             for i, law in enumerate(laws):
                 mask = law_index == i
-                caps[mask] = law.support[np.searchsorted(law._cum, u[mask],
-                                                         side="left")]
+                caps[mask] = law.support[draw_index_reference(law._cum,
+                                                              v[mask])]
         else:
             caps = atoms[law_index]
         states = nxt

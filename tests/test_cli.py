@@ -279,9 +279,9 @@ query_index,t_slots,x_bits,cdf_lower,cdf_upper,theta_lower,theta_upper,prefactor
 """,
     "delay": """\
 query_index,d_slots,delay_lower,delay_upper,theta_star,prefactor,basic_upper,horizon,mc_estimate,mc_stderr
-0,5,0.30904969946945149,0.37585783226930475,0.39141772510358258,1,1,inf,0.38200000000000001,0.010864529442180181
-0,10,0.11615875010606813,0.1412691100781808,0.39141772510358258,1,0.5804102552362288,inf,0.14099999999999999,0.0077819984579798008
-0,20,0.016409643255278036,0.019956961462281167,0.39141772510358258,1,0.081994040237471838,inf,0.021999999999999999,0.0032799390238234609
+0,5,0.30904969946945149,0.37585783226930475,0.39141772510358258,1,1,inf,0.379,0.010848018252197035
+0,10,0.11615875010606813,0.1412691100781808,0.39141772510358258,1,0.5804102552362288,inf,0.14849999999999999,0.0079513442259783983
+0,20,0.016409643255278036,0.019956961462281167,0.39141772510358258,1,0.081994040237471838,inf,0.024500000000000001,0.0034568591235397488
 """,
     "dcc": """\
 query_index,d_slots,epsilon,lambda_conservative,lambda_optimistic,one_shot_lower,one_shot_upper,feasible
@@ -295,14 +295,14 @@ query_index,d_slots,feedback_upper,theta_star,prefactor,horizon,feedback_upper_i
 """,
     "simulate": """\
 query_index,d_slots,mc_estimate,mc_stderr,runs
-0,2,0.66300000000000003,0.01056955533596376,2000
-0,5,0.38200000000000001,0.010864529442180181,2000
+0,2,0.67149999999999999,0.010502089077893026,2000
+0,5,0.379,0.010848018252197035,2000
 """,
     "validate": """\
 query_index,check,parameter,lower,upper,estimate,stderr,pass
-0,markov_delay,d=5,0.30904969946945149,0.37585783226930475,0.38200000000000001,0.010864529442180181,true
-0,markov_delay,d=10,0.11615875010606813,0.1412691100781808,0.14099999999999999,0.0077819984579798008,true
-0,markov_delay,d=20,0.016409643255278036,0.019956961462281167,0.021999999999999999,0.0032799390238234609,true
+0,markov_delay,d=5,0.30904969946945149,0.37585783226930475,0.379,0.010848018252197035,true
+0,markov_delay,d=10,0.11615875010606813,0.1412691100781808,0.14849999999999999,0.0079513442259783983,true
+0,markov_delay,d=20,0.016409643255278036,0.019956961462281167,0.024500000000000001,0.0034568591235397488,true
 """,
 }
 

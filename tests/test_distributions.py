@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from wnc.distributions import DiscreteDistribution
 from wnc.errors import ValidationError
@@ -127,3 +128,75 @@ def test_threshold_inverse_equals_searchsorted(support, mass):
             assert law.quantile(float(p)) == expected
             assert law._inverse_cdf(float(p)) == expected
             assert law._inverse_cdf(np.array(p)) == expected
+
+
+def _draw_edges(law):
+    """32-bit draws on and beside every threshold of a law, plus both ends."""
+    t = np.round(law._cum[:-1] * 2.0 ** 32)
+    v = np.concatenate(([0.0, 2.0 ** 32 - 1], t, t - 1, t + 1))
+    return np.unique(v[(v >= 0) & (v < 2.0 ** 32)]).astype(np.uint64)
+
+
+def _atoms_of_draws(law, v):
+    return law.support[law._draw_index(v, np.empty(v.size, np.intp))]
+
+
+@pytest.mark.parametrize("support, mass", _SMALL_LAWS)
+def test_thresholds_round_the_cumulative_masses(support, mass):
+    law = DiscreteDistribution(np.array(support), np.array(mass))
+    t = law._thresholds
+    assert t.dtype == np.uint64 and t.size == law.support.size - 1
+    scaled = law._cum[:-1] * 2.0 ** 32          # exact: a power-of-two scale
+    assert np.all(np.abs(t.astype(float) - scaled) <= 0.5)
+
+
+def test_a_threshold_can_be_two_to_the_32():
+    # cum_0 rounds to 1: the threshold is above every draw, so the atom
+    # after it is never drawn, and a uint32 could not hold it
+    for mass in ([1.0, 0.0], [1.0 - 2.0 ** -40, 2.0 ** -40]):
+        law = DiscreteDistribution(np.array([0.0, 1.0]), np.array(mass))
+        assert law._thresholds.tolist() == [2 ** 32]
+        draws = _atoms_of_draws(law, _draw_edges(law))
+        assert np.all(draws == 0.0)
+
+
+@pytest.mark.parametrize("support, mass", _SMALL_LAWS + [
+    (np.arange(6.0), [0.0, 0.2, 0.0, 0.3, 0.5, 0.0])])
+def test_zero_mass_atoms_are_never_drawn(support, mass):
+    law = DiscreteDistribution(np.array(support), np.array(mass))
+    rng = np.random.default_rng(11)
+    v = np.concatenate((_draw_edges(law),
+                        rng.integers(0, 2 ** 32, 100_000, dtype=np.uint64)))
+    drawn = np.unique(_atoms_of_draws(law, v))
+    assert set(drawn) <= set(law.support[law.mass > 0])
+    assert set(np.unique(law.sample(rng, 10_001))) <= set(drawn)
+
+
+@pytest.mark.parametrize("support, mass", _SMALL_LAWS + [
+    (np.arange(6.0), [0.0, 0.2, 0.0, 0.3, 0.5, 0.0])])
+def test_draw_index_counts_thresholds_at_or_below(support, mass):
+    law = DiscreteDistribution(np.array(support), np.array(mass))
+    v = np.concatenate((_draw_edges(law), np.random.default_rng(3).integers(
+        0, 2 ** 32, 20_000, dtype=np.uint64)))
+    t = [round(float(c) * 2 ** 32) for c in law._cum[:-1]]
+    want = [law.support[sum(tk <= int(x) for tk in t)] for x in v]
+    np.testing.assert_array_equal(_atoms_of_draws(law, v), want)
+
+
+def test_sample_reads_low_then_high_halves():
+    law = DiscreteDistribution(np.arange(3.0), np.array([0.2, 0.3, 0.5]))
+    raw = np.random.default_rng(4).bit_generator.random_raw(4)
+    v = np.concatenate((raw & 0xFFFFFFFF, raw >> 32))[:7]
+    np.testing.assert_array_equal(law.sample(np.random.default_rng(4), 7),
+                                  _atoms_of_draws(law, v))
+    assert law.sample(np.random.default_rng(4)) == _atoms_of_draws(law, v)[0]
+
+
+def test_three_atom_frequencies_match_the_masses():
+    # two-sided binomial test of each atom's count in 2^22 draws
+    law = DiscreteDistribution(np.arange(3.0), np.array([0.2, 0.3, 0.5]))
+    rng = np.random.default_rng(17)
+    counts = sum(np.bincount(law.sample(rng, 1 << 18).astype(np.intp),
+                             minlength=3) for _ in range(16))
+    for count, p in zip(counts, law.mass):
+        assert stats.binomtest(int(count), 1 << 22, p).pvalue > 1e-6

@@ -16,7 +16,7 @@ from wnc.simulate import (SimConfig, _slots, cumulative_capacity_samples,
                           empirical_delay_tails, feedback_queue, substream,
                           tandem_queue)
 
-from conftest import markov_slots_reference
+from conftest import draw_index_reference, markov_slots_reference
 
 
 def sample_capacity_trace(process, horizon, stream):
@@ -185,25 +185,27 @@ def _stream_processes(two_point, ge_kernel, full_kernel, rayleigh_marginal):
 
 
 class _ThresholdReplay:
-    """Stand-in generator whose uniforms sit on and beside every threshold
-    of a kernel (its cumulative transition sums and its laws' cumulative
-    masses), shifted by one place per call."""
+    """Stand-in generator whose 32-bit draws sit on and beside every
+    threshold T_k of a kernel (its transition rows, its stationary law and
+    its laws), in both halves of each word, shifted by one place per
+    call."""
 
     def __init__(self, kernel):
-        cums = np.concatenate([np.cumsum(kernel.transition, axis=1).ravel()]
-                              + [law._cum for law in kernel.laws])
-        u = np.concatenate(([0.0], cums, np.nextafter(cums, -1.0),
-                            np.nextafter(cums, 2.0)))
-        self.u = np.unique(u[u < 1.0])
+        cums = [np.cumsum(row) for row in kernel.transition]
+        cums += [np.cumsum(kernel.stationary)] + [law._cum
+                                                  for law in kernel.laws]
+        t = np.concatenate([np.round(c[:-1] * 2.0 ** 32) for c in cums])
+        v = np.concatenate(([0.0, 2.0 ** 32 - 1], t, t - 1, t + 1))
+        self.v = np.unique(v[(v >= 0) & (v < 2.0 ** 32)]).astype(np.uint64)
         self.calls = 0
+        self.bit_generator = self
 
-    def random(self, size=None, out=None):
-        draw = np.roll(self.u, self.calls)
+    def random_raw(self, size):
+        assert size == self.v.size
+        low = np.roll(self.v, self.calls)
+        high = np.roll(self.v[::-1], self.calls)
         self.calls += 1
-        if out is None:
-            return draw
-        out[...] = draw
-        return out
+        return (high << np.uint64(32)) | low
 
 
 def test_markov_slots_match_masked_per_law_loop(full_kernel, mixed_kernel,
@@ -213,8 +215,14 @@ def test_markov_slots_match_masked_per_law_loop(full_kernel, mixed_kernel,
         ("a", "b", "c"), np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3],
                                    [0.3, 0.3, 0.4]]),
         [laws[:3], laws[1:], [laws[3], laws[0], laws[1]]])
-    for kernel in (full_kernel, mixed_kernel, full_mixed, ge_kernel):
-        n = _ThresholdReplay(kernel).u.size
+    # every state moves to "a" but with probability 1e-12: no transition
+    # threshold is below 2^32, so the state draw has no row to compare
+    near_certain = MarkovKernel.from_destination_laws(
+        ("a", "b"), np.array([[1.0 - 1e-12, 1e-12], [1.0 - 1e-12, 1e-12]]),
+        [laws[0], laws[2]])
+    for kernel in (full_kernel, mixed_kernel, full_mixed, ge_kernel,
+                   near_certain):
+        n = _ThresholdReplay(kernel).v.size
         for proc in (MarkovAdditive(kernel),
                      MarkovAdditive(kernel, kernel.states[-1])):
             for rng, runs in ((lambda: substream(8, 1), 2_000),
@@ -225,6 +233,85 @@ def test_markov_slots_match_masked_per_law_loop(full_kernel, mixed_kernel,
                 want = list(islice(markov_slots_reference(
                     proc, rng(), runs), 40))
                 np.testing.assert_array_equal(got, want)
+
+
+def test_lattice_slots_read_low_then_high_halves():
+    law = DiscreteDistribution(np.arange(3.0), np.array([0.2, 0.3, 0.5]))
+    n = 1_000
+    raw = substream(5, 1).bit_generator.random_raw(2 * n)
+    halves = [raw[:n] & 0xFFFFFFFF, raw[:n] >> 32,
+              raw[n:] & 0xFFFFFFFF, raw[n:] >> 32]
+    want = [law.support[draw_index_reference(law._cum, v.astype(float))]
+            for v in halves]
+    additive = [caps.copy() for caps in
+                islice(_slots(Additive(law), substream(5, 1), n), 4)]
+    np.testing.assert_array_equal(additive, want)
+    como = list(islice(_slots(Comonotonic(law), substream(5, 1), n), 3))
+    np.testing.assert_array_equal(como, [want[0]] * 3)
+    # antithetic: V, then its partner 2^32 - 1 - V, per half
+    partner = [law.support[draw_index_reference(
+        law._cum, (2 ** 32 - 1 - v).astype(float))] for v in halves]
+    anti = [caps.copy() for caps in
+            islice(_slots(AntitheticPairing(law), substream(5, 1), n), 8)]
+    np.testing.assert_array_equal(anti, [x for pair in zip(want, partner)
+                                         for x in pair])
+
+
+def test_antithetic_pairs_sum_to_top_plus_bottom(two_point):
+    # the two-point threshold is 2^31, and V < 2^31 iff 2^32 - 1 - V >= 2^31
+    rng = substream(6, 2)
+    slots = [caps.copy() for caps in
+             islice(_slots(AntitheticPairing(two_point), rng, 20_000), 12)]
+    sums = np.add(slots[0::2], slots[1::2])
+    assert np.all(sums == 2.0)
+    replay = _ThresholdReplay(MarkovKernel.from_destination_laws(
+        ("s",), np.array([[1.0]]), [two_point]))
+    slots = [caps.copy() for caps in islice(_slots(
+        AntitheticPairing(two_point), replay, replay.v.size), 4)]
+    assert np.all(np.add(slots[0], slots[1]) == 2.0) and replay.calls == 1
+
+
+def test_gilbert_elliott_rows_match_their_frequencies(ge_kernel):
+    # two-sided binomial test of P(next = G | state) on 2^22 draws per row
+    for state, p_good in (("G", 0.9), ("B", 0.2)):
+        proc = MarkovAdditive(ge_kernel, state)
+        good = sum(int(np.count_nonzero(next(_slots(
+            proc, substream(7, i), 1 << 18)) == 2.0)) for i in range(16))
+        assert stats.binomtest(good, 1 << 22, p_good).pvalue > 1e-6
+
+
+def test_wide_laws_take_the_binary_search(unit_spec):
+    laws = [capacity_marginal(unit_spec, Rayleigh()).discretize(),
+            capacity_marginal(unit_spec, Nakagami(2.0)).discretize()]
+    assert min(law.support.size for law in laws) > 4000
+    # a threshold of 2^32 (the last mass below 2^-33) on an odd law index:
+    # its key law 2^32 + 2^32 must sort above the law's other keys
+    tiny_last = DiscreteDistribution(np.arange(6.0), np.array(
+        [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-12, 1e-12]))
+    assert tiny_last._thresholds[-1] == 2 ** 32
+    for pair in (laws, [laws[0], tiny_last]):
+        kernel = MarkovKernel.from_destination_laws(
+            ("r", "n"), np.array([[0.6, 0.4], [0.3, 0.7]]), pair)
+        for proc in (MarkovAdditive(kernel), MarkovAdditive(kernel, "n")):
+            got = [caps.copy() for caps in
+                   islice(_slots(proc, substream(9, 1), 3_000), 20)]
+            want = list(islice(markov_slots_reference(
+                proc, substream(9, 1), 3_000), 20))
+            np.testing.assert_array_equal(got, want)
+    # a state left with probability 1e-12 < 2^-33 is never left, so each
+    # slot draws that state's law: its atom frequencies meet the law's cdf
+    # within the DKW band at level 1e-6
+    n = 1 << 18
+    sticky = MarkovKernel.from_destination_laws(
+        ("r", "n"), np.array([[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]]),
+        laws)
+    for state, law in zip("rn", laws):
+        caps = next(_slots(MarkovAdditive(sticky, state), substream(9, 2), n))
+        assert set(np.unique(caps)) <= set(law.support)
+        empirical = np.searchsorted(np.sort(caps), law.support,
+                                    side="right") / n
+        band = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        assert np.max(np.abs(empirical - law.cdf(law.support))) < band
 
 
 def _digest(values) -> str:
@@ -238,50 +325,50 @@ def _digest(values) -> str:
 # Digests of the Monte Carlo streams; a change that alters a stream on
 # purpose updates them and says so in CHANGES.md.
 _STREAM_DIGESTS = {
-    "additive_two_point/trace": "f8236e343604eafb",
-    "additive_two_point/cumulative": "82ca51245b5ce3a8",
-    "additive_two_point/delay": "c04cc9ccbd6f1fb7",
-    "additive_two_point/feedback": "abca63c7094b9f8a",
+    "additive_two_point/trace": "fb0e9f0afda96837",
+    "additive_two_point/cumulative": "5106d3c035f3376d",
+    "additive_two_point/delay": "d22a704a90f4d65e",
+    "additive_two_point/feedback": "1cc23cd3f7e8e6ab",
     "additive_rayleigh/trace": "d07878378ce7ce2d",
     "additive_rayleigh/cumulative": "ef8644c07c09d8db",
     "additive_rayleigh/delay": "dad536f0132857e4",
     "additive_rayleigh/feedback": "85c664538349d9aa",
-    "comonotonic_two_point/trace": "9e999ac83b8adf57",
-    "comonotonic_two_point/cumulative": "1be27d9bb1dc9660",
-    "comonotonic_two_point/delay": "96ac72b7cb02cd8d",
-    "comonotonic_two_point/feedback": "66900e70869bde1c",
+    "comonotonic_two_point/trace": "7a12e561363385e9",
+    "comonotonic_two_point/cumulative": "d3f2e0b15c39e1ca",
+    "comonotonic_two_point/delay": "96e9e9792104b9de",
+    "comonotonic_two_point/feedback": "325514940a9f0f7f",
     "comonotonic_selective/trace": "5d0a308845fe0674",
     "comonotonic_selective/cumulative": "32f57bcec47a2a81",
     "comonotonic_selective/delay": "6c3c74fc29467d79",
     "comonotonic_selective/feedback": "b93d8e7b413ea9fc",
-    "antithetic_two_point/trace": "fe3e46fd5fc969c2",
-    "antithetic_two_point/cumulative": "5a963216f3a8ffb9",
-    "antithetic_two_point/delay": "21c407f221dc981b",
+    "antithetic_two_point/trace": "bb05476d72b5b9f0",
+    "antithetic_two_point/cumulative": "0c61c7c1e8acb1ed",
+    "antithetic_two_point/delay": "c153fc6479ca6829",
     "antithetic_two_point/feedback": "680db70928e3aa01",
     "antithetic_rayleigh/trace": "8fb4d9c74b961cca",
     "antithetic_rayleigh/cumulative": "a938330696165e87",
     "antithetic_rayleigh/delay": "cdb185ca6afa7c7a",
     "antithetic_rayleigh/feedback": "7af5ce08940127b3",
-    "ge_stationary/trace": "78c029aa28174289",
-    "ge_stationary/cumulative": "c1e5e3b911b0ecd2",
-    "ge_stationary/delay": "a91b8a5c463ca62e",
-    "ge_stationary/feedback": "e804e9958313c7b0",
-    "ge_from_b/trace": "085747f31fbfb00e",
-    "ge_from_b/cumulative": "485fcac5745a8c55",
-    "ge_from_b/delay": "77da6b3419f46712",
-    "ge_from_b/feedback": "88576878a84657a1",
-    "destination_chain/trace": "304eb8333d8f1b5c",
-    "destination_chain/cumulative": "f5166a47009fc2a9",
-    "destination_chain/delay": "11de1bbae292ed3a",
-    "destination_chain/feedback": "97f79a8fd83ce085",
-    "full_kernel/trace": "9f7990caa17d9e5f",
-    "full_kernel/cumulative": "3242b9ea706aaa90",
-    "full_kernel/delay": "7c2fbe55090c45dd",
-    "full_kernel/feedback": "c1f1caaa1fb32405",
-    "tandem/separate": "62ca235760f6648d",
-    "tandem/shared": "fc6c9c1614eff8ad",
-    "mixed_chain/trace": "e5dd9a8ca0b4c648",
-    "mixed_chain/delay": "1143df030ed19d99",
+    "ge_stationary/trace": "26a14ac2768ed2b6",
+    "ge_stationary/cumulative": "7aa4d7b2fd162b3a",
+    "ge_stationary/delay": "dda7fde30bdd403d",
+    "ge_stationary/feedback": "ba24a5884fdbd724",
+    "ge_from_b/trace": "757bd9f370850780",
+    "ge_from_b/cumulative": "0c633174feb2299e",
+    "ge_from_b/delay": "170aa0210b3ea28c",
+    "ge_from_b/feedback": "d20a5846b30f1c71",
+    "destination_chain/trace": "bac0a74b520e64d0",
+    "destination_chain/cumulative": "e38180ce187376b1",
+    "destination_chain/delay": "ea3185aa28925c53",
+    "destination_chain/feedback": "936ccb92c860ece0",
+    "full_kernel/trace": "6417190ab2e19276",
+    "full_kernel/cumulative": "be183b6d320913ac",
+    "full_kernel/delay": "09957d5134070f23",
+    "full_kernel/feedback": "ae9126f354e90542",
+    "tandem/separate": "3063a3720600321a",
+    "tandem/shared": "c16d12d19da02f52",
+    "mixed_chain/trace": "6d24b98f31a253cb",
+    "mixed_chain/delay": "57e55704ddc40cee",
 }
 
 

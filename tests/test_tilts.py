@@ -127,7 +127,7 @@ def test_prefactors_equal_array_reference_bit_for_bit(name):
             h = _spectral(proc, -theta)[1]
             if h is None:
                 continue
-            with np.errstate(over="ignore"):    # exp(theta y) at large tilts
+            with np.errstate(over="raise"):     # the scan handles its own
                 got = delay._prefactors(proc, float(drain), theta, h)
             want = prefactors_reference(proc, float(drain), theta, h)
             assert [_hex(v) for v in got] == [_hex(v) for v in want], (
