@@ -144,9 +144,6 @@ class Rayleigh(_ScaledGain):
     def _logpdf(self, z):
         return np.log(z) - 0.5 * z * z
 
-    def sample_gain(self, rng, size):
-        return rng.rayleigh(self.sigma, size)
-
 
 def _marcum_q1(b, z):
     """Q1(b, z) for z >= b + 2, as the series of positive terms
@@ -402,18 +399,10 @@ class FadingMarginal:
         w, g = self.spec.bandwidth_w, self.spec.snr_gamma
         return np.sqrt(np.expm1(np.asarray(x, dtype=float) / w * math.log(2.0)) / g)
 
-    def _capacity_of_gain(self, r, out=None):
-        """W log2(1 + gamma r^2); with ``out``, in place, in the same order
-        of operations, so the bits are those of the allocating form."""
+    def _capacity_of_gain(self, r):
+        """W log2(1 + gamma r^2)."""
         w, g = self.spec.bandwidth_w, self.spec.snr_gamma
-        if out is None:
-            return w * np.log1p(g * np.square(r)) / math.log(2.0)
-        np.square(r, out=out)
-        out *= g
-        np.log1p(out, out=out)
-        out *= w
-        out /= math.log(2.0)
-        return out
+        return w * np.log1p(g * np.square(r)) / math.log(2.0)
 
     @property
     def is_composite(self) -> bool:
@@ -491,6 +480,28 @@ class FadingMarginal:
         if self.is_composite:
             return self._grid_law._inverse_cdf(u)
         return self._capacity_of_gain(self.model.ppf(u))
+
+    def _inverse_into(self, u, out):
+        """F^{-1}(u) for a float array u in [0, 1], written into out (which
+        may be u).
+
+        A Rayleigh power H^2 is 2 sigma^2 E with E = -log(1 - u) a standard
+        exponential drawn by inversion, so its capacity is the closed form
+        W/ln 2 log1p(-2 sigma^2 gamma log1p(-u)): five in-place passes and
+        no temporary, within a few ulps of ``_inverse_cdf``.  Every other
+        law writes ``_inverse_cdf(u)`` into out.
+        """
+        if self.is_composite or not isinstance(self.model, Rayleigh):
+            out[...] = self._inverse_cdf(u)
+            return out
+        power = 2.0 * self.model.sigma ** 2 * self.spec.snr_gamma
+        np.negative(u, out=out)
+        with np.errstate(divide="ignore"):     # u = 1 gives C = inf
+            np.log1p(out, out=out)
+        out *= -power
+        np.log1p(out, out=out)
+        out *= self.spec.bandwidth_w / math.log(2.0)
+        return out
 
     def cgf(self, theta: float) -> float:
         """log E[exp(theta C)] by composite Gauss-Legendre quadrature.
@@ -598,23 +609,22 @@ class FadingMarginal:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         if self.is_composite:
             return sum(p.sample(rng, size) for p in self._parts)
+        if isinstance(self.model, Rayleigh):
+            out = self._sample_into(rng, np.empty(() if size is None else size))
+            return out if size is not None else out[()]
         return self._capacity_of_gain(self.model.sample_gain(rng, size))
 
     def _sample_into(self, rng: np.random.Generator, out: np.ndarray):
-        """``sample(rng, out.size)`` written into out, bit for bit.
+        """``sample(rng, out.shape)`` written into out, bit for bit.
 
-        A Rayleigh gain is drawn in place the way numpy's ``rayleigh``
-        draws it, sigma sqrt(2 E) for a standard exponential E; every
-        other law fills out from ``sample``.
+        A Rayleigh capacity is drawn in place, as ``_inverse_into`` of one
+        ``rng.random`` uniform per slot; every other law fills out from
+        ``sample``.
         """
         if self.is_composite or not isinstance(self.model, Rayleigh):
-            out[...] = self.sample(rng, out.size)
+            out[...] = self.sample(rng, out.shape)
             return out
-        rng.standard_exponential(out=out)
-        out *= 2.0
-        np.sqrt(out, out=out)
-        out *= self.model.sigma
-        return self._capacity_of_gain(out, out=out)
+        return self._inverse_into(rng.random(out=out), out)
 
     def discretize(self) -> DiscreteDistribution:
         return self._grid_law

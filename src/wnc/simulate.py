@@ -15,8 +15,10 @@ T_k = round(cum_k 2^32), which moves each cumulative mass by at most 2^-33:
 a draw's law is within total variation (K - 1) 2^-33 of the law, a run of
 D draws within D (K - 1) 2^-33, and a mass below 2^-33 may never be drawn.
 ``_slots`` gives the order in which slots consume the halves.  A fading
-stream draws float64 uniforms and gains.  The estimator loops write into
-buffers allocated once per batch.
+stream draws float64 uniforms: a Rayleigh slot inverts its uniform in
+place by one closed form, W/ln 2 log1p(-2 sigma^2 gamma log1p(-U)), and
+other laws draw their gains or invert through their ppf.  The estimator
+loops write into buffers allocated once per batch.
 
 The stationary delay event is evaluated per run as a truncated supremum:
 
@@ -153,10 +155,12 @@ def _slots(process, rng: np.random.Generator, n: int, drain=None):
     run of D draws within D (K - 1) 2^-33 (4.2e-8 for a 360-slot
     two-point walk); a mass below 2^-33 may never be drawn.
 
-    A fading stream draws float64 uniforms and gains: additive slots are
-    ``marginal.sample`` draws (a Rayleigh gain drawn in place), a
-    comonotonic stream repeats F^{-1}(U) for one uniform per run, and
-    antithetic slots come in pairs F^{-1}(U), F^{-1}(1 - U).
+    A fading stream draws float64 uniforms: additive slots are
+    ``marginal.sample`` draws, a comonotonic stream repeats F^{-1}(U) for
+    one uniform per run, and antithetic slots come in pairs F^{-1}(U),
+    F^{-1}(1 - U).  A Rayleigh slot, of any of the three, is F^{-1} of one
+    ``rng.random`` uniform drawn in place (``FadingMarginal._inverse_into``);
+    other laws draw gains, or invert through their ppf.
 
     Consumers read each vector before drawing the next and never write
     into it: a comonotonic stream yields one array forever, and every
@@ -212,16 +216,17 @@ def _fading_slots(process, rng, n, drain):
 
     def shifted(values):
         return values if drain is None else np.subtract(drain, values,
-                                                        out=caps)
+                                                        out=values)
 
     if isinstance(process, Comonotonic):
-        yield from repeat(shifted(marginal._inverse_cdf(rng.random(n))))
+        yield from repeat(shifted(marginal._inverse_into(
+            rng.random(out=caps), caps)))
     if isinstance(process, AntitheticPairing):
-        inverse = marginal._inverse_cdf
+        inverse = marginal._inverse_into
         u = np.empty(n)
         while True:
-            yield shifted(inverse(rng.random(out=u)))
-            yield shifted(inverse(np.subtract(1.0, u, out=u)))
+            yield shifted(inverse(rng.random(out=u), caps))
+            yield shifted(inverse(np.subtract(1.0, u, out=u), caps))
     while True:
         yield shifted(marginal._sample_into(rng, caps))
 
@@ -400,7 +405,6 @@ def feedback_queue(process, arrival, config: SimConfig, d_values):
         b_flow = np.zeros(size)          # external-flow backlog
         b_echo = np.zeros(size)          # fed-back-copy backlog
         dep_flow = np.zeros(size)
-        out_flow = np.zeros(size)        # cumulative first-pass departures
         spare = np.empty(size)           # echo departures, then what is left
         for caps in islice(_slots(process, rng, size), config.horizon):
             b_echo += dep_flow
@@ -410,8 +414,8 @@ def feedback_queue(process, arrival, config: SimConfig, d_values):
             b_flow += lam
             np.minimum(b_flow, spare, out=dep_flow)
             b_flow -= dep_flow
-            out_flow += dep_flow
-        return out_flow
+        # cumulative first-pass departures: what arrived less what is left
+        return lam * config.horizon - b_flow
 
     return _departure_tails(config, 3, lam, d_values, departures)
 
@@ -445,10 +449,12 @@ def tandem_queue(chain, arrival, config: SimConfig, d_values):
             for i, backlog in enumerate(backlogs):
                 if i < len(streams):     # a shared stream serves every hop
                     caps = next(streams[i])
-                np.subtract(caps, extra, out=eff)
-                np.maximum(eff, 0.0, out=eff)
+                served = caps            # no load: caps >= 0 is served as is
+                if extra:
+                    served = np.subtract(caps, extra, out=eff)
+                    np.maximum(eff, 0.0, out=eff)
                 backlog += flow_in       # the hop's input joins its backlog
-                np.minimum(backlog, eff, out=dep)
+                np.minimum(backlog, served, out=dep)
                 backlog -= dep
                 flow_in = dep            # read by the next hop before dep is
             total_out += flow_in

@@ -265,6 +265,31 @@ def test_sampling_matches_cdf_ks(model, samples):
     assert stat < critical
 
 
+@pytest.mark.parametrize("w,gamma,sigma", [
+    (1.0, 1.0, 1.0 / math.sqrt(2.0)), (2.5, 0.1, 1.3), (0.3, 40.0, 0.2)])
+def test_rayleigh_inverse_into_matches_the_ppf_chain(w, gamma, sigma):
+    m = capacity_marginal(ChannelSpec(w, gamma), Rayleigh(sigma))
+    u = np.concatenate(([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                        np.random.default_rng(11).random(100_000)))
+    want = m._inverse_cdf(u)
+    got = m._inverse_into(u, np.empty_like(u))
+    np.testing.assert_array_max_ulp(got, want, maxulp=8)
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+    # in place, as the slot streams call it
+    np.testing.assert_array_equal(m._inverse_into(u.copy(), u), got)
+
+
+@pytest.mark.parametrize("model", [Rayleigh(), Rayleigh(1.3), Nakagami(2.0)],
+                         ids=["rayleigh", "rayleigh_sigma", "nakagami"])
+def test_sample_is_sample_into_bit_for_bit(model):
+    m = capacity_marginal(ChannelSpec(2.0, 3.0), model)
+    want = m.sample(np.random.default_rng(8), 1_001)
+    out = np.empty(1_001)
+    assert m._sample_into(np.random.default_rng(8), out) is out
+    np.testing.assert_array_equal(out, want)
+    assert m.sample(np.random.default_rng(8)) == want[0]
+
+
 def test_frequency_selective_single_subchannel_is_identity():
     fs = FrequencySelective(((SPEC, Rayleigh()),))
     xs = np.linspace(0.0, 6.0, 50)

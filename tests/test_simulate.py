@@ -12,9 +12,9 @@ from wnc import (Additive, AntitheticPairing, ArrivalSpec, ChannelSpec,
                  capacity_marginal)
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import process_mean_rate
-from wnc.simulate import (SimConfig, _slots, cumulative_capacity_samples,
-                          empirical_delay_tails, feedback_queue, substream,
-                          tandem_queue)
+from wnc.simulate import (SimConfig, TailEstimate, _slots,
+                          cumulative_capacity_samples, empirical_delay_tails,
+                          feedback_queue, substream, tandem_queue)
 
 from conftest import draw_index_reference, markov_slots_reference
 
@@ -157,6 +157,78 @@ def test_tandem_deterministic_hops_zero_delay():
     cfg = SimConfig(seed=14, runs=2_000, horizon=100)
     ests = tandem_queue(chain, ArrivalSpec(0.5), cfg, [1, 3])
     assert all(e.point == 0.0 for e in ests)
+
+
+def _tandem_reference(chain, lam, config, d_values, batch):
+    """Tail estimates of a tandem with no interference load, one run and
+    one hop at a time in Python floats: a hop serves min(backlog, C) of the
+    capacity its stream draws (one stream per hop, or one shared by all)."""
+    n_hops, horizon = len(chain.hops), config.horizon
+    counts = [0] * len(d_values)
+    for b, start in enumerate(range(0, config.runs, batch)):
+        size = min(batch, config.runs - start)
+        if chain.shared_channel:
+            streams = [_slots(chain.hops[0], substream(config.seed, 4, b),
+                              size)]
+        else:
+            streams = [_slots(hop, substream(config.seed, 4, b, i + 1), size)
+                       for i, hop in enumerate(chain.hops)]
+        caps = [[next(s).tolist() for s in streams] for _ in range(horizon)]
+        for run in range(size):
+            backlogs, total_out = [0.0] * n_hops, 0.0
+            for slot in caps:
+                flow = lam
+                for i in range(n_hops):
+                    backlogs[i] += flow
+                    flow = min(backlogs[i], slot[min(i, len(slot) - 1)][run])
+                    backlogs[i] -= flow
+                total_out += flow
+            for j, d in enumerate(d_values):
+                counts[j] += lam * (horizon - d) > total_out + 1e-9
+    return [TailEstimate.from_count(c, config.runs) for c in counts]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["separate", "shared"])
+def test_tandem_without_interference_matches_plain_loop(monkeypatch, shared,
+                                                        two_point,
+                                                        rayleigh_marginal):
+    # K = 1 charges no interference load, so each hop serves its capacity
+    import wnc.simulate as sim
+    monkeypatch.setattr(sim, "_BATCH", 128)     # three batches of 300 runs
+    hops = (Additive(two_point), Additive(rayleigh_marginal),
+            AntitheticPairing(two_point))
+    chain = HopChain(hops[:1] * 3 if shared else hops, 1, shared)
+    cfg = SimConfig(seed=31, runs=300, horizon=40)
+    d_values = [1, 2, 5]
+    assert (tandem_queue(chain, ArrivalSpec(0.6), cfg, d_values)
+            == _tandem_reference(chain, 0.6, cfg, d_values, 128))
+
+
+def test_rayleigh_streams_skip_the_ppf_chain(monkeypatch, rayleigh_marginal):
+    import wnc.fading as fading
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((fading._ScaledGain, "ppf"),
+                        (fading.FadingMarginal, "_capacity_of_gain")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    for cls in (Additive, AntitheticPairing, Comonotonic):
+        for drain in (None, 1.5):
+            slots = [caps.copy() for caps in islice(_slots(
+                cls(rayleigh_marginal), substream(3, 1), 1_000, drain), 4)]
+            assert np.all(np.isfinite(slots))
+    assert calls == []
+    # the stream is the inversion of the generator's uniforms
+    u = substream(3, 1).random(1_000)
+    np.testing.assert_array_max_ulp(
+        next(_slots(Comonotonic(rayleigh_marginal), substream(3, 1), 1_000)),
+        rayleigh_marginal._inverse_cdf(u), maxulp=8)
+    assert calls
 
 
 def _stream_processes(two_point, ge_kernel, full_kernel, rayleigh_marginal):
@@ -329,10 +401,10 @@ _STREAM_DIGESTS = {
     "additive_two_point/cumulative": "5106d3c035f3376d",
     "additive_two_point/delay": "d22a704a90f4d65e",
     "additive_two_point/feedback": "1cc23cd3f7e8e6ab",
-    "additive_rayleigh/trace": "d07878378ce7ce2d",
-    "additive_rayleigh/cumulative": "ef8644c07c09d8db",
-    "additive_rayleigh/delay": "dad536f0132857e4",
-    "additive_rayleigh/feedback": "85c664538349d9aa",
+    "additive_rayleigh/trace": "04b93d58adb5d44c",
+    "additive_rayleigh/cumulative": "43f0eedf14be3617",
+    "additive_rayleigh/delay": "319fbcf20406db8a",
+    "additive_rayleigh/feedback": "19bb1bd9edc02531",
     "comonotonic_two_point/trace": "7a12e561363385e9",
     "comonotonic_two_point/cumulative": "d3f2e0b15c39e1ca",
     "comonotonic_two_point/delay": "96e9e9792104b9de",
@@ -345,8 +417,8 @@ _STREAM_DIGESTS = {
     "antithetic_two_point/cumulative": "0c61c7c1e8acb1ed",
     "antithetic_two_point/delay": "c153fc6479ca6829",
     "antithetic_two_point/feedback": "680db70928e3aa01",
-    "antithetic_rayleigh/trace": "8fb4d9c74b961cca",
-    "antithetic_rayleigh/cumulative": "a938330696165e87",
+    "antithetic_rayleigh/trace": "dbc72b0a59fe1f15",
+    "antithetic_rayleigh/cumulative": "f92a5a196988fa84",
     "antithetic_rayleigh/delay": "cdb185ca6afa7c7a",
     "antithetic_rayleigh/feedback": "7af5ce08940127b3",
     "ge_stationary/trace": "26a14ac2768ed2b6",
@@ -365,7 +437,7 @@ _STREAM_DIGESTS = {
     "full_kernel/cumulative": "be183b6d320913ac",
     "full_kernel/delay": "09957d5134070f23",
     "full_kernel/feedback": "ae9126f354e90542",
-    "tandem/separate": "3063a3720600321a",
+    "tandem/separate": "59aa6a8ee150b1bf",
     "tandem/shared": "c16d12d19da02f52",
     "mixed_chain/trace": "6d24b98f31a253cb",
     "mixed_chain/delay": "57e55704ddc40cee",
