@@ -22,7 +22,8 @@ Rice (noncentral chi-square), Nakagami (regularised gamma) and Lognormal
 Rayleigh, Weibull, Markov or discrete channel loads no scipy module.
 All five named laws give light-tailed capacity; `certify_light_tail`
 produces an explicit (a, b) pair with tail(x) <= a*exp(-b*x) on all of
-the fit range [x_lo, x_hi].  Each law says whether its power H^2 has a
+the fit range [x_lo, x_hi], at the rate min(b_edge, b_top, 64) that its
+grid gives in closed form.  Each law says whether its power H^2 has a
 log-concave survival function (``power_sf_log_concave``); where it does,
 the capacity log tail is concave and the certificate is cheap.
 """
@@ -800,17 +801,19 @@ def _concave_cover(tail_values, grid, tails, rate_b: float, log_cap: float):
 def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
                        grid_n: int = 256, rate: float | None = None
                        ) -> TailCertificate:
-    """Search an exponential tail cover with the largest defensible rate.
+    """Certify tail(x) <= a e^{-b x} on [x_lo, x_hi] at the largest defensible b.
 
-    For each candidate rate b the grid prefactor is max tail(x)*exp(b x)
-    over the grid.  A rate is accepted when the maximising point is not the
-    right edge of the grid (no pure extrapolation) and that prefactor stays
-    within ``_PREFACTOR_CAP``.  A law with bounded support is light however
-    flat its tail looks on the range, so for it a peak at the right edge
-    extrapolates nothing; if its support is exhausted inside the range it
-    accepts every rate up to the cap.  The largest accepted b is
-    located by doubling plus bisection.  With ``rate`` given, the search is
-    skipped and the certificate is fitted at that rate.
+    Take the grid points with a positive tail, (x_k, l_k = log tail(x_k))
+    for k = 0..m.  A rate b is defensible when some point before the last
+    scores l_k + b x_k at least as high as the last, so that the grid
+    prefactor is no pure extrapolation, b <= b_edge = max_{k<m} (l_k - l_m)
+    / (x_m - x_k); and when no score exceeds the cap log e
+    (``_PREFACTOR_CAP``), b <= b_top = min_{x_k>0} (log_cap - l_k) / x_k.
+    The rate is min(b_edge, b_top, 64), in closed form.  A law with bounded
+    support is light however flat its tail looks on the range, so it waives
+    b_edge; if its support is exhausted inside the range, its cap is the
+    overflow guard ``_EXP_OVERFLOW``.  With ``rate`` given, the
+    certificate is fitted at that rate, uncapped.
 
     The certified prefactor covers the tail on all of [x_lo, x_hi], not
     only at the grid points.  Where the power H^2 of a single channel has a
@@ -822,7 +825,8 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
     A searched rate is lowered, where needed, so that the certified
     prefactor stays within the cap.
 
-    Raises HeavyTailError when no b > 1e-8 is accepted.
+    Raises HeavyTailError when the rate is below 1e-8; so does an unbounded
+    law with fewer than two positive grid points, whose b_edge is -inf.
     """
     if not (0 <= x_lo < x_hi):
         raise ValidationError("need 0 <= x_lo < x_hi")
@@ -845,8 +849,9 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
             log_a, b_cap = cover(tail_values, grid, tails, b, log_cap)
             if log_a > log_cap:
                 b, log_a = b_cap, log_cap
-            a = (math.inf if log_a > _EXP_OVERFLOW
-                 else float(math.exp(log_a) * (1.0 + 1e-12)))
+            if log_a > _EXP_OVERFLOW:   # only a given rate gets here
+                return TailCertificate(math.inf, b, (x_lo, x_hi), -math.inf)
+            a = float(math.exp(log_a) * (1.0 + 1e-12))
         violation = float(np.max(tails - a * np.exp(-b * grid)))
         return TailCertificate(a, b, (x_lo, x_hi), violation)
 
@@ -855,37 +860,20 @@ def certify_light_tail(spec: ChannelSpec, model, x_lo: float, x_hi: float,
             raise ValidationError("rate must be positive")
         return make(rate)
 
-    # every rate is defensible only for support exhausted in the range, not
-    # for tails that merely underflow to zero inside the fit range
+    # support exhausted in the range defends every rate up to overflow, but
+    # a tail that merely underflows to zero inside the range does not
     exhausted = marginal.support_max <= x_hi
-    bounded = math.isfinite(marginal.support_max)
-    log_cap = math.inf if exhausted else math.log(_PREFACTOR_CAP)
-
-    def accepted(b):
-        pos = tails > 0
-        if not np.any(pos):
-            return True
-        scores = np.log(tails[pos]) + b * grid[pos]
-        peak = int(np.argmax(scores))
-        interior = peak < pos.sum() - 1 or bounded
-        return interior and scores[peak] <= log_cap
-
-    b_min = 1e-8
-    if not accepted(b_min):
+    log_cap = _EXP_OVERFLOW if exhausted else math.log(_PREFACTOR_CAP)
+    x, logs = grid[tails > 0], np.log(tails[tails > 0])
+    b_edge = math.inf
+    if x.size and not math.isfinite(marginal.support_max):
+        b_edge = float(np.max((logs[:-1] - logs[-1]) / (x[-1] - x[:-1]),
+                              initial=-math.inf))
+    top = x > 0
+    b_top = float(np.min((log_cap - logs[top]) / x[top], initial=math.inf))
+    b = min(b_edge, b_top, _RATE_CAP)
+    if b < 1e-8:
         raise HeavyTailError(
-            f"no exponential rate above {b_min} covers the tail on "
+            "no exponential rate above 1e-08 covers the tail on "
             f"[{x_lo}, {x_hi}]: heavy tail detected")
-    lo = b_min
-    hi = min(2.0 * b_min, _RATE_CAP)
-    while accepted(hi):
-        lo = hi
-        if hi >= _RATE_CAP:
-            return make(_RATE_CAP, log_cap)
-        hi = min(hi * 2.0, _RATE_CAP)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if accepted(mid):
-            lo = mid
-        else:
-            hi = mid
-    return make(lo, log_cap)
+    return make(b, log_cap)

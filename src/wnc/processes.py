@@ -99,15 +99,13 @@ class MarkovKernel:
         reach = np.linalg.matrix_power((p > 0).astype(float) + np.eye(n), n)
         if np.any(reach <= 0):
             raise ValidationError("transition matrix must be irreducible")
-        if n > 1:
-            # aperiodicity: P^m eventually strictly positive
-            q = p.copy()
-            for _ in range(n * n):
-                if np.all(q > 0):
-                    break
-                q = q @ p
-            else:
-                raise ValidationError("transition matrix must be aperiodic")
+        # aperiodicity on the zero pattern, where no tiny entry underflows:
+        # P^m > 0 for every m >= (n - 1)^2 + 1 (Wielandt), so square that far
+        q = p > 0
+        for _ in range(((n - 1) ** 2).bit_length()):
+            q = q @ q
+        if not np.all(q):
+            raise ValidationError("transition matrix must be aperiodic")
         rows = tuple(tuple(row) for row in self.increments)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValidationError("increments must be an |E| x |E| matrix of laws")

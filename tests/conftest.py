@@ -605,3 +605,64 @@ def prefactors_reference(process, drain, theta, h):
         lo, up = cramer_reference(y, m / m.sum(), theta)
         ratios.append((lo / h[j], up / h[j]))
     return min(r[0] for r in ratios), max(r[1] for r in ratios)
+
+
+def light_tail_reference(spec, model, x_lo, x_hi, grid_n=256):
+    """(a, b, lowered) of ``certify_light_tail``, its rate found by a search.
+
+    The predicate ``accepted(b)``: over the grid points with a positive
+    tail, the first maximum of log tail(x) + b x is not the last point (a
+    bounded law waives this) and does not exceed the cap.  The rate is the
+    largest accepted b up to 64: doubling from 1e-8, then 60 bisection
+    steps.  The caps, the cover and the lowering to b_cap are the
+    library's, and ``lowered`` says whether that lowering ran.
+    HeavyTailError when 1e-8 is not accepted.
+    """
+    import math
+
+    from wnc import fading
+    from wnc.distributions import _EXP_OVERFLOW
+    from wnc.errors import HeavyTailError
+
+    marginal = fading._as_marginal(spec, model)
+    is_fading = isinstance(marginal, fading.FadingMarginal)
+    grid = np.linspace(x_lo, x_hi, grid_n)
+    tails = np.asarray(marginal.tail(grid), dtype=float)
+    bounded = math.isfinite(marginal.support_max)
+    log_cap = (_EXP_OVERFLOW if marginal.support_max <= x_hi
+               else math.log(fading._PREFACTOR_CAP))
+
+    def accepted(b):
+        pos = tails > 0
+        if not np.any(pos):
+            return True
+        scores = np.log(tails[pos]) + b * grid[pos]
+        peak = int(np.argmax(scores))
+        interior = peak < pos.sum() - 1 or bounded
+        return interior and scores[peak] <= log_cap
+
+    if not accepted(1e-8):
+        raise HeavyTailError("heavy tail detected")
+    lo, hi = 1e-8, 2e-8
+    while accepted(hi):
+        lo = hi
+        if hi >= fading._RATE_CAP:
+            break
+        hi = min(hi * 2.0, fading._RATE_CAP)
+    else:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if accepted(mid):
+                lo = mid
+            else:
+                hi = mid
+    if not np.any(tails > 0):
+        return 1e-300, lo, False
+    cover = (fading._concave_cover if is_fading and marginal.log_concave_tail
+             else fading._tail_cover)
+    log_a, b_cap = cover(marginal._tail_values if is_fading else marginal.tail,
+                         grid, tails, lo, log_cap)
+    lowered = log_a > log_cap
+    if lowered:
+        lo, log_a = b_cap, log_cap
+    return float(math.exp(log_a) * (1.0 + 1e-12)), lo, lowered

@@ -76,6 +76,20 @@ def test_capacity_certificate_below_the_largest_atom(tmp_path, capsys):
     assert float(cert["certificate_violation"]) <= 0.0
 
 
+def test_capacity_certificate_of_exhausted_support_is_finite(tmp_path, capsys):
+    # the support ends at 12, inside [0, 13]: the rate rises until the
+    # prefactor reaches e^700, not until it overflows
+    doc = copy.deepcopy(BASE)
+    doc["channel"]["capacity_bits_per_slot"]["support"] = [0.0, 12.0]
+    doc["queries"] = [{"kind": "capacity", "x_grid_bits": [1.0],
+                       "certify_x_hi_bits": 13.0}]
+    assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    (cert,) = [r for r in rows if r["certificate_a"]]
+    assert float(cert["certificate_a"]) == pytest.approx(np.exp(700.0), rel=1e-9)
+    assert float(cert["certificate_violation"]) <= 0.0
+
+
 def test_threads_default_is_read_from_the_environment_at_each_call(
         tmp_path, monkeypatch):
     # the parser is built once per process; WNC_THREADS is not frozen in it

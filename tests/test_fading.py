@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from wnc import fading
 from wnc.fading import FadingMarginal, rayleigh_capacity_cdf
 
 from conftest import (cdf_generic, exponential_tail_law, fading_cgf_reference,
-                      fading_moment_reference, scipy_gain_law)
+                      fading_moment_reference, light_tail_reference,
+                      scipy_gain_law)
 
 SPEC = ChannelSpec(1.0, 1.0)
 
@@ -350,6 +353,119 @@ def test_certificate_bounded_law_flat_to_the_right_edge(law, x_lo, x_hi):
     assert cert.max_violation <= 0.0
     assert cert.prefactor_a <= math.e * (1.0 + 1e-9)
     assert cert.rate_b == pytest.approx((1.0 + math.log(2.0)) / x_hi, rel=1e-12)
+
+
+def closed_form_sweep(n_cases=120):
+    """Certificate inputs (spec, law, x_lo, x_hi, grid_n) from a fixed seed:
+    lattice laws of 1-6 atoms on a 0.5 grid, some atoms with zero mass, and
+    the gain laws with a concave capacity log tail at random W and gamma,
+    on random fit ranges and grids; then fixed laws of the monotone cover,
+    among them two heavy-tail verdicts."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(n_cases):
+        if i % 4 == 0:
+            n = int(rng.integers(1, 7))
+            support = np.sort(rng.choice(np.arange(25) * 0.5, n, replace=False))
+            mass = rng.random(n) * (rng.random(n) > 0.25)
+            if mass.sum() == 0.0:
+                mass[0] = 1.0
+            spec, model = None, DiscreteDistribution(support, mass / mass.sum())
+        else:
+            spec = ChannelSpec(float(rng.uniform(0.5, 3.0)),
+                               float(np.exp(rng.uniform(-1.0, 3.5))))
+            model = (Rayleigh(float(rng.uniform(0.3, 1.5))),
+                     Nakagami(float(rng.uniform(1.0, 4.0)),
+                              float(rng.uniform(0.5, 2.0))),
+                     Weibull(float(rng.uniform(0.5, 2.0)),
+                             float(rng.uniform(2.0, 4.0))))[i % 4 - 1]
+        x_hi = float(rng.uniform(0.5, 20.0))
+        x_lo = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.7 * x_hi))
+        cases.append((spec, model, x_lo, x_hi, int(rng.integers(16, 513))))
+    return cases + [
+        (SPEC, Rice(1.0, 0.5), 0.0, 4.0, 64),
+        (SPEC, Lognormal(0.0, 0.5), 0.5, 8.0, 128),
+        (SPEC, Weibull(1.0, 1.5), 0.0, 8.0, 16),
+        (SPEC, Nakagami(0.5), 1.0, 6.0, 33),
+        (SPEC, TWO_PART, 0.0, 8.0, 64),
+        (SPEC, Lognormal(0.0, 1e9), 1.0, 30.0, 64),
+        (ChannelSpec(1.33, 53.6), Rice(2.79, 0.289), 0.0, 4.8, 256),
+    ]
+
+
+def exact_rule(marginal, x_lo, x_hi, grid_n):
+    """min(b_edge, b_top, 64) in exact rationals over the grid's float logs."""
+    grid = np.linspace(x_lo, x_hi, grid_n)
+    tails = marginal.tail(grid)
+    x = [Fraction(v) for v in grid[tails > 0]]
+    logs = [Fraction(v) for v in np.log(tails[tails > 0])]
+    log_cap = Fraction(fading._EXP_OVERFLOW if marginal.support_max <= x_hi
+                       else math.log(fading._PREFACTOR_CAP))
+    rates = [Fraction(64)] + [(log_cap - l) / v for v, l in zip(x, logs) if v > 0]
+    if x and not math.isfinite(marginal.support_max):
+        rates.append(max((l - logs[-1]) / (x[-1] - v)
+                         for v, l in zip(x[:-1], logs[:-1])))
+    return min(rates)
+
+
+SWEEP = closed_form_sweep()
+
+
+@pytest.mark.parametrize("spec,model,x_lo,x_hi,grid_n", SWEEP, ids=[
+    f"{i}-{type(case[1]).__name__}" for i, case in enumerate(SWEEP)])
+def test_certificate_rate_is_the_closed_form_of_the_search(spec, model, x_lo,
+                                                            x_hi, grid_n):
+    try:
+        ref_a, ref_b, lowered = light_tail_reference(spec, model, x_lo, x_hi,
+                                                     grid_n)
+    except HeavyTailError:
+        with pytest.raises(HeavyTailError):
+            certify_light_tail(spec, model, x_lo, x_hi, grid_n)
+        return
+    cert = certify_light_tail(spec, model, x_lo, x_hi, grid_n)
+    marginal = fading._as_marginal(spec, model)
+    if lowered:
+        # the rate is the cover's b_cap, whatever ulps the input rate had
+        assert (cert.prefactor_a, cert.rate_b) == (ref_a, ref_b)
+    else:
+        # the search rounds each score l_k + b x_k, which moves its boundary
+        # by up to ~1300 ulps on such grids; the closed form is within two
+        # ulps of the exact rule
+        assert cert.rate_b == pytest.approx(ref_b, rel=1e-12, abs=0.0)
+        assert cert.prefactor_a == pytest.approx(ref_a, rel=1e-11, abs=0.0)
+        exact = exact_rule(marginal, x_lo, x_hi, grid_n)
+        assert abs(Fraction(cert.rate_b) - exact) <= 2 * Fraction(
+            math.ulp(cert.rate_b))
+    fine = np.linspace(x_lo, x_hi, 20_001)
+    assert np.all(marginal.tail(fine)
+                  <= cert.prefactor_a * np.exp(-cert.rate_b * fine))
+
+
+def test_certificate_closed_form_edge_cases():
+    # one positive grid point: the Weibull(1, 3) tail underflows to 0 by
+    # the second point, so no rate is defended on an unbounded law
+    for certify in (certify_light_tail, light_tail_reference):
+        with pytest.raises(HeavyTailError):
+            certify(SPEC, Weibull(1.0, 3.0), 6.3, 12.0, 16)
+    # no positive grid point: every rate is
+    cert = certify_light_tail(SPEC, Weibull(1.0, 3.0), 7.0, 8.0, 16)
+    assert (cert.prefactor_a, cert.rate_b, cert.max_violation) == (1e-300, 64.0, 0.0)
+    assert light_tail_reference(SPEC, Weibull(1.0, 3.0), 7.0, 8.0, 16)[1] == 64.0
+
+
+def test_certificate_prefactor_never_overflows_into_nan():
+    law = DiscreteDistribution(np.array([0.0, 12.0]), np.array([0.5, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # support exhausted at 12 < 13: the cap is e^700, not infinity
+        cert = certify_light_tail(None, law, 0.0, 13.0)
+        assert cert.prefactor_a == math.exp(700.0) * (1.0 + 1e-12)
+        assert cert.rate_b == pytest.approx((700.0 + math.log(2.0)) / 12.0,
+                                            rel=1e-3)
+        assert cert.max_violation <= 0.0
+        # a given rate is not capped: an overflowing a covers everything
+        given = certify_light_tail(SPEC, Weibull(1.0, 3.0), 0.0, 8.0, rate=760.0)
+        assert (given.prefactor_a, given.max_violation) == (math.inf, -math.inf)
 
 
 def minplus_tail(laws, x):

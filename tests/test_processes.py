@@ -45,6 +45,53 @@ def test_kernel_validation(ge_kernel):
     assert ge_kernel.mean_rate() == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
+def cycle_with_self_loop(n, loop):
+    """The n-cycle 0 -> 1 -> ... -> 0 with a self-loop of weight loop on 0."""
+    p = np.roll(np.eye(n), 1, axis=1)
+    p[0, :2] = loop, 1.0 - loop
+    return p
+
+
+def wielandt(n):
+    """The n-cycle with a chord n-1 -> 1: P^m > 0 first at m = (n - 1)^2 + 1."""
+    p = np.roll(np.eye(n), 1, axis=1)
+    p[-1, :2] = 0.5
+    return p
+
+
+@pytest.mark.parametrize("transition", [
+    np.array([[1e-200, 1.0 - 1e-200, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+    cycle_with_self_loop(11, 1e-31),
+    cycle_with_self_loop(12, 1e-31),
+    wielandt(5),
+    wielandt(12),
+], ids=["3-state-1e-200", "11-cycle-1e-31", "12-cycle-1e-31", "wielandt-5",
+        "wielandt-12"])
+def test_aperiodic_kernel_constructs(transition):
+    # a short cycle makes each kernel aperiodic.  Powers of the float matrix
+    # lose a cycle through a tiny entry to underflow, the zero pattern does
+    # not; and the Wielandt kernels need all (n - 1)^2 + 1 steps
+    n = len(transition)
+    kernel = MarkovKernel.from_destination_laws(
+        tuple(range(n)), transition, [float(i % 3) for i in range(n)])
+    assert kernel.transition.shape == (n, n)
+
+
+@pytest.mark.parametrize("transition", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.roll(np.eye(3), 1, axis=1),
+    cycle_with_self_loop(12, 0.0),
+    # period 2: every cycle alternates between {0, 1} and {2, 3}
+    np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.3, 0.7],
+              [0.4, 0.6, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+])
+def test_periodic_kernel_is_rejected(transition):
+    n = len(transition)
+    with pytest.raises(ValidationError, match="aperiodic"):
+        MarkovKernel.from_destination_laws(
+            tuple(range(n)), transition, [float(i) for i in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # comonotonic closed form
 
