@@ -22,10 +22,9 @@ kernels and is reported separately).  Every bound here takes either
 process through one path: an Additive process is the one-state Markov-
 additive case, with kappa the marginal's cgf and h = (1,).
 
-One solve per tilt per query: the walk does not depend on d, so
-``delay_tails`` answers a grid of d from one ``ruin``, and the delay-
-constrained capacity keeps a memo, local to the call, of each tilt's
-(kappa, h) and (C_-, C_+).  The prefactor scan runs on the atom arrays of
+One solve per tilt per query, read from the query's ``processes._Tilts``;
+the walk does not depend on d, so ``delay_tails`` answers a grid of d
+from one ``ruin``.  The prefactor scan runs on the atom arrays of
 drain - B_j directly (``_cramer``), without building a law per tilt; a
 point mass takes the closed form ``_cramer_point``.
 """
@@ -41,9 +40,9 @@ import numpy as np
 from . import solve
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, UnstableSystemError, ValidationError
-from .processes import (Additive, BoundReport, Comonotonic, MarkovAdditive,
-                        _spectral, _start_index, _start_weight,
-                        _support_ends, process_mean_rate)
+from .processes import (BoundReport, Comonotonic, _entry_laws, _start_index,
+                        _start_weight, _support_ends, _Tilts,
+                        process_mean_rate)
 
 _ROOT_TOL = 1e-9
 
@@ -87,22 +86,6 @@ def stability_margin(process, arrival: ArrivalSpec) -> float:
 # Lundberg roots
 
 
-def _entry_laws(process):
-    """(j, law) for each increment law a slot can carry into state j.
-
-    An Additive process is the one-state case: the single law of its
-    discretised marginal.  A Markov-additive process lists each allowed
-    transition's law once (once per destination in the compact mode):
-    ``MarkovKernel.entry_laws``, built once per kernel.
-    """
-    if isinstance(process, Additive):
-        return ((0, process.marginal.discretize()),)
-    if not isinstance(process, MarkovAdditive):
-        raise ValidationError(
-            "ruin bounds need an Additive or MarkovAdditive process")
-    return process.kernel.entry_laws
-
-
 def _floor(process) -> float:
     """Smallest positive-mass atom any slot can produce (ess inf C)."""
     return min(float(law._pos_support[0]) for _, law in _entry_laws(process))
@@ -124,11 +107,10 @@ def lundberg_root(process, arrival: ArrivalSpec) -> LundbergSolution:
         # capacity never falls below the drain: the queue never builds
         raise NumericFailure("no positive root: capacity never below drain rate")
 
-    spectra = {}    # theta -> (kappa_C(-theta), h); the search solves each once
+    tilts = _Tilts(process)
 
     def kappa(th):
-        spectra[th] = _spectral(process, -th)
-        return th * drain + spectra[th][0]
+        return th * drain + tilts[-th][0]
 
     theta, info = solve.positive_root(kappa)
     if theta is None:
@@ -140,7 +122,7 @@ def lundberg_root(process, arrival: ArrivalSpec) -> LundbergSolution:
         raise NumericFailure(
             f"Lundberg residual {info.residual:.3e} exceeds tolerance")
     return LundbergSolution(theta_star=theta, kappa_residual=info.residual,
-                            h=spectra[theta][1], diagnostics=info)
+                            h=tilts[-theta][1], diagnostics=info)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +369,8 @@ class DCCDiagnostics:
     conservative/optimistic hold the SolveInfo of each end's root search in
     theta (bracketing steps included in its evaluation count), or None
     where no root search ran: the end sits at the floor rate or no rate
-    meets epsilon.  tilts counts the distinct theta solved, one
-    ``_spectral`` solve each.
+    meets epsilon.  tilts counts the distinct theta solved: the size of
+    the call's ``_Tilts`` memo, one spectral solve each.
     """
 
     conservative: Optional[solve.SolveInfo]
@@ -443,9 +425,9 @@ def delay_constrained_capacity(process, d: float, epsilon: float
     feasible; a constant channel, whose least and greatest capacity are
     one value, is feasible up to that value.
 
-    One solve per tilt per query: a memo local to the call keeps each
-    theta's (kappa_C(-theta), h) and (C_-, C_+), so both ends share one
-    doubling/halving bracket and alpha(theta) reuses the solve.
+    One solve per tilt per query: the call's ``_Tilts`` and a memo of each
+    theta's (C_-, C_+) let both ends share one doubling/halving bracket,
+    and alpha(theta) reuses the solve.
     """
     if d <= 0:
         raise ValidationError("d must be positive")
@@ -459,7 +441,6 @@ def delay_constrained_capacity(process, d: float, epsilon: float
 
     mean = process_mean_rate(process)
     floor = _floor(process)
-    start = _start_index(process)
     if floor == _support_ends(process)[1]:
         # constant channel: the capacity never falls below the drain
         return DelayConstrainedCapacity(floor, floor, (floor, floor), True)
@@ -467,26 +448,21 @@ def delay_constrained_capacity(process, d: float, epsilon: float
         # the mean rounds down to the floor: no drain below it crosses
         return DelayConstrainedCapacity(mean, mean, (mean, mean), True)
 
-    memo = {}       # theta -> (kappa_C(-theta), h, (C_-, C_+) or None)
-
-    def spectral(th):
-        if th not in memo:
-            memo[th] = (*_spectral(process, -th), None)
-        return memo[th]
+    tilts = _Tilts(process)
+    prefactors = {}     # theta -> (C_-, C_+) at the drain alpha(theta)
 
     def tilt(th):
         # kappa_C(-th), C-+ and the start weight h(J0)
-        k, h, pref = spectral(th)
+        k, h, weight = tilts[-th]
         if h is None:
             raise NumericFailure(f"tilt {-th!r} lies outside the kernel's domain")
-        if pref is None:
-            pref = _prefactors(process, -k / th, th, h)
-            memo[th] = (k, h, pref)
-        return (k, *pref, _start_weight(h, start))
+        if th not in prefactors:
+            prefactors[th] = _prefactors(process, -k / th, th, h)
+        return (k, *prefactors[th], weight)
 
     def rate(th):
         # -inf outside the domain, which ends the doubling
-        return -spectral(th)[0] / th
+        return -tilts[-th][0] / th
 
     log_eps = math.log(epsilon)
 
@@ -500,12 +476,15 @@ def delay_constrained_capacity(process, d: float, epsilon: float
             c = (c_minus, c_plus)[side] * weight
             return (math.log(c) if c > 0 else -math.inf) + k * d - log_eps
 
-        # bracket with theta doubling (rate falling) or halving (rate rising)
+        # bracket with theta doubling (rate falling) or halving (rate rising);
+        # no law crosses a drain at the floor, so no excess is taken there
         lo = hi = 1.0
-        while excess(hi) > 0:
+        while rate(hi) > max(floor, _DCC_RATE_FLOOR * mean):
+            if excess(hi) <= 0:
+                break
             lo, hi = hi, 2.0 * hi
-            if rate(hi) <= max(floor, _DCC_RATE_FLOOR * mean):
-                return (None, floor, None, None) if floor > 0 else None
+        else:
+            return (None, floor, None, None) if floor > 0 else None
         while excess(lo) <= 0:
             lo, hi = 0.5 * lo, lo
         th, info = solve.root(excess, lo, hi)
@@ -518,7 +497,7 @@ def delay_constrained_capacity(process, d: float, epsilon: float
     optimistic = 0.0 if lower is None else lower[1]
     diagnostics = DCCDiagnostics(None if upper is None else upper[3],
                                  None if lower is None else lower[3],
-                                 len(memo))
+                                 len(tilts))
     if upper is None:
         return DelayConstrainedCapacity(0.0, optimistic, (0.0, 0.0), False,
                                         diagnostics)

@@ -24,7 +24,7 @@ import numpy as np
 from . import solve
 from .delay import ArrivalSpec, _delay_bounds, ruin
 from .errors import UnstableSystemError, ValidationError
-from .processes import Additive, BoundReport, process_mean_rate
+from .processes import Additive, BoundReport, _Tilts, process_mean_rate
 
 __all__ = ["HopChain", "feedback_delay", "feedback_delays",
            "e2e_delay_bound"]
@@ -117,16 +117,16 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
         raise ValidationError("d must be nonnegative")
     if not all(isinstance(h, Additive) for h in chain.hops):
         raise ValidationError("the end-to-end bound requires additive hops")
-    # one cgf per distinct marginal: a chain may repeat one hop object, and
-    # laws are unhashable, so hops are told apart by identity
-    distinct = {id(h.marginal): h.marginal for h in chain.hops}
+    # one _Tilts memo per distinct marginal: a chain may repeat one hop
+    # object, and laws are unhashable, so hops are told apart by identity
+    distinct = {id(h.marginal): h for h in chain.hops}
     index = [list(distinct).index(id(h.marginal)) for h in chain.hops]
-    marginals = list(distinct.values())
+    tilts = [_Tilts(hop) for hop in distinct.values()]
     lam = arrival.lam
     drain = (chain.multiplier + 1) * lam
 
     def log_w(th):
-        return np.array([m.cgf(-th) for m in marginals])[index] + th * drain
+        return np.array([t[-th][0] for t in tilts])[index] + th * drain
 
     def log_bound(th):
         lw = log_w(th)
@@ -138,7 +138,7 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
     if theta is None:
         # log w_i(theta) is convex with slope drain - E[C_i] at 0: no theta
         # converges when some hop's mean capacity does not exceed the drain
-        if min(m.mean() for m in marginals) > drain:
+        if min(hop.marginal.mean() for hop in distinct.values()) > drain:
             theta_max, info = solve.positive_root(
                 lambda th: float(np.max(log_w(th))))
         else:

@@ -15,14 +15,16 @@ for additive processes, and the Perron-Frobenius analogue with prefactor
 h(J0)/min_j h(J_j) for Markov-additive processes.  ``_spectral`` turns a
 tilt th into (kappa(th), h): log sp(F[th]) and its right eigenvector from
 one ``perron_frobenius`` solve, or the marginal's cgf and h = (1,) for an
-Additive process.  ``MarkovKernel`` says which law each transition carries.
+Additive process; its one caller, the per-query memo ``_Tilts``, keeps
+(kappa(th), h, h(J0)) for every bound in theta.  ``MarkovKernel`` says
+which law each transition carries, and ``_entry_laws`` lists them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -617,16 +619,20 @@ def _start_weight(h, start: Optional[int]) -> float:
     return 1.0 if start is None else float(h[start])
 
 
-def _tilt_terms(process):
-    """theta -> (kappa(theta), prefactor h(J0)/min_j h(J_j)), one solve each."""
-    start = _start_index(process)
+class _Tilts(dict):
+    """theta -> (kappa(theta), h, h(J0)), one ``_spectral`` solve each, and
+    (inf, None, None) outside the domain.  Built per query, so no thread
+    shares one; len() counts the tilts solved."""
 
-    def terms(th):
-        k, h = _spectral(process, th)
-        if h is None:
-            return k, 1.0
-        return k, _start_weight(h, start) / float(min(h))
-    return terms
+    def __init__(self, process):
+        super().__init__()
+        self.process, self.start = process, _start_index(process)
+
+    def __missing__(self, theta):
+        k, h = _spectral(self.process, theta)
+        w = None if h is None else _start_weight(h, self.start)
+        self[theta] = (k, h, w)
+        return k, h, w
 
 
 def _trivial_side(exponent):
@@ -640,21 +646,28 @@ def _trivial_side(exponent):
     return floor, exponent(floor), solve.SolveInfo((floor, floor), 1, 0.0, True)
 
 
+def _entry_laws(process):
+    """(j, law) for each increment law a slot can carry into state j: the
+    discretised marginal into state 0 of an Additive process, or the
+    ``MarkovKernel.entry_laws``, each allowed transition's law once."""
+    if isinstance(process, MarkovAdditive):
+        return process.kernel.entry_laws
+    if not isinstance(process, Additive):
+        raise ValidationError(
+            "ruin and Chernoff bounds need an Additive or MarkovAdditive process")
+    return ((0, process.marginal.discretize()),)
+
+
 def _support_ends(process):
     """(floor, top): the least and the greatest capacity a slot can carry.
 
-    From the positive-mass atoms of a discrete marginal, or of every law on
-    a transition of positive probability; a fading capacity has support
-    (0, inf).
+    From the positive-mass atoms of the ``_entry_laws``; a fading capacity
+    has support (0, inf).
     """
-    if isinstance(process, MarkovAdditive):
-        laws = [law for _, law in process.kernel.entry_laws]
-    elif not isinstance(process, Additive):
-        raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
-    elif isinstance(process.marginal, DiscreteDistribution):
-        laws = [process.marginal]
-    else:
+    if (isinstance(process, Additive)
+            and not isinstance(process.marginal, DiscreteDistribution)):
         return process.marginal.support_min, process.marginal.support_max
+    laws = [law for _, law in _entry_laws(process)]
     return (min(float(law._pos_support[0]) for law in laws),
             max(float(law._pos_support[-1]) for law in laws))
 
@@ -687,10 +700,11 @@ def cdf_bounds(process, t: int, x: float):
     (1 for an Additive process).  Returns (lower, upper) BoundReports with
     the optimising theta recorded.  Since k(th) >= th E[C] and pf >= 1, the
     lower side is 0 at x <= t E[C] and the upper side 1 at x >= t E[C]; such
-    a side is evaluated at one theta only.  Each tilt is solved once.
-    Below t times the least capacity a slot can carry F_S(t)(x) is exactly
-    0, and from t times the greatest it is exactly 1: both sides return
-    that value with no search (theta_star None, prefactor 1).
+    a side is evaluated at one theta only.  Each tilt is solved once, in
+    the call's ``_Tilts``.  Below t times the least capacity a slot can
+    carry F_S(t)(x) is exactly 0, and from t times the greatest it is
+    exactly 1: both sides return that value with no search (theta_star
+    None, prefactor 1).
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
@@ -701,22 +715,24 @@ def cdf_bounds(process, t: int, x: float):
         return tuple(BoundReport(kind, exact, theta_star=None, prefactor=1.0,
                                  horizon=float(t), notes="exact: support end")
                      for kind in ("cdf_lower", "cdf_upper"))
-    terms = lru_cache(maxsize=None)(_tilt_terms(process))
+    tilts = _Tilts(process)
 
-    # upper: min over th > 0 of pf(-th) * e^{t k(-th) + th x}
-    def upper_exponent(th):
-        k, pf = terms(-th)
-        if not np.isfinite(k):
-            return math.inf
-        return t * k + th * x + math.log(pf)
+    def prefactor(th):
+        # pf(th) = h(J0)/min_j h(J_j); 1 outside the domain
+        _, h, weight = tilts[th]
+        return 1.0 if h is None else weight / float(min(h))
 
-    # lower: max over th > 0 of 1 - pf(th) e^{t k(th) - th x}
-    def lower_exponent(th):
-        k, pf = terms(th)
-        if not np.isfinite(k):
-            return math.inf
-        return t * k - th * x + math.log(pf)
+    def exponent(sign):
+        # upper (sign +1): min over th > 0 of pf(-th) e^{t k(-th) + th x};
+        # lower (sign -1): max over th > 0 of 1 - pf(th) e^{t k(th) - th x}
+        def fn(th):
+            k = tilts[-sign * th][0]
+            if not np.isfinite(k):
+                return math.inf
+            return t * k + sign * th * x + math.log(prefactor(-sign * th))
+        return fn
 
+    upper_exponent, lower_exponent = exponent(+1.0), exponent(-1.0)
     mean_sum = t * process_mean_rate(process)
     th_up, e_up, info_up = (_trivial_side(upper_exponent) if x >= mean_sum
                             else solve.minimize_convex(upper_exponent))
@@ -724,10 +740,10 @@ def cdf_bounds(process, t: int, x: float):
                             else solve.minimize_convex(lower_exponent))
 
     upper = BoundReport("cdf_upper", min(1.0, math.exp(min(e_up, _EXP_OVERFLOW))),
-                        theta_star=th_up, prefactor=terms(-th_up)[1],
+                        theta_star=th_up, prefactor=prefactor(-th_up),
                         horizon=float(t), diagnostics=info_up)
     lower_val = min(1.0, max(0.0, -math.expm1(min(e_lo, _EXP_OVERFLOW))))
     lower = BoundReport("cdf_lower", lower_val, theta_star=th_lo,
-                        prefactor=terms(th_lo)[1], horizon=float(t),
+                        prefactor=prefactor(th_lo), horizon=float(t),
                         diagnostics=info_lo)
     return lower, upper

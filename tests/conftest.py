@@ -507,7 +507,8 @@ def affine_prefactors(process, drain, theta, h):
     """Reference for delay._prefactors: each entry law's walk increment
     drain - B_j built as a validated law through ``affine`` and scanned by
     the public ``cramer_prefactors``."""
-    from wnc.delay import _entry_laws, cramer_prefactors
+    from wnc.delay import cramer_prefactors
+    from wnc.processes import _entry_laws
     ratios = []
     for j, law in _entry_laws(process):
         walk = law.affine(shift=drain, scale=-1.0)

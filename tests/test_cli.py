@@ -344,6 +344,24 @@ def test_fixed_start_markov_scenario(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_dcc_whose_mean_rounds_to_the_floor(tmp_path, capsys):
+    # alpha(1) rounds to the floor 1.0, where no law crosses the drain
+    doc = yaml.safe_load((REPO / "scenarios" / "gilbert_elliott.yaml")
+                         .read_text())
+    doc["process"]["markov"].update(
+        states=["a", "b", "c"], capacities_bits_per_slot=[1.5, 2.0, 1.0],
+        transition=[[0.7, 0.2, 0.1], [1.8e-5, 0.9999806, 1.4e-6],
+                    [1.5e-19, 1.5e-19, 1.0]])
+    doc["queries"] = [{"kind": "dcc", "d_slots": 10, "epsilon": 0.01}]
+    assert main(["dcc", "--scenario", write_scenario(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (row,) = csv.DictReader(captured.out.splitlines())
+    assert float(row["lambda_conservative"]) == 1.0
+    assert float(row["lambda_optimistic"]) == 1.0
+    assert row["feasible"] == "true"
+
+
 def test_csv_rows_as_wide_as_header(tmp_path):
     # validate's additive_cdf parameters (t=8,x=4) and order's relations
     # (cx(S_N, S_perp)) contain commas and must come out quoted

@@ -453,7 +453,7 @@ def _count_spectral(monkeypatch):
     def counted(process, theta):
         calls.append(theta)
         return _spectral(process, theta)
-    monkeypatch.setattr(delay, "_spectral", counted)
+    monkeypatch.setattr(processes, "_spectral", counted)
     return calls
 
 
@@ -480,14 +480,13 @@ def test_dcc_outputs_pinned(name, two_point, ge_kernel, full_kernel,
 
 def _record_tilts(monkeypatch, process):
     """The tilts a query solves: theta of each ``_spectral`` solve for a
-    Markov process, (law, theta) of each cgf call for an Additive one (the
-    end-to-end bound calls the cgf directly)."""
+    Markov process, (law, theta) of each cgf call for an Additive one (so
+    the distinct hops of the end-to-end bound are told apart)."""
     calls = []
     if isinstance(process, MarkovAdditive):
         def counted(proc, theta):
             calls.append(theta)
             return _spectral(proc, theta)
-        monkeypatch.setattr(delay, "_spectral", counted)
         monkeypatch.setattr(processes, "_spectral", counted)
     else:
         law_type = type(process.marginal)
@@ -523,6 +522,12 @@ def test_each_query_solves_each_tilt_once(name, two_point, ge_kernel,
     if isinstance(proc, Additive):
         queries["e2e_delay_bound"] = lambda: e2e_delay_bound(
             HopChain((proc, proc)), arrival, 10.0)
+    if name == "two_point":
+        # two distinct lattice hops, one of them twice: once per (hop, theta)
+        other = Additive(DiscreteDistribution(np.array([0.5, 1.0, 3.0]),
+                                              np.array([0.2, 0.5, 0.3])))
+        queries["e2e_delay_bound, distinct hops"] = lambda: e2e_delay_bound(
+            HopChain((proc, other, proc)), arrival, 10.0)
     calls = _record_tilts(monkeypatch, proc)
     for query, run in queries.items():
         calls.clear()
@@ -718,6 +723,20 @@ def test_cramer_prefactors_keeps_its_checks(two_point):
     with pytest.raises(ValidationError):
         cramer_prefactors(DiscreteDistribution(np.array([-3.0, -1.0]),
                                                np.array([0.5, 0.5])), 1.0)
+
+
+def test_dcc_whose_first_rate_is_the_floor():
+    # the mean sits one rounding above the floor 1.0, so alpha(1) rounds to
+    # the floor, where no law crosses the drain upward
+    proc = MarkovAdditive(MarkovKernel.from_destination_laws(
+        ("a", "b", "c"), np.array([[0.7, 0.2, 0.1],
+                                   [1.8e-5, 0.9999806, 1.4e-6],
+                                   [1.5e-19, 1.5e-19, 1.0]]), [1.5, 2.0, 1.0]))
+    assert process_mean_rate(proc) == 1.0000000000000007
+    res = delay_constrained_capacity(proc, 10.0, 0.01)
+    assert (res.conservative, res.optimistic, res.one_shot_window,
+            res.feasible) == (1.0, 1.0, (1.0, 1.0), True)
+    assert res.diagnostics.tilts == 1
 
 
 def test_dcc_constant_markov_channel():

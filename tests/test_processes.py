@@ -14,7 +14,7 @@ from wnc import processes, solve
 from wnc.cli import build_process, load_scenario
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import (BoundReport, _grid_allocation, _spectral,
-                           _tilt_terms, process_mean_rate)
+                           _Tilts, process_mean_rate)
 from wnc.simulate import cumulative_capacity_samples
 
 from conftest import (assert_matrix_power_identity,
@@ -471,7 +471,11 @@ def _ge(p, q):
 
 def _grid_cdf_bounds(process, t, x):
     """(lower, upper) Chernoff values from the 200-point grid search."""
-    terms = _tilt_terms(process)
+    tilts = _Tilts(process)
+
+    def terms(th):
+        k, h, weight = tilts[th]
+        return k, 1.0 if h is None else weight / float(min(h))
 
     def kappa(th):
         return terms(th)[0]

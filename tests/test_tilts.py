@@ -8,8 +8,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from wnc import (ArrivalSpec, MarkovAdditive, MarkovKernel, NumericFailure,
-                 cdf_bounds, delay, delay_constrained_capacity, mgf_matrix)
+from wnc import (Additive, ArrivalSpec, MarkovAdditive, MarkovKernel,
+                 NumericFailure, cdf_bounds, delay, delay_constrained_capacity,
+                 mgf_matrix, processes)
 from wnc.delay import delay_tails
 from wnc.distributions import DiscreteDistribution
 from wnc.processes import _spectral, _support_ends, process_mean_rate
@@ -142,7 +143,23 @@ def test_entry_laws_are_the_scanned_pairs(name):
     want = entry_laws_reference(kernel)
     got = kernel.entry_laws
     assert [(j, id(law)) for j, law in got] == [(j, id(law)) for j, law in want]
-    assert delay._entry_laws(MarkovAdditive(kernel)) is got
+    assert processes._entry_laws(MarkovAdditive(kernel)) is got
+
+
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+def test_floor_is_the_support_end(name):
+    proc = MarkovAdditive(CHANNELS[name])
+    assert delay._floor(proc) == _support_ends(proc)[0]
+
+
+def test_floor_of_an_additive_channel(two_point, rayleigh_marginal):
+    lattice = Additive(two_point)
+    assert delay._floor(lattice) == _support_ends(lattice)[0] == 0.0
+    # the ruin floor reads the discretised law, whose least atom is the
+    # 1e-9 quantile, against the fading support (0, inf); ROADMAP item 7
+    # moves the fading floor to the support end and removes the difference
+    fading = Additive(rayleigh_marginal)
+    assert delay._floor(fading) > _support_ends(fading)[0] == 0.0
 
 
 def test_ge_queries_make_no_matrix_power_and_build_entries_once(monkeypatch):

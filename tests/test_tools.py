@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -33,3 +34,23 @@ def test_unreached_lists_only_the_entries_kept_on_purpose():
     assert run.stdout.splitlines() == KEPT_UNREACHED
     # the counts line goes to stderr
     assert run.stderr.startswith("8 of ") and ", 9 of " in run.stderr
+
+
+def test_spectral_has_one_call_site():
+    # every tilt is read through processes._Tilts, the one memo per query;
+    # a second caller would be a second home for a tilt's (kappa, h)
+    callers = []
+    package = os.path.join(ROOT, "src", "wnc")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                if called == "_spectral":
+                    callers.append((name, node.lineno))
+    assert [name for name, _ in callers] == ["processes.py"], callers
