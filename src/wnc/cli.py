@@ -37,7 +37,7 @@ from .fading import (ChannelSpec, FrequencySelective, Lognormal, Nakagami,
                      Rayleigh, Rice, Weibull, capacity_marginal,
                      certify_light_tail)
 from .interference import HopChain, e2e_delay_bound, feedback_delays
-from .ordering import SampleSet, adjustment_ordering, cx_order
+from .ordering import SampleSet, _strict_tails, adjustment_ordering, cx_order
 from .processes import (Additive, AntitheticPairing, Comonotonic,
                         MarkovAdditive, MarkovKernel, cdf_bounds,
                         comonotonic_cdf, frechet_bounds)
@@ -486,10 +486,8 @@ def _run_order(scenario, query, arrival, config, meta):
              "max_violation": v2.max_violation, "tolerance": v2.tolerance_used}]
     d_values = query.get("d_slots")
     if d_values:
-        cfgs = [SimConfig(config.seed + k, config.runs, config.horizon,
-                          config.warmup) for k in range(3)]
-        tails = [empirical_delay_tails(p, arrival, d_values, c, strict=True)
-                 for p, c in zip((proc_n, proc_perp, proc_p), cfgs)]
+        tails = _strict_tails((proc_n, proc_perp, proc_p), arrival, d_values,
+                              config)
         for i, d in enumerate(d_values):
             rows.append({"relation": f"delay_chain_d={d:g}",
                          "tail_negative": tails[0][i].point,

@@ -19,7 +19,7 @@ direction; a missing root makes the check vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -213,6 +213,15 @@ def adjustment_ordering(proc_a, proc_b, arrival: ArrivalSpec,
 # delay ordering across the dependence triple
 
 
+def _strict_tails(procs, arrival: ArrivalSpec, d_grid, config: SimConfig):
+    """Monte Carlo strict tails P(D > d) on d_grid of each process, the
+    k-th drawn on seed config.seed + k."""
+    return [empirical_delay_tails(p, arrival, d_grid,
+                                  replace(config, seed=config.seed + k),
+                                  strict=True)
+            for k, p in enumerate(procs)]
+
+
 @dataclass(frozen=True)
 class DelayOrderingReport:
     d_grid: tuple
@@ -238,12 +247,7 @@ def delay_ordering_check(proc_n, proc_perp, proc_p, arrival: ArrivalSpec,
     tail exp(-theta/2) = 0.544 against the comonotonic 0.5).  The
     delay-constrained capacities are compared where computable.
     """
-    ests = [empirical_delay_tails(p, arrival, d_grid, cfg, strict=True)
-            for p, cfg in ((proc_n, config),
-                           (proc_perp, SimConfig(config.seed + 1, config.runs,
-                                                 config.horizon, config.warmup)),
-                           (proc_p, SimConfig(config.seed + 2, config.runs,
-                                              config.horizon, config.warmup)))]
+    ests = _strict_tails((proc_n, proc_perp, proc_p), arrival, d_grid, config)
 
     def leq(a, b):
         return a.point <= b.point + 3.0 * math.hypot(a.stderr, b.stderr) + 1e-12

@@ -76,6 +76,15 @@ class BoundReport:
 # Markov kernel
 
 
+def _walks(pattern: np.ndarray, m: int) -> np.ndarray:
+    """Whether a k-step walk on the 0/1 pattern joins i to j, for the least
+    power of two k >= m >= 1; squares clip at 1, so every sum is exact."""
+    q = pattern.astype(float)
+    for _ in range((m - 1).bit_length()):
+        q = np.minimum(q @ q, 1.0)
+    return q > 0
+
+
 @dataclass(frozen=True)
 class MarkovKernel:
     """Finite-state Markov-additive kernel.
@@ -98,15 +107,11 @@ class MarkovKernel:
             raise ValidationError("transition must be an |E| x |E| matrix")
         if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
             raise ValidationError("transition rows must be probabilities summing to 1")
-        reach = np.linalg.matrix_power((p > 0).astype(float) + np.eye(n), n)
-        if np.any(reach <= 0):
+        # on the zero pattern: irreducible iff (P + I)^(n - 1) > 0, and then
+        # aperiodic iff P^((n - 1)^2 + 1) > 0 (Wielandt)
+        if not np.all(_walks((p > 0) | np.eye(n, dtype=bool), n)):
             raise ValidationError("transition matrix must be irreducible")
-        # aperiodicity on the zero pattern, where no tiny entry underflows:
-        # P^m > 0 for every m >= (n - 1)^2 + 1 (Wielandt), so square that far
-        q = p > 0
-        for _ in range(((n - 1) ** 2).bit_length()):
-            q = q @ q
-        if not np.all(q):
+        if not np.all(_walks(p > 0, (n - 1) ** 2 + 1)):
             raise ValidationError("transition matrix must be aperiodic")
         rows = tuple(tuple(row) for row in self.increments)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -245,10 +250,9 @@ def perron_frobenius(matrix: np.ndarray, stationary: np.ndarray):
 
     One dense eigen-solve; the Perron root is the eigenvalue of largest
     real part, so a periodic spectrum (eigenvalues +-rho) needs no special
-    care.  h is normalised by pi . h = 1 with pi = ``stationary``.  The
-    residual ||M h - lam h|| must stay below 1e-9 relative, else a
-    NumericFailure is raised.  The zero pattern is not checked: entries of
-    a tilted kernel may underflow (``MarkovKernel`` checks the transition's).
+    care.  h is normalised by pi . h = 1 with pi = ``stationary``.  Raises
+    NumericFailure if pi . h is not positive and finite or ||M h - lam h||
+    exceeds 1e-9 relative.  ``_spectral`` tests the zero pattern first.
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
@@ -259,7 +263,10 @@ def perron_frobenius(matrix: np.ndarray, stationary: np.ndarray):
     lam, h = _dominant_pair(m)
     if not lam > 0:
         raise NumericFailure(f"Perron root {lam!r} is not positive")
-    h = h / float(np.asarray(stationary, float) @ h)
+    norm = float(np.asarray(stationary, float) @ h)
+    if not 0.0 < norm < math.inf:      # h underflows at a subnormal lam
+        raise NumericFailure(f"pi . h = {norm!r} is not positive and finite")
+    h = h / norm
     resid = abs(m @ h - lam * h).max() / abs(h).max()
     if resid > 1e-9 * max(lam, 1.0):
         raise NumericFailure(f"eigen residual {resid:.3e} exceeds tolerance")
@@ -560,16 +567,8 @@ def frechet_bounds(marginals, x: float):
 
 
 def _nilpotent(m: np.ndarray) -> bool:
-    """Whether the nonnegative matrix m has no cycle of positive entries.
-
-    A 2x2 matrix [[a, b], [c, d]] is nilpotent exactly when a = d = 0 and
-    bc = 0; a larger one when its zero pattern's n-th power vanishes.
-    """
-    n = m.shape[0]
-    if n == 2:
-        (a, b), (c, d) = m.tolist()
-        return a == 0.0 and d == 0.0 and (b == 0.0 or c == 0.0)
-    return not np.any(np.linalg.matrix_power((m > 0).astype(float), n))
+    """No cycle of positive entries: no n-step walk on m's zero pattern."""
+    return not np.any(_walks(m > 0, m.shape[0]))
 
 
 def _spectral(process, theta: float):

@@ -540,6 +540,39 @@ def entry_laws_reference(kernel):
     return laws
 
 
+def irreducible_reference(pattern):
+    """Irreducibility as first tested: the float matrix (P > 0) + I to the
+    n-th power is positive.  It counts walks, so from about 143 dense
+    states the count overflows (exact on the small patterns tests feed)."""
+    n = pattern.shape[0]
+    reach = np.linalg.matrix_power(pattern.astype(float) + np.eye(n), n)
+    return not np.any(reach <= 0)
+
+
+def aperiodic_reference(pattern):
+    """Primitivity as first tested, for n >= 2 states: some float power
+    P^m, m <= n^2, of the 0/1 pattern is positive."""
+    n = pattern.shape[0]
+    p = pattern.astype(float)
+    q = p.copy()
+    for _ in range(n * n):
+        if np.all(q > 0):
+            return True
+        q = q @ p
+    return False
+
+
+def nilpotent_reference(m):
+    """The first domain test of a tilted kernel: the closed form a = d = 0
+    and bc = 0 for 2x2 [[a, b], [c, d]], else a zero n-th float power of
+    the zero pattern."""
+    n = m.shape[0]
+    if n == 2:
+        (a, b), (c, d) = m.tolist()
+        return a == 0.0 and d == 0.0 and (b == 0.0 or c == 0.0)
+    return not np.any(np.linalg.matrix_power((m > 0).astype(float), n))
+
+
 def spectral_reference(process, theta):
     """(kappa(theta), h) of a Markov-additive process, or (inf, None)
     outside the domain, as first written: array cgfs, the tilted matrix

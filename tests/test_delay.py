@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -737,6 +738,20 @@ def test_dcc_whose_first_rate_is_the_floor():
     assert (res.conservative, res.optimistic, res.one_shot_window,
             res.feasible) == (1.0, 1.0, (1.0, 1.0), True)
     assert res.diagnostics.tilts == 1
+
+
+def test_near_reducible_delay_tails_fail_without_a_warning():
+    # the tilts of the lone 1e-200 self-loop underflow F[theta] to a
+    # subnormal Perron root whose eigenvector underflows to 0; the solve
+    # fails on pi . h = 0 before it would divide by it
+    proc = MarkovAdditive(MarkovKernel.from_destination_laws(
+        ("a", "b", "c"), np.array([[1e-200, 1.0 - 1e-200, 0.0],
+                                   [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+        [1.0, 2.0, 3.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match=r"pi \. h = 0\.0"):
+            delay_tails(proc, ArrivalSpec(1.5), [1.0, 5.0, 10.0])
 
 
 def test_dcc_constant_markov_channel():

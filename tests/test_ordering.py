@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wnc import (Additive, AntitheticPairing, ArrivalSpec, Comonotonic,
-                 ValidationError, adjustment_ordering, cx_order, icx_order,
-                 st_order)
+                 ValidationError, adjustment_ordering, cli, cx_order,
+                 icx_order, st_order)
 from wnc.distributions import DiscreteDistribution
 from wnc.ordering import (SampleSet, adjustment_coefficient,
                           delay_ordering_check, stop_loss_curve)
-from wnc.simulate import SimConfig, cumulative_capacity_samples
+from wnc.simulate import (SimConfig, cumulative_capacity_samples,
+                          empirical_delay_tails)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +177,30 @@ def test_delay_ordering_rejects_invalid_dcc_inputs(two_point):
         delay_ordering_check(AntitheticPairing(two_point), Additive(two_point),
                              Comonotonic(two_point), ArrivalSpec(0.5), [1],
                              cfg, dcc_eps=0.0)
+
+
+def test_order_rows_are_the_delay_ordering_tails():
+    # `wnc order` and delay_ordering_check draw the triple's strict tails
+    # through one helper: N, perp and P on seeds +0, +1, +2
+    doc = cli.load_scenario(str(REPO / "scenarios" / "default.yaml"))
+    doc["sim"].update(runs=2_000, horizon_slots=100, warmup_slots=10)
+    doc["queries"] = [{"kind": "order", "probe_t_slots": 4,
+                       "d_slots": [1, 2, 5]}]
+    rows, _ = cli.run_command("order", doc)
+    rows = [row for _, row in rows if "tail_negative" in row]
+    assert len(rows) == 3
+    cfg = cli.build_sim_config(doc)
+    law = cli.build_marginal(doc)
+    procs = (AntitheticPairing(law), Additive(law), Comonotonic(law))
+    rep = delay_ordering_check(*procs, ArrivalSpec(0.4), [1, 2, 5], cfg)
+    tails = [tuple(e.point for e in est) for est in
+             (rep.tails_negative, rep.tails_independent,
+              rep.tails_comonotonic)]
+    assert [tuple(row[key] for row in rows) for key in
+            ("tail_negative", "tail_independent", "tail_comonotonic")] == tails
+    for k, (proc, expected) in enumerate(zip(procs, tails)):
+        drawn = empirical_delay_tails(
+            proc, ArrivalSpec(0.4), [1, 2, 5],
+            SimConfig(cfg.seed + k, cfg.runs, cfg.horizon, cfg.warmup),
+            strict=True)
+        assert tuple(e.point for e in drawn) == expected

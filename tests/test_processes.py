@@ -1,13 +1,14 @@
 import copy
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wnc import (Additive, AntitheticPairing, ChannelSpec, Comonotonic,
-                 MarkovAdditive, MarkovKernel, Nakagami, Rayleigh,
-                 ValidationError, Weibull,
+                 MarkovAdditive, MarkovKernel, Nakagami, NumericFailure,
+                 Rayleigh, ValidationError, Weibull,
                  capacity_marginal, cdf_bounds, comonotonic_cdf,
                  frechet_bounds, mgf_matrix, perron_frobenius)
 from wnc import processes, solve
@@ -17,10 +18,11 @@ from wnc.processes import (BoundReport, _grid_allocation, _spectral,
                            _Tilts, process_mean_rate)
 from wnc.simulate import cumulative_capacity_samples
 
-from conftest import (assert_matrix_power_identity,
+from conftest import (aperiodic_reference, assert_matrix_power_identity,
                       frechet_allocation_full_table, frechet_allocation_loop,
                       frechet_polish_reference, grid_exponent_min,
-                      markov_sum_cdf, theta_grid)
+                      irreducible_reference, markov_sum_cdf,
+                      nilpotent_reference, theta_grid)
 
 
 def test_bound_report_validation():
@@ -90,6 +92,134 @@ def test_periodic_kernel_is_rejected(transition):
     with pytest.raises(ValidationError, match="aperiodic"):
         MarkovKernel.from_destination_laws(
             tuple(range(n)), transition, [float(i) for i in range(n)])
+
+
+def _patterns():
+    """Every 2x2 and 3x3 zero pattern, then 400 random 4-8-state ones of
+    density 0.1-0.7 (fixed seed); half of those keep only the edges from
+    each of k = 2 or 3 classes to the next, so many are periodic, plus
+    sometimes one edge that may break the period."""
+    for n in (2, 3):
+        for bits in range(2 ** (n * n)):
+            yield (bits >> np.arange(n * n) & 1).astype(bool).reshape(n, n)
+    rng = np.random.default_rng(27)
+    for _ in range(400):
+        n = int(rng.integers(4, 9))
+        pattern = rng.random((n, n)) < rng.uniform(0.3, 0.9)
+        if rng.random() < 0.5:
+            k = int(rng.integers(2, 4))
+            cls = rng.integers(0, k, n)
+            pattern &= (cls[None, :] - cls[:, None]) % k == 1
+            if rng.random() < 0.5:
+                pattern[tuple(rng.integers(0, n, 2))] = True
+        yield pattern
+
+
+def _verdict(transition):
+    n = len(transition)
+    try:
+        MarkovKernel.from_destination_laws(tuple(range(n)), transition,
+                                           [1.0] * n)
+    except ValidationError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_pattern_tests_agree_with_the_float_forms():
+    # the clipped squarings decide as the float walk counts did, which are
+    # exact on these sizes: the kernel's verdict, and the domain test on
+    # the pattern carrying random positive weights
+    rng = np.random.default_rng(2027)
+    seen = set()
+    for pattern in _patterns():
+        weights = np.where(pattern, rng.uniform(0.05, 1.0, pattern.shape), 0.0)
+        rows = weights.sum(axis=1, keepdims=True)
+        transition = weights / np.where(rows > 0, rows, 1.0)
+        if not pattern.any(axis=1).all():
+            expected = "transition rows must be probabilities summing to 1"
+        elif not irreducible_reference(pattern):
+            expected = "transition matrix must be irreducible"
+        elif not aperiodic_reference(pattern):
+            expected = "transition matrix must be aperiodic"
+        else:
+            expected = "accepted"
+        assert _verdict(transition) == expected, pattern.astype(int)
+        assert (processes._nilpotent(weights)
+                == nilpotent_reference(weights)), pattern.astype(int)
+        seen.add((min(pattern.shape[0], 4), expected,
+                  nilpotent_reference(weights)))
+    # every verdict and both domain answers occur for 2, 3 and 4-8 states
+    verdicts = {"accepted", "transition matrix must be irreducible",
+                "transition matrix must be aperiodic",
+                "transition rows must be probabilities summing to 1"}
+    for n in (2, 3, 4):
+        assert {v for m, v, _ in seen if m == n} == verdicts
+        assert {nil for m, _, nil in seen if m == n} == {True, False}
+
+
+def test_dense_200_state_kernel_constructs():
+    # a float (P > 0) + I to the 200th power counts 201^200 walks, which
+    # overflows; the clipped squarings count none
+    rng = np.random.default_rng(200)
+    p = rng.uniform(0.1, 1.0, (200, 200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = MarkovKernel.from_destination_laws(
+            tuple(range(200)), p / p.sum(axis=1, keepdims=True),
+            [float(i % 4) for i in range(200)])
+    assert kernel.transition.shape == (200, 200)
+
+
+def test_reducible_300_state_kernel_is_rejected_as_reducible():
+    # two dense 150-state blocks and one link from the first into the
+    # second: the second is closed, so nothing leads back.  A float walk
+    # count overflows into NaN here, which passes as reachable, and then
+    # the kernel reads as periodic
+    rng = np.random.default_rng(300)
+    p = np.zeros((300, 300))
+    p[:150, :150] = rng.uniform(0.1, 1.0, (150, 150))
+    p[150:, 150:] = rng.uniform(0.1, 1.0, (150, 150))
+    p[0, 150] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="must be irreducible"):
+            MarkovKernel.from_destination_laws(
+                tuple(range(300)), p / p.sum(axis=1, keepdims=True),
+                [1.0] * 300)
+
+
+def test_underflowed_200_state_domain_test_is_warning_free():
+    # at theta = -1000 the mgf e^{-2000} of the 2-bit states underflows, so
+    # F[theta] loses half its columns and the cycle test runs on a dense
+    # 100-column pattern, whose float walk count overflows
+    rng = np.random.default_rng(201)
+    p = rng.uniform(0.1, 1.0, (200, 200))
+    p /= p.sum(axis=1, keepdims=True)
+    kernel = MarkovKernel.from_destination_laws(
+        tuple(range(200)), p, [0.5] * 100 + [2.0] * 100)
+    upper = np.triu(np.ones((200, 200)), 1)
+    back = upper.copy()
+    back[-1, 0] = 1e-300                # one cycle through every state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa, h = _spectral(MarkovAdditive(kernel), -1000.0)
+        assert processes._nilpotent(upper)
+        assert not processes._nilpotent(back)
+    rho = max(np.linalg.eigvals(p[:100, :100]).real)
+    assert kappa == pytest.approx(-500.0 + math.log(rho), rel=1e-12)
+    assert h.shape == (200,)
+
+
+def test_perron_frobenius_rejects_an_underflowed_eigenvector():
+    # F[theta] of the near-reducible kernel at a tilt lundberg_root probes:
+    # its Perron root 6.6e-312 is subnormal, and h underflows to 0 in the
+    # power steps, so pi . h = 0 and normalising would divide 0 by 0
+    m = np.array([[6.616261056707e-312, 4.377491037053051e-223, 0.0],
+                  [0.0, 0.0, 0.0], [6.616261056709485e-112, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match=r"pi \. h = 0\.0"):
+            perron_frobenius(m, np.full(3, 1.0 / 3.0))
 
 
 # ---------------------------------------------------------------------------

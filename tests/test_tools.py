@@ -36,10 +36,10 @@ def test_unreached_lists_only_the_entries_kept_on_purpose():
     assert run.stderr.startswith("8 of ") and ", 9 of " in run.stderr
 
 
-def test_spectral_has_one_call_site():
-    # every tilt is read through processes._Tilts, the one memo per query;
-    # a second caller would be a second home for a tilt's (kappa, h)
-    callers = []
+def _call_sites(called_name):
+    """(file, line) of every call of a function or method named
+    ``called_name`` in ``src/wnc/*.py``, read from the AST."""
+    sites = []
     package = os.path.join(ROOT, "src", "wnc")
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
@@ -51,6 +51,20 @@ def test_spectral_has_one_call_site():
                 func = node.func
                 called = (func.attr if isinstance(func, ast.Attribute)
                           else getattr(func, "id", None))
-                if called == "_spectral":
-                    callers.append((name, node.lineno))
+                if called == called_name:
+                    sites.append((name, node.lineno))
+    return sites
+
+
+def test_spectral_has_one_call_site():
+    # every tilt is read through processes._Tilts, the one memo per query;
+    # a second caller would be a second home for a tilt's (kappa, h)
+    callers = _call_sites("_spectral")
     assert [name for name, _ in callers] == ["processes.py"], callers
+
+
+def test_no_matrix_power_in_the_package():
+    # which powers of a zero pattern are positive is asked of one helper,
+    # processes._walks, by squaring clipped at 1; a float matrix power counts
+    # walks and overflows from about 143 dense states
+    assert _call_sites("matrix_power") == []
