@@ -113,6 +113,17 @@ _SCHEMA = {
                     "properties": {"support": _NUMS, "mass": _NUMS},
                 },
             },
+            # no key that build_marginal would not read: a lattice law
+            # reads no fading, and subchannels carry their own W and gamma
+            "allOf": [
+                {"if": {"required": ["capacity_bits_per_slot"]},
+                 "then": {"properties": {"capacity_bits_per_slot": True},
+                          "additionalProperties": False}},
+                {"if": {"required": ["fading"], "properties": {"fading": {
+                    "properties": {"kind": {"const": "frequency_selective"}}}}},
+                 "then": {"properties": {"fading": True},
+                          "additionalProperties": False}},
+            ],
         },
         "process": {
             "type": "object", "additionalProperties": False,
@@ -498,6 +509,9 @@ def _run_order(scenario, query, arrival, config, meta):
 
 def _run_interference(scenario, query, arrival, config, meta):
     process = build_process(scenario)
+    if isinstance(process, Comonotonic):
+        raise ValidationError("scenario field process.kind: interference "
+                              "needs an additive or markov process")
     d_values = query.get("d_slots", [1, 2, 5])
     rows = []
     try:

@@ -17,10 +17,10 @@ extremes are attained at atom endpoints, so the scan evaluates them there
 exactly.  Markov-additive channels replace kappa by the log Perron-
 Frobenius eigenvalue of the tilted kernel, carry the eigenvector weight
 h(J_i) for the initial state, and apply per-transition overshoot-corrected
-Cramer prefactors (the bare eigenvector pair is exact only for skip-free
-kernels and is reported separately).  Every bound here takes either
-process through one path: an Additive process is the one-state Markov-
-additive case, with kappa the marginal's cgf and h = (1,).
+Cramer prefactors (the bare eigenvector upper bound h(J_i)/min_j h_j is
+reported separately).  Every bound here takes either process through one
+path: an Additive process is the one-state Markov-additive case, with
+kappa the marginal's cgf and h = (1,).
 
 One solve per tilt per query, read from the query's ``processes._Tilts``;
 the walk does not depend on d, so ``delay_tails`` answers a grid of d
@@ -234,10 +234,10 @@ def ruin(process, drain: float) -> Ruin:
     """Lundberg root plus overshoot-corrected Cramer prefactors.
 
     The correction is essential for the lower bound: the bare eigenvector
-    pair h_i/max_j h_j is exact only for skip-free kernels (zero overshoot
-    at the crossing, e.g. destination-attached point masses); with general
-    increment laws the crossing overshoot costs a factor of
-    inf over transitions (i,j) and gaps x of
+    value h_i/max_j h_j is a lower prefactor only for skip-free kernels
+    (zero overshoot at the crossing, e.g. destination-attached point
+    masses); with general increment laws the crossing overshoot costs a
+    factor of inf over transitions (i,j) and gaps x of
     (1/h_j) * P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B_ij(dy),
     where B_ij is the walk-increment law drain - H_ij and h_j weights the
     post-crossing state.  The maximum of the same ratios tightens the
@@ -257,7 +257,6 @@ def ruin(process, drain: float) -> Ruin:
 class MarkovDelayBounds:
     lower: BoundReport
     upper: BoundReport
-    basic_lower: BoundReport
     basic_upper: BoundReport
     theta_star: Optional[float]
 
@@ -268,10 +267,9 @@ def delay_tail_markov_detail(process, arrival: ArrivalSpec,
 
     The primary pair uses the overshoot-corrected Cramer prefactors
     C_-+ h(J0) e^{-theta lambda d}, with h(J0) = 1 from the stationary
-    start.  The bare eigenvector pair h(J0)/max_j h_j and h(J0)/min_j h_j
-    is attached as basic_lower/basic_upper; its lower side is exact only
-    for skip-free kernels.  The bounds from a fixed state s are those of
-    ``MarkovAdditive(kernel, s)``; the stationary ones are their
+    start.  The eigenvector upper bound h(J0)/min_j h_j e^{-theta lambda d}
+    is attached as basic_upper.  The bounds from a fixed state s are those
+    of ``MarkovAdditive(kernel, s)``; the stationary ones are their
     pi-mixture.  An Additive process is the one-state case (h = (1,)).
     A degenerate or unstable walk reports prefactor 1.
     """
@@ -305,20 +303,19 @@ def _delay_bounds(process, r: Ruin, arrival: ArrivalSpec,
                  else "degenerate: queue never builds")
         pair = (report("delay_lower", v, 1.0, notes),
                 report("delay_upper", v, 1.0, notes))
-        return MarkovDelayBounds(*pair, *pair, theta_star=None)
+        return MarkovDelayBounds(*pair, pair[1], theta_star=None)
 
     h = r.h
     e = math.exp(-r.theta_star * level)
-    hmin, hmax = float(min(h)), float(max(h))
+    hmin = float(min(h))
     w = _start_weight(h, _start_index(process))
-    basic_note = "eigenvector prefactor (exact only for skip-free kernels)"
-    basic_lower = report("delay_lower", w / hmax * e, w / hmax, basic_note)
-    basic_upper = report("delay_upper", w / hmin * e, w / hmin, basic_note)
+    note = "eigenvector prefactor (exact only for skip-free kernels)"
+    basic_upper = report("delay_upper", w / hmin * e, w / hmin, note)
     lower = report("delay_lower", r.c_minus * w * e, r.c_minus * w,
                    "improved prefactor")
     upper = report("delay_upper", r.c_plus * w * e, r.c_plus * w,
                    "improved prefactor")
-    return MarkovDelayBounds(lower, upper, basic_lower, basic_upper,
+    return MarkovDelayBounds(lower, upper, basic_upper,
                              theta_star=r.theta_star)
 
 

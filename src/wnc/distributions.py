@@ -252,18 +252,6 @@ class DiscreteDistribution:
         keep = mass > 0
         return DiscreteDistribution(centers[keep], mass[keep])
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """size draws (one for None) from ceil(size / 2) PCG64 words.
-
-        The draws are the words' low halves, then their high halves; a
-        draw v takes the atom ``_draw_index(v)``.
-        """
-        n = 1 if size is None else int(size)
-        raw = rng.bit_generator.random_raw((n + 1) // 2)
-        v = np.concatenate((raw & 0xFFFFFFFF, raw >> 32))[:n]
-        out = self.support[self._draw_index(v, np.empty(n, dtype=np.intp))]
-        return out[0] if size is None else out
-
     def discretize(self) -> "DiscreteDistribution":
         """Already discrete; returns itself (protocol compatibility)."""
         return self

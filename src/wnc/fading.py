@@ -375,7 +375,8 @@ class FadingMarginal:
     """Instantaneous-capacity law of a (ChannelSpec, FadingModel) pair.
 
     Implements the capacity-law protocol shared with DiscreteDistribution:
-    cdf / tail / quantile / cgf / mean / var / sample / discretize.
+    cdf / tail / quantile / cgf / mean / var / discretize; ``_sample_into``
+    draws the Monte Carlo oracle's fading slots.
     """
 
     def __init__(self, spec: ChannelSpec, model):
@@ -607,25 +608,23 @@ class FadingMarginal:
         vals = self._node_terms[0] ** k * self.model.pdf(r)
         return float(w @ vals)
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        if self.is_composite:
-            return sum(p.sample(rng, size) for p in self._parts)
-        if isinstance(self.model, Rayleigh):
-            out = self._sample_into(rng, np.empty(() if size is None else size))
-            return out if size is not None else out[()]
-        return self._capacity_of_gain(self.model.sample_gain(rng, size))
-
     def _sample_into(self, rng: np.random.Generator, out: np.ndarray):
-        """``sample(rng, out.shape)`` written into out, bit for bit.
+        """One capacity draw per entry of out, written into out.
 
         A Rayleigh capacity is drawn in place, as ``_inverse_into`` of one
-        ``rng.random`` uniform per slot; every other law fills out from
-        ``sample``.
+        ``rng.random`` uniform per slot; a composite law sums its parts'
+        draws, part by part; every other law draws its gains.
         """
-        if self.is_composite or not isinstance(self.model, Rayleigh):
-            out[...] = self.sample(rng, out.shape)
+        if self.is_composite:
+            out[...] = 0.0
+            part_out = np.empty_like(out)
+            for part in self._parts:
+                out += part._sample_into(rng, part_out)
             return out
-        return self._inverse_into(rng.random(out=out), out)
+        if isinstance(self.model, Rayleigh):
+            return self._inverse_into(rng.random(out=out), out)
+        out[...] = self._capacity_of_gain(self.model.sample_gain(rng, out.shape))
+        return out
 
     def discretize(self) -> DiscreteDistribution:
         return self._grid_law

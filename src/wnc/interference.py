@@ -54,6 +54,13 @@ class HopChain:
         """Worst-case interference charge 2K - 1 (K output, K-1 input)."""
         return 2 * self.effective_k - 1
 
+    @property
+    def queueing_hops(self) -> tuple:
+        """The hops where traffic queues: on a shared channel one slot's
+        capacity serves the whole chain, so only the first hop; otherwise
+        every hop."""
+        return self.hops[:1] if self.shared_channel else self.hops
+
 
 # ---------------------------------------------------------------------------
 # feedback delay bounds
@@ -102,7 +109,9 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
     P(D >= d) <= sum_t sum_{segmentations u} prod_i E[exp(-theta S_i*(seg_i))]
                  * exp(theta lambda (t - d)),
 
-    with S_i* = S_i - (2K-1) A.  For additive hops the per-segment factor is
+    with S_i* = S_i - (2K-1) A, over the chain's ``queueing_hops``: a shared
+    channel is one traversal, so its bound is the one-hop bound at the
+    chain's multiplier.  For additive hops the per-segment factor is
     exp(len * (kappa_i(-theta) + theta (2K-1) lambda)), so the inner sum is
     the complete homogeneous polynomial h_t in the weights
     w_i = exp(kappa_i(-theta) + theta (2K-1) lambda + theta lambda), and the
@@ -115,12 +124,13 @@ def e2e_delay_bound(chain: HopChain, arrival: ArrivalSpec, d: float,
     """
     if d < 0:
         raise ValidationError("d must be nonnegative")
-    if not all(isinstance(h, Additive) for h in chain.hops):
+    hops = chain.queueing_hops
+    if not all(isinstance(h, Additive) for h in hops):
         raise ValidationError("the end-to-end bound requires additive hops")
     # one _Tilts memo per distinct marginal: a chain may repeat one hop
     # object, and laws are unhashable, so hops are told apart by identity
-    distinct = {id(h.marginal): h for h in chain.hops}
-    index = [list(distinct).index(id(h.marginal)) for h in chain.hops]
+    distinct = {id(h.marginal): h for h in hops}
+    index = [list(distinct).index(id(h.marginal)) for h in hops]
     tilts = [_Tilts(hop) for hop in distinct.values()]
     lam = arrival.lam
     drain = (chain.multiplier + 1) * lam

@@ -156,8 +156,8 @@ def _slots(process, rng: np.random.Generator, n: int, drain=None):
     two-point walk); a mass below 2^-33 may never be drawn.
 
     A fading stream draws float64 uniforms: additive slots are
-    ``marginal.sample`` draws, a comonotonic stream repeats F^{-1}(U) for
-    one uniform per run, and antithetic slots come in pairs F^{-1}(U),
+    ``marginal._sample_into`` draws, a comonotonic stream repeats F^{-1}(U)
+    for one uniform per run, and antithetic slots come in pairs F^{-1}(U),
     F^{-1}(1 - U).  A Rayleigh slot, of any of the three, is F^{-1} of one
     ``rng.random`` uniform drawn in place (``FadingMarginal._inverse_into``);
     other laws draw gains, or invert through their ppf.
@@ -425,30 +425,31 @@ def tandem_queue(chain, arrival, config: SimConfig, d_values):
 
     Hop i's input is hop i-1's same-slot departures; each hop's capacity is
     reduced by the interference load (2 K_eff - 2) * lambda prescribed by
-    the multi-hop service reduction.  End-to-end delay is measured from
-    external arrival (lambda t) to final-hop departure.
+    the multi-hop service reduction.  Only ``chain.queueing_hops`` are
+    simulated: on a shared channel one slot's capacity serves every hop,
+    so the hops after the first pass their input on.  End-to-end delay is
+    measured from external arrival (lambda t) to final-hop departure.
     """
     from .interference import HopChain
     if not isinstance(chain, HopChain):
         raise ValidationError("tandem_queue needs a HopChain")
     lam = arrival.lam
-    n_hops = len(chain.hops)
+    hops = chain.queueing_hops
     extra = (2 * chain.effective_k - 2) * lam
 
     def departures(batch, size, rng):
         if chain.shared_channel:
-            streams = [_slots(chain.hops[0], rng, size)]
+            streams = [_slots(hops[0], rng, size)]
         else:
             streams = [_slots(hop, substream(config.seed, 4, batch, i + 1),
-                              size) for i, hop in enumerate(chain.hops)]
-        backlogs = [np.zeros(size) for _ in range(n_hops)]
+                              size) for i, hop in enumerate(hops)]
+        backlogs = [np.zeros(size) for _ in hops]
         total_out = np.zeros(size)
         eff, dep = np.empty(size), np.empty(size)
         for _ in range(config.horizon):
             flow_in = lam
-            for i, backlog in enumerate(backlogs):
-                if i < len(streams):     # a shared stream serves every hop
-                    caps = next(streams[i])
+            for stream, backlog in zip(streams, backlogs):
+                caps = next(stream)
                 served = caps            # no load: caps >= 0 is served as is
                 if extra:
                     served = np.subtract(caps, extra, out=eff)

@@ -246,12 +246,48 @@ def test_strict_order_reports_are_not_verdicts(tmp_path, capsys):
      "subchannels.0.fading: 'k' is a required property"),
 ])
 def test_fading_fields_checked_per_kind(tmp_path, capsys, fading, field):
-    doc = dict(BASE, channel={"bandwidth_hz": 1.0, "snr_linear": 1.0,
-                              "fading": fading})
+    channel = {"fading": fading}
+    if fading["kind"] != "frequency_selective":
+        channel.update(bandwidth_hz=1.0, snr_linear=1.0)
+    doc = dict(BASE, channel=channel)
     assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: scenario field channel.fading")
     assert field in err
+
+
+def test_lattice_channel_rejects_the_fading_keys(tmp_path, capsys):
+    # a capacity law is the whole channel: fading, W and gamma go unread
+    channel = dict(BASE["channel"], fading={"kind": "rayleigh"},
+                   bandwidth_hz=5.0, snr_linear=2.0)
+    doc = dict(BASE, channel=channel)
+    assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: scenario field channel:")
+    assert "('bandwidth_hz', 'fading', 'snr_linear' were unexpected)" in err
+
+
+@pytest.mark.parametrize("key", ["bandwidth_hz", "snr_linear"])
+def test_frequency_selective_channel_rejects_channel_level_keys(
+        tmp_path, capsys, key):
+    # each subchannel carries its own W and gamma
+    sub = [{"fading": {"kind": "rayleigh"}}, {"fading": {"kind": "rayleigh"}}]
+    doc = dict(BASE, channel={key: 5.0, "fading": {
+        "kind": "frequency_selective", "subchannels": sub}})
+    assert main(["capacity", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: scenario field channel:")
+    assert f"('{key}' was unexpected)" in err
+
+
+def test_interference_on_a_comonotonic_channel_names_the_field(tmp_path,
+                                                               capsys):
+    doc = dict(BASE, process={"kind": "comonotonic"},
+               queries=[{"kind": "interference", "d_slots": [2]}])
+    path = write_scenario(tmp_path, doc)
+    assert main(["interference", "--scenario", path]) == 1
+    assert capsys.readouterr().err.startswith(
+        "validation error: scenario field process.kind:")
 
 
 def test_unresolvable_margin_is_numeric_failure(tmp_path, capsys):
@@ -624,8 +660,9 @@ def _base_documents():
             "fading": {"kind": "rice", "s": 1.0, "sigma0": 0.5}},
            {"fading": {"kind": "weibull", "c": 1.0, "k": 2.0}},
            {"fading": {"kind": "nakagami", "m": 2.0, "omega": 1.0}}]
-    for fading in ({"kind": "frequency_selective", "subchannels": sub},
-                   {"kind": "lognormal", "mu": 0.0, "sigma": 0.5},
+    docs.append(dict(BASE, channel={"fading": {
+        "kind": "frequency_selective", "subchannels": sub}}))
+    for fading in ({"kind": "lognormal", "mu": 0.0, "sigma": 0.5},
                    {"kind": "rayleigh", "sigma": 1.0}):
         docs.append(dict(BASE, channel={"bandwidth_hz": 1.0, "snr_linear": 1.0,
                                         "fading": fading}))

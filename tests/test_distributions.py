@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy import stats
 
 from wnc.distributions import DiscreteDistribution
 from wnc.errors import ValidationError
+from wnc.processes import Additive
+from wnc.simulate import _slots
 
 
 def test_validation_rejects_bad_inputs():
@@ -84,9 +87,14 @@ def test_from_cdf_uniform_moments():
     assert law.var() == pytest.approx(1.0 / 12.0, rel=1e-3)
 
 
+def _oracle_draws(law, rng, n):
+    """n draws of law: the first slot of the Monte Carlo oracle's stream."""
+    return next(_slots(Additive(law), rng, n)).copy()
+
+
 def test_sampling_reproducible_and_consistent(uniform_law):
-    r1 = uniform_law.sample(np.random.default_rng(7), 50_000)
-    r2 = uniform_law.sample(np.random.default_rng(7), 50_000)
+    r1 = _oracle_draws(uniform_law, np.random.default_rng(7), 50_000)
+    r2 = _oracle_draws(uniform_law, np.random.default_rng(7), 50_000)
     np.testing.assert_array_equal(r1, r2)
     assert r1.mean() == pytest.approx(0.5, abs=0.01)
 
@@ -169,7 +177,7 @@ def test_zero_mass_atoms_are_never_drawn(support, mass):
                         rng.integers(0, 2 ** 32, 100_000, dtype=np.uint64)))
     drawn = np.unique(_atoms_of_draws(law, v))
     assert set(drawn) <= set(law.support[law.mass > 0])
-    assert set(np.unique(law.sample(rng, 10_001))) <= set(drawn)
+    assert set(np.unique(_oracle_draws(law, rng, 10_001))) <= set(drawn)
 
 
 @pytest.mark.parametrize("support, mass", _SMALL_LAWS + [
@@ -183,20 +191,12 @@ def test_draw_index_counts_thresholds_at_or_below(support, mass):
     np.testing.assert_array_equal(_atoms_of_draws(law, v), want)
 
 
-def test_sample_reads_low_then_high_halves():
-    law = DiscreteDistribution(np.arange(3.0), np.array([0.2, 0.3, 0.5]))
-    raw = np.random.default_rng(4).bit_generator.random_raw(4)
-    v = np.concatenate((raw & 0xFFFFFFFF, raw >> 32))[:7]
-    np.testing.assert_array_equal(law.sample(np.random.default_rng(4), 7),
-                                  _atoms_of_draws(law, v))
-    assert law.sample(np.random.default_rng(4)) == _atoms_of_draws(law, v)[0]
-
-
 def test_three_atom_frequencies_match_the_masses():
-    # two-sided binomial test of each atom's count in 2^22 draws
+    # two-sided binomial test of each atom's count in 2^22 draws: 16 slots
+    # of 2^18 runs of the Monte Carlo oracle's stream
     law = DiscreteDistribution(np.arange(3.0), np.array([0.2, 0.3, 0.5]))
-    rng = np.random.default_rng(17)
-    counts = sum(np.bincount(law.sample(rng, 1 << 18).astype(np.intp),
-                             minlength=3) for _ in range(16))
+    slots = _slots(Additive(law), np.random.default_rng(17), 1 << 18)
+    counts = sum(np.bincount(caps.astype(np.intp), minlength=3)
+                 for caps in islice(slots, 16))
     for count, p in zip(counts, law.mass):
         assert stats.binomtest(int(count), 1 << 22, p).pvalue > 1e-6

@@ -262,7 +262,7 @@ def test_moments_are_computed_once_per_marginal(model, monkeypatch):
 ], ids=["rayleigh", "rice", "nakagami", "weibull", "lognormal"])
 def test_sampling_matches_cdf_ks(model, samples):
     m = capacity_marginal(SPEC, model)
-    draws = m.sample(np.random.default_rng(42), samples)
+    draws = m._sample_into(np.random.default_rng(42), np.empty(samples))
     stat = stats.kstest(draws, m.cdf).statistic
     critical = math.sqrt(math.log(2.0 / 0.001) / (2.0 * samples))
     assert stat < critical
@@ -282,17 +282,6 @@ def test_rayleigh_inverse_into_matches_the_ppf_chain(w, gamma, sigma):
     np.testing.assert_array_equal(m._inverse_into(u.copy(), u), got)
 
 
-@pytest.mark.parametrize("model", [Rayleigh(), Rayleigh(1.3), Nakagami(2.0)],
-                         ids=["rayleigh", "rayleigh_sigma", "nakagami"])
-def test_sample_is_sample_into_bit_for_bit(model):
-    m = capacity_marginal(ChannelSpec(2.0, 3.0), model)
-    want = m.sample(np.random.default_rng(8), 1_001)
-    out = np.empty(1_001)
-    assert m._sample_into(np.random.default_rng(8), out) is out
-    np.testing.assert_array_equal(out, want)
-    assert m.sample(np.random.default_rng(8)) == want[0]
-
-
 def test_frequency_selective_single_subchannel_is_identity():
     fs = FrequencySelective(((SPEC, Rayleigh()),))
     xs = np.linspace(0.0, 6.0, 50)
@@ -301,12 +290,25 @@ def test_frequency_selective_single_subchannel_is_identity():
                                atol=1e-12)
 
 
+def test_frequency_selective_draws_sum_its_parts_in_order():
+    # one generator serves the parts in turn, and their draws add up
+    sub = ((ChannelSpec(1.0, 1.0), Rayleigh()),
+           (ChannelSpec(2.0, 0.5), Nakagami(2.0)), (SPEC, Weibull(1.0, 2.0)))
+    m = capacity_marginal(SPEC, FrequencySelective(sub))
+    rng = np.random.default_rng(3)
+    parts = [capacity_marginal(*s)._sample_into(rng, np.empty(1_001))
+             for s in sub]
+    out = np.empty(1_001)
+    assert m._sample_into(np.random.default_rng(3), out) is out
+    np.testing.assert_array_equal(out, parts[0] + parts[1] + parts[2])
+
+
 def test_frequency_selective_sum_against_monte_carlo():
     sub = ((ChannelSpec(1.0, 1.0), Rayleigh()),
            (ChannelSpec(2.0, 0.5), Nakagami(2.0)))
     fs = FrequencySelective(sub)
     m = capacity_marginal(SPEC, fs)
-    draws = m.sample(np.random.default_rng(5), 400_000)
+    draws = m._sample_into(np.random.default_rng(5), np.empty(400_000))
     for x in (1.0, 2.5, 4.0):
         est = float(np.mean(draws <= x))
         se = math.sqrt(est * (1 - est) / draws.size) + 1e-3  # grid resolution

@@ -84,6 +84,28 @@ def test_shared_channel_bound_invariant_in_hop_count(two_point):
     assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_shared_chain_e2e_bound_is_the_one_hop_bound(two_point, k):
+    # one slot's capacity serves a shared chain, so only its first hop
+    # queues; the multiplier 2 min(K, N) - 1 still counts every hop
+    proc = Additive(two_point)
+    arrival = ArrivalSpec(0.2)
+    for n in (2, 4):
+        chain = HopChain((proc,) * n, k, True)
+        assert chain.queueing_hops == (proc,)
+        rep = e2e_delay_bound(chain, arrival, 20.0)
+        if k == 1:
+            one_hop = e2e_delay_bound(HopChain((proc,)), arrival, 20.0)
+            assert rep == one_hop
+            assert rep.value == pytest.approx(0.0516, abs=5e-5)
+        for th in (0.2, 0.3):
+            direct = additive_union_delay_bound(
+                proc, arrival, 100.0, th, multiplier=chain.multiplier)
+            assert direct < 1.0
+            assert e2e_delay_bound(chain, arrival, 100.0, th).value == \
+                pytest.approx(direct, abs=1e-12)
+
+
 def test_e2e_single_hop_equals_direct_union(two_point):
     proc = Additive(two_point)
     arrival = ArrivalSpec(0.25)

@@ -36,16 +36,20 @@ def test_unreached_lists_only_the_entries_kept_on_purpose():
     assert run.stderr.startswith("8 of ") and ", 9 of " in run.stderr
 
 
+def _trees():
+    """(file name, AST) of each ``src/wnc/*.py``."""
+    package = os.path.join(ROOT, "src", "wnc")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def _call_sites(called_name):
     """(file, line) of every call of a function or method named
     ``called_name`` in ``src/wnc/*.py``, read from the AST."""
     sites = []
-    package = os.path.join(ROOT, "src", "wnc")
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -68,3 +72,13 @@ def test_no_matrix_power_in_the_package():
     # processes._walks, by squaring clipped at 1; a float matrix power counts
     # walks and overflows from about 143 dense states
     assert _call_sites("matrix_power") == []
+
+
+def test_no_method_named_sample_in_the_package():
+    # the Monte Carlo oracle draws every law through simulate._slots; a
+    # sample method beside it would be a second sampler to keep in step
+    methods = [(name, item.lineno) for name, tree in _trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, ast.FunctionDef) and item.name == "sample"]
+    assert methods == []
