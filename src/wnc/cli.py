@@ -137,8 +137,9 @@ _SCHEMA = {
                     "properties": {
                         "states": {"type": "array", "minItems": 1,
                                    "items": {"type": "string"}},
-                        "transition": {"type": "array"},
-                        "capacities_bits_per_slot": {"type": "array"},
+                        "transition": {"type": "array", "minItems": 1,
+                                       "items": _NUMS},
+                        "capacities_bits_per_slot": _NUMS,
                         "initial": {"type": "string"},
                     },
                 },
@@ -353,9 +354,12 @@ def build_process(scenario: dict):
         if "markov" not in node:
             raise ValidationError("scenario field process.markov: required")
         mk = node["markov"]
-        kernel = MarkovKernel.from_destination_laws(
-            tuple(mk["states"]), np.asarray(mk["transition"], float),
-            [float(c) for c in mk["capacities_bits_per_slot"]])
+        try:
+            kernel = MarkovKernel.from_destination_laws(
+                tuple(mk["states"]), mk["transition"],
+                mk["capacities_bits_per_slot"])
+        except ValidationError as exc:
+            raise ValidationError(f"scenario field process.markov: {exc}") from exc
         return MarkovAdditive(kernel, mk.get("initial", "stationary"))
     marginal = build_marginal(scenario)
     return Comonotonic(marginal) if kind == "comonotonic" else Additive(marginal)

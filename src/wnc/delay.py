@@ -19,8 +19,8 @@ Frobenius eigenvalue of the tilted kernel, carry the eigenvector weight
 h(J_i) for the initial state, and apply per-transition overshoot-corrected
 Cramer prefactors (the bare eigenvector upper bound h(J_i)/min_j h_j is
 reported separately).  Every bound here takes either process through one
-path: an Additive process is the one-state Markov-additive case, with
-kappa the marginal's cgf and h = (1,).
+path, its ``kernel``: an Additive process is the one-state Markov-additive
+case, with kappa the marginal's cgf and h = (1,).
 
 One solve per tilt per query, read from the query's ``processes._Tilts``;
 the walk does not depend on d, so ``delay_tails`` answers a grid of d
@@ -40,7 +40,7 @@ import numpy as np
 from . import solve
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, UnstableSystemError, ValidationError
-from .processes import (BoundReport, Comonotonic, _entry_laws, _start_index,
+from .processes import (BoundReport, Comonotonic, _kernel, _start_index,
                         _start_weight, _support_ends, _Tilts,
                         process_mean_rate)
 
@@ -68,7 +68,7 @@ class ArrivalSpec:
 @dataclass(frozen=True)
 class LundbergSolution:
     """The Lundberg root, its kappa residual and h, the right eigenvector
-    at tilt -theta_star ((1,) for an Additive process), taken from the
+    at tilt -theta_star ((1,) for a one-state kernel), taken from the
     root search's own solve at that tilt."""
 
     theta_star: float
@@ -88,14 +88,14 @@ def stability_margin(process, arrival: ArrivalSpec) -> float:
 
 def _floor(process) -> float:
     """Smallest positive-mass atom any slot can produce (ess inf C)."""
-    return min(float(law._pos_support[0]) for _, law in _entry_laws(process))
+    return min(float(law._pos_support[0]) for _, law in _kernel(process).entry_laws)
 
 
 def lundberg_root(process, arrival: ArrivalSpec) -> LundbergSolution:
     """Positive root of kappa(theta) = theta lambda + kappa_C(-theta).
 
-    kappa_C is the marginal's cgf for an Additive process and the log
-    Perron-Frobenius eigenvalue of F[-theta] for a Markov-additive one.
+    kappa_C is the law's cgf for a one-state kernel (an Additive process)
+    and the log Perron-Frobenius eigenvalue of F[-theta] for a larger one.
     A walk that drains m*lambda per step (the feedback channel, the
     antithetic two-slot block) is the one at rate ``ArrivalSpec(m*lambda)``.
     Requires a positive stability margin.
@@ -187,7 +187,7 @@ class Ruin:
     """Ruin data of the walk with increments drain - C, or its degeneracy.
 
     theta_star is the Lundberg root, h the right eigenvector at tilt
-    -theta_star ((1,) for an Additive process) and c_minus/c_plus the
+    -theta_star ((1,) for a one-state kernel) and c_minus/c_plus the
     overshoot-corrected Cramer prefactors.
     """
 
@@ -203,7 +203,7 @@ class Ruin:
 def _prefactors(process, drain: float, theta: float, h):
     """(C_-, C_+) at tilt theta, h the eigenvector at -theta.
 
-    inf and sup over the laws B_j a slot can carry into state j of
+    inf and sup over the kernel's ``entry_laws`` B_j (into state j) of
     (1/h_j) P(Y >= x) / Int_[x,inf) e^{theta(y-x)} B(dy), Y ~ drain - B_j.
     With one state (h = (1,)) this is the plain Cramer pair.  Y's atoms
     are drain minus B_j's atoms of positive mass in reverse order, with
@@ -215,7 +215,7 @@ def _prefactors(process, drain: float, theta: float, h):
     closed form ``_cramer_point``.
     """
     ratios = []
-    for j, law in _entry_laws(process):
+    for j, law in _kernel(process).entry_laws:
         if law._point is not None:
             y = drain - law._point
             if y <= 0:

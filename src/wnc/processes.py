@@ -3,7 +3,7 @@
 Three process types cover the dependence spectrum:
 
     Comonotonic(marginal)      all slots driven by one uniform; S(t) = t*C
-    Additive(marginal)         i.i.d. slots (product copula)
+    Additive(marginal)         i.i.d. slots: the one-state Markov-additive case
     MarkovAdditive(kernel)     increments modulated by a finite Markov chain
 
 plus ``AntitheticPairing``, the negatively dependent construction used by
@@ -14,10 +14,10 @@ Chernoff bounds  1 - e^{t k(th) - th x} <= F_S(t)(x) <= e^{t k(-th) + th x}
 for additive processes, and the Perron-Frobenius analogue with prefactor
 h(J0)/min_j h(J_j) for Markov-additive processes.  ``_spectral`` turns a
 tilt th into (kappa(th), h): log sp(F[th]) and its right eigenvector from
-one ``perron_frobenius`` solve, or the marginal's cgf and h = (1,) for an
-Additive process; its one caller, the per-query memo ``_Tilts``, keeps
-(kappa(th), h, h(J0)) for every bound in theta.  ``MarkovKernel`` says
-which law each transition carries, and ``_entry_laws`` lists them.
+one ``perron_frobenius`` solve, or the law's cgf and h = (1,) for a
+one-state kernel; its one caller, the per-query memo ``_Tilts``, keeps
+(kappa(th), h, h(J0)) for every bound in theta.  Each reads the process's
+``MarkovKernel`` from ``_kernel``; its ``entry_laws`` list the laws.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import solve
 from .distributions import _EXP_OVERFLOW, DiscreteDistribution
 from .errors import NumericFailure, ValidationError
+from .fading import FadingMarginal
 
 __all__ = [
     "Comonotonic", "Additive", "MarkovAdditive", "AntitheticPairing",
@@ -89,23 +90,29 @@ def _walks(pattern: np.ndarray, m: int) -> np.ndarray:
 class MarkovKernel:
     """Finite-state Markov-additive kernel.
 
-    transition is row-stochastic and must be irreducible and aperiodic;
-    increments holds one DiscreteDistribution per transition.  In the
-    compact destination mode (the default construction) H_ij depends only
-    on the destination j.
+    transition is row-stochastic, irreducible and aperiodic over distinct
+    states; increments holds one DiscreteDistribution per transition (a
+    FadingMarginal in a one-state kernel).  In the compact destination mode
+    (the default construction) H_ij depends only on the destination j.
     """
 
     states: tuple
     transition: np.ndarray
-    increments: tuple            # matrix of DiscreteDistribution, row-major
+    increments: tuple            # matrix of laws, row-major
     by_destination: bool = False
 
     def __post_init__(self):
-        p = np.asarray(self.transition, dtype=float)
         n = len(self.states)
-        if n < 1 or p.shape != (n, n):
+        try:
+            p = np.asarray(self.transition, dtype=float)
+        except (TypeError, ValueError):     # ragged, or an entry not a number
+            p = None
+        if n < 1 or p is None or p.shape != (n, n):
             raise ValidationError("transition must be an |E| x |E| matrix")
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
+        if len(set(self.states)) < n:
+            raise ValidationError("state labels must be distinct")
+        # written so that a NaN entry fails
+        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)):
             raise ValidationError("transition rows must be probabilities summing to 1")
         # on the zero pattern: irreducible iff (P + I)^(n - 1) > 0, and then
         # aperiodic iff P^((n - 1)^2 + 1) > 0 (Wielandt)
@@ -116,10 +123,11 @@ class MarkovKernel:
         rows = tuple(tuple(row) for row in self.increments)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValidationError("increments must be an |E| x |E| matrix of laws")
-        for r in rows:
-            for law in r:
-                if not isinstance(law, DiscreteDistribution):
-                    raise ValidationError("increment laws must be DiscreteDistribution")
+        kinds = ((DiscreteDistribution, FadingMarginal) if n == 1
+                 else DiscreteDistribution)
+        if not all(isinstance(law, kinds) for r in rows for law in r):
+            raise ValidationError("increment laws must be DiscreteDistribution"
+                                  " (or fading, in a one-state kernel)")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "states", tuple(self.states))
@@ -129,14 +137,13 @@ class MarkovKernel:
     @staticmethod
     def from_destination_laws(states, transition, laws) -> "MarkovKernel":
         """Compact mode: the increment law depends only on the destination."""
-        laws = [law if isinstance(law, DiscreteDistribution)
+        laws = [law if isinstance(law, (DiscreteDistribution, FadingMarginal))
                 else DiscreteDistribution.point_mass(float(law)) for law in laws]
         n = len(states)
         if len(laws) != n:
             raise ValidationError("need one increment law per state")
         rows = tuple(tuple(laws) for _ in range(n))
-        return MarkovKernel(tuple(states), np.asarray(transition, float), rows,
-                            by_destination=True)
+        return MarkovKernel(tuple(states), transition, rows, by_destination=True)
 
     @cached_property
     def laws(self) -> tuple:
@@ -155,15 +162,15 @@ class MarkovKernel:
 
     @cached_property
     def entry_laws(self) -> tuple:
-        """(j, law) for each law a transition of positive probability
-        carries into state j: each law once, in row-major order of the
-        first transition that carries it (once per destination in the
-        compact mode)."""
+        """(j, law.discretize()) for each law a transition of positive
+        probability carries into state j: each law once, in row-major order
+        of the first transition that carries it (once per destination in
+        the compact mode)."""
         pairs, seen = [], set()
         for (i, j), k in np.ndenumerate(self.law_index):
             if self.transition[i, j] > 0 and k not in seen:
                 seen.add(k)
-                pairs.append((j, self.laws[k]))
+                pairs.append((j, self.laws[k].discretize()))
         return tuple(pairs)
 
     @cached_property
@@ -286,9 +293,15 @@ class Comonotonic:
 
 @dataclass(frozen=True)
 class Additive:
-    """Independent identically distributed slot capacities."""
+    """Independent identically distributed slots: a one-state MarkovAdditive."""
 
     marginal: object
+    initial = "stationary"
+
+    @cached_property
+    def kernel(self) -> MarkovKernel:
+        """The one-state kernel over the marginal, built on first use."""
+        return MarkovKernel.from_destination_laws((0,), [[1.0]], [self.marginal])
 
 
 @dataclass(frozen=True)
@@ -566,6 +579,14 @@ def frechet_bounds(marginals, x: float):
 # Chernoff machinery: an Additive process is the one-state Markov-additive one
 
 
+def _kernel(process) -> MarkovKernel:
+    """The kernel every Chernoff, ruin and support reader takes."""
+    if not isinstance(process, (Additive, MarkovAdditive)):
+        raise ValidationError(
+            "ruin and Chernoff bounds need an Additive or MarkovAdditive process")
+    return process.kernel
+
+
 def _nilpotent(m: np.ndarray) -> bool:
     """No cycle of positive entries: no n-step walk on m's zero pattern."""
     return not np.any(_walks(m > 0, m.shape[0]))
@@ -574,8 +595,8 @@ def _nilpotent(m: np.ndarray) -> bool:
 def _spectral(process, theta: float):
     """(kappa(theta), h) from one solve; (inf, None) outside the domain.
 
-    An Additive process is the one-state case: kappa is the marginal's cgf
-    and h = (1,).  A Markov-additive process takes both from one
+    A one-state kernel (every Additive process) takes kappa from its law's cgf
+    and h = (1,), even at kappa = inf; a larger one takes both from one
     Perron-Frobenius solve of F[theta].  Its tilt lies outside the domain
     when an mgf overflows, or when F[theta] has underflowed to a nilpotent
     matrix (no cycle of positive entries left, so no positive Perron root).
@@ -584,29 +605,23 @@ def _spectral(process, theta: float):
     transition's cycles; only when an entry has underflowed to 0 is the
     cycle test (``_nilpotent``) run.
     """
-    if isinstance(process, Additive):
-        return process.marginal.cgf(theta), (1.0,)
-    if not isinstance(process, MarkovAdditive):
-        raise ValidationError("Chernoff bounds need an Additive or MarkovAdditive process")
-    kernel = process.kernel
+    kernel = _kernel(process)
+    if len(kernel.states) == 1:
+        return kernel.laws[0].cgf(theta), (1.0,)
     m = mgf_matrix(kernel, theta)
     if not m.max() < math.inf:          # an overflowed mgf, or p_ij = 0 times it
         return math.inf, None
     if np.count_nonzero(m) < kernel._possible_transitions and _nilpotent(m):
         return math.inf, None
-    if m.shape[0] == 1:
-        return math.log(m[0, 0]), np.ones(1)
     return perron_frobenius(m, kernel.stationary)
 
 
 def _start_index(process) -> Optional[int]:
     """Index of ``process.initial``, or None for the stationary start.
 
-    The one reading of ``MarkovAdditive.initial``: "stationary", or a
-    state label or index.  None for an Additive process.
+    The one reading of ``initial``: "stationary" (always, for an Additive
+    process), or a state label or index of the kernel.
     """
-    if not isinstance(process, MarkovAdditive):
-        return None
     init = process.initial
     if isinstance(init, str) and init == "stationary":
         return None
@@ -645,28 +660,16 @@ def _trivial_side(exponent):
     return floor, exponent(floor), solve.SolveInfo((floor, floor), 1, 0.0, True)
 
 
-def _entry_laws(process):
-    """(j, law) for each increment law a slot can carry into state j: the
-    discretised marginal into state 0 of an Additive process, or the
-    ``MarkovKernel.entry_laws``, each allowed transition's law once."""
-    if isinstance(process, MarkovAdditive):
-        return process.kernel.entry_laws
-    if not isinstance(process, Additive):
-        raise ValidationError(
-            "ruin and Chernoff bounds need an Additive or MarkovAdditive process")
-    return ((0, process.marginal.discretize()),)
-
-
 def _support_ends(process):
     """(floor, top): the least and the greatest capacity a slot can carry.
 
-    From the positive-mass atoms of the ``_entry_laws``; a fading capacity
-    has support (0, inf).
+    From the positive-mass atoms of the kernel's ``entry_laws``; a fading
+    capacity (one state's law) has support (0, inf).
     """
-    if (isinstance(process, Additive)
-            and not isinstance(process.marginal, DiscreteDistribution)):
-        return process.marginal.support_min, process.marginal.support_max
-    laws = [law for _, law in _entry_laws(process)]
+    kernel = _kernel(process)
+    if isinstance(kernel.laws[0], FadingMarginal):
+        return kernel.laws[0].support_min, kernel.laws[0].support_max
+    laws = [law for _, law in kernel.entry_laws]
     return (min(float(law._pos_support[0]) for law in laws),
             max(float(law._pos_support[-1]) for law in laws))
 

@@ -508,9 +508,8 @@ def affine_prefactors(process, drain, theta, h):
     drain - B_j built as a validated law through ``affine`` and scanned by
     the public ``cramer_prefactors``."""
     from wnc.delay import cramer_prefactors
-    from wnc.processes import _entry_laws
     ratios = []
-    for j, law in _entry_laws(process):
+    for j, law in process.kernel.entry_laws:
         walk = law.affine(shift=drain, scale=-1.0)
         if walk.support_max <= 0:
             continue

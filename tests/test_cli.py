@@ -317,6 +317,26 @@ def test_markov_scenario_round_trip(tmp_path):
     assert main(["bounds", "--scenario", path, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("capacities_bits_per_slot", ["x", 0.0]),
+    ("capacities_bits_per_slot", [2.0, [1, 2]]),
+    ("capacities_bits_per_slot", [True, 0.0]),
+    ("transition", [[0.9, "0.1"], [0.2, 0.8]]),
+    ("transition", [[0.9, 0.1], [0.2]]),
+    ("transition", [[float("nan"), 0.1], [0.2, 0.8]]),
+    ("states", ["G", "G"]),
+], ids=["string-capacity", "nested-capacity", "bool-capacity",
+        "string-entry", "ragged", "nan-entry", "duplicate-states"])
+def test_malformed_markov_fields_are_validation_errors(tmp_path, capsys,
+                                                       field, value):
+    doc = yaml.safe_load((REPO / "scenarios" / "gilbert_elliott.yaml")
+                         .read_text())
+    doc["process"]["markov"][field] = value
+    assert main(["delay", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    line = _one_validation_line(capsys)
+    assert line.startswith("validation error: scenario field process.markov")
+
+
 # CSV output of the Gilbert-Elliott scenario started in state B, with
 # lambda 0.5, epsilon 0.2 and 2000 runs of 120 slots, recorded when each
 # bound and estimator still took the start state as an override

@@ -131,20 +131,42 @@ def test_delay_upper_log_linear_in_d(two_point):
 def test_delay_markov_single_state_equals_additive(two_point):
     kernel = MarkovKernel.from_destination_laws(("s",), np.array([[1.0]]),
                                                 [two_point])
+    # both read the one law's cgf, so every field agrees bit for bit
     arrival = ArrivalSpec(0.5)
     for d in (1.0, 5.0, 10.0):
-        alo, aup = delay_tail(Additive(two_point), arrival, d)
-        mlo, mup = delay_tail(MarkovAdditive(kernel), arrival, d)
-        assert mlo.value == pytest.approx(alo.value, abs=1e-12)
-        assert mup.value == pytest.approx(aup.value, abs=1e-12)
+        assert (delay_tail_markov_detail(MarkovAdditive(kernel), arrival, d)
+                == delay_tail_markov_detail(Additive(two_point), arrival, d))
     for d, eps in ((10.0, 1e-2), (20.0, 1e-4)):
         add = delay_constrained_capacity(Additive(two_point), d, eps)
         mk = delay_constrained_capacity(MarkovAdditive(kernel), d, eps)
         assert mk.feasible and add.feasible
-        for m, a in zip((mk.conservative, mk.optimistic, *mk.one_shot_window),
-                        (add.conservative, add.optimistic,
-                         *add.one_shot_window)):
-            assert m == pytest.approx(a, rel=1e-12, abs=0.0)
+        assert mk == add and mk.diagnostics == add.diagnostics
+
+
+def test_one_state_fading_kernel_equals_additive(rayleigh_marginal):
+    # an Additive process reads its one-state kernel, so the same kernel
+    # built by hand over the fading law gives the same bits on every query
+    kernel = MarkovKernel.from_destination_laws(("s",), [[1.0]],
+                                                [rayleigh_marginal])
+    mk, add = MarkovAdditive(kernel), Additive(rayleigh_marginal)
+    arrival, d_values = ArrivalSpec(0.3), [0.0, 2.0, 10.0]
+    assert delay_tails(mk, arrival, d_values) == delay_tails(add, arrival,
+                                                             d_values)
+    mdcc = delay_constrained_capacity(mk, 10.0, 0.01)
+    adcc = delay_constrained_capacity(add, 10.0, 0.01)
+    assert mdcc.feasible and mdcc == adcc
+    assert mdcc.diagnostics == adcc.diagnostics
+    for t, x in ((5, 1.0), (10, 5.0), (10, 14.0)):
+        assert cdf_bounds(mk, t, x) == cdf_bounds(add, t, x)
+    assert (feedback_delays(mk, arrival, d_values)
+            == feedback_delays(add, arrival, d_values))
+
+
+def test_fading_law_only_in_a_one_state_kernel(rayleigh_marginal):
+    with pytest.raises(ValidationError, match="one-state"):
+        MarkovKernel.from_destination_laws(
+            ("G", "B"), [[0.9, 0.1], [0.2, 0.8]],
+            [rayleigh_marginal, rayleigh_marginal])
 
 
 def test_delay_markov_structure(ge_kernel):

@@ -55,9 +55,9 @@ def test_feedback_markov_single_state_reduces(two_point):
     kernel = MarkovKernel.from_destination_laws(("s",), np.array([[1.0]]),
                                                 [two_point])
     arrival = ArrivalSpec(0.25)
-    add = feedback_delay(Additive(two_point), arrival, 10.0)
-    mk = feedback_delay(MarkovAdditive(kernel), arrival, 10.0)
-    assert mk.value == pytest.approx(add.value, abs=1e-12)
+    d_values = [1.0, 10.0, 30.0]
+    assert (feedback_delays(MarkovAdditive(kernel), arrival, d_values)
+            == feedback_delays(Additive(two_point), arrival, d_values))
     with pytest.raises(UnstableSystemError):
         feedback_delay(MarkovAdditive(kernel), ArrivalSpec(0.6), 5.0)
 

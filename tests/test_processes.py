@@ -47,6 +47,22 @@ def test_kernel_validation(ge_kernel):
     assert ge_kernel.mean_rate() == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("states, transition, match", [
+    # NaN passes both "p < 0" and "row sum far from 1"
+    (("a", "b"), [[math.nan, 0.1], [0.2, 0.8]], "probabilities"),
+    (("a", "b"), [[0.9, math.nan], [0.2, 0.8]], "probabilities"),
+    (("a", "b"), [[0.9, 0.1], [0.2]], "matrix"),
+    (("a", "b"), [[0.9, 0.1], ["x", 0.8]], "matrix"),
+    (("a", "b"), [[0.9, 0.1], [0.2, [0.4, 0.4]]], "matrix"),
+    # state_index and a fixed start would read the first match
+    (("G", "G"), [[0.9, 0.1], [0.2, 0.8]], "distinct"),
+], ids=["nan", "nan-off-diagonal", "ragged", "string", "nested",
+        "duplicate-labels"])
+def test_kernel_rejects_malformed_input(states, transition, match):
+    with pytest.raises(ValidationError, match=match):
+        MarkovKernel.from_destination_laws(states, transition, [2.0, 0.0])
+
+
 def cycle_with_self_loop(n, loop):
     """The n-cycle 0 -> 1 -> ... -> 0 with a self-loop of weight loop on 0."""
     p = np.roll(np.eye(n), 1, axis=1)
@@ -471,11 +487,8 @@ def test_markov_bounds_single_state_reduce_to_additive(two_point):
     mproc = MarkovAdditive(kernel)
     aproc = Additive(two_point)
     for t, x in ((5, 4.0), (10, 14.0)):
-        alo, aup = cdf_bounds(aproc, t, x)
-        mlo, mup = cdf_bounds(mproc, t, x)
-        assert mlo.value == pytest.approx(alo.value, abs=1e-12)
-        assert mup.value == pytest.approx(aup.value, abs=1e-12)
-        assert mlo.prefactor == pytest.approx(1.0, abs=1e-12)
+        assert cdf_bounds(mproc, t, x) == cdf_bounds(aproc, t, x)
+        assert cdf_bounds(mproc, t, x)[0].prefactor == 1.0
 
 
 def test_markov_bounds_sandwich_simulated(ge_kernel):

@@ -143,7 +143,7 @@ def test_entry_laws_are_the_scanned_pairs(name):
     want = entry_laws_reference(kernel)
     got = kernel.entry_laws
     assert [(j, id(law)) for j, law in got] == [(j, id(law)) for j, law in want]
-    assert processes._entry_laws(MarkovAdditive(kernel)) is got
+    assert processes._kernel(MarkovAdditive(kernel)).entry_laws is got
 
 
 @pytest.mark.parametrize("name", sorted(CHANNELS))
@@ -155,9 +155,9 @@ def test_floor_is_the_support_end(name):
 def test_floor_of_an_additive_channel(two_point, rayleigh_marginal):
     lattice = Additive(two_point)
     assert delay._floor(lattice) == _support_ends(lattice)[0] == 0.0
-    # the ruin floor reads the discretised law, whose least atom is the
-    # 1e-9 quantile, against the fading support (0, inf); ROADMAP item 7
-    # moves the fading floor to the support end and removes the difference
+    # the ruin floor reads the kernel's discretised entry law, whose least
+    # atom is the 1e-9 quantile, against the fading support (0, inf);
+    # ROADMAP item 9 moves the fading floor to the support end
     fading = Additive(rayleigh_marginal)
     assert delay._floor(fading) > _support_ends(fading)[0] == 0.0
 

@@ -82,3 +82,30 @@ def test_no_method_named_sample_in_the_package():
                for item in node.body
                if isinstance(item, ast.FunctionDef) and item.name == "sample"]
     assert methods == []
+
+
+def _isinstance_tests(type_names):
+    """{(file, function)} of each ``isinstance`` test in ``src/wnc/*.py``
+    whose type argument names one of ``type_names``."""
+    found = set()
+    for name, tree in _trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and any(isinstance(n, ast.Name) and n.id in type_names
+                                for n in ast.walk(node.args[-1]))):
+                    found.add((name, func.name))
+    return found
+
+
+def test_bounds_read_the_kernel_not_the_process_type():
+    # an Additive process is the one-state Markov-additive one: every
+    # Chernoff, ruin and support reader takes its kernel from
+    # processes._kernel, so no bound chooses a path by process type
+    tests = _isinstance_tests({"Additive", "MarkovAdditive"})
+    assert [f for name, f in tests if name == "delay.py"] == []
+    assert ({f for name, f in tests if name == "processes.py"}
+            == {"_kernel", "process_mean_rate"})
