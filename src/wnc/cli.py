@@ -44,12 +44,40 @@ from .processes import (Additive, AntitheticPairing, Comonotonic,
 from .simulate import (SimConfig, TailEstimate, cumulative_capacity_samples,
                        empirical_delay_tails, feedback_queue, tandem_queue)
 
-_COMMANDS = ("capacity", "bounds", "delay", "dcc", "order", "interference",
-             "simulate", "validate")
-
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM = {"type": "number"}
 _NUMS = {"type": "array", "items": _NUM, "minItems": 1}
+_COUNT = {"type": "integer", "minimum": 1}
+_FLAG = {"type": "boolean"}
+
+# what each query kind reads: {field: (value schema, default)}; a field
+# its kind does not read is a validation error
+_QUERY_FIELDS = {
+    "capacity": {"x_grid_bits": (_NUMS, [0.0, 1.0, 2.0]), "p_grid": (_NUMS, []),
+                 "theta_grid_per_bit": (_NUMS, []),
+                 "certify_x_hi_bits": (_POS, None)},
+    "bounds": {"t_slots": (_COUNT, 10), "x_grid_bits": (_NUMS, [1.0])},
+    "delay": {"d_slots": (_NUMS, [1, 2, 5, 10]), "validate_mc": (_FLAG, False)},
+    "dcc": {"d_slots": (_NUM, 10),
+            "epsilon": ({"type": "number", "exclusiveMinimum": 0,
+                         "exclusiveMaximum": 1}, 1e-3)},
+    "order": {"probe_t_slots": (_COUNT, 16), "d_slots": (_NUMS, [])},
+    "interference": {"d_slots": (_NUMS, [1, 2, 5]), "hops": (_COUNT, 1),
+                     "interference_k": (_COUNT, 1),
+                     "shared_channel": (_FLAG, False),
+                     "validate_mc": (_FLAG, False)},
+    "simulate": {"d_slots": (_NUMS, [1, 2, 5, 10])},
+    # no x grid: 0.6, 1 and 1.4 times t lambda
+    "validate": {"d_slots": (_NUMS, [1, 2, 5, 10]), "t_slots": (_COUNT, 10),
+                 "x_grid_bits": (_NUMS, None)},
+}
+
+# each kind's query schema, checked once the scenario schema has checked
+# the kind
+_QUERY_SCHEMAS = {kind: {
+    "type": "object", "additionalProperties": False,
+    "properties": {"kind": True, **{f: s for f, (s, _) in fields.items()}}}
+    for kind, fields in _QUERY_FIELDS.items()}
 
 _FADING_KINDS = {"rayleigh": Rayleigh, "rice": Rice, "nakagami": Nakagami,
                  "weibull": Weibull, "lognormal": Lognormal,
@@ -160,28 +188,9 @@ _SCHEMA = {
                 "warmup_slots": {"type": "integer", "minimum": 0},
             },
         },
-        "queries": {"type": "array", "items": {"type": "object"}},
-    },
-}
-
-_QUERY_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(_COMMANDS)},
-        "x_grid_bits": _NUMS,
-        "theta_grid_per_bit": _NUMS,
-        "p_grid": _NUMS,
-        "t_slots": {"type": "integer", "minimum": 1},
-        "d_slots": {"anyOf": [_NUM, _NUMS]},
-        "epsilon": {"type": "number", "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1},
-        "probe_t_slots": {"type": "integer", "minimum": 1},
-        "hops": {"type": "integer", "minimum": 1},
-        "interference_k": {"type": "integer", "minimum": 1},
-        "shared_channel": {"type": "boolean"},
-        "validate_mc": {"type": "boolean"},
-        "certify_x_hi_bits": _POS,
+        "queries": {"type": "array", "items": {
+            "type": "object", "required": ["kind"],
+            "properties": {"kind": {"enum": list(_QUERY_FIELDS)}}}},
     },
 }
 
@@ -207,7 +216,7 @@ def load_scenario(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a mapping")
     if not (_conforms(_SCHEMA, doc, _SCHEMA)
-            and all(_conforms(_QUERY_SCHEMA, q, _QUERY_SCHEMA)
+            and all(_conforms(_QUERY_SCHEMAS[q["kind"]], q, _SCHEMA)
                     for q in doc.get("queries", []))):
         _reject(doc)
     return doc
@@ -216,10 +225,10 @@ def load_scenario(path: str) -> dict:
 def _reject(doc):
     """Raise the ValidationError for a document ``_conforms`` rejected, with
     the message jsonschema words for it, which is imported only here."""
-    doc_validator, query_validator = _validators()
-    _check_schema(doc_validator, doc)
-    for q in doc.get("queries", []):
-        _check_schema(query_validator, q)
+    doc_validator, query_validators = _validators()
+    _check_schema(doc_validator, doc, ())
+    for i, q in enumerate(doc.get("queries", [])):
+        _check_schema(query_validators[q["kind"]], q, ("queries", i))
     raise ValidationError("scenario does not conform to its schema")
 
 
@@ -277,7 +286,6 @@ _KEYWORDS = {
     "minimum": lambda v, x, s, r: not _is_number(x) or not x < v,
     "exclusiveMinimum": lambda v, x, s, r: not _is_number(x) or not x <= v,
     "exclusiveMaximum": lambda v, x, s, r: not _is_number(x) or not x >= v,
-    "anyOf": lambda v, x, s, r: any(_conforms(sub, x, r) for sub in v),
     "allOf": lambda v, x, s, r: all(_conforms(sub, x, r) for sub in v),
     "if": lambda v, x, s, r: (not _conforms(v, x, r)
                               or _conforms(s.get("then", True), x, r)),
@@ -289,7 +297,7 @@ _KEYWORDS = {
 def _conforms(schema, x, root) -> bool:
     """Whether ``x`` is valid under ``schema`` by JSON Schema Draft 2020-12,
     with ``root`` the schema that "$ref" resolves in.  It knows only the
-    keywords of ``_SCHEMA`` and ``_QUERY_SCHEMA`` and raises on any other,
+    keywords of ``_SCHEMA`` and ``_QUERY_SCHEMAS`` and raises on any other,
     so a schema edit cannot pass unchecked.  jsonschema is the oracle of
     this function in the tests, and words the errors of what it rejects."""
     if isinstance(schema, bool):
@@ -300,22 +308,25 @@ def _conforms(schema, x, root) -> bool:
     return all(_KEYWORDS[k](v, x, schema, root) for k, v in schema.items())
 
 
-def _check_schema(validator, instance):
-    """Raise the error jsonschema.validate would pick, as a ValidationError."""
+def _check_schema(validator, instance, path):
+    """Raise the error jsonschema.validate would pick, as a ValidationError
+    naming the field by its path in the scenario, ``instance`` at ``path``."""
     from jsonschema.exceptions import best_match
     exc = best_match(validator.iter_errors(instance))
     if exc is not None:
-        path_str = ".".join(str(p) for p in exc.absolute_path) or "(root)"
+        path_str = ".".join(map(str, (*path, *exc.absolute_path))) or "(root)"
         raise ValidationError(f"scenario field {path_str}: {exc.message}") from exc
 
 
 @functools.cache
 def _validators():
-    """Scenario and query validators.  The schemas are constants: the test
-    suite checks them against their metaschema, so no process does."""
+    """The scenario validator and each query kind's.  The schemas are
+    constants: the test suite checks them against their metaschema, so no
+    process does."""
     from jsonschema.validators import validator_for
-    return tuple(validator_for(schema)(schema)
-                 for schema in (_SCHEMA, _QUERY_SCHEMA))
+    return (validator_for(_SCHEMA)(_SCHEMA),
+            {kind: validator_for(schema)(schema)
+             for kind, schema in _QUERY_SCHEMAS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +366,11 @@ def build_process(scenario: dict):
             raise ValidationError("scenario field process.markov: required")
         mk = node["markov"]
         try:
-            kernel = MarkovKernel.from_destination_laws(
+            return MarkovAdditive(MarkovKernel.from_destination_laws(
                 tuple(mk["states"]), mk["transition"],
-                mk["capacities_bits_per_slot"])
+                mk["capacities_bits_per_slot"]), mk.get("initial", "stationary"))
         except ValidationError as exc:
             raise ValidationError(f"scenario field process.markov: {exc}") from exc
-        return MarkovAdditive(kernel, mk.get("initial", "stationary"))
     marginal = build_marginal(scenario)
     return Comonotonic(marginal) if kind == "comonotonic" else Additive(marginal)
 
@@ -391,15 +401,15 @@ def _fmt(value):
 def _run_capacity(scenario, query, arrival, config, meta):
     marginal = build_marginal(scenario)
     rows = []
-    for x in query.get("x_grid_bits", [0.0, 1.0, 2.0]):
+    for x in query["x_grid_bits"]:
         rows.append({"x_bits": float(x), "cdf": float(marginal.cdf(x)),
                      "tail": float(marginal.tail(x))})
-    for p in query.get("p_grid", []):
+    for p in query["p_grid"]:
         rows.append({"quantile_p": float(p),
                      "quantile_bits": marginal.quantile(float(p))})
-    for th in query.get("theta_grid_per_bit", []):
+    for th in query["theta_grid_per_bit"]:
         rows.append({"theta_per_bit": float(th), "cgf": marginal.cgf(float(th))})
-    if "certify_x_hi_bits" in query:
+    if query["certify_x_hi_bits"] is not None:
         cert = certify_light_tail(None, marginal, 0.0,
                                   query["certify_x_hi_bits"])
         rows.append({"certificate_a": cert.prefactor_a,
@@ -410,9 +420,9 @@ def _run_capacity(scenario, query, arrival, config, meta):
 
 def _run_bounds(scenario, query, arrival, config, meta):
     process = build_process(scenario)
-    t = query.get("t_slots", 10)
+    t = query["t_slots"]
     rows = []
-    for x in query.get("x_grid_bits", [1.0]):
+    for x in query["x_grid_bits"]:
         x = float(x)
         row = {"t_slots": t, "x_bits": x}
         if isinstance(process, Comonotonic):
@@ -435,9 +445,9 @@ def _run_bounds(scenario, query, arrival, config, meta):
 def _run_delay(scenario, query, arrival, config, meta):
     process = build_process(scenario)
     rows = []
-    d_values = query.get("d_slots", [1, 2, 5, 10])
+    d_values = query["d_slots"]
     mc = (empirical_delay_tails(process, arrival, d_values, config)
-          if query.get("validate_mc") else None)
+          if query["validate_mc"] else None)
     details = (None if isinstance(process, Comonotonic) else
                delay_tails(process, arrival, [float(d) for d in d_values]))
     for i, d in enumerate(d_values):
@@ -463,9 +473,8 @@ def _run_delay(scenario, query, arrival, config, meta):
 
 def _run_dcc(scenario, query, arrival, config, meta):
     process = build_process(scenario)
-    d = query.get("d_slots", 10)
-    d = float(d[0] if isinstance(d, (list, tuple)) else d)
-    eps = float(query.get("epsilon", 1e-3))
+    d = float(query["d_slots"])
+    eps = float(query["epsilon"])
     res = delay_constrained_capacity(process, d, eps)
     return [{"d_slots": d, "epsilon": eps,
              "lambda_conservative": res.conservative,
@@ -480,7 +489,7 @@ def _run_order(scenario, query, arrival, config, meta):
     proc_n = AntitheticPairing(marginal)
     proc_perp = Additive(marginal)
     proc_p = Comonotonic(marginal)
-    probe_t = query.get("probe_t_slots", 16)
+    probe_t = query["probe_t_slots"]
     runs = min(config.runs, 200_000)
     sn = SampleSet(cumulative_capacity_samples(proc_n, probe_t, runs,
                                                config.seed), "S_N")
@@ -499,7 +508,7 @@ def _run_order(scenario, query, arrival, config, meta):
              "max_violation": v1.max_violation, "tolerance": v1.tolerance_used},
             {"relation": "cx(S_perp, S_P)", "holds": v2.holds,
              "max_violation": v2.max_violation, "tolerance": v2.tolerance_used}]
-    d_values = query.get("d_slots")
+    d_values = query["d_slots"]
     if d_values:
         tails = _strict_tails((proc_n, proc_perp, proc_p), arrival, d_values,
                               config)
@@ -516,7 +525,7 @@ def _run_interference(scenario, query, arrival, config, meta):
     if isinstance(process, Comonotonic):
         raise ValidationError("scenario field process.kind: interference "
                               "needs an additive or markov process")
-    d_values = query.get("d_slots", [1, 2, 5])
+    d_values = query["d_slots"]
     rows = []
     try:
         reports = feedback_delays(process, arrival, [float(d) for d in d_values])
@@ -534,11 +543,9 @@ def _run_interference(scenario, query, arrival, config, meta):
             row.update(feedback_upper=None, error=error)
             meta.setdefault("verdicts", []).append(error)
         rows.append(row)
-    n_hops = query.get("hops", 1)
-    k = query.get("interference_k", 1)
-    shared = query.get("shared_channel", False)
-    if isinstance(process, Additive) and n_hops >= 1:
-        chain = HopChain((process,) * n_hops, k, shared)
+    n_hops, k = query["hops"], query["interference_k"]
+    if isinstance(process, Additive):
+        chain = HopChain((process,) * n_hops, k, query["shared_channel"])
         meta["multihop_multiplier"] = chain.multiplier
         for d in d_values:
             rep = e2e_delay_bound(chain, arrival, float(d))
@@ -549,7 +556,7 @@ def _run_interference(scenario, query, arrival, config, meta):
                 row["error"] = rep.notes
                 meta.setdefault("verdicts", []).append(rep.notes)
             rows.append(row)
-        if query.get("validate_mc"):
+        if query["validate_mc"]:
             ests = tandem_queue(chain, arrival, config, d_values)
             for row, est in zip(rows[-len(d_values):], ests):
                 row.update(mc_estimate=est.point, mc_stderr=est.stderr)
@@ -558,7 +565,7 @@ def _run_interference(scenario, query, arrival, config, meta):
 
 def _run_simulate(scenario, query, arrival, config, meta):
     process = build_process(scenario)
-    d_values = query.get("d_slots", [1, 2, 5, 10])
+    d_values = query["d_slots"]
     ests = empirical_delay_tails(process, arrival, d_values, config)
     return [{"d_slots": float(d), "mc_estimate": e.point, "mc_stderr": e.stderr,
              "runs": e.runs_used}
@@ -569,7 +576,7 @@ def _run_validate(scenario, query, arrival, config, meta):
     """Bound-vs-Monte-Carlo matrix with one pass/fail row per check."""
     process = build_process(scenario)
     rows = []
-    d_values = query.get("d_slots", [1, 2, 5, 10])
+    d_values = query["d_slots"]
 
     def slack(est, bound):
         # binomial noise evaluated at the bound, never degenerate at p_hat = 0
@@ -601,8 +608,8 @@ def _run_validate(scenario, query, arrival, config, meta):
         for d, est, detail in zip(d_values, ests, details):
             check(name, f"d={d:g}", detail.lower.value, detail.upper.value, est)
     if isinstance(process, Additive):
-        t = query.get("t_slots", 10)
-        xs = query.get("x_grid_bits") or [
+        t = query["t_slots"]
+        xs = query["x_grid_bits"] or [
             0.6 * t * arrival.lam, t * arrival.lam, 1.4 * t * arrival.lam]
         samples = cumulative_capacity_samples(process, t, config.runs,
                                               config.seed + 7)
@@ -656,9 +663,10 @@ def run_command(command: str, scenario: dict, seed_override=None,
                 threads: int = 1):
     arrival = ArrivalSpec(scenario["arrival"]["lambda_bits_per_slot"])
     config = build_sim_config(scenario, seed_override)
-    queries = [q for q in scenario.get("queries", []) if q["kind"] == command]
-    if not queries:
-        queries = [{"kind": command}]
+    # defaults fill copies, so the sidecar records the scenario as written
+    defaults = {f: value for f, (_, value) in _QUERY_FIELDS[command].items()}
+    queries = [{**defaults, **q} for q in scenario.get("queries", [])
+               if q["kind"] == command] or [{**defaults, "kind": command}]
     meta = {"command": command, "seed": config.seed,
             "package": f"wnc {__version__}",
             "lambda_bits_per_slot": arrival.lam}
@@ -695,7 +703,7 @@ def _parser():
         prog="wnc",
         description="Wireless channel capacity bounds and their MC validation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _QUERY_FIELDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True)
         p.add_argument("--out")

@@ -376,7 +376,6 @@ def _departure_tails(config: SimConfig, key: int, lam: float, d_values,
     ``departures(batch, size, rng)`` returns each run's cumulative
     departures A*(T); A(T - d) = lambda (T - d).
     """
-    d_values = [int(d) for d in d_values]
     horizon = config.horizon
     if max(d_values, default=0) >= horizon:
         raise ValidationError("d values must be below the horizon")

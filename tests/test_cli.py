@@ -14,8 +14,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wnc.cli import (_KEYWORDS, _QUERY_SCHEMA, _SCHEMA, _TYPES, _conforms,
-                     _resolve, main)
+from wnc.cli import (_KEYWORDS, _QUERY_FIELDS, _QUERY_SCHEMAS, _SCHEMA,
+                     _TYPES, _conforms, _resolve, main)
 
 BASE = {
     "channel": {"capacity_bits_per_slot": {"support": [0.0, 2.0],
@@ -337,6 +337,72 @@ def test_malformed_markov_fields_are_validation_errors(tmp_path, capsys,
     assert line.startswith("validation error: scenario field process.markov")
 
 
+@pytest.mark.parametrize("kind,d_slots", [
+    ("delay", 5), ("order", 5), ("interference", 5), ("simulate", 5),
+    ("validate", 5), ("dcc", [10])])
+def test_d_slots_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys,
+                                                          kind, d_slots):
+    # a d grid is a list, and dcc takes one number
+    doc = dict(BASE, queries=[{"kind": "capacity"},
+                              {"kind": kind, "d_slots": d_slots}])
+    assert main([kind, "--scenario", write_scenario(tmp_path, doc)]) == 1
+    assert _one_validation_line(capsys).startswith(
+        "validation error: scenario field queries.1.d_slots: ")
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("delay", "epsilon", 0.1), ("validate", "hops", 2),
+    ("bounds", "certify_x_hi_bits", 8.0)])
+def test_a_field_its_kind_does_not_read_is_rejected(tmp_path, capsys, kind,
+                                                    field, value):
+    doc = dict(BASE, queries=[{"kind": kind, field: value}])
+    assert main([kind, "--scenario", write_scenario(tmp_path, doc)]) == 1
+    line = _one_validation_line(capsys)
+    assert line.startswith("validation error: scenario field queries.0: ")
+    assert f"'{field}' was unexpected" in line
+
+
+# each kind's defaults written out: an empty query, and a scenario with no
+# query of the kind, must give the rows of these
+_LITERAL_DEFAULTS = {
+    "capacity": {"x_grid_bits": [0.0, 1.0, 2.0]},
+    "bounds": {"t_slots": 10, "x_grid_bits": [1.0]},
+    "delay": {"d_slots": [1, 2, 5, 10], "validate_mc": False},
+    "dcc": {"d_slots": 10, "epsilon": 1e-3},
+    "order": {"probe_t_slots": 16},
+    "interference": {"d_slots": [1, 2, 5], "hops": 1, "interference_k": 1,
+                     "shared_channel": False, "validate_mc": False},
+    "simulate": {"d_slots": [1, 2, 5, 10]},
+    "validate": {"d_slots": [1, 2, 5, 10], "t_slots": 10},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LITERAL_DEFAULTS))
+def test_an_empty_query_reads_the_literal_defaults(tmp_path, kind):
+    sim = {"seed": 5, "runs": 2000, "horizon_slots": 60, "warmup_slots": 6}
+    outputs = []
+    for name, queries in (("empty", [{"kind": kind}]),
+                          ("none", []),
+                          ("written", [dict(_LITERAL_DEFAULTS[kind],
+                                            kind=kind)])):
+        path = write_scenario(tmp_path, dict(BASE, sim=sim, queries=queries),
+                              f"{name}.yaml")
+        out = tmp_path / f"{name}.csv"
+        assert main([kind, "--scenario", path, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_readme_tables_every_query_field():
+    # the Queries section of the README has one row per (kind, field)
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Queries\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.M)
+    assert sorted(rows) == sorted((kind, field)
+                                  for kind, fields in _QUERY_FIELDS.items()
+                                  for field in fields)
+
+
 # CSV output of the Gilbert-Elliott scenario started in state B, with
 # lambda 0.5, epsilon 0.2 and 2000 runs of 120 slots, recorded when each
 # bound and estimator still took the start state as an override
@@ -396,7 +462,8 @@ def test_fixed_start_markov_scenario(tmp_path, capsys):
     for command in _FIXED_START_CSV:
         assert main([command, "--scenario", path]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "validation error: unknown state 'X'\n"
+        assert captured.err == ("validation error: scenario field "
+                                "process.markov: unknown state 'X'\n")
         assert captured.out == ""
 
 
@@ -441,9 +508,7 @@ def test_scenario_schemas_are_valid_under_their_metaschema():
     # the CLI builds its validators without this check, once per process
     from jsonschema.validators import validator_for
 
-    from wnc.cli import _QUERY_SCHEMA, _SCHEMA
-
-    for schema in (_SCHEMA, _QUERY_SCHEMA):
+    for schema in (_SCHEMA, *_QUERY_SCHEMAS.values()):
         validator_for(schema).check_schema(schema)
 
 
@@ -453,22 +518,27 @@ def test_invalid_scenario_message_matches_jsonschema_validate(tmp_path):
 
     import jsonschema
 
-    from wnc.cli import _QUERY_SCHEMA, _SCHEMA, load_scenario
+    from wnc.cli import load_scenario
     from wnc.errors import ValidationError
 
     bad_lambda = copy.deepcopy(BASE)
     bad_lambda["arrival"]["lambda_bits_per_slot"] = -1
     missing = copy.deepcopy(BASE)
     del missing["sim"]
-    bad_query = dict(BASE, queries=[{"kind": "delay"},
-                                    {"kind": "nonsense", "epsilon": 2}])
-    for doc in (bad_lambda, missing, dict(BASE, extra=1), bad_query):
+    bad_kind = dict(BASE, queries=[{"kind": "delay"},
+                                   {"kind": "nonsense", "epsilon": 2}])
+    bad_field = dict(BASE, queries=[{"kind": "delay"},
+                                    {"kind": "dcc", "epsilon": 2}])
+    for doc in (bad_lambda, missing, dict(BASE, extra=1), bad_kind,
+                bad_field):
+        prefix = []     # a query's errors are named by its scenario path
         try:
             jsonschema.validate(doc, _SCHEMA)
-            for q in doc.get("queries", []):
-                jsonschema.validate(q, _QUERY_SCHEMA)
+            for i, q in enumerate(doc.get("queries", [])):
+                prefix = ["queries", i]
+                jsonschema.validate(q, _QUERY_SCHEMAS[q["kind"]])
         except jsonschema.ValidationError as exc:
-            path = ".".join(str(p) for p in exc.absolute_path) or "(root)"
+            path = ".".join(map(str, [*prefix, *exc.absolute_path])) or "(root)"
             want = f"scenario field {path}: {exc.message}"
         with pytest.raises(ValidationError) as err:
             load_scenario(write_scenario(tmp_path, doc))
@@ -477,6 +547,10 @@ def test_invalid_scenario_message_matches_jsonschema_validate(tmp_path):
                        r"\.lambda_bits_per_slot: -1 is less than or equal "
                        "to the minimum of 0$"):
         load_scenario(write_scenario(tmp_path, bad_lambda))
+    with pytest.raises(ValidationError, match=r"^scenario field queries\.1"
+                       r"\.epsilon: 2 is greater than or equal to the maximum"
+                       " of 1$"):
+        load_scenario(write_scenario(tmp_path, bad_field))
 
 
 _SCIPY_PROBE = r"""
@@ -623,7 +697,7 @@ def _schema_nodes(schema, root):
         for key, value in node.items():
             if key in ("properties", "$defs"):
                 stack += value.values()
-            elif key in ("anyOf", "allOf"):
+            elif key == "allOf":
                 stack += value
             elif key in ("items", "additionalProperties", "if", "then"):
                 stack.append(value)
@@ -633,13 +707,13 @@ def _schema_nodes(schema, root):
 
 
 def test_schemas_use_only_keywords_the_evaluator_implements():
-    for schema in (_SCHEMA, _QUERY_SCHEMA):
-        nodes = _schema_nodes(schema, schema)
-        assert len(nodes) > 10
-        for node in nodes:
-            assert node.keys() <= _KEYWORDS.keys(), node
-            if "type" in node:
-                assert node["type"] in _TYPES, node
+    nodes = [node for schema in (_SCHEMA, *_QUERY_SCHEMAS.values())
+             for node in _schema_nodes(schema, schema)]
+    assert len(nodes) > 10
+    for node in nodes:
+        assert node.keys() <= _KEYWORDS.keys(), node
+        if "type" in node:
+            assert node["type"] in _TYPES, node
     with pytest.raises(NotImplementedError, match="maxItems"):
         _conforms({"type": "array", "maxItems": 1}, [], {})
     with pytest.raises(NotImplementedError):
@@ -690,10 +764,11 @@ def _base_documents():
 
 
 @functools.cache
-def _oracle(which):
+def _oracle(kind):
+    """jsonschema's validator of the scenario (``None``) or of a query kind."""
     from jsonschema import Draft202012Validator
 
-    return Draft202012Validator({"doc": _SCHEMA, "query": _QUERY_SCHEMA}[which])
+    return Draft202012Validator(_SCHEMA if kind is None else _QUERY_SCHEMAS[kind])
 
 
 _VALUES = [True, False, "x", "rice", None, 3.0, 3, 2.5, 0, 0.0, -1, -1.0, 1,
@@ -701,7 +776,9 @@ _VALUES = [True, False, "x", "rice", None, 3.0, 3, 2.5, 0, 0.0, -1, -1.0, 1,
            [True], ["G"], [[0.5, 0.5]], {"kind": "rayleigh"}]
 _KEYS = ["bogus", "kind", "s", "sigma0", "sigma", "m", "omega", "c", "k", "mu",
          "subchannels", "fading", "epsilon", "t_slots", "d_slots", "queries",
-         "channel", "markov", "initial", "warmup_slots", "shared_channel"]
+         "channel", "markov", "initial", "warmup_slots", "shared_channel",
+         "x_grid_bits", "p_grid", "theta_grid_per_bit", "probe_t_slots",
+         "hops", "interference_k", "validate_mc", "certify_x_hi_bits"]
 
 
 def _containers(node):
@@ -769,13 +846,14 @@ def test_conforms_agrees_with_jsonschema(data):
     doc = copy.deepcopy(docs[data.draw(st.integers(0, len(docs) - 1))])
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data.draw, doc)
-    for which, schema, instances in (
-            ("doc", _SCHEMA, [doc]),
-            ("query", _QUERY_SCHEMA, doc.get("queries") or [])):
-        if not isinstance(instances, list):
-            continue
-        for x in instances:
-            assert _conforms(schema, x, schema) == _oracle(which).is_valid(x), x
+    assert _conforms(_SCHEMA, doc, _SCHEMA) == _oracle(None).is_valid(doc)
+    queries = doc.get("queries")
+    # each query that names a kind, through that kind's schema
+    for q in queries if isinstance(queries, list) else []:
+        kind = q.get("kind") if isinstance(q, dict) else None
+        if isinstance(kind, str) and kind in _QUERY_SCHEMAS:
+            schema = _QUERY_SCHEMAS[kind]
+            assert _conforms(schema, q, schema) == _oracle(kind).is_valid(q), q
 
 
 _LOAD_PROBE = r"""

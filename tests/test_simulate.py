@@ -150,6 +150,21 @@ def test_tandem_single_hop_matches_walk_estimator(two_point):
         assert abs(a.point - b.point) <= 3 * math.hypot(a.stderr, b.stderr) + 1e-3
 
 
+@pytest.mark.parametrize("queue", ["feedback", "tandem"])
+def test_departure_tails_read_a_fractional_delay_as_given(two_point, queue):
+    # the level is lambda (T - d) at d as given: a delay of 2.5 slots lies
+    # strictly between 2 and 3, where truncating it would read d = 2
+    proc, arrival = Additive(two_point), ArrivalSpec(0.3)
+    cfg = SimConfig(seed=1, runs=200_000, horizon=400, warmup=0)
+    d_values = [2, 2.5, 3]
+    if queue == "feedback":
+        ests = feedback_queue(proc, arrival, cfg, d_values)
+    else:
+        ests = tandem_queue(HopChain((proc,), 1, False), arrival, cfg, d_values)
+    at2, at_half, at3 = (e.point for e in ests)
+    assert at2 > at_half > at3
+
+
 def test_tandem_deterministic_hops_zero_delay():
     pm = DiscreteDistribution.point_mass(3.0)
     chain = HopChain((Additive(pm), Additive(pm)), 2, False)

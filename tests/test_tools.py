@@ -109,3 +109,25 @@ def test_bounds_read_the_kernel_not_the_process_type():
     assert [f for name, f in tests if name == "delay.py"] == []
     assert ({f for name, f in tests if name == "processes.py"}
             == {"_kernel", "process_mean_rate"})
+
+
+def test_each_runner_reads_exactly_its_query_fields():
+    # cli._QUERY_FIELDS is the one home of what a query kind reads: each
+    # _run_<kind> reads its query only as query["<field>"], and reads every
+    # field of its entry, which run_command has filled with its default
+    from wnc import cli
+
+    assert cli._RUNNERS.keys() == cli._QUERY_FIELDS.keys()
+    tree = dict(_trees())["cli.py"]
+    runners = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    for kind, fields in cli._QUERY_FIELDS.items():
+        func = runners[f"_run_{kind}"]
+        reads = [node for node in ast.walk(func)
+                 if isinstance(node, ast.Name) and node.id == "query"
+                 and not isinstance(node.ctx, ast.Store)]
+        subscripts = {node.value: node.slice for node in ast.walk(func)
+                      if isinstance(node, ast.Subscript)}
+        keys = [subscripts.get(node) for node in reads]
+        assert all(isinstance(k, ast.Constant) for k in keys), kind
+        assert {k.value for k in keys} == fields.keys(), kind

@@ -33,7 +33,7 @@ def main(outdir: str) -> int:
                    + glob.glob(os.path.join(ROOT, "bench", "scenarios", "*.yaml")))
     for path in paths:
         rel = os.path.relpath(path, ROOT)[:-len(".yaml")]
-        for command, fmt in itertools.product(cli._COMMANDS, ("csv", "json")):
+        for command, fmt in itertools.product(cli._QUERY_FIELDS, ("csv", "json")):
             base = os.path.join(
                 outdir, f"{rel.replace(os.sep, '__')}.{command}.{fmt}")
             out, err = io.StringIO(), io.StringIO()
